@@ -158,18 +158,18 @@ def uqe_pdf_curve(
     candidates to pass every point, plus pad_steps), never on any declared
     range, so the curve is identical no matter what range a baseline assumes.
     """
+    if pad_steps < 0:
+        raise ValueError("pad_steps must be >= 0")
     hist = build_histogram(data, beta, lower_bound)
     grid = hist.grid
     n = hist.n
-    k_full = max(hist.counts) + 1  # first query index where the prefix hits n
+    k_full = hist.cumulative.size  # first query index where the prefix hits n
     k_max = k_full + int(pad_steps)
-    values = np.cumsum(
-        [hist.counts.get(i - 1, 0) for i in range(1, k_max + 1)]
-    ).astype(float)
+    values = np.concatenate((hist.cumulative, np.full(int(pad_steps), n))).astype(float)
     t = q * n
     log_pmf = gumbel_halt_log_pmf(values, t, eps / 2.0)
     mass = np.exp(log_pmf)
-    edges = np.array([grid.value(i) for i in range(k_max + 1)])
+    edges = grid.powers(k_max + 1) + grid.lower_bound - 1.0
     lefts, rights = edges[:-1], edges[1:]
     widths = rights - lefts
     return UqePdfCurve(

@@ -6,8 +6,8 @@ the candidate beta^k + ell - 1 at the halting index k. The counting queries
 are monotonic with sensitivity 1 under swap neighbors, which is what the
 privacy accounting of this pipeline rests on.
 
-Preprocessing is a single O(n) pass into a log-spaced bucket histogram, after
-which each query costs O(1): the prefix count grows by one bucket per candidate.
+Preprocessing is a single O(n) pass into a dense log-spaced bucket histogram
+and its running sums, after which each query is one array read.
 Variants here: a fully unbounded estimator (no declared bounds, two runs), an
 inverted transform for small quantiles of upper-bounded data, and recursive
 splitting for several quantiles at once.
@@ -15,10 +15,13 @@ splitting for several quantiles at once.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import operator
 from dataclasses import dataclass, replace
-from typing import Iterator, Sequence
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -33,6 +36,7 @@ from .accounting import (
 from .noise import NoiseKind, RandomSource
 from .sparse_vector import (
     DEFAULT_MAX_QUERIES,
+    ArrayStream,
     QueryStream,
     SvtConfig,
     SvtOutcome,
@@ -94,16 +98,33 @@ class GeometricGrid:
         self.beta = float(beta)
         self.lower_bound = float(lower_bound)
         self._log_beta = math.log(self.beta)
-        self._powers = [1.0]
+        self._powers = np.ones(1)
+
+    def powers(self, size: int) -> np.ndarray:
+        """beta^0 .. beta^(size-1), read-only; extends the cache as needed.
+
+        np.cumprod multiplies in sequence, so each new power is the previous
+        one times beta, as a scalar loop computes it; powers past the float
+        range are inf.
+        """
+        pows = self._powers
+        if pows.size < size:
+            steps = np.full(size - pows.size + 1, self.beta)
+            steps[0] = pows[-1]
+            with np.errstate(over="ignore"):
+                np.cumprod(steps, out=steps)
+            pows = self._powers = np.concatenate((pows, steps[1:]))
+            pows.flags.writeable = False
+        return pows[:size]
 
     def power(self, i: int) -> float:
         """beta^i from the multiplication cache (extends it as needed)."""
         if i < 0:
             raise ValueError("power index must be >= 0")
-        pows = self._powers
-        while len(pows) <= i:
-            pows.append(pows[-1] * self.beta)
-        return pows[i]
+        if i >= self._powers.size:
+            # doubling keeps a run of increasing indices linear overall
+            self.powers(max(i + 1, 2 * self._powers.size))
+        return float(self._powers[i])
 
     def value(self, i: int) -> float:
         """Grid candidate number i: beta^i + ell - 1."""
@@ -116,12 +137,14 @@ class GeometricGrid:
             raise ValueError("value below the grid lower bound")
         return y
 
-    def bucket_indices(self, y: np.ndarray) -> np.ndarray:
+    def bucket_indices(self, y: np.ndarray, limit: int | None = None) -> np.ndarray:
         """Bucket b with beta^b <= y < beta^(b+1), vectorized over y >= 1.
 
         A log-floor guess is corrected by direct comparison against the
         cached powers, so boundary points land exactly where the strict
-        inequality of the counting queries expects them.
+        inequality of the counting queries expects them. With a limit, every
+        y >= beta^limit goes to the one bucket `limit`, and the cache stops
+        at beta^(limit+1).
         """
         y = np.asarray(y, dtype=float)
         if y.size == 0:
@@ -129,25 +152,33 @@ class GeometricGrid:
         if y.min() < 1.0:
             raise ValueError("bucket domain starts at 1")
         idx = np.floor(np.log(y) / self._log_beta).astype(np.int64)
-        np.clip(idx, 0, None, out=idx)
-        self.power(int(idx.max()) + 2)
-        pows = np.asarray(self._powers)
+        np.clip(idx, 0, limit, out=idx)
+        lower, upper = self._edges(int(idx.max()) + 1, limit)
         for _ in range(64):
             moved = False
-            low = y < pows[idx]
+            low = y < lower[idx]
             if low.any():
                 idx[low] -= 1
                 moved = True
-            high = y >= pows[idx + 1]
+            high = y >= upper[idx]
             if high.any():
                 idx[high] += 1
                 moved = True
-                if int(idx.max()) + 2 > len(self._powers):
-                    self.power(int(idx.max()) + 2)
-                    pows = np.asarray(self._powers)
+                if int(idx.max()) >= lower.size:
+                    lower, upper = self._edges(int(idx.max()) + 1, limit)
             if not moved:
                 return idx
         raise AssertionError("bucket correction did not converge")
+
+    def _edges(self, buckets: int, limit: int | None) -> tuple[np.ndarray, np.ndarray]:
+        """Lower and upper edges of buckets 0 .. buckets-1; bucket `limit`
+        has no upper edge."""
+        pows = self.powers(buckets + 1)
+        upper = pows[1:]
+        if limit is not None and buckets > limit:
+            upper = upper.copy()
+            upper[limit] = np.inf
+        return pows[:-1], upper
 
     def bucket_of(self, y: float) -> int:
         return int(self.bucket_indices(np.array([float(y)]))[0])
@@ -160,14 +191,23 @@ class GeometricGrid:
 
 
 class LogBucketHistogram:
-    """Counts of shifted data per geometric bucket; powers the O(1) queries."""
+    """Dense per-bucket counts of shifted data and their running sums.
 
-    def __init__(self, grid: GeometricGrid, counts: dict[int, int]) -> None:
+    cumulative[i-1] is the counting query f_i, the number of points in
+    buckets < i; past the last bucket every query reads n. Each query is one
+    array read.
+    """
+
+    def __init__(self, grid: GeometricGrid, totals) -> None:
+        totals = np.asarray(totals, dtype=np.int64)
+        if totals.ndim != 1 or (totals < 0).any():
+            raise ValueError("bucket totals must be a 1-d array of counts >= 0")
         self.grid = grid
-        self.counts = dict(counts)
-        if any(b < 0 or c <= 0 for b, c in self.counts.items()):
-            raise ValueError("bucket indices must be >= 0 with positive counts")
-        self.n = int(sum(self.counts.values()))
+        self.totals = totals
+        self.cumulative = np.cumsum(totals)
+        self.n = int(self.cumulative[-1]) if totals.size else 0
+        totals.flags.writeable = False
+        self.cumulative.flags.writeable = False
 
     @property
     def beta(self) -> float:
@@ -177,9 +217,17 @@ class LogBucketHistogram:
     def lower_bound(self) -> float:
         return self.grid.lower_bound
 
+    @functools.cached_property
+    def counts(self) -> Mapping[int, int]:
+        """Read-only {bucket: count} view of the nonzero buckets."""
+        nz = np.flatnonzero(self.totals)
+        return MappingProxyType(dict(zip(nz.tolist(), self.totals[nz].tolist())))
+
     def prefix_count(self, i: int) -> int:
         """|{x_j : x_j - ell + 1 < beta^i}|, i.e. everything in buckets < i."""
-        return sum(c for b, c in self.counts.items() if b < i)
+        if i <= 0 or not self.cumulative.size:
+            return 0
+        return int(self.cumulative[min(i, self.cumulative.size) - 1])
 
     def to_json(self) -> str:
         payload = {
@@ -194,7 +242,11 @@ class LogBucketHistogram:
         payload = json.loads(text)
         grid = GeometricGrid(payload["beta"], payload["ell"])
         counts = {int(b): int(c) for b, c in payload["counts"].items()}
-        return cls(grid, counts)
+        if any(b < 0 or c <= 0 for b, c in counts.items()):
+            raise ValueError("bucket indices must be >= 0 with positive counts")
+        totals = np.zeros(max(counts, default=-1) + 1, dtype=np.int64)
+        totals[list(counts)] = list(counts.values())
+        return cls(grid, totals)
 
 
 # sized so a block's shift/log/index temporaries stay cache-resident,
@@ -202,8 +254,16 @@ class LogBucketHistogram:
 _BUILD_BLOCK = 1 << 16
 
 
-def build_histogram(values, beta: float, lower_bound: float) -> LogBucketHistogram:
-    """Shift, bucket and bincount the data in blocks. O(n) arithmetic."""
+def build_histogram(
+    values, beta: float, lower_bound: float, max_queries: int | None = None
+) -> LogBucketHistogram:
+    """Shift, bucket and bincount the data in blocks. O(n) arithmetic.
+
+    A run capped at max_queries reads no bucket past max_queries - 1, so
+    with a cap every larger index goes to the one bucket max_queries and the
+    grid's powers stop at beta^(max_queries+1): the work is bounded by the
+    cap, not by how many buckets the data spans.
+    """
     grid = GeometricGrid(beta, lower_bound)
     x = np.asarray(values, dtype=float)
     if x.size == 0:
@@ -211,36 +271,26 @@ def build_histogram(values, beta: float, lower_bound: float) -> LogBucketHistogr
     totals = np.zeros(0, dtype=np.int64)
     for start in range(0, x.size, _BUILD_BLOCK):
         y = grid.shift(x[start : start + _BUILD_BLOCK])
-        bc = np.bincount(grid.bucket_indices(y))
+        bc = np.bincount(grid.bucket_indices(y, max_queries))
         if bc.size > totals.size:
             bc[: totals.size] += totals
             totals = bc
         else:
             totals[: bc.size] += bc
-    nz = np.flatnonzero(totals)
-    counts = dict(zip(nz.tolist(), totals[nz].tolist()))
-    return LogBucketHistogram(grid, counts)
+    return LogBucketHistogram(grid, totals)
 
 
 def counting_query_stream(
     hist: LogBucketHistogram, max_queries: int = DEFAULT_MAX_QUERIES
 ) -> QueryStream:
-    """f_i = prefix count through bucket i-1, grown one bucket per query.
+    """f_i = prefix count through bucket i-1, read from hist.cumulative.
 
     Monotonic with sensitivity 1 under swap neighbors: swapping one point
     moves every prefix count by at most 1, in the same direction.
     """
-    counts = hist.counts
-
-    def values() -> Iterator[float]:
-        running = 0
-        i = 1
-        while True:
-            running += counts.get(i - 1, 0)
-            yield float(running)
-            i += 1
-
-    return QueryStream(values=values, sensitivity=1.0, monotonic=True, max_queries=max_queries)
+    return ArrayStream(
+        hist.cumulative, hist.n, sensitivity=1.0, monotonic=True, max_queries=max_queries
+    )
 
 
 @dataclass(frozen=True)
@@ -262,6 +312,10 @@ class QuantileRequest:
             raise ValueError("eps1 and eps2 must be positive")
         if not self.beta > 1.0:
             raise ValueError("beta must be > 1")
+        try:
+            operator.index(self.max_queries)
+        except TypeError:
+            raise ValueError("max_queries must be an integer") from None
         if self.max_queries < 1:
             raise ValueError("max_queries must be at least 1")
         if self.noise is NoiseKind.GUMBEL and self.eps1 != self.eps2:
@@ -315,7 +369,7 @@ def estimate_quantile(
     """
     if data.lower_bound is None:
         raise ValueError("estimate_quantile needs a declared lower bound")
-    hist = build_histogram(data.values, req.beta, data.lower_bound)
+    hist = build_histogram(data.values, req.beta, data.lower_bound, req.max_queries)
     t = req.q * data.n if threshold is None else float(threshold)
     stream = counting_query_stream(hist, max_queries=req.max_queries)
     if noiseless:
@@ -356,23 +410,16 @@ def _signed_counting_stream(
     negatives = int((values < 0).sum())
     nonneg = values[values >= 0]
     grid = GeometricGrid(beta, 0.0)
-    counts: dict[int, int] = {}
+    above = np.zeros(0, dtype=np.int64)
     if nonneg.size:
-        hist = build_histogram(nonneg, beta, 0.0)
-        counts = hist.counts
-        grid = hist.grid
-
-    def stream_values() -> Iterator[float]:
-        yield float(negatives)
-        running = negatives
-        i = 1
-        while True:
-            running += counts.get(i - 1, 0)
-            yield float(running)
-            i += 1
-
-    stream = QueryStream(
-        values=stream_values, sensitivity=1.0, monotonic=True, max_queries=max_queries
+        hist = build_histogram(nonneg, beta, 0.0, max_queries)
+        grid, above = hist.grid, hist.cumulative
+    stream = ArrayStream(
+        np.concatenate(([negatives], negatives + above)),
+        values.size,
+        sensitivity=1.0,
+        monotonic=True,
+        max_queries=max_queries,
     )
     return stream, grid
 

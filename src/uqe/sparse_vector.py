@@ -5,6 +5,10 @@ and halts at the first index whose noisy value clears the noisy threshold.
 Halting early (or capping the stream) never hurts privacy, so running out of
 queries is reported as an outcome, not an error.
 
+Queries are read and compared a block at a time; on a hit the generator is
+rewound so that it has drawn exactly one uniform per query up to the halt,
+as a query-by-query loop would.
+
 For Gumbel noise with eps1 == eps2 the halt index has a closed-form PMF,
 which the verification suites use as ground truth; the same module provides
 the step-wise exponential-mechanism formulation that is distributionally
@@ -13,7 +17,10 @@ identical to the Gumbel run.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from functools import partial
+from itertools import islice
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -23,6 +30,7 @@ from .noise import NoiseKind, NoiseSpec, RandomSource, sample
 __all__ = [
     "DEFAULT_MAX_QUERIES",
     "QueryStream",
+    "ArrayStream",
     "SvtConfig",
     "SvtOutcome",
     "run_above_threshold",
@@ -40,6 +48,12 @@ DEFAULT_MAX_QUERIES = 200_000
 
 # trials per block in the vectorized simulators; keeps peak memory bounded
 _BLOCK = 1 << 18
+
+# query blocks of the runners: the first is small, so a run that halts early
+# draws little noise it then discards; sizes double up to a fixed ceiling,
+# which bounds a run's temporaries whatever its cap
+_FIRST_QUERY_BLOCK = 256
+_MAX_QUERY_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -61,8 +75,18 @@ class QueryStream:
     def __post_init__(self) -> None:
         if not self.sensitivity > 0:
             raise ValueError("sensitivity must be positive")
+        try:
+            operator.index(self.max_queries)
+        except TypeError:
+            raise ValueError("max_queries must be an integer") from None
         if self.max_queries < 1:
             raise ValueError("max_queries must be at least 1")
+
+    def reader(self) -> Callable[[int], np.ndarray]:
+        """A fresh reader: each call read(m) returns the next m query values,
+        fewer once the stream has ended."""
+        it = self.values()
+        return lambda m: np.fromiter(islice(it, m), dtype=float)
 
     @classmethod
     def from_values(
@@ -72,9 +96,53 @@ class QueryStream:
         monotonic: bool = False,
         max_queries: int | None = None,
     ) -> "QueryStream":
-        vals = [float(v) for v in seq]
-        cap = len(vals) if max_queries is None else max_queries
-        return cls(lambda: iter(vals), sensitivity, monotonic, cap)
+        vals = np.fromiter(seq, dtype=float)
+        cap = vals.size if max_queries is None else max_queries
+        return ArrayStream(vals, None, sensitivity, monotonic, cap)
+
+
+class ArrayStream(QueryStream):
+    """f_i = head[i-1] for i <= len(head), then tail forever; the stream ends
+    after head when tail is None. Blocks are slices, not iterator steps."""
+
+    def __init__(
+        self,
+        head,
+        tail: float | None = None,
+        sensitivity: float = 1.0,
+        monotonic: bool = False,
+        max_queries: int = DEFAULT_MAX_QUERIES,
+    ) -> None:
+        head = np.array(head, dtype=float)
+        if head.ndim != 1:
+            raise ValueError("head must be 1-d")
+        head.flags.writeable = False
+        tail = None if tail is None else float(tail)
+        # values must not refer back to self: a reference cycle would keep
+        # every run's arrays alive until the next full garbage collection
+        super().__init__(partial(_iterate, head, tail), sensitivity, monotonic, max_queries)
+        object.__setattr__(self, "head", head)
+        object.__setattr__(self, "tail", tail)
+
+    def reader(self) -> Callable[[int], np.ndarray]:
+        head, tail = self.head, self.tail
+        pos = 0
+
+        def read(m: int) -> np.ndarray:
+            nonlocal pos
+            start, pos = pos, pos + m
+            block = head[start:pos]
+            if block.size < m and tail is not None:
+                block = np.concatenate((block, np.full(m - block.size, tail)))
+            return block
+
+        return read
+
+
+def _iterate(head: np.ndarray, tail: float | None) -> Iterator[float]:
+    yield from head.tolist()
+    while tail is not None:
+        yield tail
 
 
 @dataclass(frozen=True)
@@ -113,18 +181,42 @@ class SvtOutcome:
         return cls(index=None, cap=int(cap))
 
 
+def _blocks(stream: QueryStream) -> Iterator[tuple[int, np.ndarray]]:
+    """(offset, values) for consecutive blocks of the stream, up to its cap."""
+    read = stream.reader()
+    start, size = 0, _FIRST_QUERY_BLOCK
+    while start < stream.max_queries:
+        vals = read(min(size, stream.max_queries - start))
+        if vals.size == 0:
+            return
+        yield start, vals
+        start += vals.size
+        size = min(2 * size, _MAX_QUERY_BLOCK)
+
+
 def run_above_threshold(
     stream: QueryStream, cfg: SvtConfig, rng: RandomSource
 ) -> SvtOutcome:
-    """Noisy threshold, then one noisy comparison per query until a hit."""
+    """Noisy threshold, then one noisy comparison per query until a hit.
+
+    Each block of queries gets its noise from one sample() call, and argmax
+    finds the first hit. A hit rewinds the generator to the block's start
+    and redraws the uniforms up to and including the hit, so the halt index
+    and the generator's position afterwards are those of a query-by-query
+    loop.
+    """
     delta = stream.sensitivity
     noisy_t = cfg.threshold + sample(NoiseSpec(cfg.noise, delta / cfg.eps1), rng)
     query_spec = NoiseSpec(cfg.noise, delta / cfg.eps2)
-    for i, value in enumerate(stream.values(), start=1):
-        if value + sample(query_spec, rng) >= noisy_t:
-            return SvtOutcome.halt(i)
-        if i >= stream.max_queries:
-            break
+    bit_generator = rng.gen.bit_generator
+    for start, vals in _blocks(stream):
+        saved = bit_generator.state
+        hits = vals + sample(query_spec, rng, vals.size) >= noisy_t
+        h = int(hits.argmax())
+        if hits[h]:
+            bit_generator.state = saved
+            rng.uniform_open(h + 1)
+            return SvtOutcome.halt(start + h + 1)
     return SvtOutcome.out_of_queries(stream.max_queries)
 
 
@@ -133,11 +225,11 @@ def run_above_threshold_noiseless(
 ) -> SvtOutcome:
     """Deterministic halt at the first f_i >= threshold. Test hook only:
     the private runner never branches on this path."""
-    for i, value in enumerate(stream.values(), start=1):
-        if value >= threshold:
-            return SvtOutcome.halt(i)
-        if i >= stream.max_queries:
-            break
+    for start, vals in _blocks(stream):
+        hits = vals >= threshold
+        h = int(hits.argmax())
+        if hits[h]:
+            return SvtOutcome.halt(start + h + 1)
     return SvtOutcome.out_of_queries(stream.max_queries)
 
 
@@ -266,5 +358,7 @@ def simulate_iterative_em(
 
 def stream_prefix(stream: QueryStream, k: int) -> np.ndarray:
     """Materialize the first k query values of a stream."""
-    it = stream.values()
-    return np.array([next(it) for _ in range(k)], dtype=float)
+    vals = stream.reader()(k)
+    if vals.size < k:
+        raise ValueError(f"the stream ends after {vals.size} of {k} queries")
+    return vals

@@ -104,6 +104,8 @@ def test_validation_errors():
         emq_interval_pmf([5.0], BoundedRange(0, 10), 1.5, 1.0)
     with pytest.raises(ValueError):
         emq_interval_pmf([], BoundedRange(0, 10), 0.5, 1.0)
+    with pytest.raises(ValueError):
+        uqe_pdf_curve([5.0], 0.0, 0.5, 1.0, pad_steps=-1)
 
 
 def test_estimate_lands_in_selected_interval_distribution():

@@ -1,0 +1,368 @@
+"""The block scan against the query-by-query reference it replaced.
+
+The reference runners and streams below are the scalar loop and the dict
+histogram the package used before its scan read queries a block at a time.
+They stay here as oracles: for every noise kind, cap, threshold and seed the
+block runner must halt at the same index and leave the Philox generator in
+the same state, and the estimators must release the same values through
+either runner. Also here: the power cache against repeated multiplication,
+the capped histogram against the uncapped one, and the resource bounds the
+cap gives.
+"""
+
+import gc
+import time
+import tracemalloc
+import warnings
+import weakref
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from uqe import quantile
+from uqe.emq import uqe_pdf_curve
+from uqe.noise import NoiseKind, NoiseSpec, RandomSource, sample
+from uqe.quantile import (
+    Dataset,
+    GeometricGrid,
+    QuantileRequest,
+    build_histogram,
+    counting_query_stream,
+    estimate_multiple_quantiles,
+    estimate_quantile,
+    estimate_quantile_unbounded,
+    _signed_counting_stream,
+)
+from uqe.sparse_vector import (
+    ArrayStream,
+    QueryStream,
+    SvtConfig,
+    SvtOutcome,
+    gumbel_halt_log_pmf,
+    run_above_threshold,
+    run_above_threshold_noiseless,
+    stream_prefix,
+)
+
+PROPERTY = settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+
+def scalar_above_threshold(stream, cfg, rng):
+    """Reference: one noise draw and one comparison per query."""
+    delta = stream.sensitivity
+    noisy_t = cfg.threshold + sample(NoiseSpec(cfg.noise, delta / cfg.eps1), rng)
+    query_spec = NoiseSpec(cfg.noise, delta / cfg.eps2)
+    for i, value in enumerate(stream.values(), start=1):
+        if value + sample(query_spec, rng) >= noisy_t:
+            return SvtOutcome.halt(i)
+        if i >= stream.max_queries:
+            break
+    return SvtOutcome.out_of_queries(stream.max_queries)
+
+
+def scalar_noiseless(stream, threshold):
+    for i, value in enumerate(stream.values(), start=1):
+        if value >= threshold:
+            return SvtOutcome.halt(i)
+        if i >= stream.max_queries:
+            break
+    return SvtOutcome.out_of_queries(stream.max_queries)
+
+
+def dict_counting_values(counts, k, lead=None):
+    """Reference stream: running sum of a {bucket: count} dict, one bucket
+    per query, behind an optional leading count."""
+    out = [] if lead is None else [float(lead)]
+    running = 0 if lead is None else lead
+    i = 1
+    while len(out) < k:
+        running += counts.get(i - 1, 0)
+        out.append(float(running))
+        i += 1
+    return np.array(out)
+
+
+def generator_state(rng):
+    return repr(rng.gen.bit_generator.state)
+
+
+def assert_same_run(make_stream, cfg, seed):
+    a, b = RandomSource(seed, 1), RandomSource(seed, 1)
+    assert run_above_threshold(make_stream(), cfg, a) == scalar_above_threshold(
+        make_stream(), cfg, b
+    )
+    assert generator_state(a) == generator_state(b)
+
+
+# caps at 1 and around the first two block edges (256, 256 + 512)
+CAPS = st.one_of(
+    st.sampled_from([1, 2, 255, 256, 257, 767, 768, 769]),
+    st.integers(1, 3000),
+)
+KINDS = st.sampled_from(list(NoiseKind))
+
+
+def config(kind, eps1, eps2, threshold):
+    if kind is NoiseKind.GUMBEL:
+        eps2 = eps1
+    return SvtConfig(eps1, eps2, kind, threshold)
+
+
+@PROPERTY
+@given(
+    kind=KINDS,
+    eps1=st.floats(0.05, 5.0),
+    eps2=st.floats(0.05, 5.0),
+    length=st.integers(1, 2000),
+    slope=st.floats(0.0, 3.0),
+    threshold=st.floats(-50.0, 3000.0),
+    cap=CAPS,
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_block_runner_matches_scalar_on_finite_streams(
+    kind, eps1, eps2, length, slope, threshold, cap, seed
+):
+    values = slope * np.arange(length) + np.sin(np.arange(length))
+    cfg = config(kind, eps1, eps2, threshold)
+    assert_same_run(lambda: QueryStream.from_values(values, max_queries=cap), cfg, seed)
+    # the same finite stream served by a plain iterator instead of an array
+    assert_same_run(
+        lambda: QueryStream(values=lambda: iter(values.tolist()), max_queries=cap), cfg, seed
+    )
+
+
+@PROPERTY
+@given(
+    kind=KINDS,
+    eps=st.floats(0.05, 5.0),
+    head=st.lists(st.integers(0, 40), max_size=600),
+    tail=st.integers(0, 1000),
+    threshold=st.floats(-20.0, 2000.0),
+    cap=CAPS,
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_block_runner_matches_scalar_on_endless_streams(
+    kind, eps, head, tail, threshold, cap, seed
+):
+    head = np.cumsum(head, dtype=float)
+    cfg = config(kind, eps, eps / 2, threshold)
+    assert_same_run(lambda: ArrayStream(head, tail, max_queries=cap), cfg, seed)
+
+    def endless():
+        yield from head.tolist()
+        while True:
+            yield float(tail)
+
+    assert_same_run(lambda: QueryStream(values=endless, max_queries=cap), cfg, seed)
+
+
+@PROPERTY
+@given(
+    head=st.lists(st.floats(-100, 100), max_size=900),
+    tail=st.one_of(st.none(), st.floats(-100, 100)),
+    threshold=st.floats(-150, 150),
+    cap=CAPS,
+)
+def test_noiseless_block_runner_matches_scalar(head, tail, threshold, cap):
+    if not head and tail is None:
+        head = [0.0]
+    stream = ArrayStream(head, tail, max_queries=cap)
+    assert run_above_threshold_noiseless(stream, threshold) == scalar_noiseless(
+        stream, threshold
+    )
+
+
+def test_cap_one_and_block_edges_exhaust_with_one_draw_per_query():
+    for cap in (1, 255, 256, 257):
+        stream = ArrayStream([], -1e9, max_queries=cap)
+        rng = RandomSource(5)
+        out = run_above_threshold(stream, SvtConfig(1.0, 1.0, NoiseKind.LAPLACE, 0.0), rng)
+        assert out == SvtOutcome.out_of_queries(cap)
+        ref = RandomSource(5)
+        ref.uniform_open(cap + 1)
+        assert generator_state(rng) == generator_state(ref)
+
+
+def test_array_stream_is_freed_without_garbage_collection():
+    # a reference cycle would keep every run's query arrays until a full collection
+    gc.disable()
+    try:
+        stream = ArrayStream(np.arange(10.0), 10.0)
+        ref = weakref.ref(stream)
+        del stream
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_stream_prefix_rejects_a_short_stream():
+    with pytest.raises(ValueError):
+        stream_prefix(QueryStream.from_values([1.0, 2.0]), 3)
+
+
+def test_max_queries_must_be_an_integer():
+    with pytest.raises(ValueError):
+        QueryStream.from_values([1.0], max_queries=2.5)
+    with pytest.raises(ValueError):
+        QuantileRequest(q=0.5, eps1=1.0, eps2=1.0, max_queries=2.5)
+
+
+DATA = st.lists(
+    st.floats(0.0, 1e7, allow_nan=False, allow_infinity=False), min_size=1, max_size=60
+)
+BETAS = st.sampled_from([1.001, 1.01, 1.1, 2.0])
+
+
+@PROPERTY
+@given(data=DATA, beta=BETAS, lower=st.floats(-5.0, 0.0), k=st.integers(1, 2500))
+def test_dense_counting_stream_matches_dict_stream(data, beta, lower, k):
+    hist = build_histogram(np.array(data), beta, lower)
+    want = dict_counting_values(hist.counts, k)
+    assert stream_prefix(counting_query_stream(hist), k).tobytes() == want.tobytes()
+    assert [hist.prefix_count(i) for i in range(-1, k, 97)] == [
+        0 if i <= 0 else int(want[i - 1]) for i in range(-1, k, 97)
+    ]
+
+
+@PROPERTY
+@given(
+    data=st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=1, max_size=60),
+    beta=BETAS,
+    k=st.integers(1, 2500),
+)
+def test_dense_signed_stream_matches_dict_stream(data, beta, k):
+    values = np.array(data)
+    stream, _ = _signed_counting_stream(values, beta, 200_000)
+    nonneg = values[values >= 0]
+    counts = build_histogram(nonneg, beta, 0.0).counts if nonneg.size else {}
+    want = dict_counting_values(counts, k, lead=int((values < 0).sum()))
+    assert stream_prefix(stream, k).tobytes() == want.tobytes()
+
+
+@PROPERTY
+@given(data=DATA, beta=BETAS, cap=st.integers(1, 3000))
+def test_capped_histogram_reads_like_the_uncapped_one(data, beta, cap):
+    full = build_histogram(np.array(data), beta, 0.0)
+    capped = build_histogram(np.array(data), beta, 0.0, cap)
+    assert capped.n == full.n
+    assert capped.cumulative.size <= cap + 1
+    assert stream_prefix(counting_query_stream(capped), cap).tobytes() == stream_prefix(
+        counting_query_stream(full), cap
+    ).tobytes()
+
+
+@pytest.mark.parametrize("beta", [1.0 + 1e-6, 1.001, 1.01, 1.5, 2.0])
+def test_power_cache_is_repeated_multiplication(beta):
+    grid = GeometricGrid(beta, 0.0)
+    want, p = [], 1.0
+    for _ in range(3000):
+        want.append(p)
+        p *= beta
+    # grown piecewise, as the build and power() grow it
+    grid.power(5)
+    grid.powers(700)
+    grid.power(1500)
+    assert grid.powers(3000).tobytes() == np.array(want).tobytes()
+    for i in (0, 17, 2999):
+        assert grid.value(i) == want[i] + 0.0 - 1.0
+
+
+def test_power_cache_overflows_to_inf_silently():
+    grid = GeometricGrid(2.0, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pows = grid.powers(1100)
+    assert np.isinf(pows[1024:]).all() and pows[1023] == 2.0**1023
+
+
+def test_estimators_on_data_near_1e300_raise_no_warning():
+    x = 1e300 * RandomSource(31).gen.uniform(1.0, 1.5, 300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for q in (0.5, 1.0):
+            req = QuantileRequest.even_split(q, 1.0, beta=1.01)
+            estimate_quantile(Dataset(x, lower_bound=0.0), req, RandomSource(32))
+            estimate_quantile_unbounded(Dataset(-x), req, RandomSource(33))
+            estimate_multiple_quantiles(
+                Dataset(x, lower_bound=0.0), [0.25, 0.75], req, RandomSource(34)
+            )
+        uqe_pdf_curve(x, 0.0, 0.5, 1.0, beta=1.01)
+
+
+def test_grid_work_is_bounded_by_max_queries():
+    # 1,000 points near 1e6 span 1.4e7 buckets at beta = 1 + 1e-6; a run
+    # capped at 100 queries must not fill a power cache that long
+    x = 1e6 + RandomSource(35).gen.uniform(0.0, 1e5, 1000)
+    req = QuantileRequest.even_split(0.5, 1.0, beta=1.0 + 1e-6, max_queries=100)
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        est = estimate_quantile(Dataset(x, lower_bound=0.0), req, RandomSource(36))
+        unb = estimate_quantile_unbounded(Dataset(x), req, RandomSource(36))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 2.0
+    assert peak < 5e6
+    grid = GeometricGrid(1.0 + 1e-6, 0.0)
+    assert est.exhausted and est.value == grid.value(100)
+    assert unb.exhausted and unb.value == grid.value(99)
+
+
+def uqe_pdf_reference(data, lower_bound, q, eps, beta, pad_steps=25):
+    """The curve's query values and edges, computed from the counts dict and
+    grid.value(i) one candidate at a time."""
+    hist = build_histogram(data, beta, lower_bound)
+    k_max = max(hist.counts) + 1 + pad_steps
+    values = np.cumsum([hist.counts.get(i - 1, 0) for i in range(1, k_max + 1)])
+    values = values.astype(float)
+    edges = np.array([hist.grid.value(i) for i in range(k_max + 1)])
+    return values, edges
+
+
+@pytest.mark.parametrize("beta", [1.001, 1.01, 1.1])
+def test_uqe_pdf_curve_matches_reference(beta):
+    data = RandomSource(37).gen.lognormal(3.0, 1.0, 400)
+    lower = float(data.min()) - 2.0
+    curve = uqe_pdf_curve(data, lower, 0.6, 1.0, beta=beta)
+    values, edges = uqe_pdf_reference(data, lower, 0.6, 1.0, beta)
+    assert curve.lefts.tobytes() == edges[:-1].tobytes()
+    assert curve.rights.tobytes() == edges[1:].tobytes()
+    mass = np.exp(gumbel_halt_log_pmf(values, 0.6 * 400, 0.5))
+    assert curve.mass.tobytes() == mass.tobytes()
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    data=st.lists(st.floats(-1e4, 1e7, allow_nan=False), min_size=2, max_size=80),
+    beta=st.sampled_from([1.001, 1.01, 1.1]),
+    kind=KINDS,
+    q=st.floats(0.05, 0.95),
+    cap=st.one_of(st.sampled_from([1, 255, 256, 257]), st.integers(1, 20000)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_estimators_release_the_same_values_as_the_scalar_path(data, beta, kind, q, cap, seed):
+    x = np.array(data)
+    lower = float(x.min())
+    req = QuantileRequest.even_split(q, 1.0, beta=beta, noise=kind, max_queries=cap)
+
+    def release(noiseless):
+        rng = None if noiseless else RandomSource(seed, 2)
+        out = (
+            estimate_quantile(Dataset(x, lower_bound=lower), req, rng, noiseless=noiseless),
+            estimate_quantile_unbounded(Dataset(x), req, rng, noiseless=noiseless),
+            estimate_multiple_quantiles(
+                Dataset(x, lower_bound=lower), [0.2, 0.5, 0.8], req, rng, noiseless=noiseless
+            ),
+        )
+        return out, None if rng is None else generator_state(rng)
+
+    block = release(False), release(True)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(quantile, "run_above_threshold", scalar_above_threshold)
+        mp.setattr(quantile, "run_above_threshold_noiseless", scalar_noiseless)
+        assert (release(False), release(True)) == block
