@@ -44,25 +44,31 @@ def load_csv(
     values for ground truth, so it calls this with the default 0).
     """
     path = Path(path)
-    values: list[float] = []
     with path.open(newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or column not in reader.fieldnames:
+        rows = csv.reader(fh)
+        header = next(rows, None)
+        if header is None or column not in header:
             raise ValueError(
-                f"column {column!r} not found in {path} "
-                f"(available: {reader.fieldnames})"
+                f"column {column!r} not found in {path} (available: {header})"
             )
-        for row_number, row in enumerate(reader, start=2):
-            raw = row[column]
+        # a repeated name reads its last column, as a DictReader row does
+        col = len(header) - 1 - header[::-1].index(column)
+        # blank rows are skipped and short rows read None, as in a DictReader
+        cells = [row[col] if col < len(row) else None for row in rows if row]
+    if not cells:
+        raise ValueError(f"{path} has no data rows")
+    try:
+        out = np.fromiter(map(float, cells), dtype=float, count=len(cells))
+    except (TypeError, ValueError):
+        # only on failure: find the first bad cell; header is row 1
+        for row_number, raw in enumerate(cells, start=2):
             try:
-                values.append(float(raw))
+                float(raw)
             except (TypeError, ValueError):
                 raise ValueError(
                     f"{path}, row {row_number}: cannot parse {raw!r} as a number"
                 ) from None
-    if not values:
-        raise ValueError(f"{path} has no data rows")
-    out = np.asarray(values, dtype=float)
+        raise
     if perturb_scale > 0.0:
         if rng is None:
             raise ValueError("perturbation needs a RandomSource")

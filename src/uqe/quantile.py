@@ -21,7 +21,7 @@ import math
 import operator
 from dataclasses import dataclass, replace
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -75,8 +75,11 @@ class Dataset:
             raise ValueError("values must be a non-empty 1-d sequence")
         if not np.isfinite(vals).all():
             raise ValueError("values must be finite")
-        if self.lower_bound is not None and vals.min() < self.lower_bound:
-            raise ValueError("all values must be >= the declared lower bound")
+        if self.lower_bound is not None:
+            if not math.isfinite(self.lower_bound):
+                raise ValueError("the lower bound must be finite")
+            if vals.min() < self.lower_bound:
+                raise ValueError("all values must be >= the declared lower bound")
         object.__setattr__(self, "values", vals)
 
     @property
@@ -93,8 +96,8 @@ class GeometricGrid:
     """
 
     def __init__(self, beta: float, lower_bound: float) -> None:
-        if not beta > 1.0:
-            raise ValueError("beta must be > 1")
+        if not (beta > 1.0 and math.isfinite(beta)):
+            raise ValueError("beta must be finite and > 1")
         self.beta = float(beta)
         self.lower_bound = float(lower_bound)
         self._log_beta = math.log(self.beta)
@@ -131,8 +134,20 @@ class GeometricGrid:
         return self.power(i) + self.lower_bound - 1.0
 
     def shift(self, values: np.ndarray) -> np.ndarray:
-        """Map data to y = x - ell + 1 >= 1, the domain the buckets live on."""
-        y = np.asarray(values, dtype=float) - self.lower_bound + 1.0
+        """Map data to y = x - ell + 1 >= 1, the domain the buckets live on.
+
+        A y that is not finite has no bucket, so it is rejected. With finite
+        data only a negative ell (whose shift can overflow) or a NaN ell
+        gives one, so only then is y checked, with overflow warnings off.
+        """
+        x = np.asarray(values, dtype=float)
+        if self.lower_bound >= 0.0:
+            y = x - self.lower_bound + 1.0
+        else:
+            with np.errstate(over="ignore"):
+                y = x - self.lower_bound + 1.0
+            if y.size and not y.max() < np.inf:
+                raise ValueError("value - lower bound + 1 is not a finite number")
         if y.size and y.min() < 1.0:
             raise ValueError("value below the grid lower bound")
         return y
@@ -254,6 +269,19 @@ class LogBucketHistogram:
 _BUILD_BLOCK = 1 << 16
 
 
+def _bincount_blocks(x: np.ndarray, keys: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """Sum of np.bincount(keys(block)) over the _BUILD_BLOCK blocks of x."""
+    totals = np.zeros(0, dtype=np.int64)
+    for start in range(0, x.size, _BUILD_BLOCK):
+        bc = np.bincount(keys(x[start : start + _BUILD_BLOCK]))
+        if bc.size > totals.size:
+            bc[: totals.size] += totals
+            totals = bc
+        else:
+            totals[: bc.size] += bc
+    return totals
+
+
 def build_histogram(
     values, beta: float, lower_bound: float, max_queries: int | None = None
 ) -> LogBucketHistogram:
@@ -268,15 +296,9 @@ def build_histogram(
     x = np.asarray(values, dtype=float)
     if x.size == 0:
         raise ValueError("cannot build a histogram from empty data")
-    totals = np.zeros(0, dtype=np.int64)
-    for start in range(0, x.size, _BUILD_BLOCK):
-        y = grid.shift(x[start : start + _BUILD_BLOCK])
-        bc = np.bincount(grid.bucket_indices(y, max_queries))
-        if bc.size > totals.size:
-            bc[: totals.size] += totals
-            totals = bc
-        else:
-            totals[: bc.size] += bc
+    totals = _bincount_blocks(
+        x, lambda block: grid.bucket_indices(grid.shift(block), max_queries)
+    )
     return LogBucketHistogram(grid, totals)
 
 
@@ -310,8 +332,8 @@ class QuantileRequest:
             raise ValueError("q must lie in [0, 1]")
         if not (self.eps1 > 0 and self.eps2 > 0):
             raise ValueError("eps1 and eps2 must be positive")
-        if not self.beta > 1.0:
-            raise ValueError("beta must be > 1")
+        if not (self.beta > 1.0 and math.isfinite(self.beta)):
+            raise ValueError("beta must be finite and > 1")
         try:
             operator.index(self.max_queries)
         except TypeError:
@@ -353,6 +375,21 @@ def _finish(grid: GeometricGrid, outcome: SvtOutcome) -> QuantileEstimate:
     return QuantileEstimate(grid.value(outcome.index), outcome.index, False)
 
 
+def _scan(
+    stream: QueryStream,
+    t: float,
+    req: QuantileRequest,
+    rng: RandomSource | None,
+    noiseless: bool,
+) -> SvtOutcome:
+    """AboveThreshold with threshold t, or its noiseless oracle."""
+    if noiseless:
+        return run_above_threshold_noiseless(stream, t)
+    if rng is None:
+        raise ValueError("a RandomSource is required unless noiseless=True")
+    return run_above_threshold(stream, SvtConfig(req.eps1, req.eps2, req.noise, t), rng)
+
+
 def estimate_quantile(
     data: Dataset,
     req: QuantileRequest,
@@ -372,14 +409,7 @@ def estimate_quantile(
     hist = build_histogram(data.values, req.beta, data.lower_bound, req.max_queries)
     t = req.q * data.n if threshold is None else float(threshold)
     stream = counting_query_stream(hist, max_queries=req.max_queries)
-    if noiseless:
-        outcome = run_above_threshold_noiseless(stream, t)
-    else:
-        if rng is None:
-            raise ValueError("a RandomSource is required unless noiseless=True")
-        cfg = SvtConfig(req.eps1, req.eps2, req.noise, t)
-        outcome = run_above_threshold(stream, cfg, rng)
-    return _finish(hist.grid, outcome)
+    return _finish(hist.grid, _scan(stream, t, req, rng, noiseless))
 
 
 @dataclass(frozen=True)
@@ -398,49 +428,51 @@ class UnboundedEstimate:
     second_ran: bool
 
 
-def _signed_counting_stream(
-    values: np.ndarray, beta: float, max_queries: int
-) -> tuple[QueryStream, GeometricGrid]:
-    """Queries g_i = |{x_j : x_j + 1 < beta^i}| for i = 0, 1, 2, ...
+def _sign_split_totals(
+    values: np.ndarray, grid: GeometricGrid, max_queries: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Bucket totals of both unbounded runs from one pass over the data.
 
-    g_0 counts the strictly negative points; from i = 1 on, the nonnegative
-    points enter through the bucket histogram at lower bound 0. The stream's
-    position p corresponds to candidate index i = p - 1.
+    Each point is bucketed once, at y = |x| + 1 on the grid with lower bound
+    0. For x >= 0 that is the float x - 0 + 1 the first run's shift
+    computes, and for x <= 0 the float (-x) - 0 + 1 of the second run's, so
+    both runs read the buckets they would build on their own. Returns the
+    totals over x >= 0 (first run) and over x <= 0 (second run); the zeros,
+    +0.0 and -0.0 alike, sit in bucket 0 of both.
     """
-    negatives = int((values < 0).sum())
-    nonneg = values[values >= 0]
-    grid = GeometricGrid(beta, 0.0)
-    above = np.zeros(0, dtype=np.int64)
-    if nonneg.size:
-        hist = build_histogram(nonneg, beta, 0.0, max_queries)
-        grid, above = hist.grid, hist.cumulative
-    stream = ArrayStream(
-        np.concatenate(([negatives], negatives + above)),
-        values.size,
+    zeros = 0
+
+    def keys(block: np.ndarray) -> np.ndarray:
+        nonlocal zeros
+        zeros += int(np.count_nonzero(block == 0.0))
+        y = np.abs(block)
+        y += 1.0
+        idx = grid.bucket_indices(y, max_queries)
+        idx *= 2
+        idx += block < 0.0
+        return idx
+
+    totals = _bincount_blocks(values, keys)
+    if totals.size % 2:
+        totals = np.append(totals, 0)
+    nonneg, nonpos = totals[0::2], totals[1::2].copy()
+    nonpos[0] += zeros
+    return nonneg, nonpos
+
+
+def _signed_stream(totals: np.ndarray, n: int, max_queries: int) -> QueryStream:
+    """g_0 counts the points of the other sign, left out of totals; from
+    i = 1 on, g_i adds those in buckets < i. Monotonic with sensitivity 1
+    under swap neighbors. The stream's position p is candidate index p - 1.
+    """
+    lead = n - int(totals.sum())
+    return ArrayStream(
+        np.concatenate(([lead], lead + np.cumsum(totals))),
+        n,
         sensitivity=1.0,
         monotonic=True,
         max_queries=max_queries,
     )
-    return stream, grid
-
-
-def _run_signed(
-    values: np.ndarray,
-    t: float,
-    req: QuantileRequest,
-    rng: RandomSource | None,
-    noiseless: bool,
-) -> tuple[int | None, GeometricGrid]:
-    """One unbounded-side run; returns the candidate index k (position - 1)."""
-    stream, grid = _signed_counting_stream(values, req.beta, req.max_queries)
-    if noiseless:
-        outcome = run_above_threshold_noiseless(stream, t)
-    else:
-        cfg = SvtConfig(req.eps1, req.eps2, req.noise, t)
-        outcome = run_above_threshold(stream, cfg, rng)
-    if outcome.exhausted:
-        return None, grid
-    return outcome.index - 1, grid
 
 
 def estimate_quantile_unbounded(
@@ -459,19 +491,22 @@ def estimate_quantile_unbounded(
     halts at 0, the estimate is 0. Each run pays the request's (eps1, eps2);
     the two compose.
     """
-    if not noiseless and rng is None:
-        raise ValueError("a RandomSource is required unless noiseless=True")
-    vals = data.values
-    k1, grid1 = _run_signed(vals, req.q * data.n, req, rng, noiseless)
-    if k1 is None:
-        return UnboundedEstimate(grid1.value(req.max_queries - 1), True, None, None, False)
+    grid = GeometricGrid(req.beta, 0.0)
+    cap = req.max_queries
+    nonneg, nonpos = _sign_split_totals(data.values, grid, cap)
+    first = _scan(_signed_stream(nonneg, data.n, cap), req.q * data.n, req, rng, noiseless)
+    if first.exhausted:
+        return UnboundedEstimate(grid.value(cap - 1), True, None, None, False)
+    k1 = first.index - 1
     if k1 > 0:
-        return UnboundedEstimate(grid1.power(k1) - 1.0, False, k1, None, False)
-    k2, grid2 = _run_signed(-vals, (1.0 - req.q) * data.n, req, rng, noiseless)
-    if k2 is None:
-        return UnboundedEstimate(-(grid2.value(req.max_queries - 1)), True, 0, None, True)
+        return UnboundedEstimate(grid.power(k1) - 1.0, False, k1, None, False)
+    t2 = (1.0 - req.q) * data.n
+    second = _scan(_signed_stream(nonpos, data.n, cap), t2, req, rng, noiseless)
+    if second.exhausted:
+        return UnboundedEstimate(-(grid.value(cap - 1)), True, 0, None, True)
+    k2 = second.index - 1
     if k2 > 0:
-        return UnboundedEstimate(-(grid2.power(k2) - 1.0), False, 0, k2, True)
+        return UnboundedEstimate(-(grid.power(k2) - 1.0), False, 0, k2, True)
     return UnboundedEstimate(0.0, False, 0, 0, True)
 
 

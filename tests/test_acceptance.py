@@ -20,6 +20,7 @@ budget. Statistical checks use fixed seeds, so reruns are reproducible.
 
 import json
 import math
+import statistics
 import subprocess
 import sys
 import time
@@ -320,14 +321,19 @@ def test_acceptance_5_histogram_performance():
 
     build_histogram(data_small, beta, lower)
     build_histogram(data_large, beta, lower)
+    # each pair times the two builds back to back, so a shift in host speed
+    # moves both sides of a pair's ratio alike; the median drops outlier pairs
     gc.disable()
     try:
-        t_small = _best_of(lambda: build_histogram(data_small, beta, lower), 7)
-        t_large = _best_of(lambda: build_histogram(data_large, beta, lower), 7)
+        ratios = [
+            _best_of(lambda: build_histogram(data_large, beta, lower), 1)
+            / _best_of(lambda: build_histogram(data_small, beta, lower), 1)
+            for _ in range(9)
+        ]
     finally:
         gc.enable()
-    ratio = t_large / t_small
-    assert 8.0 <= ratio <= 12.0, f"build ratio {ratio:.2f} outside [8, 12]"
+    ratio = statistics.median(ratios)
+    assert 8.0 <= ratio <= 12.0, f"median build ratio {ratio:.2f} outside [8, 12]"
 
     hist_small = build_histogram(data_large[:1000], beta, lower)
     hist_large = build_histogram(data_large, beta, lower)

@@ -146,6 +146,21 @@ class TestQuantile:
         assert code == 1
         assert "at most one" in capsys.readouterr().err
 
+    def test_overflowing_lower_bound_exits_1(self, tmp_path):
+        # 1e308 - (-1e308) + 1 overflows; it used to end in an AssertionError
+        f = tmp_path / "big.csv"
+        f.write_text("value\n1e308\n1.0\n")
+        args = ["quantile", "--input", str(f), "--column", "value", "--q", "0.5"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "uqe.cli", *args, "--lower=-1e308"],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.startswith("error:"), proc.stderr
+        assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+
 
 class TestQuantiles:
     def test_monotone_estimates(self, capsys):

@@ -78,6 +78,22 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="'a', 'b'"):
             load_csv(f, "value")
 
+    def test_short_row_reports_row(self, tmp_path):
+        # a row without the column reads as None, not an IndexError
+        f = tmp_path / "d.csv"
+        f.write_text("name,value\na,1\nb\nc,3\n")
+        with pytest.raises(ValueError, match="row 3: cannot parse None"):
+            load_csv(f, "value")
+
+    def test_blank_lines_skipped(self, tmp_path):
+        # as csv.DictReader skips them; they do not count as rows either
+        f = tmp_path / "d.csv"
+        f.write_text("name,value\n\na,1\n\nb,2\n\n")
+        assert load_csv(f, "value").tolist() == [1.0, 2.0]
+        f.write_text("name,value\n\na,1\n\nb,x\n")
+        with pytest.raises(ValueError, match="row 3: cannot parse 'x'"):
+            load_csv(f, "value")
+
     def test_header_only_rejected(self, tmp_path):
         f = tmp_path / "d.csv"
         f.write_text("value\n")

@@ -11,6 +11,8 @@ module under test):
     halts at 0, second call halts at k=8, output -(1.1^8 - 1)
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -226,6 +228,44 @@ def test_dataset_validation():
     with pytest.raises(ValueError):
         Dataset(np.array([1.0, -2.0]), lower_bound=0.0)
     assert Dataset(np.array([3.0, 4.0]), 3.0).n == 2
+
+
+def test_nan_lower_bound_is_rejected():
+    # it used to be accepted, and the estimate released was nan
+    with pytest.raises(ValueError, match="lower bound"):
+        Dataset(np.array([1.0, 2.0, 3.0]), lower_bound=np.nan)
+    with pytest.raises(ValueError, match="finite"):
+        build_histogram(np.array([1.0, 2.0]), 1.01, np.nan)
+
+
+def test_infinite_lower_bound_is_rejected():
+    # it used to end in "AssertionError: bucket correction did not converge"
+    with pytest.raises(ValueError, match="lower bound"):
+        Dataset(np.array([1.0, 2.0]), lower_bound=-np.inf)
+    with pytest.raises(ValueError, match="finite"):
+        build_histogram(np.array([1.0, 2.0]), 1.01, -np.inf)
+
+
+def test_overflowing_shift_is_rejected_without_a_warning():
+    # 1e308 - (-1e308) + 1 overflows to inf, which has no bucket
+    data = Dataset(np.array([1e308, 1.0]), lower_bound=-1e308)
+    req = QuantileRequest.even_split(0.5, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="finite"):
+            estimate_quantile(data, req, RandomSource(1))
+        with pytest.raises(ValueError, match="finite"):
+            GeometricGrid(1.01, -1e308).shift(np.array([1.0, 1e308]))
+
+
+def test_infinite_beta_is_rejected():
+    # it used to be accepted, and the estimate released was inf
+    with pytest.raises(ValueError, match="beta"):
+        QuantileRequest.even_split(0.5, 1.0, beta=np.inf)
+    with pytest.raises(ValueError, match="beta"):
+        GeometricGrid(np.inf, 0.0)
+    with pytest.raises(ValueError, match="beta"):
+        build_histogram(np.array([1.0]), np.inf, 0.0)
 
 
 class TestUnbounded:

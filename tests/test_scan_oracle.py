@@ -5,9 +5,12 @@ histogram the package used before its scan read queries a block at a time.
 They stay here as oracles: for every noise kind, cap, threshold and seed the
 block runner must halt at the same index and leave the Philox generator in
 the same state, and the estimators must release the same values through
-either runner. Also here: the power cache against repeated multiplication,
-the capped histogram against the uncapped one, and the resource bounds the
-cap gives.
+either runner. The unbounded estimator's two-build path (split off the
+nonnegative points, negate the data for the second run, build a histogram
+per run) stays here too, as the oracle of the one bucketing pass that now
+serves both runs. Also here: the power cache against repeated
+multiplication, the capped histogram against the uncapped one, and the
+resource bounds the cap gives.
 """
 
 import gc
@@ -33,7 +36,9 @@ from uqe.quantile import (
     estimate_multiple_quantiles,
     estimate_quantile,
     estimate_quantile_unbounded,
-    _signed_counting_stream,
+    UnboundedEstimate,
+    _sign_split_totals,
+    _signed_stream,
 )
 from uqe.sparse_vector import (
     ArrayStream,
@@ -228,19 +233,120 @@ def test_dense_counting_stream_matches_dict_stream(data, beta, lower, k):
     ]
 
 
+def two_build_signed_stream(values, beta, max_queries):
+    """Reference: the leading count of negatives, then the histogram of the
+    nonnegative points split off with a mask, built on its own."""
+    negatives = int((values < 0).sum())
+    nonneg = values[values >= 0]
+    grid = GeometricGrid(beta, 0.0)
+    above = np.zeros(0, dtype=np.int64)
+    if nonneg.size:
+        hist = build_histogram(nonneg, beta, 0.0, max_queries)
+        grid, above = hist.grid, hist.cumulative
+    lead = np.concatenate(([negatives], negatives + above))
+    return ArrayStream(lead, values.size, 1.0, True, max_queries), grid
+
+
+def two_build_unbounded(data, req, rng, noiseless):
+    """Reference: each run builds its own stream; the second negates the data."""
+
+    def run(values, t):
+        stream, grid = two_build_signed_stream(values, req.beta, req.max_queries)
+        if noiseless:
+            out = scalar_noiseless(stream, t)
+        else:
+            out = scalar_above_threshold(stream, SvtConfig(req.eps1, req.eps2, req.noise, t), rng)
+        return (None if out.exhausted else out.index - 1), grid
+
+    k1, grid1 = run(data.values, req.q * data.n)
+    if k1 is None:
+        return UnboundedEstimate(grid1.value(req.max_queries - 1), True, None, None, False)
+    if k1 > 0:
+        return UnboundedEstimate(grid1.power(k1) - 1.0, False, k1, None, False)
+    k2, grid2 = run(-data.values, (1.0 - req.q) * data.n)
+    if k2 is None:
+        return UnboundedEstimate(-(grid2.value(req.max_queries - 1)), True, 0, None, True)
+    if k2 > 0:
+        return UnboundedEstimate(-(grid2.power(k2) - 1.0), False, 0, k2, True)
+    return UnboundedEstimate(0.0, False, 0, 0, True)
+
+
+# signed data with +0.0 and -0.0, one-signed and all-zero sets, and negatives
+# far larger in magnitude than the positives
+SIGNED = st.one_of(
+    st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=1, max_size=60),
+    st.lists(st.sampled_from([0.0, -0.0, 1e-300, -1e-300, 1.0, -1.0]), min_size=1, max_size=20),
+    st.lists(st.floats(0.0, 1e6), min_size=1, max_size=30),
+    st.lists(st.floats(-1e6, -0.0), min_size=1, max_size=30),
+    st.lists(st.sampled_from([0.0, -0.0]), min_size=1, max_size=10),
+    st.tuples(
+        st.lists(st.floats(0.0, 10.0), min_size=1, max_size=30),
+        st.lists(st.floats(-1e12, -1e6), min_size=1, max_size=30),
+    ).map(lambda parts: parts[0] + parts[1]),
+)
+
+
+@st.composite
+def signed_cases(draw):
+    """(beta, data): SIGNED data plus points of either sign at bucket edges
+    beta^k - 1 and one float step to each side of them."""
+    beta = draw(BETAS)
+    data = draw(SIGNED)
+    pows = GeometricGrid(beta, 0.0).powers(1501)
+    top = int(np.isfinite(pows).sum()) - 1
+    edges = draw(st.lists(st.tuples(st.integers(0, top), st.integers(-1, 1)), max_size=20))
+    for k, step in edges:
+        x = pows[k] - 1.0
+        x = np.nextafter(x, step * np.inf) if step else x
+        data.append(float(x) * draw(st.sampled_from([1.0, -1.0])))
+    return beta, data
+
+
+SIGNED_CAPS = st.one_of(st.sampled_from([1, 255, 256, 257, 200_000]), st.integers(1, 5000))
+
+
+@PROPERTY
+@given(case=signed_cases(), cap=SIGNED_CAPS, k=st.integers(1, 2500))
+def test_dense_signed_stream_matches_dict_stream(case, cap, k):
+    beta, data = case
+    values = np.array(data)
+    nonneg, nonpos = _sign_split_totals(values, GeometricGrid(beta, 0.0), cap)
+    # first run: the data as given; second run: the negated data
+    for totals, side in ((nonneg, values), (nonpos, -values)):
+        stream = _signed_stream(totals, values.size, cap)
+        kept = side[side >= 0]
+        counts = build_histogram(kept, beta, 0.0, cap).counts if kept.size else {}
+        want = dict_counting_values(counts, k, lead=int((side < 0).sum()))
+        assert stream_prefix(stream, k).tobytes() == want.tobytes()
+        ref, _ = two_build_signed_stream(side, beta, cap)
+        assert stream_prefix(stream, k).tobytes() == stream_prefix(ref, k).tobytes()
+
+
 @PROPERTY
 @given(
-    data=st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=1, max_size=60),
-    beta=BETAS,
-    k=st.integers(1, 2500),
+    case=signed_cases(),
+    kind=KINDS,
+    q=st.floats(0.0, 1.0),
+    cap=SIGNED_CAPS,
+    seed=st.integers(0, 2**32 - 1),
 )
-def test_dense_signed_stream_matches_dict_stream(data, beta, k):
-    values = np.array(data)
-    stream, _ = _signed_counting_stream(values, beta, 200_000)
-    nonneg = values[values >= 0]
-    counts = build_histogram(nonneg, beta, 0.0).counts if nonneg.size else {}
-    want = dict_counting_values(counts, k, lead=int((values < 0).sum()))
-    assert stream_prefix(stream, k).tobytes() == want.tobytes()
+def test_unbounded_estimator_matches_the_two_build_path(case, kind, q, cap, seed):
+    beta, data = case
+    req = QuantileRequest.even_split(q, 1.0, beta=beta, noise=kind, max_queries=cap)
+    x = Dataset(np.array(data))
+
+    def released(est):
+        # the value's bytes too, so -0.0 and 0.0 count as different releases
+        return est, np.float64(est.value).tobytes()
+
+    assert released(estimate_quantile_unbounded(x, req, noiseless=True)) == released(
+        two_build_unbounded(x, req, None, True)
+    )
+    a, b = RandomSource(seed, 3), RandomSource(seed, 3)
+    assert released(estimate_quantile_unbounded(x, req, a)) == released(
+        two_build_unbounded(x, req, b, False)
+    )
+    assert generator_state(a) == generator_state(b)
 
 
 @PROPERTY
