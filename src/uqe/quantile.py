@@ -159,13 +159,13 @@ class GeometricGrid:
         cached powers, so boundary points land exactly where the strict
         inequality of the counting queries expects them. With a limit, every
         y >= beta^limit goes to the one bucket `limit`, and the cache stops
-        at beta^(limit+1).
+        at beta^(limit+1). A y below 1 is found where the correction would
+        move an index below 0, so callers that checked y >= 1 already (as
+        shift does) pay no extra pass over y.
         """
         y = np.asarray(y, dtype=float)
         if y.size == 0:
             return np.zeros(0, dtype=np.int64)
-        if y.min() < 1.0:
-            raise ValueError("bucket domain starts at 1")
         idx = np.floor(np.log(y) / self._log_beta).astype(np.int64)
         np.clip(idx, 0, limit, out=idx)
         lower, upper = self._edges(int(idx.max()) + 1, limit)
@@ -173,6 +173,8 @@ class GeometricGrid:
             moved = False
             low = y < lower[idx]
             if low.any():
+                if not idx[low].all():
+                    raise ValueError("bucket domain starts at 1")
                 idx[low] -= 1
                 moved = True
             high = y >= upper[idx]
@@ -196,13 +198,30 @@ class GeometricGrid:
         return pows[:-1], upper
 
     def bucket_of(self, y: float) -> int:
-        return int(self.bucket_indices(np.array([float(y)]))[0])
+        """bucket_indices for one finite y >= 1; anything else is a ValueError."""
+        y = float(y)
+        if not 1.0 <= y < math.inf:
+            raise ValueError("the bucket domain is the finite numbers >= 1")
+        return self._bucket(y, None)
+
+    def _bucket(self, y: float, limit: int | None) -> int:
+        """bucket_indices of one y >= 1, without building arrays: a log guess
+        corrected against power(i), and the cache filled only as far."""
+        b = int(math.log(y) / self._log_beta)
+        if limit is not None:
+            b = min(b, limit)
+        pows = self.powers(b + 2)
+        while y < pows[b]:
+            b -= 1
+        while b != limit and y >= pows[b + 1]:
+            b += 1
+            pows = self.powers(b + 2)
+        return b
 
     def max_index_at_most(self, y: float) -> int:
-        """Largest i >= 0 with beta^i <= y, or -1 when y < 1."""
-        if y < 1.0:
-            return -1
-        return self.bucket_of(y)
+        """Largest i >= 0 with beta^i <= y, or -1 when y < 1; a y that is
+        not finite is a ValueError."""
+        return -1 if -math.inf < y < 1.0 else self.bucket_of(y)
 
 
 class LogBucketHistogram:
@@ -400,9 +419,9 @@ def estimate_quantile(
 ) -> QuantileEstimate:
     """AboveThreshold with T = q*n over the counting stream; output the halt candidate.
 
-    threshold overrides q*n (used by the sum procedure's bias-variance knob
-    and by the multi-quantile recursion). noiseless runs the deterministic
-    comparison instead of the private mechanism, for oracle tests only.
+    threshold overrides q*n (used by the sum procedure's bias-variance
+    knob). noiseless runs the deterministic comparison instead of the
+    private mechanism, for oracle tests only.
     """
     if data.lower_bound is None:
         raise ValueError("estimate_quantile needs a declared lower bound")
@@ -535,6 +554,18 @@ class MultiQuantileResult:
     budget: MultiQuantileBudget
 
 
+def _sorted_cumulative(grid: GeometricGrid, y: np.ndarray, cap: int) -> np.ndarray:
+    """build_histogram(..., max_queries=cap).cumulative of sorted shifted data y.
+
+    Bucket i < top holds the y below beta^(i+1), and the last bucket, top =
+    min(cap, bucket of y[-1]), holds all y.size points; each count is one
+    binary search.
+    """
+    top = grid._bucket(float(y[-1]), cap)
+    counts = np.searchsorted(y, grid.powers(top + 1)[1:], side="left")
+    return np.append(counts, y.size)
+
+
 def estimate_multiple_quantiles(
     data: Dataset,
     qs: Sequence[float],
@@ -553,6 +584,13 @@ def estimate_multiple_quantiles(
     returned estimates to be nondecreasing. An empty slice (or a slice whose
     boundaries leave no room for a candidate) reports its split boundary and
     is flagged.
+
+    The data are sorted once per call. A node is an index range of the
+    sorted values, split by binary search at its estimate; its counting
+    queries are binary searches for the grid powers in its shifted slice,
+    the same cumulative counts a histogram build of that slice gives. Nodes
+    run depth first, left before right, which is the order their noise is
+    drawn in.
     """
     if data.lower_bound is None:
         raise ValueError("multi-quantile estimation needs a declared lower bound")
@@ -571,45 +609,36 @@ def estimate_multiple_quantiles(
     estimates = np.empty(m)
     exhausted = [False] * m
     empty = [False] * m
-
-    def recurse(
-        values: np.ndarray,
-        lo: int,
-        hi: int,
-        grid_lower: float,
-        upper: float,
-        mass_lo: float,
-        fallback: float,
-    ) -> None:
+    xs = np.sort(data.values)
+    # one grid serves every node: its powers do not depend on the lower
+    # bound, so a node only moves the bound
+    grid = GeometricGrid(req.beta, data.lower_bound)
+    # (xs[a:b], quantiles lo..hi-1, grid lower bound, upper, mass_lo, fallback)
+    todo = [(0, n_total, 0, m, data.lower_bound, math.inf, 0.0, data.lower_bound)]
+    while todo:
+        a, b, lo, hi, lower, upper, mass_lo, fallback = todo.pop()
         if lo >= hi:
-            return
+            continue
         mid = lo + (hi - lo) // 2
-        grid = GeometricGrid(req.beta, grid_lower)
+        grid.lower_bound = lower
         cap = req.max_queries
         if math.isfinite(upper):
-            cap = min(cap, grid.max_index_at_most(upper - grid_lower + 1.0))
-        if values.size == 0 or cap < 1:
-            for j in range(lo, hi):
-                estimates[j] = fallback
-                empty[j] = True
-            return
-        node_req = replace(req, max_queries=cap)
-        t = (q_arr[mid] - mass_lo) * n_total
-        est = estimate_quantile(
-            Dataset(values, lower_bound=grid_lower),
-            node_req,
-            rng,
-            noiseless=noiseless,
-            threshold=t,
-        )
+            cap = min(cap, grid.max_index_at_most(upper - lower + 1.0))
+        if a == b or cap < 1:
+            estimates[lo:hi] = fallback
+            empty[lo:hi] = [True] * (hi - lo)
+            continue
+        y = grid.shift(xs[a:b])
+        counts = _sorted_cumulative(grid, y, cap)
+        stream = ArrayStream(counts, b - a, sensitivity=1.0, monotonic=True, max_queries=cap)
+        t = float((q_arr[mid] - mass_lo) * n_total)
+        est = _finish(grid, _scan(stream, t, req, rng, noiseless))
         estimates[mid] = est.value
         exhausted[mid] = est.exhausted
-        recurse(values[values <= est.value], lo, mid, grid_lower, est.value, mass_lo, est.value)
-        recurse(values[values > est.value], mid + 1, hi, est.value, upper, q_arr[mid], est.value)
-
-    recurse(
-        data.values, 0, m, data.lower_bound, math.inf, 0.0, data.lower_bound
-    )
+        split = a + int(np.searchsorted(xs[a:b], est.value, side="right"))
+        # the left child is pushed last, so it runs next
+        todo.append((split, b, mid + 1, hi, est.value, upper, q_arr[mid], est.value))
+        todo.append((a, split, lo, mid, lower, est.value, mass_lo, est.value))
     return MultiQuantileResult(
         quantiles=tuple(float(q) for q in q_arr),
         estimates=tuple(float(v) for v in estimates),

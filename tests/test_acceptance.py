@@ -322,14 +322,19 @@ def test_acceptance_5_histogram_performance():
     build_histogram(data_small, beta, lower)
     build_histogram(data_large, beta, lower)
     # each pair times the two builds back to back, so a shift in host speed
-    # moves both sides of a pair's ratio alike; the median drops outlier pairs
+    # moves both sides of a pair's ratio alike; the median drops outlier
+    # pairs, and a pause between pairs spreads them over a few seconds, so
+    # that one slow spell of a shared host cannot cover them all
+    ratios = []
     gc.disable()
     try:
-        ratios = [
-            _best_of(lambda: build_histogram(data_large, beta, lower), 1)
-            / _best_of(lambda: build_histogram(data_small, beta, lower), 1)
-            for _ in range(9)
-        ]
+        for i in range(9):
+            if i:
+                time.sleep(0.3)
+            ratios.append(
+                _best_of(lambda: build_histogram(data_large, beta, lower), 1)
+                / _best_of(lambda: build_histogram(data_small, beta, lower), 1)
+            )
     finally:
         gc.enable()
     ratio = statistics.median(ratios)

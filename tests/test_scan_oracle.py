@@ -8,16 +8,21 @@ the same state, and the estimators must release the same values through
 either runner. The unbounded estimator's two-build path (split off the
 nonnegative points, negate the data for the second run, build a histogram
 per run) stays here too, as the oracle of the one bucketing pass that now
-serves both runs. Also here: the power cache against repeated
-multiplication, the capped histogram against the uncapped one, and the
-resource bounds the cap gives.
+serves both runs. The multi-quantile recursion that masked each node's
+slice out of its parent's and built a histogram per node stays here as the
+oracle of the one that sorts once and counts by binary search, and the
+vectorized bucket lookup as the oracle of the scalar one. Also here: the
+power cache against repeated multiplication, the capped histogram against
+the uncapped one, and the resource bounds the cap gives.
 """
 
 import gc
+import math
 import time
 import tracemalloc
 import warnings
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,6 +30,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from uqe import quantile
+from uqe.accounting import multi_quantile_guarantee
 from uqe.emq import uqe_pdf_curve
 from uqe.noise import NoiseKind, NoiseSpec, RandomSource, sample
 from uqe.quantile import (
@@ -36,11 +42,14 @@ from uqe.quantile import (
     estimate_multiple_quantiles,
     estimate_quantile,
     estimate_quantile_unbounded,
+    MultiQuantileResult,
     UnboundedEstimate,
     _sign_split_totals,
     _signed_stream,
+    _sorted_cumulative,
 )
 from uqe.sparse_vector import (
+    DEFAULT_MAX_QUERIES,
     ArrayStream,
     QueryStream,
     SvtConfig,
@@ -349,6 +358,182 @@ def test_unbounded_estimator_matches_the_two_build_path(case, kind, q, cap, seed
     assert generator_state(a) == generator_state(b)
 
 
+def mask_and_rebuild_multi(data, qs, req, rng=None, noiseless=False):
+    """Reference: each node masks its slice out of its parent's and runs
+    estimate_quantile on it, with a fresh Dataset, grid and histogram."""
+    q_arr = np.asarray(qs, dtype=float)
+    n_total, m = data.n, q_arr.size
+    estimates = np.empty(m)
+    exhausted = [False] * m
+    empty = [False] * m
+
+    def recurse(values, lo, hi, grid_lower, upper, mass_lo, fallback):
+        if lo >= hi:
+            return
+        mid = lo + (hi - lo) // 2
+        grid = GeometricGrid(req.beta, grid_lower)
+        cap = req.max_queries
+        if math.isfinite(upper):
+            cap = min(cap, grid.max_index_at_most(upper - grid_lower + 1.0))
+        if values.size == 0 or cap < 1:
+            for j in range(lo, hi):
+                estimates[j] = fallback
+                empty[j] = True
+            return
+        t = (q_arr[mid] - mass_lo) * n_total
+        est = estimate_quantile(
+            Dataset(values, lower_bound=grid_lower),
+            replace(req, max_queries=cap),
+            rng,
+            noiseless=noiseless,
+            threshold=t,
+        )
+        estimates[mid] = est.value
+        exhausted[mid] = est.exhausted
+        recurse(values[values <= est.value], lo, mid, grid_lower, est.value, mass_lo, est.value)
+        recurse(values[values > est.value], mid + 1, hi, est.value, upper, q_arr[mid], est.value)
+
+    recurse(data.values, 0, m, data.lower_bound, math.inf, 0.0, data.lower_bound)
+    return MultiQuantileResult(
+        quantiles=tuple(float(q) for q in q_arr),
+        estimates=tuple(float(v) for v in estimates),
+        exhausted=tuple(exhausted),
+        empty_slice=tuple(empty),
+        budget=multi_quantile_guarantee(m, req.eps1, req.eps2, req.noise),
+    )
+
+
+@st.composite
+def bounded_cases(draw):
+    """(beta, lower, data): points >= lower drawn from a few values, so ties
+    abound, plus the grid's candidates beta^k + lower - 1 and one float
+    step to each side of them; +0.0 and -0.0 when lower <= 0."""
+    beta = draw(BETAS)
+    lower = draw(st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e4, 1e4)))
+    pool = draw(st.lists(st.floats(0.0, 1e6), min_size=1, max_size=6))
+    data = [lower + v for v in draw(st.lists(st.sampled_from(pool), min_size=1, max_size=60))]
+    if lower <= 0.0:
+        data += draw(st.lists(st.sampled_from([0.0, -0.0]), max_size=5))
+    grid = GeometricGrid(beta, lower)
+    edges = draw(st.lists(st.tuples(st.integers(0, 1500), st.integers(-1, 1)), max_size=20))
+    for k, step in edges:
+        x = grid.value(k)
+        x = float(np.nextafter(x, step * np.inf)) if step else x
+        if lower <= x < np.inf:
+            data.append(x)
+    return beta, lower, data
+
+
+BOUNDED_CAPS = st.one_of(
+    st.sampled_from([1, 2, 255, 256, 257, DEFAULT_MAX_QUERIES]), st.integers(1, 3000)
+)
+QUANTILE_LISTS = st.one_of(
+    st.lists(st.floats(0.001, 0.999), min_size=1, max_size=1),
+    st.lists(st.floats(0.001, 0.999), min_size=2, max_size=9, unique=True).map(sorted),
+)
+
+
+@PROPERTY
+@given(
+    case=bounded_cases(),
+    qs=QUANTILE_LISTS,
+    kind=KINDS,
+    eps=st.sampled_from([0.1, 1.0, 10.0]),
+    cap=BOUNDED_CAPS,
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_multi_quantiles_match_the_mask_and_rebuild_path(case, qs, kind, eps, cap, seed):
+    beta, lower, data = case
+    x = Dataset(np.array(data), lower_bound=lower)
+    req = QuantileRequest.even_split(0.5, eps, beta=beta, noise=kind, max_queries=cap)
+
+    def released(result):
+        # the estimates' bytes too, so -0.0 and 0.0 count as different releases
+        return result, np.array(result.estimates).tobytes()
+
+    assert released(estimate_multiple_quantiles(x, qs, req, noiseless=True)) == released(
+        mask_and_rebuild_multi(x, qs, req, noiseless=True)
+    )
+    a, b = RandomSource(seed, 4), RandomSource(seed, 4)
+    assert released(estimate_multiple_quantiles(x, qs, req, a)) == released(
+        mask_and_rebuild_multi(x, qs, req, b)
+    )
+    assert generator_state(a) == generator_state(b)
+
+
+@PROPERTY
+@given(case=bounded_cases(), cap=BOUNDED_CAPS)
+def test_sorted_counts_are_the_capped_build(case, cap):
+    beta, lower, data = case
+    x = np.array(data)
+    grid = GeometricGrid(beta, lower)
+    y = grid.shift(np.sort(x))
+    capped = build_histogram(x, beta, lower, cap).cumulative
+    assert np.array_equal(_sorted_cumulative(grid, y, cap), capped)
+    full = build_histogram(x, beta, lower).cumulative
+    assert np.array_equal(_sorted_cumulative(grid, y, DEFAULT_MAX_QUERIES), full)
+
+
+def test_multi_quantile_call_leaves_no_reference_cycles():
+    # a cycle would keep the call's sorted copy of the data alive until a
+    # full collection
+    data = Dataset(RandomSource(38).gen.lognormal(2.0, 0.8, 2000), lower_bound=0.0)
+    req = QuantileRequest.even_split(0.5, 1.0, beta=1.01)
+    deciles = [j / 10 for j in range(1, 10)]
+    gc.collect()
+    gc.disable()
+    try:
+        estimate_multiple_quantiles(data, deciles, req, RandomSource(39))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def vector_max_index_at_most(grid, y):
+    """Reference: the lookup through the vectorized bucket_indices."""
+    out = np.full(y.size, -1, dtype=np.int64)
+    out[y >= 1.0] = grid.bucket_indices(y[y >= 1.0])
+    return out
+
+
+@pytest.mark.parametrize("beta", [1.001, 1.01, 2.0, 1.0 + 1e-6])
+def test_scalar_lookup_matches_the_vectorized_one(beta):
+    grid = GeometricGrid(beta, 0.0)
+    pows = grid.powers(100_001)
+    pows = pows[np.isfinite(pows)]
+    y = [pows, np.nextafter(pows, 0.0), np.nextafter(pows, np.inf)]
+    if beta >= 1.001:
+        # at 1 + 1e-6, y near 1e300 sits past bucket 6.9e8: a 5.5 GB cache
+        k = grid.bucket_of(1e300)
+        near = np.array([1e300, grid.power(k), grid.power(k + 1)])
+        y += [near, np.nextafter(near, 0.0), np.nextafter(near, np.inf), [np.finfo(float).max]]
+    y = np.concatenate(y)
+    y = y[np.isfinite(y)]
+    want = vector_max_index_at_most(grid, y)
+    assert [grid.max_index_at_most(v) for v in y.tolist()] == want.tolist()
+
+
+@pytest.mark.parametrize("y", [math.nan, math.inf, -math.inf])
+def test_scalar_lookups_reject_non_finite_values(y):
+    grid = GeometricGrid(1.01, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError):
+            grid.max_index_at_most(y)
+        with pytest.raises(ValueError):
+            grid.bucket_of(y)
+
+
+@pytest.mark.parametrize("y", [[0.5], [3.0, 1.0 - 2**-53, 7.0], [0.0], [-0.0], [-2.0, 5.0]])
+def test_bucket_indices_rejects_values_below_one(y):
+    grid = GeometricGrid(1.01, 0.0)
+    # the log of y <= 0 warns before the correction finds it below 1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for limit in (None, 5):
+            with pytest.raises(ValueError):
+                grid.bucket_indices(np.array(y), limit)
+
+
 @PROPERTY
 @given(data=DATA, beta=BETAS, cap=st.integers(1, 3000))
 def test_capped_histogram_reads_like_the_uncapped_one(data, beta, cap):
@@ -409,6 +594,9 @@ def test_grid_work_is_bounded_by_max_queries():
     try:
         est = estimate_quantile(Dataset(x, lower_bound=0.0), req, RandomSource(36))
         unb = estimate_quantile_unbounded(Dataset(x), req, RandomSource(36))
+        multi = estimate_multiple_quantiles(
+            Dataset(x, lower_bound=0.0), [0.25, 0.5, 0.75], req, RandomSource(36)
+        )
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -417,6 +605,7 @@ def test_grid_work_is_bounded_by_max_queries():
     grid = GeometricGrid(1.0 + 1e-6, 0.0)
     assert est.exhausted and est.value == grid.value(100)
     assert unb.exhausted and unb.value == grid.value(99)
+    assert multi.estimates[1] == grid.value(100)
 
 
 def uqe_pdf_reference(data, lower_bound, q, eps, beta, pad_steps=25):
