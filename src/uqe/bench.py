@@ -7,11 +7,16 @@ against the reference quantile of the unperturbed sample. The sum benchmark
 estimates a private clip once per resample and reuses it across the inner
 Laplace draws. All randomness is derived from (seed, stream) pairs laid out
 deterministically, so a rerun with the same spec is byte-identical.
+
+As in the estimator's cost model, the O(n) work is done once per resample:
+one histogram build, one sort and one reference pass serve every release
+on it, and memory holds one resample at a time.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -20,9 +25,16 @@ import numpy as np
 
 from .aggregates import clipped_sum
 from .datasets import perturb, true_quantile
-from .emq import BoundedRange, emq_estimate, emq_pdf_curve, uqe_pdf_curve
+from .emq import (
+    BoundedRange,
+    _draw_from_edges,
+    _interval_edges,
+    emq_pdf_curve,
+    uqe_pdf_curve,
+)
 from .noise import NoiseKind, NoiseSpec, RandomSource, sample
-from .quantile import Dataset, QuantileRequest, estimate_quantile
+from .quantile import LogBucketHistogram, QuantileRequest, _release, build_histogram
+from .sparse_vector import DEFAULT_MAX_QUERIES
 
 __all__ = [
     "DEFAULT_QUANTILE_GRID",
@@ -77,6 +89,13 @@ class ExperimentSpec:
         for m in self.methods:
             if m not in ("uqe", "emq"):
                 raise ValueError(f"unknown method: {m!r}")
+        levels = np.asarray(self.quantile_grid, dtype=float)
+        # NaN fails both comparisons, so it is rejected with the rest
+        if levels.ndim != 1 or levels.size == 0 or not ((levels >= 0) & (levels <= 1)).all():
+            raise ValueError("the quantile grid must be non-empty with levels in [0, 1]")
+        for eps in self.eps_grid:
+            if not (eps > 0 and math.isfinite(eps)):
+                raise ValueError(f"each eps must be finite and > 0, got {eps!r}")
         object.__setattr__(self, "data", data)
 
 
@@ -112,105 +131,91 @@ class ResultRecord:
 
 def _draw_sample(spec: ExperimentSpec, trial: int) -> tuple[np.ndarray, np.ndarray]:
     """(unperturbed sample, perturbed copy) for one outer trial."""
-    base = RandomSource(spec.seed)
-    picker = base.spawn(_SAMPLE_BASE + trial)
+    picker = RandomSource(spec.seed, _SAMPLE_BASE + trial)
     idx = picker.gen.choice(spec.data.size, size=spec.sample_size, replace=False)
     clean = spec.data[idx]
-    noisy = perturb(clean, spec.perturb_scale, base.spawn(_PERTURB_BASE + trial))
+    noisy = perturb(clean, spec.perturb_scale, RandomSource(spec.seed, _PERTURB_BASE + trial))
     return clean, noisy
 
 
 def _mech_rng(spec: ExperimentSpec, index: int) -> RandomSource:
-    return RandomSource(spec.seed).spawn(_MECH_BASE + index)
+    return RandomSource(spec.seed, _MECH_BASE + index)
+
+
+def _prepare(
+    spec: ExperimentSpec, noisy: np.ndarray, lower: float, beta: float
+) -> tuple[LogBucketHistogram | None, np.ndarray | None]:
+    """The O(n) work every release on one resample shares: the grid
+    histogram for uqe and the sorted interval edges for emq, each only when
+    its method runs. Neither draws randomness."""
+    hist = edges = None
+    if "uqe" in spec.methods:
+        hist = build_histogram(noisy, beta, lower, DEFAULT_MAX_QUERIES)
+    if "emq" in spec.methods:
+        edges = _interval_edges(noisy, spec.declared_range)
+    return hist, edges
 
 
 def _estimate_one(
     method: str,
-    noisy: np.ndarray,
+    hist: LogBucketHistogram | None,
+    edges: np.ndarray | None,
     q: float,
     eps: float,
-    spec: ExperimentSpec,
     rng: RandomSource,
 ) -> float:
     if method == "uqe":
-        req = QuantileRequest(
-            q=q, eps1=eps / 2.0, eps2=eps / 2.0, beta=spec.beta
-        )
-        data = Dataset(noisy, lower_bound=spec.declared_range.a)
-        return estimate_quantile(data, req, rng).value
-    return emq_estimate(noisy, spec.declared_range, q, eps, rng)
+        req = QuantileRequest.even_split(q, eps, beta=hist.beta)
+        return _release(hist, req, rng).value
+    return _draw_from_edges(edges, q, eps, rng)
 
 
 def run_quantile_experiment(spec: ExperimentSpec) -> list[ResultRecord]:
-    """Mean absolute error per (method, eps, q) over the resampling protocol."""
-    samples = [_draw_sample(spec, t) for t in range(spec.outer_trials)]
+    """Mean absolute error per (method, eps, q) over the resampling protocol.
+
+    Cell c, one (eps, method, q), releases on resample t from mechanism
+    stream c * outer_trials + t. A record's runtime is the time of its
+    cell's releases, summed over the resamples.
+    """
     rr = spec.declared_range
-    clipped = [(clean, np.clip(noisy, rr.a, rr.b)) for clean, noisy in samples]
-    records = []
-    mech_index = 0
-    for eps in spec.eps_grid:
-        for method in spec.methods:
-            for q in spec.quantile_grid:
-                start = time.perf_counter()
-                errs = np.empty(spec.outer_trials)
-                for t, (clean, noisy) in enumerate(clipped):
-                    est = _estimate_one(
-                        method, noisy, q, eps, spec, _mech_rng(spec, mech_index)
-                    )
-                    mech_index += 1
-                    if spec.round_outputs:
-                        est = float(np.rint(est))
-                    errs[t] = abs(est - true_quantile(clean, q))
-                records.append(
-                    ResultRecord(
-                        dataset=spec.name,
-                        experiment="quantile",
-                        method=method,
-                        eps=float(eps),
-                        q=float(q),
-                        mae=float(errs.mean()),
-                        std=float(errs.std()),
-                        n_outer=spec.outer_trials,
-                        n_inner=1,
-                        runtime=time.perf_counter() - start,
-                    )
-                )
-    return records
-
-
-def _sum_clip(
-    method: str, noisy: np.ndarray, q: float, eps: float, spec: ExperimentSpec, rng: RandomSource
-) -> float:
-    if method == "uqe":
-        req = QuantileRequest(q=q, eps1=eps / 2.0, eps2=eps / 2.0, beta=spec.sum_beta)
-        clip = estimate_quantile(Dataset(noisy, lower_bound=0.0), req, rng).value
-    else:
-        clip = emq_estimate(noisy, spec.declared_range, q, eps, rng)
-    if clip <= 0.0:
-        clip = spec.declared_range.width * 1e-9
-    return clip
-
-
-def _sum_mae_for_q(
-    spec: ExperimentSpec,
-    samples: list[tuple[np.ndarray, np.ndarray]],
-    method: str,
-    eps: float,
-    q: float,
-    mech_offset: int,
-) -> tuple[float, float]:
-    per_outer = np.empty(spec.outer_trials)
-    for t, (clean, noisy) in enumerate(samples):
-        rng = _mech_rng(spec, mech_offset + 2 * t)
-        clip = _sum_clip(method, noisy, q, eps, spec, rng)
-        base = clipped_sum(noisy, clip)
-        lap = sample(
-            NoiseSpec(NoiseKind.LAPLACE, clip / eps),
-            _mech_rng(spec, mech_offset + 2 * t + 1),
-            size=spec.inner_trials,
+    levels = np.asarray(spec.quantile_grid, dtype=float)
+    cells = [
+        (eps, method, q)
+        for eps in spec.eps_grid
+        for method in spec.methods
+        for q in spec.quantile_grid
+    ]
+    errs = np.empty((len(cells), spec.outer_trials))
+    runtime = np.zeros(len(cells))
+    for t in range(spec.outer_trials):
+        clean, noisy = _draw_sample(spec, t)
+        noisy = np.clip(noisy, rr.a, rr.b)
+        refs = true_quantile(clean, levels)
+        hist, edges = _prepare(spec, noisy, rr.a, spec.beta)
+        for c, (eps, method, q) in enumerate(cells):
+            start = time.perf_counter()
+            rng = _mech_rng(spec, c * spec.outer_trials + t)
+            est = _estimate_one(method, hist, edges, q, eps, rng)
+            if spec.round_outputs:
+                est = float(np.rint(est))
+            # q varies fastest over the cells
+            errs[c, t] = abs(est - refs[c % levels.size])
+            runtime[c] += time.perf_counter() - start
+    return [
+        ResultRecord(
+            dataset=spec.name,
+            experiment="quantile",
+            method=method,
+            eps=float(eps),
+            q=float(q),
+            mae=float(errs[c].mean()),
+            std=float(errs[c].std()),
+            n_outer=spec.outer_trials,
+            n_inner=1,
+            runtime=float(runtime[c]),
         )
-        per_outer[t] = np.abs(base + lap - clean.sum()).mean()
-    return float(per_outer.mean()), float(per_outer.std())
+        for c, (eps, method, q) in enumerate(cells)
+    ]
 
 
 def run_sum_experiment(spec: ExperimentSpec) -> list[ResultRecord]:
@@ -218,27 +223,47 @@ def run_sum_experiment(spec: ExperimentSpec) -> list[ResultRecord]:
 
     The grid method always clips at q = 0.99; the interval baseline reports
     its best q from EMQ_SUM_QS, as the head-to-head protocol prescribes.
+    Block b, one (eps, method, q), draws its clip on resample t from
+    mechanism stream 2 * (b * outer_trials + t) and its Laplace noise from
+    the next one. A record's runtime is the time of its blocks' clips and
+    sums, summed over the resamples.
     """
-    raw = [_draw_sample(spec, t) for t in range(spec.outer_trials)]
-    samples = [
-        (clean, np.clip(noisy, 0.0, spec.declared_range.b)) for clean, noisy in raw
+    rr = spec.declared_range
+    blocks = [
+        (eps, method, q)
+        for eps in spec.eps_grid
+        for method in spec.methods
+        for q in ((0.99,) if method == "uqe" else EMQ_SUM_QS)
     ]
+    per_outer = np.empty((len(blocks), spec.outer_trials))
+    runtime = np.zeros(len(blocks))
+    for t in range(spec.outer_trials):
+        clean, noisy = _draw_sample(spec, t)
+        noisy = np.clip(noisy, 0.0, rr.b)
+        total = clean.sum()
+        hist, edges = _prepare(spec, noisy, 0.0, spec.sum_beta)
+        for b, (eps, method, q) in enumerate(blocks):
+            start = time.perf_counter()
+            index = 2 * (b * spec.outer_trials + t)
+            clip = _estimate_one(method, hist, edges, q, eps, _mech_rng(spec, index))
+            if clip <= 0.0:
+                clip = rr.width * 1e-9
+            lap = sample(
+                NoiseSpec(NoiseKind.LAPLACE, clip / eps),
+                _mech_rng(spec, index + 1),
+                size=spec.inner_trials,
+            )
+            per_outer[b, t] = np.abs(clipped_sum(noisy, clip) + lap - total).mean()
+            runtime[b] += time.perf_counter() - start
     records = []
-    stride = 2 * spec.outer_trials
-    block = 0
+    b = 0
     for eps in spec.eps_grid:
         for method in spec.methods:
-            start = time.perf_counter()
-            if method == "uqe":
-                mae, std = _sum_mae_for_q(spec, samples, method, eps, 0.99, block * stride)
-                block += 1
-                best_q = 0.99
-            else:
-                trio = []
-                for q in EMQ_SUM_QS:
-                    trio.append((*_sum_mae_for_q(spec, samples, method, eps, q, block * stride), q))
-                    block += 1
-                mae, std, best_q = min(trio)
+            rows = range(b, b + (1 if method == "uqe" else len(EMQ_SUM_QS)))
+            b = rows.stop
+            mae, std, best_q = min(
+                (float(per_outer[r].mean()), float(per_outer[r].std()), blocks[r][2]) for r in rows
+            )
             records.append(
                 ResultRecord(
                     dataset=spec.name,
@@ -250,7 +275,7 @@ def run_sum_experiment(spec: ExperimentSpec) -> list[ResultRecord]:
                     std=std,
                     n_outer=spec.outer_trials,
                     n_inner=spec.inner_trials,
-                    runtime=time.perf_counter() - start,
+                    runtime=float(runtime[rows].sum()),
                 )
             )
     return records

@@ -84,7 +84,7 @@ def _float_list(text: str) -> tuple[float, ...]:
     try:
         return tuple(float(part) for part in text.split(","))
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
+        raise ValueError(f"expected comma-separated numbers, got {text!r}") from None
 
 
 def _emit(payload, out: str | None) -> None:

@@ -86,8 +86,17 @@ def perturb(values, scale: float, rng: RandomSource) -> np.ndarray:
     return vals + rng.gen.normal(0.0, scale, vals.shape)
 
 
-def true_quantile(values, q: float) -> float:
-    """Reference quantile: linear interpolation between order statistics."""
-    if not 0.0 <= q <= 1.0:
+def true_quantile(values, q):
+    """Reference quantile: linear interpolation between order statistics.
+
+    q is one level, which gives a float, or a 1-d array of levels, which
+    gives an array from one partition of the data. Among tied order
+    statistics the two forms may pick a different one, so a tie of 0.0 and
+    -0.0 can come back with either sign.
+    """
+    levels = np.asarray(q, dtype=float)
+    # NaN fails both comparisons, so it is rejected with the rest
+    if levels.ndim > 1 or not ((levels >= 0.0) & (levels <= 1.0)).all():
         raise ValueError("q must lie in [0, 1]")
-    return float(np.quantile(np.asarray(values, dtype=float), q))
+    out = np.quantile(np.asarray(values, dtype=float), levels)
+    return float(out) if levels.ndim == 0 else out

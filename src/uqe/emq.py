@@ -54,7 +54,8 @@ def _interval_edges(data, rng_range: BoundedRange) -> np.ndarray:
     vals = np.sort(np.asarray(data, dtype=float))
     if vals.size == 0:
         raise ValueError("data must be non-empty")
-    if vals[0] < rng_range.a or vals[-1] > rng_range.b:
+    # NaN sorts last and fails the comparison, so it is rejected too
+    if not (vals[0] >= rng_range.a and vals[-1] <= rng_range.b):
         raise ValueError("data outside the declared range")
     return np.concatenate(([rng_range.a], vals, [rng_range.b]))
 
@@ -84,7 +85,12 @@ def emq_estimate(
     data, rng_range: BoundedRange, q: float, eps: float, rng: RandomSource
 ) -> float:
     """One eps-DP draw: Gumbel-max interval choice, then uniform inside it."""
-    edges = _interval_edges(data, rng_range)
+    return _draw_from_edges(_interval_edges(data, rng_range), q, eps, rng)
+
+
+def _draw_from_edges(edges: np.ndarray, q: float, eps: float, rng: RandomSource) -> float:
+    """emq_estimate on the edges _interval_edges gives. The edges draw no
+    randomness, so one sort can serve every (q, eps) draw on the same data."""
     logw = _log_weights(edges, q, eps)
     gumbels = -np.log(-np.log(rng.uniform_open(logw.size)))
     j = int(np.argmax(logw + gumbels))

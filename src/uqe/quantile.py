@@ -148,8 +148,9 @@ class GeometricGrid:
                 y = x - self.lower_bound + 1.0
             if y.size and not y.max() < np.inf:
                 raise ValueError("value - lower bound + 1 is not a finite number")
-        if y.size and y.min() < 1.0:
-            raise ValueError("value below the grid lower bound")
+        # NaN fails the comparison, so this rejects it along with y < 1
+        if y.size and not y.min() >= 1.0:
+            raise ValueError("value below the grid lower bound, or NaN")
         return y
 
     def bucket_indices(self, y: np.ndarray, limit: int | None = None) -> np.ndarray:
@@ -159,22 +160,29 @@ class GeometricGrid:
         cached powers, so boundary points land exactly where the strict
         inequality of the counting queries expects them. With a limit, every
         y >= beta^limit goes to the one bucket `limit`, and the cache stops
-        at beta^(limit+1). A y below 1 is found where the correction would
-        move an index below 0, so callers that checked y >= 1 already (as
-        shift does) pay no extra pass over y.
+        at beta^(limit+1). NaN, inf and y < 1 have no bucket and raise
+        ValueError before any of them reaches the log or the integer cast.
         """
         y = np.asarray(y, dtype=float)
         if y.size == 0:
             return np.zeros(0, dtype=np.int64)
-        idx = np.floor(np.log(y) / self._log_beta).astype(np.int64)
-        np.clip(idx, 0, limit, out=idx)
-        lower, upper = self._edges(int(idx.max()) + 1, limit)
+        # NaN fails both comparisons; checking the floats, not the cast
+        # indices, keeps this independent of how a platform casts NaN and inf
+        if not y.min() >= 1.0:
+            raise ValueError("the bucket domain is the finite numbers >= 1")
+        guess = np.floor(np.log(y) / self._log_beta)
+        top = guess.max()
+        if not top < math.inf:
+            raise ValueError("the bucket domain is the finite numbers >= 1")
+        idx = guess.astype(np.int64)
+        if limit is not None and top > limit:
+            np.minimum(idx, limit, out=idx)
+            top = limit
+        lower, upper = self._edges(int(top) + 1, limit)
         for _ in range(64):
             moved = False
             low = y < lower[idx]
             if low.any():
-                if not idx[low].all():
-                    raise ValueError("bucket domain starts at 1")
                 idx[low] -= 1
                 moved = True
             high = y >= upper[idx]
@@ -426,7 +434,24 @@ def estimate_quantile(
     if data.lower_bound is None:
         raise ValueError("estimate_quantile needs a declared lower bound")
     hist = build_histogram(data.values, req.beta, data.lower_bound, req.max_queries)
-    t = req.q * data.n if threshold is None else float(threshold)
+    return _release(hist, req, rng, noiseless=noiseless, threshold=threshold)
+
+
+def _release(
+    hist: LogBucketHistogram,
+    req: QuantileRequest,
+    rng: RandomSource | None,
+    *,
+    noiseless: bool = False,
+    threshold: float | None = None,
+) -> QuantileEstimate:
+    """estimate_quantile on an already built histogram.
+
+    The histogram must come from build_histogram with the request's beta
+    and max_queries. It draws no randomness, so one build can serve every
+    (q, eps) release on the same data, each drawing only its own scan noise.
+    """
+    t = req.q * hist.n if threshold is None else float(threshold)
     stream = counting_query_stream(hist, max_queries=req.max_queries)
     return _finish(hist.grid, _scan(stream, t, req, rng, noiseless))
 

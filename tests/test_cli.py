@@ -320,6 +320,28 @@ class TestBench:
         assert rows[0]["experiment"] == "sum"
         assert rows[0]["q"] == 0.99
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--qs", "0.5,1.5"),
+            ("--qs", "nan"),
+            ("--qs", "0.5,x"),
+            ("--eps", "1,0"),
+            ("--eps", "inf"),
+        ],
+    )
+    def test_bad_grid_exits_1_before_any_resample(self, capsys, monkeypatch, flag, value):
+        def no_resample(*args):
+            raise AssertionError("a resample was drawn")
+
+        monkeypatch.setattr("uqe.bench._draw_sample", no_resample)
+        args = ["bench", "--input", SMOKE, "--column", "value", "--range", "0", "10", flag, value]
+        for experiment in ("quantile", "sum"):
+            assert main(args + ["--experiment", experiment]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error:")
+
 
 class TestPdf:
     def test_default_ranges_share_grid_curve(self, capsys, tmp_path):

@@ -6,12 +6,15 @@ frac = pos - j the value is v_{j+1} + frac * (v_{j+2} - v_{j+1}) (0-indexed
 j, j+1). Frozen cases: {1..101} at q = 0.5 gives 51; {1,2,3,4} gives 2.5.
 """
 
+import itertools
 import json
 import math
 
 import numpy as np
 import pytest
 
+from uqe import bench
+from uqe.aggregates import clipped_sum
 from uqe.bench import (
     EMQ_SUM_QS,
     ExperimentSpec,
@@ -23,8 +26,9 @@ from uqe.bench import (
     run_sum_experiment,
 )
 from uqe.datasets import generate_synthetic, load_csv, perturb, true_quantile
-from uqe.emq import BoundedRange
-from uqe.noise import RandomSource
+from uqe.emq import BoundedRange, emq_estimate
+from uqe.noise import NoiseKind, NoiseSpec, RandomSource, sample
+from uqe.quantile import Dataset, QuantileRequest, estimate_quantile
 
 
 def quantile_oracle(values, q):
@@ -149,6 +153,18 @@ class TestTrueQuantile:
         with pytest.raises(ValueError):
             true_quantile([1.0, 2.0], 1.5)
 
+    def test_array_of_levels_matches_one_call_per_level(self):
+        gen = RandomSource(13).gen
+        levels = np.array([0.0, 0.05, 0.25, 0.5, 0.61, 0.99, 1.0])
+        for n in (1, 2, 7, 500):
+            vals = gen.normal(0.0, 5.0, n)
+            got = true_quantile(vals, levels)
+            assert got.shape == levels.shape
+            assert got.tobytes() == np.array([true_quantile(vals, q) for q in levels]).tobytes()
+        for bad in ([0.5, 1.5], [np.nan], [[0.5]]):
+            with pytest.raises(ValueError):
+                true_quantile([1.0, 2.0], np.array(bad))
+
 
 def small_spec(**overrides):
     data = generate_synthetic("uniform", 2000, RandomSource(77))
@@ -177,6 +193,16 @@ class TestExperimentSpec:
             small_spec(outer_trials=0)
         with pytest.raises(ValueError):
             small_spec(methods=("uqe", "midpoint"))
+
+    @pytest.mark.parametrize("grid", [(), (0.5, 1.5), (-0.1,), (0.5, math.nan)])
+    def test_bad_quantile_grid_is_rejected(self, grid):
+        with pytest.raises(ValueError, match="quantile grid"):
+            small_spec(quantile_grid=grid)
+
+    @pytest.mark.parametrize("eps", [(0.0,), (1.0, -1.0), (math.inf,), (math.nan,)])
+    def test_bad_eps_is_rejected(self, eps):
+        with pytest.raises(ValueError, match="eps"):
+            small_spec(eps_grid=eps)
 
 
 class TestQuantileExperiment:
@@ -265,6 +291,155 @@ class TestSumExperiment:
         assert 0.0 < uqe_rec.mae < 2000.0
         again = run_sum_experiment(spec)
         assert records_to_json(records) == records_to_json(again)
+
+
+def oracle_sample(spec, trial):
+    base = RandomSource(spec.seed)
+    picker = base.spawn(1_000_000 + trial)
+    idx = picker.gen.choice(spec.data.size, size=spec.sample_size, replace=False)
+    clean = spec.data[idx]
+    return clean, perturb(clean, spec.perturb_scale, base.spawn(2_000_000 + trial))
+
+
+def oracle_mech_rng(spec, index):
+    return RandomSource(spec.seed).spawn(10_000_000 + index)
+
+
+def oracle_quantile_experiment(spec):
+    """Reference: the per-quantile protocol, which rebuilt the histogram,
+    re-sorted the perturbed copy and recomputed the reference quantile for
+    every (eps, method, q) cell of every resample."""
+    rr = spec.declared_range
+    samples = [oracle_sample(spec, t) for t in range(spec.outer_trials)]
+    clipped = [(clean, np.clip(noisy, rr.a, rr.b)) for clean, noisy in samples]
+    records = []
+    mech_index = 0
+    for eps in spec.eps_grid:
+        for method in spec.methods:
+            for q in spec.quantile_grid:
+                errs = np.empty(spec.outer_trials)
+                for t, (clean, noisy) in enumerate(clipped):
+                    rng = oracle_mech_rng(spec, mech_index)
+                    mech_index += 1
+                    if method == "uqe":
+                        req = QuantileRequest(q=q, eps1=eps / 2.0, eps2=eps / 2.0, beta=spec.beta)
+                        est = estimate_quantile(Dataset(noisy, lower_bound=rr.a), req, rng).value
+                    else:
+                        est = emq_estimate(noisy, rr, q, eps, rng)
+                    if spec.round_outputs:
+                        est = float(np.rint(est))
+                    errs[t] = abs(est - true_quantile(clean, q))
+                records.append(
+                    ResultRecord(spec.name, "quantile", method, float(eps), float(q),
+                                 float(errs.mean()), float(errs.std()), spec.outer_trials, 1)
+                )  # fmt: skip
+    return records
+
+
+def oracle_sum_experiment(spec):
+    """Reference: the per-block sum protocol, which rebuilt the histogram or
+    re-sorted the perturbed copy for every clip."""
+    rr = spec.declared_range
+    raw = [oracle_sample(spec, t) for t in range(spec.outer_trials)]
+    samples = [(clean, np.clip(noisy, 0.0, rr.b)) for clean, noisy in raw]
+    stride = 2 * spec.outer_trials
+
+    def mae_for_q(method, eps, q, offset):
+        per_outer = np.empty(spec.outer_trials)
+        for t, (clean, noisy) in enumerate(samples):
+            rng = oracle_mech_rng(spec, offset + 2 * t)
+            if method == "uqe":
+                req = QuantileRequest(q=q, eps1=eps / 2.0, eps2=eps / 2.0, beta=spec.sum_beta)
+                clip = estimate_quantile(Dataset(noisy, lower_bound=0.0), req, rng).value
+            else:
+                clip = emq_estimate(noisy, rr, q, eps, rng)
+            if clip <= 0.0:
+                clip = rr.width * 1e-9
+            lap = sample(
+                NoiseSpec(NoiseKind.LAPLACE, clip / eps),
+                oracle_mech_rng(spec, offset + 2 * t + 1),
+                size=spec.inner_trials,
+            )
+            per_outer[t] = np.abs(clipped_sum(noisy, clip) + lap - clean.sum()).mean()
+        return float(per_outer.mean()), float(per_outer.std())
+
+    records = []
+    block = 0
+    for eps in spec.eps_grid:
+        for method in spec.methods:
+            trio = []
+            for q in (0.99,) if method == "uqe" else EMQ_SUM_QS:
+                trio.append((*mae_for_q(method, eps, q, block * stride), q))
+                block += 1
+            mae, std, best_q = min(trio)
+            records.append(
+                ResultRecord(spec.name, "sum", method, float(eps), float(best_q), mae, std,
+                             spec.outer_trials, spec.inner_trials)
+            )  # fmt: skip
+    return records
+
+
+def tie_heavy_data():
+    # integers with many ties, and zeros of both signs: reference quantiles
+    # may differ in the sign of zero between one call per level and one call
+    # for all levels, but |estimate - reference| may not
+    vals = np.repeat(np.arange(-4.0, 5.0), 40)
+    vals[::7] = -0.0
+    return RandomSource(5).gen.permutation(vals)
+
+
+@pytest.mark.parametrize("outer", [1, 3])
+@pytest.mark.parametrize("beta", [1.001, 1.01])
+@pytest.mark.parametrize("ties", [False, True])
+def test_one_pass_per_resample_matches_the_per_quantile_oracle(outer, beta, ties):
+    data, scale = (tie_heavy_data(), 0.0) if ties else (None, 0.1)
+    for methods, round_outputs in itertools.product(
+        [("uqe",), ("emq",), ("uqe", "emq"), ("emq", "uqe")], [False, True]
+    ):
+        spec = small_spec(
+            **({"data": data} if ties else {}),
+            sample_size=60,
+            outer_trials=outer,
+            inner_trials=4,
+            eps_grid=(0.5, 2.0),
+            quantile_grid=(0.0, 0.1, 0.5, 0.93, 1.0),
+            methods=methods,
+            perturb_scale=scale,
+            beta=beta,
+            sum_beta=1.001 if beta == 1.01 else 1.01,
+            round_outputs=round_outputs,
+        )
+        assert records_to_json(run_quantile_experiment(spec)) == records_to_json(
+            oracle_quantile_experiment(spec)
+        )
+        assert records_to_json(run_sum_experiment(spec)) == records_to_json(
+            oracle_sum_experiment(spec)
+        )
+
+
+def test_each_resample_is_bucketed_sorted_and_scored_once(monkeypatch):
+    calls = {}
+
+    def counted(name):
+        inner = getattr(bench, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(bench, name, wrapper)
+
+    for name in ("build_histogram", "_interval_edges", "true_quantile"):
+        counted(name)
+    spec = small_spec(outer_trials=3, eps_grid=(0.5, 1.0), quantile_grid=(0.2, 0.5, 0.8))
+    run_quantile_experiment(spec)
+    assert calls == {"build_histogram": 3, "_interval_edges": 3, "true_quantile": 3}
+    calls.clear()
+    run_quantile_experiment(small_spec(outer_trials=2, methods=("emq",)))
+    assert calls == {"_interval_edges": 2, "true_quantile": 2}
+    calls.clear()
+    run_sum_experiment(small_spec(outer_trials=2, declared_range=BoundedRange(-5.0, 5.0)))
+    assert calls == {"build_histogram": 2, "_interval_edges": 2}
 
 
 class TestFigureEmission:

@@ -104,6 +104,11 @@ def test_validation_errors():
         emq_interval_pmf([5.0], BoundedRange(0, 10), 1.5, 1.0)
     with pytest.raises(ValueError):
         emq_interval_pmf([], BoundedRange(0, 10), 0.5, 1.0)
+    # NaN used to pass the range check and release NaN
+    with pytest.raises(ValueError, match="outside the declared range"):
+        emq_estimate([1.0, np.nan, 3.0], BoundedRange(0, 10), 0.5, 1.0, RandomSource(1))
+    with pytest.raises(ValueError, match="outside the declared range"):
+        emq_interval_pmf([np.nan], BoundedRange(0, 10), 0.5, 1.0)
     with pytest.raises(ValueError):
         uqe_pdf_curve([5.0], 0.0, 0.5, 1.0, pad_steps=-1)
 

@@ -1,5 +1,7 @@
 """Unit tests for the noise primitives."""
 
+import json
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -47,6 +49,20 @@ def test_bitwise_reproducible_streams(kind):
     c = sample(spec, RandomSource(123, stream=5), 1000)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+def philox_state(rng):
+    return json.dumps(rng.gen.bit_generator.state, sort_keys=True, default=np.ndarray.tolist)
+
+
+def test_keyed_stream_equals_spawned_stream():
+    # one generator built with the stream id, or a second one spawned from
+    # a stream-0 source, is keyed alike: same Philox state, same draws
+    for seed, stream in [(0, 0), (11, 10_000_007), (2**64 - 1, 2**63 + 5)]:
+        direct, spawned = RandomSource(seed, stream), RandomSource(seed).spawn(stream)
+        assert philox_state(direct) == philox_state(spawned)
+        assert direct.uniform_open(257).tobytes() == spawned.uniform_open(257).tobytes()
+        assert philox_state(direct) == philox_state(spawned)
 
 
 def test_uniform_open_avoids_endpoints():

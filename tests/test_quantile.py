@@ -258,6 +258,18 @@ def test_overflowing_shift_is_rejected_without_a_warning():
             GeometricGrid(1.01, -1e308).shift(np.array([1.0, 1e308]))
 
 
+def test_nan_data_is_rejected_by_the_build_without_a_warning():
+    # build_histogram takes raw arrays; NaN used to land in bucket 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for lower in (0.0, -3.0):
+            with pytest.raises(ValueError):
+                GeometricGrid(1.01, lower).shift(np.array([2.0, np.nan]))
+            for cap in (None, 50):
+                with pytest.raises(ValueError):
+                    build_histogram(np.array([np.nan, 2.0, 7.0]), 1.01, lower, cap)
+
+
 def test_infinite_beta_is_rejected():
     # it used to be accepted, and the estimate released was inf
     with pytest.raises(ValueError, match="beta"):

@@ -524,11 +524,26 @@ def test_scalar_lookups_reject_non_finite_values(y):
             grid.bucket_of(y)
 
 
-@pytest.mark.parametrize("y", [[0.5], [3.0, 1.0 - 2**-53, 7.0], [0.0], [-0.0], [-2.0, 5.0]])
+@pytest.mark.parametrize(
+    "y",
+    [
+        [0.5],
+        [3.0, 1.0 - 2**-53, 7.0],
+        [0.0],
+        [-0.0],
+        [-2.0, 5.0],
+        [math.nan, 5.0],
+        [5.0, math.inf],
+        [-math.inf],
+        [math.nan],
+        [1e300, math.inf],
+    ],
+)
 def test_bucket_indices_rejects_values_below_one(y):
     grid = GeometricGrid(1.01, 0.0)
-    # the log of y <= 0 warns before the correction finds it below 1
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # NaN and inf have no bucket either; all are rejected without a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         for limit in (None, 5):
             with pytest.raises(ValueError):
                 grid.bucket_indices(np.array(y), limit)
