@@ -6,33 +6,23 @@ promised range. The package bundles the noisy-threshold machinery, privacy
 accounting for several query classes and neighbor models, an
 exponential-mechanism interval baseline, private sums and means via private
 clipping, and a benchmark/verification harness.
+
+The names below are the ones the demos, the README and the CLI use, plus
+their result and config types. Every other public name is importable from
+its submodule.
 """
 
 from .accounting import (
-    EmpiricalDpReport,
     MultiQuantileBudget,
     NeighborModel,
     PrivacyGuarantee,
     QueryClass,
     compose_zcdp,
-    empirical_dp_check,
     guarantee_for,
-    gumbel_exact_max_log_ratio,
     multi_quantile_guarantee,
-    multi_quantile_levels,
-    one_sided_loss,
-    range_bounded_of_pair,
     zcdp_of_dp,
-    zcdp_of_range_bounded,
 )
-from .aggregates import (
-    ClipMethod,
-    SumConfig,
-    SumResult,
-    clipped_sum,
-    dp_mean,
-    dp_sum,
-)
+from .aggregates import ClipMethod, SumConfig, SumResult, dp_mean, dp_sum
 from .bench import (
     ExperimentSpec,
     ResultRecord,
@@ -42,26 +32,15 @@ from .bench import (
     run_quantile_experiment,
     run_sum_experiment,
 )
-from .datasets import generate_synthetic, load_csv, perturb, true_quantile
-from .emq import (
-    BoundedRange,
-    UqePdfCurve,
-    emq_estimate,
-    emq_interval_pmf,
-    emq_pdf_curve,
-    uqe_pdf_curve,
-)
-from .noise import NoiseKind, NoiseSpec, RandomSource, sample
+from .datasets import generate_synthetic, load_csv
+from .emq import BoundedRange, emq_interval_pmf
+from .noise import NoiseKind, RandomSource
 from .quantile import (
     Dataset,
-    GeometricGrid,
-    LogBucketHistogram,
     MultiQuantileResult,
     QuantileEstimate,
     QuantileRequest,
     UnboundedEstimate,
-    build_histogram,
-    counting_query_stream,
     estimate_multiple_quantiles,
     estimate_quantile,
     estimate_quantile_unbounded,
@@ -70,15 +49,12 @@ from .quantile import (
 )
 from .sparse_vector import (
     DEFAULT_MAX_QUERIES,
-    QueryStream,
     SvtConfig,
     SvtOutcome,
     gumbel_halt_log_pmf,
     gumbel_no_halt_prob,
-    run_above_threshold,
-    run_iterative_em,
 )
-from .verify import run_all_verification_suites, run_verification_suite
+from .verify import run_verification_suite
 
 __version__ = "0.1.0"
 
@@ -87,20 +63,15 @@ __all__ = [
     "ClipMethod",
     "DEFAULT_MAX_QUERIES",
     "Dataset",
-    "EmpiricalDpReport",
     "ExperimentSpec",
-    "GeometricGrid",
-    "LogBucketHistogram",
     "MultiQuantileBudget",
     "MultiQuantileResult",
     "NeighborModel",
     "NoiseKind",
-    "NoiseSpec",
     "PrivacyGuarantee",
     "QuantileEstimate",
     "QuantileRequest",
     "QueryClass",
-    "QueryStream",
     "RandomSource",
     "ResultRecord",
     "SumConfig",
@@ -108,45 +79,26 @@ __all__ = [
     "SvtConfig",
     "SvtOutcome",
     "UnboundedEstimate",
-    "UqePdfCurve",
-    "build_histogram",
-    "clipped_sum",
     "compose_zcdp",
-    "counting_query_stream",
     "dp_mean",
     "dp_sum",
     "emit_pdf_figures",
-    "empirical_dp_check",
-    "emq_estimate",
     "emq_interval_pmf",
-    "emq_pdf_curve",
     "estimate_multiple_quantiles",
     "estimate_quantile",
     "estimate_quantile_unbounded",
     "estimate_small_quantile_inverted",
     "generate_synthetic",
     "guarantee_for",
-    "gumbel_exact_max_log_ratio",
     "gumbel_halt_log_pmf",
     "gumbel_no_halt_prob",
     "load_csv",
     "multi_quantile_guarantee",
-    "multi_quantile_levels",
     "normalized_error_rows",
-    "one_sided_loss",
-    "perturb",
-    "range_bounded_of_pair",
     "records_to_json",
     "request_guarantee",
-    "run_above_threshold",
-    "run_all_verification_suites",
-    "run_iterative_em",
     "run_quantile_experiment",
     "run_sum_experiment",
     "run_verification_suite",
-    "sample",
-    "true_quantile",
-    "uqe_pdf_curve",
     "zcdp_of_dp",
-    "zcdp_of_range_bounded",
 ]

@@ -10,12 +10,8 @@ the per-run loss is
     eps(x, x') = max_k [ (eps1/D) * D_k + (eps2/D) * max{0, D_k - (f_k(x') - f_k(x))} ]
 
 with D the sensitivity. This clamped form upper-bounds ln(P_x(k)/P_x'(k))
-for every halting outcome k under all three noise families. The
-gumbel_relaxation flag drops the inner max{0, .} so D_k may go negative;
-that variant is NOT a pointwise upper bound on exact outcome ratios (see the
-regression test pinning a counterexample) and is kept only because callers
-may want the relaxed number for comparison. Everything returned by
-guarantee_for is derived from the clamped form.
+for every halting outcome k under all three noise families. Everything
+returned by guarantee_for is derived from it.
 """
 
 from __future__ import annotations
@@ -27,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .noise import NoiseKind, RandomSource
-from .sparse_vector import gumbel_halt_log_pmf
+from .sparse_vector import check_eps, check_split, gumbel_halt_log_pmf
 
 __all__ = [
     "NeighborModel",
@@ -52,14 +48,6 @@ class NeighborModel(enum.Enum):
     SWAP = "swap"
     ADD_SUBTRACT = "add-subtract"
 
-    @classmethod
-    def parse(cls, name: str) -> "NeighborModel":
-        key = name.strip().lower().replace("_", "-")
-        for model in cls:
-            if key == model.value:
-                return model
-        raise ValueError(f"unknown neighbor model: {name!r}")
-
 
 class QueryClass(enum.Enum):
     """Structural assumptions on how neighbor datasets move the queries."""
@@ -68,14 +56,6 @@ class QueryClass(enum.Enum):
     MONOTONIC = "monotonic"
     COUNT_MINUS_QN = "count-minus-qn"
     FIXED_THRESHOLD_COUNT = "fixed-threshold-count"
-
-    @classmethod
-    def parse(cls, name: str) -> "QueryClass":
-        key = name.strip().lower().replace("_", "-")
-        for qc in cls:
-            if key == qc.value:
-                return qc
-        raise ValueError(f"unknown query class: {name!r}")
 
 
 @dataclass(frozen=True)
@@ -116,33 +96,25 @@ def compose_zcdp(rhos) -> float:
     return float(sum(rhos))
 
 
-def _prefix_gaps(diffs: np.ndarray, relaxed: bool) -> np.ndarray:
-    base = diffs if relaxed else np.maximum(diffs, 0.0)
-    return np.concatenate(([0.0], np.maximum.accumulate(base)))[:-1]
-
-
 def one_sided_loss(
-    f_x,
-    f_xprime,
-    eps1: float,
-    eps2: float,
-    sensitivity: float = 1.0,
-    gumbel_relaxation: bool = False,
+    f_x, f_xprime, eps1: float, eps2: float, sensitivity: float = 1.0
 ) -> float:
     """Worst-case ln(P_x(k)/P_x'(k)) bound over halting outcomes k.
 
     Asymmetric in its dataset arguments; evaluate both orders for a
-    range-bounded statement. See the module docstring for the relaxation
-    caveat.
+    range-bounded statement.
     """
     fx = np.asarray(f_x, dtype=float)
     fxp = np.asarray(f_xprime, dtype=float)
     if fx.shape != fxp.shape or fx.ndim != 1 or fx.size == 0:
         raise ValueError("query sequences must be equal-length non-empty 1-d arrays")
-    if not (eps1 > 0 and eps2 > 0 and sensitivity > 0):
-        raise ValueError("eps1, eps2 and sensitivity must be positive")
+    check_eps(eps1, "eps1")
+    check_eps(eps2, "eps2")
+    if not sensitivity > 0:
+        raise ValueError("sensitivity must be positive")
     diffs = fxp - fx
-    gaps = _prefix_gaps(diffs, gumbel_relaxation)
+    # D_k of the module docstring: the largest positive gap before query k
+    gaps = np.concatenate(([0.0], np.maximum.accumulate(np.maximum(diffs, 0.0))))[:-1]
     terms = (eps1 / sensitivity) * gaps + (eps2 / sensitivity) * np.maximum(
         0.0, gaps - diffs
     )
@@ -150,17 +122,12 @@ def one_sided_loss(
 
 
 def range_bounded_of_pair(
-    f_x,
-    f_xprime,
-    eps1: float,
-    eps2: float,
-    sensitivity: float = 1.0,
-    gumbel_relaxation: bool = False,
+    f_x, f_xprime, eps1: float, eps2: float, sensitivity: float = 1.0
 ) -> float:
     """Sum of the two one-sided losses for a neighbor pair."""
-    return one_sided_loss(
-        f_x, f_xprime, eps1, eps2, sensitivity, gumbel_relaxation
-    ) + one_sided_loss(f_xprime, f_x, eps1, eps2, sensitivity, gumbel_relaxation)
+    return one_sided_loss(f_x, f_xprime, eps1, eps2, sensitivity) + one_sided_loss(
+        f_xprime, f_x, eps1, eps2, sensitivity
+    )
 
 
 def guarantee_for(
@@ -187,10 +154,7 @@ def guarantee_for(
 
     rho_zcdp is the better of gamma^2/8 and eps^2/2.
     """
-    if not (eps1 > 0 and eps2 > 0):
-        raise ValueError("eps1 and eps2 must be positive")
-    if noise is NoiseKind.GUMBEL and eps1 != eps2:
-        raise ValueError("Gumbel noise requires eps1 == eps2")
+    check_split(eps1, eps2, noise)
 
     if query_class is QueryClass.GENERAL:
         eps = eps1 + 2 * eps2

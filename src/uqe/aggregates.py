@@ -16,6 +16,7 @@ import numpy as np
 from .emq import BoundedRange, emq_estimate
 from .noise import NoiseKind, NoiseSpec, RandomSource, sample
 from .quantile import Dataset, QuantileRequest, estimate_quantile
+from .sparse_vector import check_eps
 
 __all__ = [
     "ClipMethod",
@@ -30,14 +31,6 @@ __all__ = [
 class ClipMethod(enum.Enum):
     UQE = "uqe"
     EMQ = "emq"
-
-    @classmethod
-    def parse(cls, name: str) -> "ClipMethod":
-        key = name.strip().lower()
-        for method in cls:
-            if key == method.value:
-                return method
-        raise ValueError(f"unknown clip method: {name!r}")
 
 
 @dataclass(frozen=True)
@@ -57,8 +50,7 @@ class SumConfig:
     threshold_mode: str | None = None
 
     def __post_init__(self) -> None:
-        if not self.eps > 0:
-            raise ValueError("eps must be positive")
+        check_eps(self.eps)
         if not 0.0 < self.q <= 1.0:
             raise ValueError("q must lie in (0, 1]")
         if self.method is ClipMethod.EMQ and self.emq_range is None:

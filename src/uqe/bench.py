@@ -16,7 +16,6 @@ on it, and memory holds one resample at a time.
 from __future__ import annotations
 
 import json
-import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -34,11 +33,10 @@ from .emq import (
 )
 from .noise import NoiseKind, NoiseSpec, RandomSource, sample
 from .quantile import LogBucketHistogram, QuantileRequest, _release, build_histogram
-from .sparse_vector import DEFAULT_MAX_QUERIES
+from .sparse_vector import DEFAULT_MAX_QUERIES, check_eps
 
 __all__ = [
     "DEFAULT_QUANTILE_GRID",
-    "SUM_EPS_GRID",
     "EMQ_SUM_QS",
     "ExperimentSpec",
     "ResultRecord",
@@ -50,7 +48,6 @@ __all__ = [
 ]
 
 DEFAULT_QUANTILE_GRID = tuple(round(0.05 + 0.01 * i, 2) for i in range(91))
-SUM_EPS_GRID = (0.1, 0.5, 1.0)
 EMQ_SUM_QS = (0.95, 0.96, 0.97, 0.98, 0.99)
 
 # stream-id offsets so samples, perturbations and mechanism draws never collide
@@ -94,8 +91,7 @@ class ExperimentSpec:
         if levels.ndim != 1 or levels.size == 0 or not ((levels >= 0) & (levels <= 1)).all():
             raise ValueError("the quantile grid must be non-empty with levels in [0, 1]")
         for eps in self.eps_grid:
-            if not (eps > 0 and math.isfinite(eps)):
-                raise ValueError(f"each eps must be finite and > 0, got {eps!r}")
+            check_eps(eps)
         object.__setattr__(self, "data", data)
 
 

@@ -10,6 +10,7 @@ or the --seed flag.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -104,8 +105,8 @@ def _request(args, q: float, eps1: float, eps2: float) -> QuantileRequest:
         eps1=eps1,
         eps2=eps2,
         beta=args.beta,
-        noise=NoiseKind.parse(args.noise),
-        neighbor=NeighborModel.parse(args.neighbor),
+        noise=NoiseKind(args.noise),
+        neighbor=NeighborModel(args.neighbor),
         max_queries=args.max_queries,
     )
 
@@ -190,7 +191,7 @@ def cmd_sum(args) -> tuple[dict, int]:
     cfg = SumConfig(
         eps=args.epsilon,
         q=args.q,
-        method=ClipMethod.parse(args.method),
+        method=ClipMethod(args.method),
         beta=args.beta,
         emq_range=rng_range,
         threshold_mode=args.threshold_mode,
@@ -206,15 +207,15 @@ def cmd_sum(args) -> tuple[dict, int]:
 
 
 def cmd_account(args) -> tuple[dict, int]:
-    noise = NoiseKind.parse(args.noise)
+    noise = NoiseKind(args.noise)
     if args.num_quantiles is not None:
         budget = multi_quantile_guarantee(args.num_quantiles, args.eps1, args.eps2, noise)
         return {"multi_quantile": budget.as_dict()}, 0
     if args.query_class is None:
         raise ValueError("give --query-class, or --num-quantiles for the joint budget")
     guarantee = guarantee_for(
-        QueryClass.parse(args.query_class),
-        NeighborModel.parse(args.neighbor),
+        QueryClass(args.query_class),
+        NeighborModel(args.neighbor),
         noise,
         args.eps1,
         args.eps2,
@@ -309,7 +310,14 @@ def cmd_pdf(args) -> tuple[dict, int]:
     return {"written": written}, 0
 
 
+def _names(kinds) -> list[str]:
+    """An enum's values, the names its command-line options accept."""
+    return [k.value for k in kinds]
+
+
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="uqe",
         description="Differentially private quantiles without data bounds, "
@@ -332,8 +340,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     mech_p = argparse.ArgumentParser(add_help=False)
     mech_p.add_argument("--beta", type=float, default=1.001, help="grid ratio (> 1)")
-    mech_p.add_argument("--noise", default="expo", choices=["laplace", "gumbel", "expo"])
-    mech_p.add_argument("--neighbor", default="swap", choices=["swap", "add-subtract"])
+    mech_p.add_argument("--noise", default="expo", choices=_names(NoiseKind))
+    mech_p.add_argument("--neighbor", default="swap", choices=_names(NeighborModel))
     mech_p.add_argument("--max-queries", type=int, default=DEFAULT_MAX_QUERIES)
 
     p = sub.add_parser(
@@ -360,7 +368,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--epsilon", type=float, default=1.0, help="budget per stage (total is 2x)")
     p.add_argument("--q", type=float, default=0.99, help="clip quantile level")
-    p.add_argument("--method", default="uqe", choices=["uqe", "emq"])
+    p.add_argument("--method", default="uqe", choices=_names(ClipMethod))
     p.add_argument("--beta", type=float, default=1.01)
     p.add_argument("--range", type=float, nargs=2, metavar=("LO", "HI"), default=None)
     p.add_argument("--threshold-mode", default=None, choices=["n", "n-plus-inv-eps"])
@@ -368,13 +376,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_sum)
 
     p = sub.add_parser("account", help="privacy guarantees without running anything")
-    p.add_argument(
-        "--query-class",
-        default=None,
-        choices=["general", "monotonic", "count-minus-qn", "fixed-threshold-count"],
-    )
-    p.add_argument("--neighbor", default="swap", choices=["swap", "add-subtract"])
-    p.add_argument("--noise", default="expo", choices=["laplace", "gumbel", "expo"])
+    p.add_argument("--query-class", default=None, choices=_names(QueryClass))
+    p.add_argument("--neighbor", default="swap", choices=_names(NeighborModel))
+    p.add_argument("--noise", default="expo", choices=_names(NoiseKind))
     p.add_argument("--eps1", type=float, default=0.5)
     p.add_argument("--eps2", type=float, default=0.5)
     p.add_argument("--q", type=float, default=None)
@@ -433,8 +437,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         payload, code = args.handler(args)
     except (ValueError, OSError) as exc:

@@ -12,13 +12,14 @@ before the distribution degenerates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .noise import RandomSource
 from .quantile import build_histogram
-from .sparse_vector import gumbel_halt_log_pmf, gumbel_no_halt_prob
+from .sparse_vector import check_eps, gumbel_halt_log_pmf, gumbel_no_halt_prob
 
 __all__ = [
     "BoundedRange",
@@ -42,8 +43,9 @@ class BoundedRange:
     b: float
 
     def __post_init__(self) -> None:
-        if not self.a < self.b:
-            raise ValueError("range must satisfy a < b")
+        # NaN fails the comparison too
+        if not -math.inf < self.a < self.b < math.inf:
+            raise ValueError("range must be finite with a < b")
 
     @property
     def width(self) -> float:
@@ -61,8 +63,7 @@ def _interval_edges(data, rng_range: BoundedRange) -> np.ndarray:
 
 
 def _log_weights(edges: np.ndarray, q: float, eps: float) -> np.ndarray:
-    if not eps > 0:
-        raise ValueError("eps must be positive")
+    check_eps(eps)
     if not 0.0 <= q <= 1.0:
         raise ValueError("q must lie in [0, 1]")
     n = edges.size - 2

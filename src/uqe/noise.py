@@ -22,14 +22,6 @@ class NoiseKind(enum.Enum):
     GUMBEL = "gumbel"
     EXPONENTIAL = "expo"
 
-    @classmethod
-    def parse(cls, name: str) -> "NoiseKind":
-        key = name.strip().lower()
-        for kind in cls:
-            if key in (kind.value, kind.name.lower()):
-                return kind
-        raise ValueError(f"unknown noise kind: {name!r}")
-
 
 @dataclass(frozen=True)
 class NoiseSpec:

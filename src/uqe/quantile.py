@@ -16,9 +16,7 @@ splitting for several quantiles at once.
 from __future__ import annotations
 
 import functools
-import json
 import math
-import operator
 from dataclasses import dataclass, replace
 from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
@@ -36,16 +34,18 @@ from .accounting import (
 from .noise import NoiseKind, RandomSource
 from .sparse_vector import (
     DEFAULT_MAX_QUERIES,
-    ArrayStream,
     QueryStream,
     SvtConfig,
     SvtOutcome,
+    check_max_queries,
+    check_split,
     run_above_threshold,
     run_above_threshold_noiseless,
 )
 
 __all__ = [
     "Dataset",
+    "check_beta",
     "GeometricGrid",
     "LogBucketHistogram",
     "build_histogram",
@@ -87,6 +87,12 @@ class Dataset:
         return int(self.values.size)
 
 
+def check_beta(beta: float) -> None:
+    """The grid ratio rule: beta is finite and > 1."""
+    if not (beta > 1.0 and math.isfinite(beta)):
+        raise ValueError("beta must be finite and > 1")
+
+
 class GeometricGrid:
     """Candidate values beta^i + ell - 1 with powers cached by multiplication.
 
@@ -96,8 +102,7 @@ class GeometricGrid:
     """
 
     def __init__(self, beta: float, lower_bound: float) -> None:
-        if not (beta > 1.0 and math.isfinite(beta)):
-            raise ValueError("beta must be finite and > 1")
+        check_beta(beta)
         self.beta = float(beta)
         self.lower_bound = float(lower_bound)
         self._log_beta = math.log(self.beta)
@@ -271,25 +276,6 @@ class LogBucketHistogram:
             return 0
         return int(self.cumulative[min(i, self.cumulative.size) - 1])
 
-    def to_json(self) -> str:
-        payload = {
-            "beta": self.grid.beta,
-            "ell": self.grid.lower_bound,
-            "counts": {str(b): c for b, c in sorted(self.counts.items())},
-        }
-        return json.dumps(payload, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "LogBucketHistogram":
-        payload = json.loads(text)
-        grid = GeometricGrid(payload["beta"], payload["ell"])
-        counts = {int(b): int(c) for b, c in payload["counts"].items()}
-        if any(b < 0 or c <= 0 for b, c in counts.items()):
-            raise ValueError("bucket indices must be >= 0 with positive counts")
-        totals = np.zeros(max(counts, default=-1) + 1, dtype=np.int64)
-        totals[list(counts)] = list(counts.values())
-        return cls(grid, totals)
-
 
 # sized so a block's shift/log/index temporaries stay cache-resident,
 # keeping the per-element build cost flat from small n to millions
@@ -337,9 +323,7 @@ def counting_query_stream(
     Monotonic with sensitivity 1 under swap neighbors: swapping one point
     moves every prefix count by at most 1, in the same direction.
     """
-    return ArrayStream(
-        hist.cumulative, hist.n, sensitivity=1.0, monotonic=True, max_queries=max_queries
-    )
+    return QueryStream(hist.cumulative, hist.n, sensitivity=1.0, max_queries=max_queries)
 
 
 @dataclass(frozen=True)
@@ -357,18 +341,9 @@ class QuantileRequest:
     def __post_init__(self) -> None:
         if not 0.0 <= self.q <= 1.0:
             raise ValueError("q must lie in [0, 1]")
-        if not (self.eps1 > 0 and self.eps2 > 0):
-            raise ValueError("eps1 and eps2 must be positive")
-        if not (self.beta > 1.0 and math.isfinite(self.beta)):
-            raise ValueError("beta must be finite and > 1")
-        try:
-            operator.index(self.max_queries)
-        except TypeError:
-            raise ValueError("max_queries must be an integer") from None
-        if self.max_queries < 1:
-            raise ValueError("max_queries must be at least 1")
-        if self.noise is NoiseKind.GUMBEL and self.eps1 != self.eps2:
-            raise ValueError("Gumbel noise requires eps1 == eps2")
+        check_split(self.eps1, self.eps2, self.noise)
+        check_beta(self.beta)
+        check_max_queries(self.max_queries)
 
     @classmethod
     def even_split(cls, q: float, eps: float, **kwargs) -> "QuantileRequest":
@@ -510,11 +485,10 @@ def _signed_stream(totals: np.ndarray, n: int, max_queries: int) -> QueryStream:
     under swap neighbors. The stream's position p is candidate index p - 1.
     """
     lead = n - int(totals.sum())
-    return ArrayStream(
+    return QueryStream(
         np.concatenate(([lead], lead + np.cumsum(totals))),
         n,
         sensitivity=1.0,
-        monotonic=True,
         max_queries=max_queries,
     )
 
@@ -624,9 +598,10 @@ def estimate_multiple_quantiles(
     q_arr = np.asarray(qs, dtype=float)
     if q_arr.ndim != 1 or q_arr.size == 0:
         raise ValueError("qs must be a non-empty 1-d sequence")
-    if (np.diff(q_arr) <= 0).any():
+    # NaN fails every comparison, so these reject it too
+    if not (np.diff(q_arr) > 0).all():
         raise ValueError("qs must be sorted and distinct")
-    if q_arr[0] <= 0.0 or q_arr[-1] >= 1.0:
+    if not (q_arr[0] > 0.0 and q_arr[-1] < 1.0):
         raise ValueError("quantiles must lie strictly inside (0, 1)")
 
     n_total = data.n
@@ -655,7 +630,7 @@ def estimate_multiple_quantiles(
             continue
         y = grid.shift(xs[a:b])
         counts = _sorted_cumulative(grid, y, cap)
-        stream = ArrayStream(counts, b - a, sensitivity=1.0, monotonic=True, max_queries=cap)
+        stream = QueryStream(counts, b - a, sensitivity=1.0, max_queries=cap)
         t = float((q_arr[mid] - mass_lo) * n_total)
         est = _finish(grid, _scan(stream, t, req, rng, noiseless))
         estimates[mid] = est.value

@@ -1,7 +1,8 @@
 """AboveThreshold over adaptive query streams.
 
-The runner consumes a lazily evaluated stream of query values f_1, f_2, ...
-and halts at the first index whose noisy value clears the noisy threshold.
+The runner consumes a stream of query values f_1, f_2, ..., an array
+followed by an optional constant, and halts at the first index whose noisy
+value clears the noisy threshold.
 Halting early (or capping the stream) never hurts privacy, so running out of
 queries is reported as an outcome, not an error.
 
@@ -17,11 +18,10 @@ identical to the Gumbel run.
 
 from __future__ import annotations
 
+import math
 import operator
-from dataclasses import dataclass
-from functools import partial
-from itertools import islice
-from typing import Callable, Iterator, Sequence
+from dataclasses import dataclass, replace
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -30,14 +30,15 @@ from .noise import NoiseKind, NoiseSpec, RandomSource, sample
 __all__ = [
     "DEFAULT_MAX_QUERIES",
     "QueryStream",
-    "ArrayStream",
+    "check_max_queries",
+    "check_eps",
+    "check_split",
     "SvtConfig",
     "SvtOutcome",
     "run_above_threshold",
     "run_above_threshold_noiseless",
     "run_iterative_em",
     "gumbel_halt_log_pmf",
-    "gumbel_outcome_pmf",
     "gumbel_no_halt_prob",
     "simulate_halt_indices",
     "simulate_iterative_em",
@@ -56,93 +57,61 @@ _FIRST_QUERY_BLOCK = 256
 _MAX_QUERY_BLOCK = 1 << 14
 
 
+def check_max_queries(max_queries) -> None:
+    """The query cap rule: an integer >= 1."""
+    try:
+        operator.index(max_queries)
+    except TypeError:
+        raise ValueError("max_queries must be an integer") from None
+    if max_queries < 1:
+        raise ValueError("max_queries must be at least 1")
+
+
+def check_eps(eps: float, name: str = "eps") -> None:
+    """The budget rule: eps is a finite number > 0."""
+    if not 0 < eps < math.inf:
+        raise ValueError(f"{name} must be finite and > 0, got {eps!r}")
+
+
+def check_split(eps1: float, eps2: float, noise: NoiseKind) -> None:
+    """The budget split of one run: eps1 and eps2 obey check_eps, and
+    Gumbel noise needs eps1 == eps2."""
+    check_eps(eps1, "eps1")
+    check_eps(eps2, "eps2")
+    if noise is NoiseKind.GUMBEL and eps1 != eps2:
+        raise ValueError("Gumbel noise requires eps1 == eps2")
+
+
 @dataclass(frozen=True)
 class QueryStream:
-    """An adaptive query sequence with its stability metadata.
+    """f_i = head[i-1] for i <= len(head), then tail forever, capped at
+    max_queries queries.
 
-    values() must return a fresh iterator over f_1, f_2, ... each time it is
-    called. sensitivity is the worst-case |f_i(x) - f_i(x')| over declared
-    neighbors; monotonic means f_i(x) - f_i(x') keeps one sign along i.
-    The first query is index 1; callers that think of their candidate grid
-    as starting elsewhere remap the halt index themselves.
+    A stream without a tail ends after its head, so its cap is at most
+    len(head). sensitivity is the worst-case |f_i(x) - f_i(x')| over
+    declared neighbors. The first query is index 1; callers that think of
+    their candidate grid as starting elsewhere remap the halt index
+    themselves.
     """
 
-    values: Callable[[], Iterator[float]]
+    head: np.ndarray
+    tail: float | None = None
     sensitivity: float = 1.0
-    monotonic: bool = False
     max_queries: int = DEFAULT_MAX_QUERIES
 
     def __post_init__(self) -> None:
-        if not self.sensitivity > 0:
-            raise ValueError("sensitivity must be positive")
-        try:
-            operator.index(self.max_queries)
-        except TypeError:
-            raise ValueError("max_queries must be an integer") from None
-        if self.max_queries < 1:
-            raise ValueError("max_queries must be at least 1")
-
-    def reader(self) -> Callable[[int], np.ndarray]:
-        """A fresh reader: each call read(m) returns the next m query values,
-        fewer once the stream has ended."""
-        it = self.values()
-        return lambda m: np.fromiter(islice(it, m), dtype=float)
-
-    @classmethod
-    def from_values(
-        cls,
-        seq: Sequence[float],
-        sensitivity: float = 1.0,
-        monotonic: bool = False,
-        max_queries: int | None = None,
-    ) -> "QueryStream":
-        vals = np.fromiter(seq, dtype=float)
-        cap = vals.size if max_queries is None else max_queries
-        return ArrayStream(vals, None, sensitivity, monotonic, cap)
-
-
-class ArrayStream(QueryStream):
-    """f_i = head[i-1] for i <= len(head), then tail forever; the stream ends
-    after head when tail is None. Blocks are slices, not iterator steps."""
-
-    def __init__(
-        self,
-        head,
-        tail: float | None = None,
-        sensitivity: float = 1.0,
-        monotonic: bool = False,
-        max_queries: int = DEFAULT_MAX_QUERIES,
-    ) -> None:
-        head = np.array(head, dtype=float)
+        head = np.array(self.head, dtype=float)
         if head.ndim != 1:
             raise ValueError("head must be 1-d")
         head.flags.writeable = False
-        tail = None if tail is None else float(tail)
-        # values must not refer back to self: a reference cycle would keep
-        # every run's arrays alive until the next full garbage collection
-        super().__init__(partial(_iterate, head, tail), sensitivity, monotonic, max_queries)
+        if not self.sensitivity > 0:
+            raise ValueError("sensitivity must be positive")
+        check_max_queries(self.max_queries)
         object.__setattr__(self, "head", head)
-        object.__setattr__(self, "tail", tail)
-
-    def reader(self) -> Callable[[int], np.ndarray]:
-        head, tail = self.head, self.tail
-        pos = 0
-
-        def read(m: int) -> np.ndarray:
-            nonlocal pos
-            start, pos = pos, pos + m
-            block = head[start:pos]
-            if block.size < m and tail is not None:
-                block = np.concatenate((block, np.full(m - block.size, tail)))
-            return block
-
-        return read
-
-
-def _iterate(head: np.ndarray, tail: float | None) -> Iterator[float]:
-    yield from head.tolist()
-    while tail is not None:
-        yield tail
+        if self.tail is None:
+            object.__setattr__(self, "max_queries", min(self.max_queries, head.size))
+        else:
+            object.__setattr__(self, "tail", float(self.tail))
 
 
 @dataclass(frozen=True)
@@ -155,10 +124,7 @@ class SvtConfig:
     threshold: float
 
     def __post_init__(self) -> None:
-        if not (self.eps1 > 0 and self.eps2 > 0):
-            raise ValueError("eps1 and eps2 must be positive")
-        if self.noise is NoiseKind.GUMBEL and self.eps1 != self.eps2:
-            raise ValueError("Gumbel noise requires eps1 == eps2")
+        check_split(self.eps1, self.eps2, self.noise)
 
 
 @dataclass(frozen=True)
@@ -182,16 +148,17 @@ class SvtOutcome:
 
 
 def _blocks(stream: QueryStream) -> Iterator[tuple[int, np.ndarray]]:
-    """(offset, values) for consecutive blocks of the stream, up to its cap."""
-    read = stream.reader()
+    """(offset, values) for consecutive blocks of the stream, up to its cap.
+    Blocks are slices of the head, padded with the tail past its end."""
+    head, tail, cap = stream.head, stream.tail, stream.max_queries
     start, size = 0, _FIRST_QUERY_BLOCK
-    while start < stream.max_queries:
-        vals = read(min(size, stream.max_queries - start))
-        if vals.size == 0:
-            return
-        yield start, vals
-        start += vals.size
-        size = min(2 * size, _MAX_QUERY_BLOCK)
+    while start < cap:
+        stop = min(start + size, cap)
+        block = head[start:stop]
+        if block.size < stop - start:
+            block = np.concatenate((block, np.full(stop - start - block.size, tail)))
+        yield start, block
+        start, size = stop, min(2 * size, _MAX_QUERY_BLOCK)
 
 
 def run_above_threshold(
@@ -242,17 +209,15 @@ def run_iterative_em(
     exponent eps/(2*sensitivity) and halts iff it picks f_i. Distributionally
     identical to the Gumbel run with eps1 = eps2 = eps/2.
     """
-    if not eps > 0:
-        raise ValueError("eps must be positive")
+    check_eps(eps)
     s = eps / (2.0 * stream.sensitivity)
     scores = [s * threshold]
-    for i, value in enumerate(stream.values(), start=1):
-        scores.append(s * value)
-        gums = -np.log(-np.log(rng.uniform_open(len(scores))))
-        if int(np.argmax(np.asarray(scores) + gums)) == i:
-            return SvtOutcome.halt(i)
-        if i >= stream.max_queries:
-            break
+    for start, vals in _blocks(stream):
+        for i, value in enumerate(vals.tolist(), start=start + 1):
+            scores.append(s * value)
+            gums = -np.log(-np.log(rng.uniform_open(len(scores))))
+            if int(np.argmax(np.asarray(scores) + gums)) == i:
+                return SvtOutcome.halt(i)
     return SvtOutcome.out_of_queries(stream.max_queries)
 
 
@@ -273,20 +238,6 @@ def gumbel_halt_log_pmf(
     """
     scaled, lse = _scaled_prefix_lse(values, threshold, eps, sensitivity)
     return scaled[1:] + scaled[0] - lse[1:] - lse[:-1]
-
-
-def gumbel_outcome_pmf(
-    values: Sequence[float],
-    threshold: float,
-    eps: float,
-    sensitivity: float,
-    k: int,
-) -> float:
-    """P[halt at k] under Gumbel noise with eps1 = eps2 = eps."""
-    values = np.asarray(values, dtype=float)
-    if not 1 <= k <= len(values):
-        raise ValueError(f"k must be in 1..{len(values)}, got {k}")
-    return float(np.exp(gumbel_halt_log_pmf(values, threshold, eps, sensitivity)[k - 1]))
 
 
 def gumbel_no_halt_prob(
@@ -357,8 +308,9 @@ def simulate_iterative_em(
 
 
 def stream_prefix(stream: QueryStream, k: int) -> np.ndarray:
-    """Materialize the first k query values of a stream."""
-    vals = stream.reader()(k)
+    """Materialize the first k query values of a stream, whatever its cap."""
+    blocks = _blocks(replace(stream, max_queries=k))
+    vals = np.concatenate([np.zeros(0), *(block for _, block in blocks)])
     if vals.size < k:
         raise ValueError(f"the stream ends after {vals.size} of {k} queries")
     return vals

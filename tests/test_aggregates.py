@@ -99,8 +99,9 @@ def test_private_sum_is_usually_close():
 
 
 def test_validation():
-    with pytest.raises(ValueError):
-        SumConfig(eps=0.0)
+    for eps in (0.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="eps"):
+            SumConfig(eps=eps)
     with pytest.raises(ValueError):
         SumConfig(eps=1.0, q=0.0)
     with pytest.raises(ValueError):
@@ -113,8 +114,8 @@ def test_validation():
         dp_sum(np.array([]), SumConfig(eps=1.0), RandomSource(1))
     with pytest.raises(ValueError):
         dp_sum(np.array([1.0]), SumConfig(eps=1.0))
-    assert ClipMethod.parse("EMQ") is ClipMethod.EMQ
+    assert ClipMethod("emq") is ClipMethod.EMQ
     with pytest.raises(ValueError):
-        ClipMethod.parse("tree")
+        ClipMethod("tree")
     d = dp_sum(np.array([1.0]), SumConfig(eps=1.0), noiseless=True).as_dict()
     assert set(d) == {"estimate", "clip", "epsilon_total", "clip_clamped", "clip_exhausted"}

@@ -343,6 +343,35 @@ class TestBench:
             assert captured.err.startswith("error:")
 
 
+class TestBadInputExits1:
+    # each of these used to exit 0 with a non-finite release, or fail late
+    # with an error about the noise scale
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "argv, names",
+        [
+            (["quantiles", "--qs", "0.2,nan", "--lower", "0"], "qs"),
+            (["account", "--eps1", "inf", "--query-class", "monotonic"], "eps1"),
+            (["account", "--eps1", "0.5", "--eps2", "inf", "--num-quantiles", "3"], "eps2"),
+            (["quantile", "--q", "0.5", "--epsilon", "inf"], "eps1"),
+            (["sum", "--epsilon", "inf"], "eps"),
+            (
+                ["bench", "--synthetic", "uniform", "--n", "200", "--sample-size", "100",
+                 "--outer", "1", "--qs", "0.5", "--range", "-5", "inf"],
+                "range",
+            ),
+        ],
+    )
+    def test_exits_1_with_an_error(self, capsys, argv, names):
+        if argv[0] in ("quantiles", "quantile", "sum"):
+            argv = argv + ["--input", SMOKE, "--column", "value"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert names in captured.err
+
+
 class TestPdf:
     def test_default_ranges_share_grid_curve(self, capsys, tmp_path):
         code, payload = run_cli(

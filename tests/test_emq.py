@@ -94,8 +94,9 @@ def test_rank_shift_invariance():
 
 
 def test_validation_errors():
-    with pytest.raises(ValueError):
-        BoundedRange(1.0, 1.0)
+    for a, b in ((1.0, 1.0), (-5.0, np.inf), (-np.inf, 0.0), (np.nan, 1.0), (0.0, np.nan)):
+        with pytest.raises(ValueError, match="range"):
+            BoundedRange(a, b)
     with pytest.raises(ValueError):
         emq_interval_pmf([11.0], BoundedRange(0, 10), 0.5, 1.0)
     with pytest.raises(ValueError):

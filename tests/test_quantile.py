@@ -21,7 +21,6 @@ from uqe.noise import NoiseKind, RandomSource
 from uqe.quantile import (
     Dataset,
     GeometricGrid,
-    LogBucketHistogram,
     QuantileRequest,
     build_histogram,
     counting_query_stream,
@@ -127,17 +126,6 @@ def test_swap_neighbors_move_counts_by_at_most_one_with_constant_sign():
         assert not ((diff > 0).any() and (diff < 0).any())
 
 
-def test_histogram_json_roundtrip():
-    data = np.array([2.0, 2.0, 3.5, 9.0, 41.0])
-    hist = build_histogram(data, 1.5, 2.0)
-    back = LogBucketHistogram.from_json(hist.to_json())
-    assert back.beta == hist.beta
-    assert back.lower_bound == hist.lower_bound
-    assert back.counts == hist.counts
-    assert back.n == hist.n
-    assert back.prefix_count(7) == hist.prefix_count(7)
-
-
 def test_noiseless_estimate_frozen_instance():
     data = Dataset(np.arange(1, 101.0), lower_bound=1.0)
     req = QuantileRequest(q=0.5, eps1=0.5, eps2=0.5, beta=1.1)
@@ -203,6 +191,11 @@ def test_request_validation_and_split():
         QuantileRequest(q=1.5, eps1=1, eps2=1)
     with pytest.raises(ValueError):
         QuantileRequest(q=0.5, eps1=0, eps2=1)
+    for eps in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="eps"):
+            QuantileRequest(q=0.5, eps1=1, eps2=eps)
+        with pytest.raises(ValueError, match="eps"):
+            QuantileRequest.even_split(0.5, eps)
     with pytest.raises(ValueError):
         QuantileRequest(q=0.5, eps1=1, eps2=1, beta=0.999)
     with pytest.raises(ValueError):
@@ -396,3 +389,7 @@ class TestMultiQuantile:
             estimate_multiple_quantiles(data, [0.0, 0.5], req, noiseless=True)
         with pytest.raises(ValueError):
             estimate_multiple_quantiles(data, [], req, noiseless=True)
+        # NaN fails every order comparison; it used to pass as a level
+        for qs in ([0.2, np.nan], [np.nan], [0.2, np.nan, 0.8], [np.nan, 0.5]):
+            with pytest.raises(ValueError):
+                estimate_multiple_quantiles(data, qs, req, noiseless=True)

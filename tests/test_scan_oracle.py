@@ -50,7 +50,6 @@ from uqe.quantile import (
 )
 from uqe.sparse_vector import (
     DEFAULT_MAX_QUERIES,
-    ArrayStream,
     QueryStream,
     SvtConfig,
     SvtOutcome,
@@ -65,12 +64,19 @@ PROPERTY = settings(
 )
 
 
+def iterate(stream):
+    """Reference reader: the stream's values one at a time, head then tail."""
+    yield from stream.head.tolist()
+    while stream.tail is not None:
+        yield stream.tail
+
+
 def scalar_above_threshold(stream, cfg, rng):
     """Reference: one noise draw and one comparison per query."""
     delta = stream.sensitivity
     noisy_t = cfg.threshold + sample(NoiseSpec(cfg.noise, delta / cfg.eps1), rng)
     query_spec = NoiseSpec(cfg.noise, delta / cfg.eps2)
-    for i, value in enumerate(stream.values(), start=1):
+    for i, value in enumerate(iterate(stream), start=1):
         if value + sample(query_spec, rng) >= noisy_t:
             return SvtOutcome.halt(i)
         if i >= stream.max_queries:
@@ -79,7 +85,7 @@ def scalar_above_threshold(stream, cfg, rng):
 
 
 def scalar_noiseless(stream, threshold):
-    for i, value in enumerate(stream.values(), start=1):
+    for i, value in enumerate(iterate(stream), start=1):
         if value >= threshold:
             return SvtOutcome.halt(i)
         if i >= stream.max_queries:
@@ -142,11 +148,7 @@ def test_block_runner_matches_scalar_on_finite_streams(
 ):
     values = slope * np.arange(length) + np.sin(np.arange(length))
     cfg = config(kind, eps1, eps2, threshold)
-    assert_same_run(lambda: QueryStream.from_values(values, max_queries=cap), cfg, seed)
-    # the same finite stream served by a plain iterator instead of an array
-    assert_same_run(
-        lambda: QueryStream(values=lambda: iter(values.tolist()), max_queries=cap), cfg, seed
-    )
+    assert_same_run(lambda: QueryStream(values, max_queries=cap), cfg, seed)
 
 
 @PROPERTY
@@ -164,14 +166,7 @@ def test_block_runner_matches_scalar_on_endless_streams(
 ):
     head = np.cumsum(head, dtype=float)
     cfg = config(kind, eps, eps / 2, threshold)
-    assert_same_run(lambda: ArrayStream(head, tail, max_queries=cap), cfg, seed)
-
-    def endless():
-        yield from head.tolist()
-        while True:
-            yield float(tail)
-
-    assert_same_run(lambda: QueryStream(values=endless, max_queries=cap), cfg, seed)
+    assert_same_run(lambda: QueryStream(head, tail, max_queries=cap), cfg, seed)
 
 
 @PROPERTY
@@ -184,7 +179,7 @@ def test_block_runner_matches_scalar_on_endless_streams(
 def test_noiseless_block_runner_matches_scalar(head, tail, threshold, cap):
     if not head and tail is None:
         head = [0.0]
-    stream = ArrayStream(head, tail, max_queries=cap)
+    stream = QueryStream(head, tail, max_queries=cap)
     assert run_above_threshold_noiseless(stream, threshold) == scalar_noiseless(
         stream, threshold
     )
@@ -192,7 +187,7 @@ def test_noiseless_block_runner_matches_scalar(head, tail, threshold, cap):
 
 def test_cap_one_and_block_edges_exhaust_with_one_draw_per_query():
     for cap in (1, 255, 256, 257):
-        stream = ArrayStream([], -1e9, max_queries=cap)
+        stream = QueryStream([], -1e9, max_queries=cap)
         rng = RandomSource(5)
         out = run_above_threshold(stream, SvtConfig(1.0, 1.0, NoiseKind.LAPLACE, 0.0), rng)
         assert out == SvtOutcome.out_of_queries(cap)
@@ -205,7 +200,7 @@ def test_array_stream_is_freed_without_garbage_collection():
     # a reference cycle would keep every run's query arrays until a full collection
     gc.disable()
     try:
-        stream = ArrayStream(np.arange(10.0), 10.0)
+        stream = QueryStream(np.arange(10.0), 10.0)
         ref = weakref.ref(stream)
         del stream
         assert ref() is None
@@ -215,12 +210,12 @@ def test_array_stream_is_freed_without_garbage_collection():
 
 def test_stream_prefix_rejects_a_short_stream():
     with pytest.raises(ValueError):
-        stream_prefix(QueryStream.from_values([1.0, 2.0]), 3)
+        stream_prefix(QueryStream([1.0, 2.0]), 3)
 
 
 def test_max_queries_must_be_an_integer():
     with pytest.raises(ValueError):
-        QueryStream.from_values([1.0], max_queries=2.5)
+        QueryStream([1.0], max_queries=2.5)
     with pytest.raises(ValueError):
         QuantileRequest(q=0.5, eps1=1.0, eps2=1.0, max_queries=2.5)
 
@@ -253,7 +248,7 @@ def two_build_signed_stream(values, beta, max_queries):
         hist = build_histogram(nonneg, beta, 0.0, max_queries)
         grid, above = hist.grid, hist.cumulative
     lead = np.concatenate(([negatives], negatives + above))
-    return ArrayStream(lead, values.size, 1.0, True, max_queries), grid
+    return QueryStream(lead, values.size, 1.0, max_queries), grid
 
 
 def two_build_unbounded(data, req, rng, noiseless):

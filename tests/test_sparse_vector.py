@@ -16,7 +16,6 @@ from uqe.sparse_vector import (
     SvtOutcome,
     gumbel_halt_log_pmf,
     gumbel_no_halt_prob,
-    gumbel_outcome_pmf,
     run_above_threshold,
     run_above_threshold_noiseless,
     run_iterative_em,
@@ -34,15 +33,14 @@ ORACLE_NO_HALT = 0.2760043447065952
 
 def test_gumbel_pmf_trivial_instance():
     # two zero queries at threshold zero: 1/2 then 1/6
-    assert gumbel_outcome_pmf([0.0, 0.0], 0.0, 1.0, 1.0, 1) == pytest.approx(0.5)
-    assert gumbel_outcome_pmf([0.0, 0.0], 0.0, 1.0, 1.0, 2) == pytest.approx(1 / 6)
+    pmf = np.exp(gumbel_halt_log_pmf([0.0, 0.0], 0.0, 1.0))
+    assert pmf == pytest.approx([0.5, 1 / 6])
     assert gumbel_no_halt_prob([0.0, 0.0], 0.0, 1.0) == pytest.approx(1 / 3)
 
 
 def test_gumbel_pmf_matches_integral_oracle():
-    for k, expect in enumerate(ORACLE_PMF, start=1):
-        got = gumbel_outcome_pmf(ORACLE_VALUES, ORACLE_T, 1.0, 1.0, k)
-        assert got == pytest.approx(expect, abs=1e-8)
+    got = np.exp(gumbel_halt_log_pmf(ORACLE_VALUES, ORACLE_T, 1.0))
+    assert got == pytest.approx(ORACLE_PMF, abs=1e-8)
     assert gumbel_no_halt_prob(ORACLE_VALUES, ORACLE_T, 1.0) == pytest.approx(
         ORACLE_NO_HALT, abs=1e-8
     )
@@ -82,13 +80,6 @@ def test_gumbel_pmf_survives_huge_exponents():
     assert total == pytest.approx(1.0, abs=1e-12)
 
 
-def test_gumbel_outcome_pmf_bounds_check():
-    with pytest.raises(ValueError):
-        gumbel_outcome_pmf([1.0], 0.0, 1.0, 1.0, 2)
-    with pytest.raises(ValueError):
-        gumbel_outcome_pmf([1.0], 0.0, 1.0, 1.0, 0)
-
-
 def test_em_product_identity_matches_closed_form():
     # product of per-step selection odds telescopes into the halt pmf
     rng = np.random.default_rng(4)
@@ -123,7 +114,7 @@ def test_scalar_runner_matches_simulator_distribution():
     trials = 20_000
     scal = np.array([
         run_above_threshold(
-            QueryStream.from_values(values), cfg, RandomSource(60, stream=i)
+            QueryStream(values), cfg, RandomSource(60, stream=i)
         ).index
         or 0
         for i in range(trials)
@@ -144,14 +135,14 @@ def test_huge_first_query_halts_immediately(kind):
 
 
 def test_noiseless_mode_halts_at_first_crossing():
-    stream = QueryStream.from_values([0.1 * i for i in range(1, 11)])
+    stream = QueryStream([0.1 * i for i in range(1, 11)])
     out = run_above_threshold_noiseless(stream, 0.55)
     assert out == SvtOutcome.halt(6)
     assert not out.exhausted
 
 
 def test_noiseless_mode_reports_exhaustion():
-    stream = QueryStream.from_values([0.0, 0.0, 0.0])
+    stream = QueryStream([0.0, 0.0, 0.0])
     out = run_above_threshold_noiseless(stream, 10.0)
     assert out.exhausted
     assert out.cap == 3
@@ -159,28 +150,24 @@ def test_noiseless_mode_reports_exhaustion():
 
 
 def test_cap_respected_on_endless_stream():
-    def endless():
-        while True:
-            yield -100.0
-
-    stream = QueryStream(values=endless, max_queries=5)
+    stream = QueryStream([], -100.0, max_queries=5)
     cfg = SvtConfig(1.0, 1.0, NoiseKind.EXPONENTIAL, 1e9)
     out = run_above_threshold(stream, cfg, RandomSource(8))
     assert out.exhausted and out.cap == 5
 
 
 def test_default_cap_value():
-    def endless():
-        while True:
-            yield 0.0
-
-    assert QueryStream(values=endless).max_queries == DEFAULT_MAX_QUERIES == 200_000
+    assert QueryStream([], 0.0).max_queries == DEFAULT_MAX_QUERIES == 200_000
 
 
 def test_gumbel_requires_equal_split():
     with pytest.raises(ValueError):
         SvtConfig(1.0, 0.5, NoiseKind.GUMBEL, 0.0)
     SvtConfig(1.0, 0.5, NoiseKind.LAPLACE, 0.0)  # fine for other kinds
+    # inf would make the noise scale 0, which used to fail only at the first draw
+    for eps in (np.inf, np.nan, 0.0, -1.0):
+        with pytest.raises(ValueError, match="eps1"):
+            SvtConfig(eps, 0.5, NoiseKind.LAPLACE, 0.0)
 
 
 def test_iterative_em_trivial_half():
@@ -195,7 +182,7 @@ def test_iterative_em_scalar_runner_agrees():
     trials = 20_000
     scal = np.array([
         run_iterative_em(
-            QueryStream.from_values(values), 0.5, 2.0, RandomSource(77, stream=i)
+            QueryStream(values), 0.5, 2.0, RandomSource(77, stream=i)
         ).index
         or 0
         for i in range(trials)
@@ -222,16 +209,21 @@ def test_simulated_em_matches_gumbel_run():
         assert abs(f_em[outcome] - f_at[outcome]) < 4 * se
 
 
-def test_stream_prefix_and_from_values():
-    stream = QueryStream.from_values([3.0, 1.0, 4.0])
+def test_stream_prefix_and_tailless_stream():
+    stream = QueryStream([3.0, 1.0, 4.0])
     assert np.array_equal(stream_prefix(stream, 2), [3.0, 1.0])
     assert stream.max_queries == 3
-    # fresh iterator per call
+    # reading a prefix does not consume the stream
     assert np.array_equal(stream_prefix(stream, 3), [3.0, 1.0, 4.0])
+    # a stream without a tail ends after its head, whatever cap it is given
+    assert QueryStream([3.0, 1.0, 4.0], max_queries=10).max_queries == 3
+    assert np.array_equal(stream_prefix(QueryStream([2.0], 5.0), 3), [2.0, 5.0, 5.0])
 
 
 def test_stream_validation():
     with pytest.raises(ValueError):
-        QueryStream.from_values([1.0], sensitivity=0.0)
+        QueryStream([1.0], sensitivity=0.0)
     with pytest.raises(ValueError):
-        QueryStream(values=lambda: iter([]), max_queries=0)
+        QueryStream([], 0.0, max_queries=0)
+    with pytest.raises(ValueError):
+        QueryStream([[1.0, 2.0]])
