@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .aggregates import clipped_sum
-from .datasets import perturb, true_quantile
+from .datasets import check_perturb_scale, perturb, true_quantile
 from .emq import (
     BoundedRange,
     _draw_from_edges,
@@ -32,7 +32,7 @@ from .emq import (
     uqe_pdf_curve,
 )
 from .noise import NoiseKind, NoiseSpec, RandomSource, sample
-from .quantile import LogBucketHistogram, QuantileRequest, _release, build_histogram
+from .quantile import LogBucketHistogram, QuantileRequest, _release, build_histogram, check_beta
 from .sparse_vector import DEFAULT_MAX_QUERIES, check_eps
 
 __all__ = [
@@ -92,6 +92,9 @@ class ExperimentSpec:
             raise ValueError("the quantile grid must be non-empty with levels in [0, 1]")
         for eps in self.eps_grid:
             check_eps(eps)
+        check_perturb_scale(self.perturb_scale)
+        check_beta(self.beta)
+        check_beta(self.sum_beta, "sum_beta")
         object.__setattr__(self, "data", data)
 
 

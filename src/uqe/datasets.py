@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import math
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ import numpy as np
 from .noise import RandomSource
 
 __all__ = [
+    "check_perturb_scale",
     "generate_synthetic",
     "load_csv",
     "perturb",
@@ -43,6 +45,7 @@ def load_csv(
     benchmark harness instead perturbs per resample and keeps the original
     values for ground truth, so it calls this with the default 0).
     """
+    check_perturb_scale(perturb_scale)
     path = Path(path)
     with path.open(newline="") as fh:
         rows = csv.reader(fh)
@@ -76,11 +79,16 @@ def load_csv(
     return out
 
 
+def check_perturb_scale(scale: float) -> None:
+    """The jitter rule: the scale is finite and >= 0."""
+    if not 0.0 <= scale < math.inf:
+        raise ValueError(f"perturb_scale must be finite and >= 0, got {scale!r}")
+
+
 def perturb(values, scale: float, rng: RandomSource) -> np.ndarray:
     """Gaussian jitter used to break ties for the interval-based baseline."""
     vals = np.asarray(values, dtype=float)
-    if scale < 0:
-        raise ValueError("scale must be nonnegative")
+    check_perturb_scale(scale)
     if scale == 0.0:
         return vals.copy()
     return vals + rng.gen.normal(0.0, scale, vals.shape)

@@ -87,10 +87,10 @@ class Dataset:
         return int(self.values.size)
 
 
-def check_beta(beta: float) -> None:
+def check_beta(beta: float, name: str = "beta") -> None:
     """The grid ratio rule: beta is finite and > 1."""
     if not (beta > 1.0 and math.isfinite(beta)):
-        raise ValueError("beta must be finite and > 1")
+        raise ValueError(f"{name} must be finite and > 1, got {beta!r}")
 
 
 class GeometricGrid:

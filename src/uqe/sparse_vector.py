@@ -6,9 +6,16 @@ value clears the noisy threshold.
 Halting early (or capping the stream) never hurts privacy, so running out of
 queries is reported as an outcome, not an error.
 
-Queries are read and compared a block at a time; on a hit the generator is
-rewound so that it has drawn exactly one uniform per query up to the halt,
-as a query-by-query loop would.
+Every query noise value lies within NOISE_REACH * b of zero (b the query
+noise scale), so a query with f_i + NOISE_REACH * b < noisy threshold
+misses whatever its uniform. The runner computes noise only from the first
+query within that reach: it moves the generator past the others in O(1)
+(RandomSource.skip), then compares blocks of queries, and on a hit rewinds
+to just past the halting query. Halt indices, and the generator's state
+after every run, are bit for bit those of a query-by-query loop that draws
+one uniform per query. The scan's wall time therefore depends on where the
+data first comes within reach of the threshold: like the build time, it is
+a debug-only quantity, never one to release.
 
 For Gumbel noise with eps1 == eps2 the halt index has a closed-form PMF,
 which the verification suites use as ground truth; the same module provides
@@ -25,7 +32,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .noise import NoiseKind, NoiseSpec, RandomSource, sample
+from .noise import NOISE_REACH, NoiseKind, NoiseSpec, RandomSource, sample
 
 __all__ = [
     "DEFAULT_MAX_QUERIES",
@@ -51,8 +58,8 @@ DEFAULT_MAX_QUERIES = 200_000
 _BLOCK = 1 << 18
 
 # query blocks of the runners: the first is small, so a run that halts early
-# draws little noise it then discards; sizes double up to a fixed ceiling,
-# which bounds a run's temporaries whatever its cap
+# computes little noise it then discards; sizes double up to a fixed
+# ceiling, which bounds a run's temporaries whatever its cap
 _FIRST_QUERY_BLOCK = 256
 _MAX_QUERY_BLOCK = 1 << 14
 
@@ -147,18 +154,43 @@ class SvtOutcome:
         return cls(index=None, cap=int(cap))
 
 
+def _window(stream: QueryStream, start: int, stop: int) -> np.ndarray:
+    """Query values f_{start+1} .. f_stop: a slice of the head, padded with
+    the tail past its end."""
+    block = stream.head[start:stop]
+    if block.size < stop - start:
+        block = np.concatenate((block, np.full(stop - start - block.size, stream.tail)))
+    return block
+
+
 def _blocks(stream: QueryStream) -> Iterator[tuple[int, np.ndarray]]:
-    """(offset, values) for consecutive blocks of the stream, up to its cap.
-    Blocks are slices of the head, padded with the tail past its end."""
-    head, tail, cap = stream.head, stream.tail, stream.max_queries
+    """(offset, values) for consecutive blocks of the stream, up to its cap."""
     start, size = 0, _FIRST_QUERY_BLOCK
-    while start < cap:
-        stop = min(start + size, cap)
-        block = head[start:stop]
-        if block.size < stop - start:
-            block = np.concatenate((block, np.full(stop - start - block.size, tail)))
-        yield start, block
+    while start < stream.max_queries:
+        stop = min(start + size, stream.max_queries)
+        yield start, _window(stream, start, stop)
         start, size = stop, min(2 * size, _MAX_QUERY_BLOCK)
+
+
+def _first_within(stream: QueryStream, start: int, reach: float, level: float) -> int:
+    """Offset of the first query at or after offset start with
+    f + reach >= level, or the cap if there is none.
+
+    The head is searched in windows that double from _FIRST_QUERY_BLOCK, so
+    a query found d places on costs O(d), whatever the head's length; the
+    tail is one comparison.
+    """
+    head, cap = stream.head, stream.max_queries
+    end, size = min(head.size, cap), _FIRST_QUERY_BLOCK
+    while start < end:
+        near = head[start : min(start + size, end)] + reach >= level
+        i = int(near.argmax())
+        if near[i]:
+            return start + i
+        start, size = start + near.size, min(2 * size, _MAX_QUERY_BLOCK)
+    if start < cap and stream.tail + reach >= level:
+        return start
+    return cap
 
 
 def run_above_threshold(
@@ -166,25 +198,44 @@ def run_above_threshold(
 ) -> SvtOutcome:
     """Noisy threshold, then one noisy comparison per query until a hit.
 
-    Each block of queries gets its noise from one sample() call, and argmax
-    finds the first hit. A hit rewinds the generator to the block's start
-    and redraws the uniforms up to and including the hit, so the halt index
-    and the generator's position afterwards are those of a query-by-query
-    loop.
+    Queries with f + NOISE_REACH * b < noisy threshold cannot hit, so the
+    generator skips their uniforms without computing them. From the next
+    query within reach, each block of queries gets its noise from one
+    sample() call, and argmax finds the first hit; blocks restart small
+    after every skip. A hit rewinds the generator to the block's start and
+    moves it past the uniforms up to and including the hit. So the halt
+    index and the generator's state afterwards are those of a
+    query-by-query loop.
+
+    The reach test is written as the hit test is, f + reach >= noisy
+    threshold: rounded addition is monotone, so noise <= reach gives
+    f + noise <= f + reach in floating point too. The form
+    f >= noisy threshold - reach rounds the subtraction, and with a bound
+    that noise can attain it skips hits.
     """
     delta = stream.sensitivity
     noisy_t = cfg.threshold + sample(NoiseSpec(cfg.noise, delta / cfg.eps1), rng)
     query_spec = NoiseSpec(cfg.noise, delta / cfg.eps2)
+    reach = NOISE_REACH * query_spec.scale
+    cap = stream.max_queries
     bit_generator = rng.gen.bit_generator
-    for start, vals in _blocks(stream):
+    drawn, size = 0, _FIRST_QUERY_BLOCK
+    while (start := _first_within(stream, drawn, reach, noisy_t)) < cap:
+        if start > drawn:
+            rng.skip(start - drawn)
+            size = _FIRST_QUERY_BLOCK
+        stop = min(start + size, cap)
+        vals = _window(stream, start, stop)
         saved = bit_generator.state
         hits = vals + sample(query_spec, rng, vals.size) >= noisy_t
         h = int(hits.argmax())
         if hits[h]:
             bit_generator.state = saved
-            rng.uniform_open(h + 1)
+            rng.skip(h + 1)
             return SvtOutcome.halt(start + h + 1)
-    return SvtOutcome.out_of_queries(stream.max_queries)
+        drawn, size = stop, min(2 * size, _MAX_QUERY_BLOCK)
+    rng.skip(cap - drawn)
+    return SvtOutcome.out_of_queries(cap)
 
 
 def run_above_threshold_noiseless(
@@ -192,11 +243,9 @@ def run_above_threshold_noiseless(
 ) -> SvtOutcome:
     """Deterministic halt at the first f_i >= threshold. Test hook only:
     the private runner never branches on this path."""
-    for start, vals in _blocks(stream):
-        hits = vals >= threshold
-        h = int(hits.argmax())
-        if hits[h]:
-            return SvtOutcome.halt(start + h + 1)
+    i = _first_within(stream, 0, 0.0, threshold)
+    if i < stream.max_queries:
+        return SvtOutcome.halt(i + 1)
     return SvtOutcome.out_of_queries(stream.max_queries)
 
 

@@ -335,12 +335,41 @@ class TestBench:
             raise AssertionError("a resample was drawn")
 
         monkeypatch.setattr("uqe.bench._draw_sample", no_resample)
-        args = ["bench", "--input", SMOKE, "--column", "value", "--range", "0", "10", flag, value]
+        args = ["bench", "--input", SMOKE, "--column", "value", "--range", "0", "10"]
+        # smoke.csv has 150 rows: a sample size above that would fail first
+        args += ["--sample-size", "100", flag, value]
         for experiment in ("quantile", "sum"):
             assert main(args + ["--experiment", experiment]) == 1
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "flag, value, name",
+        [
+            # NaN used to fail after a resample, in the grid lookup; inf
+            # exited 0 with every perturbed point clipped to a range end
+            ("--perturb-scale", "nan", "perturb_scale"),
+            ("--perturb-scale", "inf", "perturb_scale"),
+            ("--beta", "1", "beta"),
+            ("--sum-beta", "1", "sum_beta"),
+        ],
+    )
+    def test_bad_protocol_parameter_exits_1_before_any_resample(
+        self, capsys, monkeypatch, flag, value, name
+    ):
+        def no_resample(*args):
+            raise AssertionError("a resample was drawn")
+
+        monkeypatch.setattr("uqe.bench._draw_sample", no_resample)
+        args = ["bench", "--input", SMOKE, "--column", "value", "--range", "0", "10"]
+        # smoke.csv has 150 rows: a sample size above that would fail first
+        args += ["--sample-size", "100", flag, value]
+        for experiment in ("quantile", "sum"):
+            assert main(args + ["--experiment", experiment]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(f"error: {name} must be")
 
 
 class TestBadInputExits1:

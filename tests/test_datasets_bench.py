@@ -124,6 +124,16 @@ class TestPerturb:
         with pytest.raises(ValueError):
             perturb(np.ones(3), -0.1, RandomSource(0))
 
+    @pytest.mark.parametrize("scale", [math.nan, math.inf])
+    def test_non_finite_scale_rejected(self, scale, tmp_path):
+        # both used to return NaN or infinite values, or skip the jitter
+        with pytest.raises(ValueError, match="perturb_scale"):
+            perturb(np.ones(3), scale, RandomSource(0))
+        f = tmp_path / "d.csv"
+        f.write_text("value\n1\n")
+        with pytest.raises(ValueError, match="perturb_scale"):
+            load_csv(f, "value", perturb_scale=scale, rng=RandomSource(0))
+
     def test_tie_breaking_scale_stays_tiny(self):
         # the rating-style jitter must not move any point by a visible amount
         x = np.zeros(200_000)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from uqe.noise import NoiseKind, NoiseSpec, RandomSource, pdf, sample
+from uqe.noise import NOISE_REACH, NoiseKind, NoiseSpec, RandomSource, _to_uniform, pdf, sample
 
 ALL_KINDS = [NoiseKind.LAPLACE, NoiseKind.GUMBEL, NoiseKind.EXPONENTIAL]
 
@@ -117,3 +117,87 @@ def test_noise_kind_parse():
     assert NoiseKind("gumbel") is NoiseKind.GUMBEL
     with pytest.raises(ValueError):
         NoiseKind("gaussian")
+
+
+U53 = 2**53
+
+
+class Fixed:
+    """A stand-in source whose every uniform is u."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def uniform_open(self, size=None):
+        return self.u if size is None else np.full(size, self.u)
+
+
+@pytest.mark.parametrize(
+    "k, want",
+    [
+        (0, 2.0**-54),
+        (1, 1.5 / U53),
+        (2**52, 0.5),
+        (U53 - 2, 1.0 - 2.0**-52),
+        # (k + 0.5) / 2**53 rounds to 1.0 here
+        (U53 - 1, 1.0 - 2.0**-53),
+    ],
+)
+def test_uniform_map_stays_inside_the_open_interval(k, want):
+    scalar = _to_uniform(np.int64(k))
+    array = _to_uniform(np.array([k, k], dtype=np.int64))
+    assert scalar == want and array.tolist() == [want, want]
+    for kind in ALL_KINDS:
+        for b in (1e-3, 1.0, 7.5):
+            spec = NoiseSpec(kind, b)
+            for z in (sample(spec, Fixed(scalar)), *sample(spec, Fixed(scalar), 2)):
+                assert np.isfinite(z) and abs(z) <= NOISE_REACH * b
+
+
+def test_noise_reach_is_within_one_scale_of_the_largest_value():
+    top = sample(NoiseSpec(NoiseKind.EXPONENTIAL, 1.0), Fixed(_to_uniform(np.int64(0))))
+    assert NOISE_REACH - 1.0 < top <= NOISE_REACH
+
+
+def with_state(rng, counter, buffer_pos):
+    state = rng.gen.bit_generator.state
+    state["state"]["counter"] = np.array(counter, dtype=np.uint64)
+    state["buffer_pos"] = buffer_pos
+    rng.gen.bit_generator.state = state
+    return rng
+
+
+def skip_starts():
+    """Generators at every buffer position 0..4, one holding the spare
+    32-bit half of an integer draw, and counters whose carry crosses 64-bit
+    words."""
+    for pos in range(5):
+        yield f"buffer_pos={pos}", lambda pos=pos: with_state(RandomSource(3, 1), [5, 0, 0, 0], pos)
+    for drawn in range(4):
+
+        def spare(drawn=drawn):
+            rng = RandomSource(4)
+            rng.gen.integers(0, 10)
+            rng.uniform_open(drawn)
+            return rng
+
+        yield f"has_uint32 after {drawn}", spare
+    top = 2**64 - 1
+    for counter in ([top - 1, 0, 0, 0], [top - 1, top, top, 7], [top, top, top, top]):
+        for pos in (1, 4):
+            yield f"counter={counter} pos={pos}", lambda c=counter, p=pos: with_state(
+                RandomSource(5), c, p
+            )
+
+
+@pytest.mark.parametrize("n", [*range(10), 1023, 1024, 1025, 4099])
+def test_skip_leaves_the_state_of_drawing(n):
+    for label, start in skip_starts():
+        skipped, drawn = start(), start()
+        assert philox_state(skipped) == philox_state(drawn), label
+        skipped.skip(n)
+        drawn.uniform_open(n)
+        assert repr(skipped.gen.bit_generator.state) == repr(drawn.gen.bit_generator.state), label
+        # the next draws agree too, the spare 32-bit half included
+        assert skipped.gen.integers(0, 10, 3).tolist() == drawn.gen.integers(0, 10, 3).tolist()
+        assert skipped.uniform_open(9).tobytes() == drawn.uniform_open(9).tobytes(), label

@@ -3,9 +3,10 @@
 The reference runners and streams below are the scalar loop and the dict
 histogram the package used before its scan read queries a block at a time.
 They stay here as oracles: for every noise kind, cap, threshold and seed the
-block runner must halt at the same index and leave the Philox generator in
-the same state, and the estimators must release the same values through
-either runner. The unbounded estimator's two-build path (split off the
+block runner, which also skips the uniforms of queries that cannot reach
+the noisy threshold, must halt at the same index and leave the Philox
+generator in the same state, and the estimators must release the same
+values through either runner. The unbounded estimator's two-build path (split off the
 nonnegative points, negate the data for the second run, build a histogram
 per run) stays here too, as the oracle of the one bucketing pass that now
 serves both runs. The multi-quantile recursion that masked each node's
@@ -29,7 +30,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from uqe import quantile
+from uqe import quantile, sparse_vector
 from uqe.accounting import multi_quantile_guarantee
 from uqe.emq import uqe_pdf_curve
 from uqe.noise import NoiseKind, NoiseSpec, RandomSource, sample
@@ -53,6 +54,7 @@ from uqe.sparse_vector import (
     QueryStream,
     SvtConfig,
     SvtOutcome,
+    _first_within,
     gumbel_halt_log_pmf,
     run_above_threshold,
     run_above_threshold_noiseless,
@@ -194,6 +196,150 @@ def test_cap_one_and_block_edges_exhaust_with_one_draw_per_query():
         ref = RandomSource(5)
         ref.uniform_open(cap + 1)
         assert generator_state(rng) == generator_state(ref)
+
+
+# Streams with long stretches of queries that cannot reach the noisy
+# threshold, so the runner skips their uniforms instead of drawing them.
+# FAR is below any threshold these tests use by more than the noise can
+# ever make up (38 b with b <= 20 for the query and the threshold noise).
+FAR = -1e5
+SKIP_CAPS = st.one_of(
+    st.sampled_from([1, 1023, 1024, 1025, 4099, 20_000]), st.integers(1, 12_000)
+)
+SKIP_EPS = st.floats(0.05, 5.0)
+
+
+@PROPERTY
+@given(
+    kind=KINDS,
+    eps1=SKIP_EPS,
+    eps2=SKIP_EPS,
+    lead=st.integers(0, 6000),
+    ramp=st.integers(1, 600),
+    slope=st.floats(0.01, 3.0),
+    threshold=st.floats(-50.0, 3000.0),
+    cap=SKIP_CAPS,
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_runner_skips_a_long_head_below_the_threshold(
+    kind, eps1, eps2, lead, ramp, slope, threshold, cap, seed
+):
+    ramp = threshold - 100.0 + slope * np.arange(ramp)
+    head = np.concatenate((np.full(lead, threshold + FAR), ramp))
+    cfg = config(kind, eps1, eps2, threshold)
+    assert_same_run(lambda: QueryStream(head, max_queries=cap), cfg, seed)
+    assert_same_run(lambda: QueryStream(head, ramp[-1], max_queries=cap), cfg, seed)
+
+
+@PROPERTY
+@given(
+    kind=KINDS,
+    eps1=SKIP_EPS,
+    eps2=SKIP_EPS,
+    length=st.integers(1, 8000),
+    spikes=st.lists(st.tuples(st.integers(0, 7999), st.floats(-150.0, 60.0)), max_size=12),
+    tail=st.one_of(st.none(), st.sampled_from([FAR, -80.0, -5.0, 0.0])),
+    cap=SKIP_CAPS,
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_runner_finds_sparse_queries_within_reach_of_a_non_monotone_head(
+    kind, eps1, eps2, length, spikes, tail, cap, seed
+):
+    # the threshold is 0; the head is far below it except at a few spikes
+    head = np.full(length, FAR)
+    head[::7] = 2.0 * FAR
+    for at, value in spikes:
+        if at < length:
+            head[at] = value
+    cfg = config(kind, eps1, eps2, 0.0)
+    assert_same_run(lambda: QueryStream(head, tail, max_queries=cap), cfg, seed)
+
+
+@PROPERTY
+@given(
+    kind=KINDS,
+    eps=SKIP_EPS,
+    length=st.integers(0, 9000),
+    tail=st.floats(-100.0, 20.0),
+    cap=SKIP_CAPS,
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_runner_skips_a_head_never_in_reach_to_a_tail_in_reach(kind, eps, length, tail, cap, seed):
+    head = np.full(length, FAR)
+    cfg = config(kind, eps, eps / 2, 0.0)
+    assert_same_run(lambda: QueryStream(head, tail, max_queries=cap), cfg, seed)
+
+
+@PROPERTY
+@given(
+    kind=KINDS,
+    eps1=SKIP_EPS,
+    eps2=SKIP_EPS,
+    scale=st.sampled_from([2**53, 2**54, 2**60, 2**70]),
+    offsets=st.lists(st.integers(-120, 40), min_size=1, max_size=3000),
+    lead=st.integers(0, 3000),
+    cap=SKIP_CAPS,
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_runner_matches_scalar_where_the_threshold_dwarfs_the_noise(
+    kind, eps1, eps2, scale, offsets, lead, cap, seed
+):
+    # at thresholds of 2**53 and more, noisy threshold - reach rounds, and a
+    # query a few float steps below the threshold can still hit by rounding
+    threshold = float(scale)
+    step = math.ulp(threshold)
+    head = threshold + step * np.array([-10**6] * lead + offsets, dtype=float)
+    cfg = config(kind, eps1, eps2, threshold)
+    assert_same_run(lambda: QueryStream(head, max_queries=cap), cfg, seed)
+
+
+def test_reach_test_rounds_as_the_hit_test_does():
+    # 2**53 + 2 + 1 rounds to 2**53 + 4, so with a reach of 1 the query can
+    # clear 2**53 + 4; testing f >= 2**53 + 4 - 1 would round up and skip it
+    level = 2.0**53 + 4.0
+    stream = QueryStream([2.0**53 - 8.0, 2.0**53 + 2.0])
+    assert _first_within(stream, 0, 1.0, level) == 1
+    assert _first_within(QueryStream([2.0**53]), 0, 1.0, level) == 1  # the cap: none
+
+
+@pytest.mark.parametrize("cap", [1, 1023, 1024, 1025, 4099, 200_000])
+@pytest.mark.parametrize("kind", list(NoiseKind))
+def test_a_run_with_no_query_in_reach_exhausts_at_exactly_cap_draws(cap, kind):
+    cfg = SvtConfig(1.0, 1.0, kind, 0.0)
+    streams = [
+        QueryStream([], FAR, max_queries=cap),
+        QueryStream(np.full(cap, FAR), max_queries=cap),
+        QueryStream(np.linspace(2 * FAR, FAR, 5000), FAR, max_queries=cap),
+    ]
+    for stream in streams:
+        rng = RandomSource(6, 2)
+        rng.gen.integers(0, 10)  # leaves a spare 32-bit half the run must keep
+        ref = RandomSource(6, 2)
+        ref.gen.integers(0, 10)
+        assert run_above_threshold(stream, cfg, rng) == SvtOutcome.out_of_queries(cap)
+        ref.uniform_open(cap + 1)
+        assert generator_state(rng) == generator_state(ref)
+
+
+@pytest.mark.parametrize("kind", list(NoiseKind))
+def test_a_scan_computes_noise_only_near_its_halt(kind, monkeypatch):
+    # 1,000 points near 1e6 at beta = 1.001: the median halts near query
+    # 13,800, and only the queries past the first one within reach get noise
+    computed = []
+
+    def counting_sample(spec, rng, size=None):
+        out = sample(spec, rng, size)
+        computed.append(np.size(out))
+        return out
+
+    monkeypatch.setattr(sparse_vector, "sample", counting_sample)
+    x = RandomSource(40).gen.lognormal(math.log(1e6), 0.8, 1000)
+    req = QuantileRequest.even_split(0.5, 1.0, beta=1.001, noise=kind)
+    for seed in range(5):
+        computed.clear()
+        est = estimate_quantile(Dataset(x, lower_bound=0.0), req, RandomSource(41, seed))
+        assert est.halt_index > 13_000
+        assert sum(computed) <= 1024
 
 
 def test_array_stream_is_freed_without_garbage_collection():
