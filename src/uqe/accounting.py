@@ -66,13 +66,6 @@ class PrivacyGuarantee:
     rho_zcdp: float | None = None
     gamma_range_bounded: float | None = None
 
-    def as_dict(self) -> dict:
-        return {
-            "eps_dp": self.eps_dp,
-            "rho_zcdp": self.rho_zcdp,
-            "gamma_range_bounded": self.gamma_range_bounded,
-        }
-
 
 def zcdp_of_dp(eps: float) -> float:
     """eps-DP implies (eps^2/2)-zCDP."""
@@ -200,15 +193,6 @@ class MultiQuantileBudget:
     per_level: PrivacyGuarantee
     total: PrivacyGuarantee
 
-    def as_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "levels": self.levels,
-            "log_base": self.log_base,
-            "per_level": self.per_level.as_dict(),
-            "total": self.total.as_dict(),
-        }
-
 
 def multi_quantile_guarantee(
     m: int, eps1: float, eps2: float, noise: NoiseKind
@@ -267,15 +251,6 @@ class EmpiricalDpReport:
     max_log_ratio: float
     violation_lcb: float
     passed: bool
-
-    def as_dict(self) -> dict:
-        return {
-            "claimed_eps": self.claimed_eps,
-            "trials": self.trials,
-            "max_log_ratio": self.max_log_ratio,
-            "violation_lcb": self.violation_lcb,
-            "passed": self.passed,
-        }
 
 
 def empirical_dp_check(

@@ -9,7 +9,7 @@ estimator (no range needed) or the bounded-range baseline.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -19,6 +19,7 @@ from .quantile import Dataset, QuantileRequest, estimate_quantile
 from .sparse_vector import check_eps
 
 __all__ = [
+    "THRESHOLD_MODES",
     "ClipMethod",
     "SumConfig",
     "SumResult",
@@ -31,6 +32,10 @@ __all__ = [
 class ClipMethod(enum.Enum):
     UQE = "uqe"
     EMQ = "emq"
+
+
+# the values SumConfig.threshold_mode accepts besides None
+THRESHOLD_MODES = ("n", "n-plus-inv-eps")
 
 
 @dataclass(frozen=True)
@@ -55,8 +60,8 @@ class SumConfig:
             raise ValueError("q must lie in (0, 1]")
         if self.method is ClipMethod.EMQ and self.emq_range is None:
             raise ValueError("the EMQ clip method needs a declared range")
-        if self.threshold_mode not in (None, "n", "n-plus-inv-eps"):
-            raise ValueError('threshold_mode must be None, "n" or "n-plus-inv-eps"')
+        if self.threshold_mode not in (None, *THRESHOLD_MODES):
+            raise ValueError(f"threshold_mode must be None or one of {THRESHOLD_MODES}")
 
 
 @dataclass(frozen=True)
@@ -67,23 +72,16 @@ class SumResult:
     clip_clamped: bool
     clip_exhausted: bool
 
-    def as_dict(self) -> dict:
-        return {
-            "estimate": self.estimate,
-            "clip": self.clip,
-            "epsilon_total": self.epsilon_total,
-            "clip_clamped": self.clip_clamped,
-            "clip_exhausted": self.clip_exhausted,
-        }
-
 
 def clipped_sum(values, clip: float) -> float:
     """Sum of min(x_j, clip); nondecreasing in clip."""
     return float(np.minimum(np.asarray(values, dtype=float), clip).sum())
 
 
-def _clip_floor(values: np.ndarray, cfg: SumConfig) -> float:
-    width = cfg.emq_range.width if cfg.emq_range is not None else None
+def _clip_floor(values: np.ndarray, emq_range: BoundedRange | None) -> float:
+    """The clip that replaces a nonpositive one: 1e-9 of the declared range's
+    width, or of the data's spread when no range is declared."""
+    width = emq_range.width if emq_range is not None else None
     if width is None:
         spread = float(values.max() - values.min())
         width = spread if spread > 0 else 1.0
@@ -95,11 +93,8 @@ def _choose_clip(
     cfg: SumConfig,
     rng: RandomSource | None,
     noiseless: bool,
-    clip_override: float | None,
 ) -> tuple[float, bool]:
     """Returns (clip, exhausted flag) before the positivity clamp."""
-    if clip_override is not None:
-        return float(clip_override), False
     if cfg.method is ClipMethod.UQE:
         n = values.size
         threshold = None
@@ -125,12 +120,12 @@ def dp_sum(
     rng: RandomSource | None = None,
     *,
     noiseless: bool = False,
-    clip_override: float | None = None,
 ) -> SumResult:
     """Private clip at quantile q (budget eps), then Laplace(clip/eps) + clipped sum.
 
     noiseless skips both noise stages (deterministic clip, no Laplace) for
-    oracle tests; clip_override skips the quantile stage entirely.
+    oracle tests. A clip at or below 0 is clamped to a small positive floor
+    and flagged.
     """
     values = np.asarray(data, dtype=float)
     if values.ndim != 1 or values.size == 0:
@@ -140,10 +135,10 @@ def dp_sum(
     if not noiseless and rng is None:
         raise ValueError("a RandomSource is required unless noiseless=True")
 
-    clip, exhausted = _choose_clip(values, cfg, rng, noiseless, clip_override)
+    clip, exhausted = _choose_clip(values, cfg, rng, noiseless)
     clamped = False
     if clip <= 0.0:
-        clip = _clip_floor(values, cfg)
+        clip = _clip_floor(values, cfg.emq_range)
         clamped = True
 
     total = clipped_sum(values, clip)
@@ -164,15 +159,8 @@ def dp_mean(
     rng: RandomSource | None = None,
     *,
     noiseless: bool = False,
-    clip_override: float | None = None,
 ) -> SumResult:
     """dp_sum / n; n is public under swap neighbors."""
     values = np.asarray(data, dtype=float)
-    result = dp_sum(values, cfg, rng, noiseless=noiseless, clip_override=clip_override)
-    return SumResult(
-        estimate=result.estimate / values.size,
-        clip=result.clip,
-        epsilon_total=result.epsilon_total,
-        clip_clamped=result.clip_clamped,
-        clip_exhausted=result.clip_exhausted,
-    )
+    result = dp_sum(values, cfg, rng, noiseless=noiseless)
+    return replace(result, estimate=result.estimate / values.size)

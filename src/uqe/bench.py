@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .aggregates import clipped_sum
+from .aggregates import _clip_floor, clipped_sum
 from .datasets import check_perturb_scale, perturb, true_quantile
 from .emq import (
     BoundedRange,
@@ -111,22 +111,6 @@ class ResultRecord:
     n_inner: int
     runtime: float | None = None
 
-    def as_dict(self, include_runtime: bool = False) -> dict:
-        out = {
-            "dataset": self.dataset,
-            "experiment": self.experiment,
-            "method": self.method,
-            "eps": self.eps,
-            "q": self.q,
-            "mae": self.mae,
-            "std": self.std,
-            "n_outer": self.n_outer,
-            "n_inner": self.n_inner,
-        }
-        if include_runtime:
-            out["runtime"] = self.runtime
-        return out
-
 
 def _draw_sample(spec: ExperimentSpec, trial: int) -> tuple[np.ndarray, np.ndarray]:
     """(unperturbed sample, perturbed copy) for one outer trial."""
@@ -164,7 +148,7 @@ def _estimate_one(
     rng: RandomSource,
 ) -> float:
     if method == "uqe":
-        req = QuantileRequest.even_split(q, eps, beta=hist.beta)
+        req = QuantileRequest.even_split(q, eps, beta=hist.grid.beta)
         return _release(hist, req, rng).value
     return _draw_from_edges(edges, q, eps, rng)
 
@@ -246,7 +230,7 @@ def run_sum_experiment(spec: ExperimentSpec) -> list[ResultRecord]:
             index = 2 * (b * spec.outer_trials + t)
             clip = _estimate_one(method, hist, edges, q, eps, _mech_rng(spec, index))
             if clip <= 0.0:
-                clip = rr.width * 1e-9
+                clip = _clip_floor(noisy, rr)
             lap = sample(
                 NoiseSpec(NoiseKind.LAPLACE, clip / eps),
                 _mech_rng(spec, index + 1),
@@ -308,7 +292,10 @@ def normalized_error_rows(records: list[ResultRecord]) -> list[dict]:
 def records_to_json(records: list[ResultRecord], include_runtime: bool = False) -> str:
     """Canonical JSON: fixed key order and separators, so reruns are comparable
     byte for byte. Runtimes vary between runs and are opt-in."""
-    payload = [r.as_dict(include_runtime=include_runtime) for r in records]
+    payload = [dict(vars(r)) for r in records]
+    if not include_runtime:
+        for row in payload:
+            del row["runtime"]
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 

@@ -14,7 +14,7 @@ import functools
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from .accounting import (
@@ -23,7 +23,7 @@ from .accounting import (
     guarantee_for,
     multi_quantile_guarantee,
 )
-from .aggregates import ClipMethod, SumConfig, dp_mean, dp_sum
+from .aggregates import THRESHOLD_MODES, ClipMethod, SumConfig, dp_mean, dp_sum
 from .bench import (
     ExperimentSpec,
     emit_pdf_figures,
@@ -127,27 +127,7 @@ def cmd_quantile(args) -> tuple[dict, int]:
     }
     if args.lower is not None and args.upper is not None:
         raise ValueError("give at most one of --lower / --upper")
-    if args.lower is not None:
-        est = estimate_quantile(Dataset(values, lower_bound=args.lower), req, rng)
-        payload = {
-            "mode": "bounded",
-            "estimate": est.value,
-            "halt_index": est.halt_index,
-            "exhausted": est.exhausted,
-            "guarantee": request_guarantee(req).as_dict(),
-            **common,
-        }
-    elif args.upper is not None:
-        est = estimate_small_quantile_inverted(Dataset(values), args.upper, req, rng)
-        payload = {
-            "mode": "inverted",
-            "estimate": est.value,
-            "halt_index": est.halt_index,
-            "exhausted": est.exhausted,
-            "guarantee": request_guarantee(replace(req, q=1.0 - req.q)).as_dict(),
-            **common,
-        }
-    else:
+    if args.lower is None and args.upper is None:
         est = estimate_quantile_unbounded(Dataset(values), req, rng)
         g1 = request_guarantee(req)
         g2 = request_guarantee(replace(req, q=1.0 - req.q))
@@ -158,10 +138,25 @@ def cmd_quantile(args) -> tuple[dict, int]:
             "first_halt": est.first_halt,
             "second_halt": est.second_halt,
             "second_ran": est.second_ran,
-            "guarantee_per_run": g1.as_dict(),
+            "guarantee_per_run": asdict(g1),
             "epsilon_total_worst_case": g1.eps_dp + g2.eps_dp,
             **common,
         }
+        return payload, 0
+    if args.lower is not None:
+        mode, run_q = "bounded", req.q
+        est = estimate_quantile(Dataset(values, lower_bound=args.lower), req, rng)
+    else:
+        mode, run_q = "inverted", 1.0 - req.q
+        est = estimate_small_quantile_inverted(Dataset(values), args.upper, req, rng)
+    payload = {
+        "mode": mode,
+        "estimate": est.value,
+        "halt_index": est.halt_index,
+        "exhausted": est.exhausted,
+        "guarantee": asdict(request_guarantee(replace(req, q=run_q))),
+        **common,
+    }
     return payload, 0
 
 
@@ -180,7 +175,7 @@ def cmd_quantiles(args) -> tuple[dict, int]:
         "exhausted": list(result.exhausted),
         "empty_slice": list(result.empty_slice),
         "n": int(values.size),
-        "budget": result.budget.as_dict(),
+        "budget": asdict(result.budget),
     }
     return payload, 0
 
@@ -198,7 +193,7 @@ def cmd_sum(args) -> tuple[dict, int]:
     )
     rng = RandomSource(_resolve_seed(args))
     result = dp_mean(values, cfg, rng) if args.mean else dp_sum(values, cfg, rng)
-    payload = result.as_dict()
+    payload = asdict(result)
     payload["kind"] = "mean" if args.mean else "sum"
     payload["n"] = int(values.size)
     payload["q"] = cfg.q
@@ -210,7 +205,7 @@ def cmd_account(args) -> tuple[dict, int]:
     noise = NoiseKind(args.noise)
     if args.num_quantiles is not None:
         budget = multi_quantile_guarantee(args.num_quantiles, args.eps1, args.eps2, noise)
-        return {"multi_quantile": budget.as_dict()}, 0
+        return {"multi_quantile": asdict(budget)}, 0
     if args.query_class is None:
         raise ValueError("give --query-class, or --num-quantiles for the joint budget")
     guarantee = guarantee_for(
@@ -227,7 +222,7 @@ def cmd_account(args) -> tuple[dict, int]:
         "noise": noise.value,
         "eps1": args.eps1,
         "eps2": args.eps2,
-        "guarantee": guarantee.as_dict(),
+        "guarantee": asdict(guarantee),
     }
     if args.q is not None:
         payload["q"] = args.q
@@ -371,7 +366,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", default="uqe", choices=_names(ClipMethod))
     p.add_argument("--beta", type=float, default=1.01)
     p.add_argument("--range", type=float, nargs=2, metavar=("LO", "HI"), default=None)
-    p.add_argument("--threshold-mode", default=None, choices=["n", "n-plus-inv-eps"])
+    p.add_argument("--threshold-mode", default=None, choices=THRESHOLD_MODES)
     p.add_argument("--mean", action="store_true", help="release the mean instead of the sum")
     p.set_defaults(handler=cmd_sum)
 

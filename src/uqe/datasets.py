@@ -33,19 +33,8 @@ def generate_synthetic(kind: str, n: int, rng: RandomSource) -> np.ndarray:
     raise ValueError(f"unknown synthetic kind: {kind!r} (choose from {SYNTHETIC_KINDS})")
 
 
-def load_csv(
-    path,
-    column: str,
-    perturb_scale: float = 0.0,
-    rng: RandomSource | None = None,
-) -> np.ndarray:
-    """Read one numeric column; parse failures report the offending row.
-
-    perturb_scale > 0 adds gaussian noise to every value on load (the
-    benchmark harness instead perturbs per resample and keeps the original
-    values for ground truth, so it calls this with the default 0).
-    """
-    check_perturb_scale(perturb_scale)
+def load_csv(path, column: str) -> np.ndarray:
+    """Read one numeric column; parse failures report the offending row."""
     path = Path(path)
     with path.open(newline="") as fh:
         rows = csv.reader(fh)
@@ -72,10 +61,6 @@ def load_csv(
                     f"{path}, row {row_number}: cannot parse {raw!r} as a number"
                 ) from None
         raise
-    if perturb_scale > 0.0:
-        if rng is None:
-            raise ValueError("perturbation needs a RandomSource")
-        out = perturb(out, perturb_scale, rng)
     return out
 
 

@@ -19,7 +19,12 @@ import numpy as np
 
 from .noise import RandomSource
 from .quantile import build_histogram
-from .sparse_vector import check_eps, gumbel_halt_log_pmf, gumbel_no_halt_prob
+from .sparse_vector import (
+    DEFAULT_MAX_QUERIES,
+    check_eps,
+    gumbel_halt_log_pmf,
+    gumbel_no_halt_prob,
+)
 
 __all__ = [
     "BoundedRange",
@@ -75,7 +80,11 @@ def _log_weights(edges: np.ndarray, q: float, eps: float) -> np.ndarray:
 
 def emq_interval_pmf(data, rng_range: BoundedRange, q: float, eps: float) -> np.ndarray:
     """Normalized selection probabilities over intervals j = 0..n."""
-    edges = _interval_edges(data, rng_range)
+    return _pmf_from_edges(_interval_edges(data, rng_range), q, eps)
+
+
+def _pmf_from_edges(edges: np.ndarray, q: float, eps: float) -> np.ndarray:
+    """emq_interval_pmf on the edges _interval_edges gives."""
     logw = _log_weights(edges, q, eps)
     shifted = logw - logw.max()
     w = np.exp(shifted)
@@ -120,7 +129,7 @@ def emq_pdf_curve(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Step density (interval probability / interval length) on a plot grid."""
     edges = _interval_edges(data, rng_range)
-    probs = emq_interval_pmf(data, rng_range, q, eps)
+    probs = _pmf_from_edges(edges, q, eps)
     gaps = np.diff(edges)
     density = np.zeros_like(probs)
     positive = gaps > 0
@@ -138,7 +147,7 @@ class UqePdfCurve:
 
     Interval k spans [beta^(k-1)+ell-1, beta^k+ell-1); its mass is the
     closed-form Gumbel halt probability. residual is the no-halt mass beyond
-    the last emitted interval, so total mass + residual = 1.
+    the last emitted interval, so mass.sum() + residual = 1.
     """
 
     lefts: np.ndarray
@@ -146,9 +155,6 @@ class UqePdfCurve:
     mass: np.ndarray
     density: np.ndarray
     residual: float
-
-    def total_mass(self) -> float:
-        return float(self.mass.sum())
 
 
 def uqe_pdf_curve(
@@ -164,15 +170,18 @@ def uqe_pdf_curve(
     The number of emitted intervals depends only on the data and beta (enough
     candidates to pass every point, plus pad_steps), never on any declared
     range, so the curve is identical no matter what range a baseline assumes.
+    It is at most DEFAULT_MAX_QUERIES, where the estimator stops, so time and
+    memory are bounded by that cap, not by the magnitude of the data.
     """
     if pad_steps < 0:
         raise ValueError("pad_steps must be >= 0")
-    hist = build_histogram(data, beta, lower_bound)
+    hist = build_histogram(data, beta, lower_bound, DEFAULT_MAX_QUERIES)
     grid = hist.grid
     n = hist.n
     k_full = hist.cumulative.size  # first query index where the prefix hits n
-    k_max = k_full + int(pad_steps)
-    values = np.concatenate((hist.cumulative, np.full(int(pad_steps), n))).astype(float)
+    k_max = min(k_full + int(pad_steps), DEFAULT_MAX_QUERIES)
+    values = np.concatenate((hist.cumulative, np.full(int(pad_steps), n)))
+    values = values[:k_max].astype(float)
     t = q * n
     log_pmf = gumbel_halt_log_pmf(values, t, eps / 2.0)
     mass = np.exp(log_pmf)

@@ -210,13 +210,6 @@ class GeometricGrid:
             upper[limit] = np.inf
         return pows[:-1], upper
 
-    def bucket_of(self, y: float) -> int:
-        """bucket_indices for one finite y >= 1; anything else is a ValueError."""
-        y = float(y)
-        if not 1.0 <= y < math.inf:
-            raise ValueError("the bucket domain is the finite numbers >= 1")
-        return self._bucket(y, None)
-
     def _bucket(self, y: float, limit: int | None) -> int:
         """bucket_indices of one y >= 1, without building arrays: a log guess
         corrected against power(i), and the cache filled only as far."""
@@ -233,8 +226,11 @@ class GeometricGrid:
 
     def max_index_at_most(self, y: float) -> int:
         """Largest i >= 0 with beta^i <= y, or -1 when y < 1; a y that is
-        not finite is a ValueError."""
-        return -1 if -math.inf < y < 1.0 else self.bucket_of(y)
+        not finite is a ValueError. For y >= 1 this is y's bucket."""
+        y = float(y)
+        if not -math.inf < y < math.inf:
+            raise ValueError("max_index_at_most needs a finite number")
+        return -1 if y < 1.0 else self._bucket(y, None)
 
 
 class LogBucketHistogram:
@@ -255,14 +251,6 @@ class LogBucketHistogram:
         self.n = int(self.cumulative[-1]) if totals.size else 0
         totals.flags.writeable = False
         self.cumulative.flags.writeable = False
-
-    @property
-    def beta(self) -> float:
-        return self.grid.beta
-
-    @property
-    def lower_bound(self) -> float:
-        return self.grid.lower_bound
 
     @functools.cached_property
     def counts(self) -> Mapping[int, int]:
@@ -323,7 +311,7 @@ def counting_query_stream(
     Monotonic with sensitivity 1 under swap neighbors: swapping one point
     moves every prefix count by at most 1, in the same direction.
     """
-    return QueryStream(hist.cumulative, hist.n, sensitivity=1.0, max_queries=max_queries)
+    return QueryStream(hist.cumulative, hist.n, max_queries=max_queries)
 
 
 @dataclass(frozen=True)
@@ -488,7 +476,6 @@ def _signed_stream(totals: np.ndarray, n: int, max_queries: int) -> QueryStream:
     return QueryStream(
         np.concatenate(([lead], lead + np.cumsum(totals))),
         n,
-        sensitivity=1.0,
         max_queries=max_queries,
     )
 
@@ -537,6 +524,10 @@ def estimate_small_quantile_inverted(
     noiseless: bool = False,
 ) -> QuantileEstimate:
     """Small quantiles of upper-bounded data: negate, estimate 1-q, negate back."""
+    if not math.isfinite(upper_bound):
+        raise ValueError("the upper bound must be finite")
+    if data.values.max() > upper_bound:
+        raise ValueError("all values must be <= the declared upper bound")
     negated = Dataset(-data.values, lower_bound=-float(upper_bound))
     est = estimate_quantile(negated, replace(req, q=1.0 - req.q), rng, noiseless=noiseless)
     return QuantileEstimate(-est.value, est.halt_index, est.exhausted)
@@ -593,8 +584,6 @@ def estimate_multiple_quantiles(
     """
     if data.lower_bound is None:
         raise ValueError("multi-quantile estimation needs a declared lower bound")
-    if not noiseless and rng is None:
-        raise ValueError("a RandomSource is required unless noiseless=True")
     q_arr = np.asarray(qs, dtype=float)
     if q_arr.ndim != 1 or q_arr.size == 0:
         raise ValueError("qs must be a non-empty 1-d sequence")
@@ -630,7 +619,7 @@ def estimate_multiple_quantiles(
             continue
         y = grid.shift(xs[a:b])
         counts = _sorted_cumulative(grid, y, cap)
-        stream = QueryStream(counts, b - a, sensitivity=1.0, max_queries=cap)
+        stream = QueryStream(counts, b - a, max_queries=cap)
         t = float((q_arr[mid] - mass_lo) * n_total)
         est = _finish(grid, _scan(stream, t, req, rng, noiseless))
         estimates[mid] = est.value

@@ -27,8 +27,8 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, replace
-from typing import Iterator, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -95,15 +95,14 @@ class QueryStream:
     max_queries queries.
 
     A stream without a tail ends after its head, so its cap is at most
-    len(head). sensitivity is the worst-case |f_i(x) - f_i(x')| over
-    declared neighbors. The first query is index 1; callers that think of
-    their candidate grid as starting elsewhere remap the halt index
-    themselves.
+    len(head). Every stream has sensitivity 1: the package builds only
+    counting streams, and swapping one point moves a count by at most 1.
+    The first query is index 1; callers that think of their candidate grid
+    as starting elsewhere remap the halt index themselves.
     """
 
     head: np.ndarray
     tail: float | None = None
-    sensitivity: float = 1.0
     max_queries: int = DEFAULT_MAX_QUERIES
 
     def __post_init__(self) -> None:
@@ -111,8 +110,6 @@ class QueryStream:
         if head.ndim != 1:
             raise ValueError("head must be 1-d")
         head.flags.writeable = False
-        if not self.sensitivity > 0:
-            raise ValueError("sensitivity must be positive")
         check_max_queries(self.max_queries)
         object.__setattr__(self, "head", head)
         if self.tail is None:
@@ -145,14 +142,6 @@ class SvtOutcome:
     def exhausted(self) -> bool:
         return self.index is None
 
-    @classmethod
-    def halt(cls, index: int) -> "SvtOutcome":
-        return cls(index=int(index))
-
-    @classmethod
-    def out_of_queries(cls, cap: int) -> "SvtOutcome":
-        return cls(index=None, cap=int(cap))
-
 
 def _window(stream: QueryStream, start: int, stop: int) -> np.ndarray:
     """Query values f_{start+1} .. f_stop: a slice of the head, padded with
@@ -161,15 +150,6 @@ def _window(stream: QueryStream, start: int, stop: int) -> np.ndarray:
     if block.size < stop - start:
         block = np.concatenate((block, np.full(stop - start - block.size, stream.tail)))
     return block
-
-
-def _blocks(stream: QueryStream) -> Iterator[tuple[int, np.ndarray]]:
-    """(offset, values) for consecutive blocks of the stream, up to its cap."""
-    start, size = 0, _FIRST_QUERY_BLOCK
-    while start < stream.max_queries:
-        stop = min(start + size, stream.max_queries)
-        yield start, _window(stream, start, stop)
-        start, size = stop, min(2 * size, _MAX_QUERY_BLOCK)
 
 
 def _first_within(stream: QueryStream, start: int, reach: float, level: float) -> int:
@@ -213,9 +193,8 @@ def run_above_threshold(
     f >= noisy threshold - reach rounds the subtraction, and with a bound
     that noise can attain it skips hits.
     """
-    delta = stream.sensitivity
-    noisy_t = cfg.threshold + sample(NoiseSpec(cfg.noise, delta / cfg.eps1), rng)
-    query_spec = NoiseSpec(cfg.noise, delta / cfg.eps2)
+    noisy_t = cfg.threshold + sample(NoiseSpec(cfg.noise, 1.0 / cfg.eps1), rng)
+    query_spec = NoiseSpec(cfg.noise, 1.0 / cfg.eps2)
     reach = NOISE_REACH * query_spec.scale
     cap = stream.max_queries
     bit_generator = rng.gen.bit_generator
@@ -232,10 +211,10 @@ def run_above_threshold(
         if hits[h]:
             bit_generator.state = saved
             rng.skip(h + 1)
-            return SvtOutcome.halt(start + h + 1)
+            return SvtOutcome(start + h + 1)
         drawn, size = stop, min(2 * size, _MAX_QUERY_BLOCK)
     rng.skip(cap - drawn)
-    return SvtOutcome.out_of_queries(cap)
+    return SvtOutcome(None, cap)
 
 
 def run_above_threshold_noiseless(
@@ -245,8 +224,8 @@ def run_above_threshold_noiseless(
     the private runner never branches on this path."""
     i = _first_within(stream, 0, 0.0, threshold)
     if i < stream.max_queries:
-        return SvtOutcome.halt(i + 1)
-    return SvtOutcome.out_of_queries(stream.max_queries)
+        return SvtOutcome(i + 1)
+    return SvtOutcome(None, stream.max_queries)
 
 
 def run_iterative_em(
@@ -255,19 +234,19 @@ def run_iterative_em(
     """Step-wise exponential mechanism that halts when it picks the newest query.
 
     At step i the mechanism selects from {threshold, f_1, ..., f_i} with
-    exponent eps/(2*sensitivity) and halts iff it picks f_i. Distributionally
-    identical to the Gumbel run with eps1 = eps2 = eps/2.
+    exponent eps/2 and halts iff it picks f_i. Distributionally identical
+    to the Gumbel run with eps1 = eps2 = eps/2.
     """
     check_eps(eps)
-    s = eps / (2.0 * stream.sensitivity)
+    s = eps / 2.0
     scores = [s * threshold]
-    for start, vals in _blocks(stream):
-        for i, value in enumerate(vals.tolist(), start=start + 1):
-            scores.append(s * value)
-            gums = -np.log(-np.log(rng.uniform_open(len(scores))))
-            if int(np.argmax(np.asarray(scores) + gums)) == i:
-                return SvtOutcome.halt(i)
-    return SvtOutcome.out_of_queries(stream.max_queries)
+    values = _window(stream, 0, stream.max_queries).tolist()
+    for i, value in enumerate(values, start=1):
+        scores.append(s * value)
+        gums = -np.log(-np.log(rng.uniform_open(len(scores))))
+        if int(np.argmax(np.asarray(scores) + gums)) == i:
+            return SvtOutcome(i)
+    return SvtOutcome(None, stream.max_queries)
 
 
 def _scaled_prefix_lse(values, threshold: float, eps: float, sensitivity: float):
@@ -293,9 +272,6 @@ def gumbel_no_halt_prob(
     values: Sequence[float], threshold: float, eps: float, sensitivity: float = 1.0
 ) -> float:
     """P[no halt within the K supplied queries]; 1.0 for an empty list."""
-    values = np.asarray(values, dtype=float)
-    if len(values) == 0:
-        return 1.0
     scaled, lse = _scaled_prefix_lse(values, threshold, eps, sensitivity)
     return float(np.exp(scaled[0] - lse[-1]))
 
@@ -358,8 +334,7 @@ def simulate_iterative_em(
 
 def stream_prefix(stream: QueryStream, k: int) -> np.ndarray:
     """Materialize the first k query values of a stream, whatever its cap."""
-    blocks = _blocks(replace(stream, max_queries=k))
-    vals = np.concatenate([np.zeros(0), *(block for _, block in blocks)])
-    if vals.size < k:
-        raise ValueError(f"the stream ends after {vals.size} of {k} queries")
-    return vals
+    check_max_queries(k)
+    if stream.tail is None and stream.head.size < k:
+        raise ValueError(f"the stream ends after {stream.head.size} of {k} queries")
+    return _window(stream, 0, k)

@@ -1,5 +1,7 @@
 """Tests for loss accounting, closed-form guarantees and the empirical checker."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -213,7 +215,7 @@ def test_multi_quantile_guarantee_composes():
     assert budget.per_level.eps_dp == pytest.approx(1.0)
     assert budget.total.eps_dp == pytest.approx(2.0)
     assert budget.total.rho_zcdp == pytest.approx(2 * budget.per_level.rho_zcdp)
-    d = budget.as_dict()
+    d = asdict(budget)
     assert d["m"] == 3 and d["per_level"]["eps_dp"] == pytest.approx(1.0)
 
 
@@ -260,6 +262,8 @@ def test_loss_input_validation():
         one_sided_loss([], [], 1.0, 1.0)
     with pytest.raises(ValueError):
         one_sided_loss([1.0], [1.0], 0.0, 1.0)
+    with pytest.raises(ValueError, match="sensitivity"):
+        one_sided_loss([1.0], [1.0], 1.0, 1.0, sensitivity=0.0)
 
 
 def _counting_runner(values_t):
@@ -279,7 +283,7 @@ def test_empirical_check_identical_inputs_pass():
     assert report.passed
     assert abs(report.max_log_ratio) < 0.1
     assert isinstance(report, EmpiricalDpReport)
-    assert report.as_dict()["trials"] == 120_000
+    assert report.trials == 120_000
 
 
 def test_empirical_check_monotonic_counting_pair():
@@ -319,4 +323,4 @@ def test_enum_parsing():
     with pytest.raises(ValueError):
         NeighborModel("zipper")
     g = PrivacyGuarantee(eps_dp=1.0)
-    assert g.as_dict() == {"eps_dp": 1.0, "rho_zcdp": None, "gamma_range_bounded": None}
+    assert asdict(g) == {"eps_dp": 1.0, "rho_zcdp": None, "gamma_range_bounded": None}

@@ -7,6 +7,7 @@ installed `uqe` executable is needed. The bundled smoke.csv (150
 ratings-style values in [0, 10]) is the shared input fixture.
 """
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -384,6 +385,11 @@ class TestBadInputExits1:
             (["account", "--eps1", "0.5", "--eps2", "inf", "--num-quantiles", "3"], "eps2"),
             (["quantile", "--q", "0.5", "--epsilon", "inf"], "eps1"),
             (["sum", "--epsilon", "inf"], "eps"),
+            # smoke.csv reaches 9.943; both used to report the lower bound
+            (["quantile", "--q", "0.5", "--upper", "5"], "upper bound"),
+            (["quantile", "--q", "0.5", "--upper", "inf"], "upper bound"),
+            # used to exit 0 with "passed": true and NaN z-scores
+            (["verify", "--trials", "0"], "trials"),
             (
                 ["bench", "--synthetic", "uniform", "--n", "200", "--sample-size", "100",
                  "--outer", "1", "--qs", "0.5", "--range", "-5", "inf"],
@@ -399,6 +405,62 @@ class TestBadInputExits1:
         assert captured.out == ""
         assert captured.err.startswith("error:")
         assert names in captured.err
+
+
+class TestGoldenOutput:
+    """sha256 of stdout for fixed seeded runs on smoke.csv. A change that
+    moves any printed byte, seeded releases included, fails here."""
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (
+                ["quantile", "--q", "0.5", "--lower", "0"],
+                "6daa2a1ca28f2f8fa075350e47816caa9117a6842402f288272d60b350f17e68",
+            ),
+            (
+                ["quantile", "--q", "0.5", "--upper", "10"],
+                "216d65fbb170a0ec56e388d4b39c7b2db348152c8a4592573eeb8b04078db621",
+            ),
+            (
+                ["quantile", "--q", "0.5"],
+                "258410a241e7ef4e2a03b77573c52e389fa85de799d1036549af3e3f497b67ec",
+            ),
+            (
+                ["quantiles", "--qs", "0.25,0.5,0.75", "--lower", "0"],
+                "e2f01166e51a2d23fdaecde1cd50d07422200a08c27a037df2a3ed600dc7914e",
+            ),
+            (["sum"], "e95011d20841e69167bca489cf2cc40dc75afc332aa0d36f8f67a69348bf7c95"),
+            (
+                ["sum", "--mean"],
+                "df16209ce3333ee9a7956115d6c8aeafb9de54a4fb6defaab931529043121a11",
+            ),
+            (
+                ["sum", "--method", "emq", "--range", "0", "10"],
+                "5de90789252fc9a2ca91826360f38b847191b7e4260c8c79bb278fffa85a484e",
+            ),
+        ],
+    )
+    def test_seeded_runs(self, capsys, argv, digest):
+        assert main(argv + ["--input", SMOKE, "--column", "value", "--seed", "5"]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (
+                ["account", "--query-class", "monotonic"],
+                "54bd19753f4020bd39f1c811b432ff7e8105bdfd8f230c5fd34cbc0d4a68df99",
+            ),
+            (
+                ["account", "--num-quantiles", "3"],
+                "d12f973c5ae52878c44223f80d8d220d410e34759d416a02a6df708c9e551e7d",
+            ),
+        ],
+    )
+    def test_accounting(self, capsys, argv, digest):
+        assert main(argv) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 class TestPdf:

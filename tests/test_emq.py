@@ -20,6 +20,7 @@ from uqe.emq import (
     uqe_pdf_curve,
 )
 from uqe.noise import RandomSource
+from uqe.sparse_vector import DEFAULT_MAX_QUERIES
 
 
 def enumeration_oracle(data, a, b, q, eps):
@@ -166,14 +167,20 @@ class TestUqeCurve:
     def test_range_free_and_mass_accounting(self):
         data = np.array([1.0, 3.0, 5.0, 7.0, 9.0])
         curve = uqe_pdf_curve(data, 0.0, 0.9, 1.0, beta=1.05)
-        assert curve.total_mass() + curve.residual == pytest.approx(1.0, abs=1e-9)
-        assert curve.total_mass() <= 1.0 + 1e-9
+        assert curve.mass.sum() + curve.residual == pytest.approx(1.0, abs=1e-9)
+        assert curve.mass.sum() <= 1.0 + 1e-9
         assert (curve.density >= 0).all()
         # integral of the step function equals the emitted mass exactly
         widths = curve.rights - curve.lefts
         assert float((curve.density * widths).sum()) == pytest.approx(
-            curve.total_mass(), abs=1e-12
+            curve.mass.sum(), abs=1e-12
         )
+
+    def test_curve_stops_at_the_query_cap(self):
+        # uncapped, this curve has 6.9e6 intervals and a 600 MB peak
+        curve = uqe_pdf_curve(np.array([1.0, 5.0, 1e300]), 0.0, 0.5, 1.0, beta=1.0001)
+        assert curve.mass.size <= DEFAULT_MAX_QUERIES
+        assert curve.mass.sum() + curve.residual == pytest.approx(1.0, abs=1e-9)
 
     def test_curve_identical_for_any_assumed_range(self):
         # the function does not take a range; equality of repeated calls is

@@ -51,8 +51,8 @@ def repeated_power(beta, k):
 
 def test_bucket_frozen_values():
     grid = GeometricGrid(2.0, 0.0)
-    assert grid.bucket_of(grid.shift(np.array([10.0]))[0]) == 3
-    assert grid.bucket_of(1.0) == 0  # x == ell
+    assert grid.max_index_at_most(grid.shift(np.array([10.0]))[0]) == 3
+    assert grid.max_index_at_most(1.0) == 0  # x == ell
 
 
 def test_bucket_indices_match_oracle():
@@ -70,7 +70,7 @@ def test_bucket_boundary_points_exact():
     for beta in [1.001, 1.1, 2.0]:
         grid = GeometricGrid(beta, 0.0)
         for j in [0, 1, 7, 100, 953]:
-            assert grid.bucket_of(grid.power(j)) == j
+            assert grid.max_index_at_most(grid.power(j)) == j
 
 
 def test_grid_values_and_validation():

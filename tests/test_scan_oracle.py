@@ -75,24 +75,23 @@ def iterate(stream):
 
 def scalar_above_threshold(stream, cfg, rng):
     """Reference: one noise draw and one comparison per query."""
-    delta = stream.sensitivity
-    noisy_t = cfg.threshold + sample(NoiseSpec(cfg.noise, delta / cfg.eps1), rng)
-    query_spec = NoiseSpec(cfg.noise, delta / cfg.eps2)
+    noisy_t = cfg.threshold + sample(NoiseSpec(cfg.noise, 1.0 / cfg.eps1), rng)
+    query_spec = NoiseSpec(cfg.noise, 1.0 / cfg.eps2)
     for i, value in enumerate(iterate(stream), start=1):
         if value + sample(query_spec, rng) >= noisy_t:
-            return SvtOutcome.halt(i)
+            return SvtOutcome(i)
         if i >= stream.max_queries:
             break
-    return SvtOutcome.out_of_queries(stream.max_queries)
+    return SvtOutcome(None, stream.max_queries)
 
 
 def scalar_noiseless(stream, threshold):
     for i, value in enumerate(iterate(stream), start=1):
         if value >= threshold:
-            return SvtOutcome.halt(i)
+            return SvtOutcome(i)
         if i >= stream.max_queries:
             break
-    return SvtOutcome.out_of_queries(stream.max_queries)
+    return SvtOutcome(None, stream.max_queries)
 
 
 def dict_counting_values(counts, k, lead=None):
@@ -192,7 +191,7 @@ def test_cap_one_and_block_edges_exhaust_with_one_draw_per_query():
         stream = QueryStream([], -1e9, max_queries=cap)
         rng = RandomSource(5)
         out = run_above_threshold(stream, SvtConfig(1.0, 1.0, NoiseKind.LAPLACE, 0.0), rng)
-        assert out == SvtOutcome.out_of_queries(cap)
+        assert out == SvtOutcome(None, cap)
         ref = RandomSource(5)
         ref.uniform_open(cap + 1)
         assert generator_state(rng) == generator_state(ref)
@@ -316,7 +315,7 @@ def test_a_run_with_no_query_in_reach_exhausts_at_exactly_cap_draws(cap, kind):
         rng.gen.integers(0, 10)  # leaves a spare 32-bit half the run must keep
         ref = RandomSource(6, 2)
         ref.gen.integers(0, 10)
-        assert run_above_threshold(stream, cfg, rng) == SvtOutcome.out_of_queries(cap)
+        assert run_above_threshold(stream, cfg, rng) == SvtOutcome(None, cap)
         ref.uniform_open(cap + 1)
         assert generator_state(rng) == generator_state(ref)
 
@@ -394,7 +393,7 @@ def two_build_signed_stream(values, beta, max_queries):
         hist = build_histogram(nonneg, beta, 0.0, max_queries)
         grid, above = hist.grid, hist.cumulative
     lead = np.concatenate(([negatives], negatives + above))
-    return QueryStream(lead, values.size, 1.0, max_queries), grid
+    return QueryStream(lead, values.size, max_queries=max_queries), grid
 
 
 def two_build_unbounded(data, req, rng, noiseless):
@@ -645,7 +644,7 @@ def test_scalar_lookup_matches_the_vectorized_one(beta):
     y = [pows, np.nextafter(pows, 0.0), np.nextafter(pows, np.inf)]
     if beta >= 1.001:
         # at 1 + 1e-6, y near 1e300 sits past bucket 6.9e8: a 5.5 GB cache
-        k = grid.bucket_of(1e300)
+        k = grid.max_index_at_most(1e300)
         near = np.array([1e300, grid.power(k), grid.power(k + 1)])
         y += [near, np.nextafter(near, 0.0), np.nextafter(near, np.inf), [np.finfo(float).max]]
     y = np.concatenate(y)
@@ -661,8 +660,6 @@ def test_scalar_lookups_reject_non_finite_values(y):
         warnings.simplefilter("error")
         with pytest.raises(ValueError):
             grid.max_index_at_most(y)
-        with pytest.raises(ValueError):
-            grid.bucket_of(y)
 
 
 @pytest.mark.parametrize(
