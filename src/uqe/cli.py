@@ -45,7 +45,7 @@ from .quantile import (
     request_guarantee,
 )
 from .sparse_vector import DEFAULT_MAX_QUERIES
-from .verify import SUITE_NAMES, run_verification_suite
+from .verify import DP_RATIO_MIN_TRIALS, SUITE_NAMES, run_verification_suite
 
 ENV_SEED = "UQE_SEED"
 
@@ -404,7 +404,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="statistical and oracle self-checks")
     p.add_argument("--suite", default="all", choices=["all", *SUITE_NAMES])
-    p.add_argument("--trials", type=int, default=200_000)
+    p.add_argument(
+        "--trials",
+        type=int,
+        default=200_000,
+        help=f"Monte Carlo trials per check; dp-ratio runs at least {DP_RATIO_MIN_TRIALS:,}",
+    )
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out")
     p.set_defaults(handler=cmd_verify)

@@ -18,12 +18,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .noise import RandomSource
-from .quantile import build_histogram
+from .quantile import build_histogram, counting_query_stream
 from .sparse_vector import (
     DEFAULT_MAX_QUERIES,
     check_eps,
     gumbel_halt_log_pmf,
     gumbel_no_halt_prob,
+    stream_prefix,
 )
 
 __all__ = [
@@ -178,10 +179,9 @@ def uqe_pdf_curve(
     hist = build_histogram(data, beta, lower_bound, DEFAULT_MAX_QUERIES)
     grid = hist.grid
     n = hist.n
-    k_full = hist.cumulative.size  # first query index where the prefix hits n
+    k_full = int(hist.buckets[-1]) + 1  # first query index where the prefix hits n
     k_max = min(k_full + int(pad_steps), DEFAULT_MAX_QUERIES)
-    values = np.concatenate((hist.cumulative, np.full(int(pad_steps), n)))
-    values = values[:k_max].astype(float)
+    values = stream_prefix(counting_query_stream(hist), k_max)
     t = q * n
     log_pmf = gumbel_halt_log_pmf(values, t, eps / 2.0)
     mass = np.exp(log_pmf)

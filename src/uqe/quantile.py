@@ -6,8 +6,12 @@ the candidate beta^k + ell - 1 at the halting index k. The counting queries
 are monotonic with sensitivity 1 under swap neighbors, which is what the
 privacy accounting of this pipeline rests on.
 
-Preprocessing is a single O(n) pass into a dense log-spaced bucket histogram
-and its running sums, after which each query is one array read.
+Preprocessing is a single O(n) pass into a sparse log-spaced bucket
+histogram: the non-empty buckets and their running counts. The counting
+queries are constant between non-empty buckets, so the scan reads them as
+runs, and a call's work and memory grow with n and the number of non-empty
+buckets, not with the largest bucket index. Grid powers live in one cache
+per beta, shared by every grid in the process.
 Variants here: a fully unbounded estimator (no declared bounds, two runs), an
 inverted transform for small quantiles of upper-bounded data, and recursive
 splitting for several quantiles at once.
@@ -93,12 +97,48 @@ def check_beta(beta: float, name: str = "beta") -> None:
         raise ValueError(f"{name} must be finite and > 1, got {beta!r}")
 
 
+# Powers of each beta, shared by every grid of that beta in the process,
+# for the _CACHED_BETAS betas used last.
+_POWERS: dict[float, np.ndarray] = {}
+_CACHED_BETAS = 8
+
+
+def _shared_powers(beta: float, size: int) -> np.ndarray:
+    """The cached powers of beta, read-only, extended to at least size.
+
+    np.cumprod multiplies in sequence, so each new power is the previous
+    one times beta, as a scalar loop computes it: the cache holds the same
+    floats however it was grown. Powers past the float range are inf.
+    """
+    pows = _POWERS.pop(beta, None)
+    if pows is None:
+        pows = np.ones(1)
+    if pows.size < size:
+        steps = np.full(size - pows.size + 1, beta)
+        steps[0] = pows[-1]
+        with np.errstate(over="ignore"):
+            np.cumprod(steps, out=steps)
+        pows = np.concatenate((pows, steps[1:]))
+    pows.flags.writeable = False
+    # re-inserted last, so the beta dropped is the one used longest ago
+    _POWERS[beta] = pows
+    while len(_POWERS) > _CACHED_BETAS:
+        del _POWERS[next(iter(_POWERS))]
+    return pows
+
+
 class GeometricGrid:
     """Candidate values beta^i + ell - 1 with powers cached by multiplication.
 
     The cache is the grid definition: every bucket boundary and every output
     value comes from the same iteratively multiplied floats, so membership
     tests are exact against the values the query stream actually uses.
+
+    All grids of one beta share one cache for the process. Cached values
+    depend on beta alone, never on data, but the cache's length follows
+    the largest power index asked for so far, so how long a later call
+    takes depends on earlier calls' data: like the build time, it is
+    debug-only.
     """
 
     def __init__(self, beta: float, lower_bound: float) -> None:
@@ -106,24 +146,13 @@ class GeometricGrid:
         self.beta = float(beta)
         self.lower_bound = float(lower_bound)
         self._log_beta = math.log(self.beta)
-        self._powers = np.ones(1)
+        self._powers = _shared_powers(self.beta, 1)
 
     def powers(self, size: int) -> np.ndarray:
-        """beta^0 .. beta^(size-1), read-only; extends the cache as needed.
-
-        np.cumprod multiplies in sequence, so each new power is the previous
-        one times beta, as a scalar loop computes it; powers past the float
-        range are inf.
-        """
-        pows = self._powers
-        if pows.size < size:
-            steps = np.full(size - pows.size + 1, self.beta)
-            steps[0] = pows[-1]
-            with np.errstate(over="ignore"):
-                np.cumprod(steps, out=steps)
-            pows = self._powers = np.concatenate((pows, steps[1:]))
-            pows.flags.writeable = False
-        return pows[:size]
+        """beta^0 .. beta^(size-1), read-only; extends the cache as needed."""
+        if self._powers.size < size:
+            self._powers = _shared_powers(self.beta, size)
+        return self._powers[:size]
 
     def power(self, i: int) -> float:
         """beta^i from the multiplication cache (extends it as needed)."""
@@ -138,19 +167,22 @@ class GeometricGrid:
         """Grid candidate number i: beta^i + ell - 1."""
         return self.power(i) + self.lower_bound - 1.0
 
-    def shift(self, values: np.ndarray) -> np.ndarray:
+    def shift(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Map data to y = x - ell + 1 >= 1, the domain the buckets live on.
 
         A y that is not finite has no bucket, so it is rejected. With finite
         data only a negative ell (whose shift can overflow) or a NaN ell
         gives one, so only then is y checked, with overflow warnings off.
+        out, if given, is a float array of the data's size that receives y.
         """
         x = np.asarray(values, dtype=float)
         if self.lower_bound >= 0.0:
-            y = x - self.lower_bound + 1.0
+            y = np.subtract(x, self.lower_bound, out=out)
+            y += 1.0
         else:
             with np.errstate(over="ignore"):
-                y = x - self.lower_bound + 1.0
+                y = np.subtract(x, self.lower_bound, out=out)
+                y += 1.0
             if y.size and not y.max() < np.inf:
                 raise ValueError("value - lower bound + 1 is not a finite number")
         # NaN fails the comparison, so this rejects it along with y < 1
@@ -171,28 +203,47 @@ class GeometricGrid:
         y = np.asarray(y, dtype=float)
         if y.size == 0:
             return np.zeros(0, dtype=np.int64)
+        m = y.size
+        return self._bucket_into(
+            y, limit, np.empty(m, dtype=np.int64), np.empty(m), np.empty(m, dtype=bool)
+        )
+
+    def _bucket_into(
+        self,
+        y: np.ndarray,
+        limit: int | None,
+        idx: np.ndarray,
+        work: np.ndarray,
+        mask: np.ndarray,
+    ) -> np.ndarray:
+        """bucket_indices(y, limit) of a non-empty y, computed in the
+        caller's int64, float and bool buffers of y's size; returns idx."""
         # NaN fails both comparisons; checking the floats, not the cast
         # indices, keeps this independent of how a platform casts NaN and inf
         if not y.min() >= 1.0:
             raise ValueError("the bucket domain is the finite numbers >= 1")
-        guess = np.floor(np.log(y) / self._log_beta)
-        top = guess.max()
+        np.log(y, out=work)
+        work /= self._log_beta
+        np.floor(work, out=work)
+        top = work.max()
         if not top < math.inf:
             raise ValueError("the bucket domain is the finite numbers >= 1")
-        idx = guess.astype(np.int64)
+        np.copyto(idx, work, casting="unsafe")
         if limit is not None and top > limit:
             np.minimum(idx, limit, out=idx)
             top = limit
         lower, upper = self._edges(int(top) + 1, limit)
+        # every index stays within the edges (the edges grow first), so
+        # take's clip mode never clips; unlike raise mode it writes to out
+        # without a temporary
         for _ in range(64):
-            moved = False
-            low = y < lower[idx]
-            if low.any():
-                idx[low] -= 1
-                moved = True
-            high = y >= upper[idx]
-            if high.any():
-                idx[high] += 1
+            np.take(lower, idx, out=work, mode="clip")
+            moved = bool(np.less(y, work, out=mask).any())
+            if moved:
+                idx -= mask
+            np.take(upper, idx, out=work, mode="clip")
+            if np.greater_equal(y, work, out=mask).any():
+                idx += mask
                 moved = True
                 if int(idx.max()) >= lower.size:
                     lower, upper = self._edges(int(idx.max()) + 1, limit)
@@ -234,59 +285,102 @@ class GeometricGrid:
 
 
 class LogBucketHistogram:
-    """Dense per-bucket counts of shifted data and their running sums.
+    """Shifted data as its non-empty buckets and their running counts.
 
-    cumulative[i-1] is the counting query f_i, the number of points in
-    buckets < i; past the last bucket every query reads n. Each query is one
-    array read.
+    buckets holds the non-empty bucket indices in increasing order, and
+    running[j] the number of points in buckets <= buckets[j], so running[-1]
+    is n. The counting query f_i, the number of points in buckets < i, is
+    constant from one non-empty bucket to the next, so the histogram takes
+    memory in the number of non-empty buckets, at most min(n, cap + 1),
+    never in the largest bucket index.
     """
 
-    def __init__(self, grid: GeometricGrid, totals) -> None:
-        totals = np.asarray(totals, dtype=np.int64)
-        if totals.ndim != 1 or (totals < 0).any():
-            raise ValueError("bucket totals must be a 1-d array of counts >= 0")
+    def __init__(self, grid: GeometricGrid, buckets, running) -> None:
+        buckets = np.asarray(buckets, dtype=np.int64)
+        running = np.asarray(running, dtype=np.int64)
+        if buckets.ndim != 1 or running.shape != buckets.shape or not buckets.size:
+            raise ValueError("buckets and running counts must be 1-d, of one length >= 1")
+        if not (buckets[0] >= 0 and running[0] > 0):
+            raise ValueError("buckets must be >= 0 and each must hold a point")
+        if not ((buckets[1:] > buckets[:-1]).all() and (running[1:] > running[:-1]).all()):
+            raise ValueError("buckets and running counts must increase strictly")
+        buckets.flags.writeable = False
+        running.flags.writeable = False
         self.grid = grid
-        self.totals = totals
-        self.cumulative = np.cumsum(totals)
-        self.n = int(self.cumulative[-1]) if totals.size else 0
-        totals.flags.writeable = False
-        self.cumulative.flags.writeable = False
+        self.buckets = buckets
+        self.running = running
+        self.n = int(running[-1])
+        self._streams: dict[int, QueryStream] = {}
 
     @functools.cached_property
     def counts(self) -> Mapping[int, int]:
         """Read-only {bucket: count} view of the nonzero buckets."""
-        nz = np.flatnonzero(self.totals)
-        return MappingProxyType(dict(zip(nz.tolist(), self.totals[nz].tolist())))
+        counts = np.diff(self.running, prepend=0)
+        return MappingProxyType(dict(zip(self.buckets.tolist(), counts.tolist())))
 
     def prefix_count(self, i: int) -> int:
         """|{x_j : x_j - ell + 1 < beta^i}|, i.e. everything in buckets < i."""
-        if i <= 0 or not self.cumulative.size:
-            return 0
-        return int(self.cumulative[min(i, self.cumulative.size) - 1])
+        below = int(self.buckets.searchsorted(i, "left")) if i > 0 else 0
+        return int(self.running[below - 1]) if below else 0
 
 
-# sized so a block's shift/log/index temporaries stay cache-resident,
-# keeping the per-element build cost flat from small n to millions
+# sized so a block's shift/log/index buffers stay cache-resident, keeping
+# the per-element build cost flat from small n to millions
 _BUILD_BLOCK = 1 << 16
 
+# a bincount costs O(largest key) and a sort O(n log n): data of one block
+# whose largest key is more than _SORT_SPREAD times its size is sorted
+_SORT_SPREAD = 4
 
-def _bincount_blocks(x: np.ndarray, keys: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """Sum of np.bincount(keys(block)) over the _BUILD_BLOCK blocks of x."""
+
+def _sorted_key_counts(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct keys in increasing order and how often each occurs, by
+    sorting; keys is sorted in place."""
+    keys.sort()
+    ends = np.append(np.flatnonzero(keys[1:] != keys[:-1]), keys.size - 1)
+    counts = np.empty_like(ends)
+    counts[0], counts[1:] = ends[0] + 1, ends[1:] - ends[:-1]
+    return keys[ends], counts
+
+
+def _key_counts(x: np.ndarray, keys: Callable[..., np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct keys of x's points in increasing order, and how many
+    points have each.
+
+    keys(block, y, idx, work, mask) returns the int64 keys of one
+    _BUILD_BLOCK block, computed in float, int64, float and bool buffers of
+    the block's size. Every block of a build reuses the same buffers, so
+    the build's cost does not depend on how the process allocated before.
+    Data of more than one block is bincounted block by block; one block is
+    sorted instead when its keys spread wide (_SORT_SPREAD), so a small
+    build costs O(n log n), not O(largest bucket index).
+    """
+    m = min(x.size, _BUILD_BLOCK)
+    # one allocation for the three 8-byte buffers: malloc can then keep it
+    # resident between builds, where separate ones are unmapped or trimmed
+    # and fault their pages in again on every build
+    wide = np.empty((3, m))
+    buffers = (wide[0], wide[1].view(np.int64), wide[2], np.empty(m, dtype=bool))
     totals = np.zeros(0, dtype=np.int64)
     for start in range(0, x.size, _BUILD_BLOCK):
-        bc = np.bincount(keys(x[start : start + _BUILD_BLOCK]))
+        block = x[start : start + _BUILD_BLOCK]
+        k = keys(block, *(buf[: block.size] for buf in buffers))
+        if block.size == x.size and k.max() > _SORT_SPREAD * x.size:
+            return _sorted_key_counts(k)
+        bc = np.bincount(k)
         if bc.size > totals.size:
             bc[: totals.size] += totals
             totals = bc
         else:
             totals[: bc.size] += bc
-    return totals
+    nonzero = np.flatnonzero(totals)
+    return nonzero, totals[nonzero]
 
 
 def build_histogram(
     values, beta: float, lower_bound: float, max_queries: int | None = None
 ) -> LogBucketHistogram:
-    """Shift, bucket and bincount the data in blocks. O(n) arithmetic.
+    """Shift, bucket and count the data in blocks. O(n) arithmetic.
 
     A run capped at max_queries reads no bucket past max_queries - 1, so
     with a cap every larger index goes to the one bucket max_queries and the
@@ -297,21 +391,39 @@ def build_histogram(
     x = np.asarray(values, dtype=float)
     if x.size == 0:
         raise ValueError("cannot build a histogram from empty data")
-    totals = _bincount_blocks(
-        x, lambda block: grid.bucket_indices(grid.shift(block), max_queries)
-    )
-    return LogBucketHistogram(grid, totals)
+
+    def keys(block, y, idx, work, mask):
+        return grid._bucket_into(grid.shift(block, out=y), max_queries, idx, work, mask)
+
+    buckets, counts = _key_counts(x, keys)
+    return LogBucketHistogram(grid, buckets, np.cumsum(counts))
+
+
+def _runs_stream(
+    starts: np.ndarray, values: np.ndarray, lead: int, max_queries: int
+) -> QueryStream:
+    """The stream of runs at starts (increasing, >= 0) with values, behind a
+    run of lead from offset 0 when the first of them starts later."""
+    if not (starts.size and starts[0] == 0):
+        starts, values = np.append(0, starts), np.append(lead, values)
+    return QueryStream(starts, values, max_queries)
 
 
 def counting_query_stream(
     hist: LogBucketHistogram, max_queries: int = DEFAULT_MAX_QUERIES
 ) -> QueryStream:
-    """f_i = prefix count through bucket i-1, read from hist.cumulative.
+    """f_i = prefix count through bucket i-1: one run per non-empty bucket,
+    behind a run of zeros up to the first (see _runs_stream). A stream is
+    immutable, so the histogram keeps the one it built for each cap.
 
     Monotonic with sensitivity 1 under swap neighbors: swapping one point
     moves every prefix count by at most 1, in the same direction.
     """
-    return QueryStream(hist.cumulative, hist.n, max_queries=max_queries)
+    stream = hist._streams.get(max_queries)
+    if stream is None:
+        stream = _runs_stream(hist.buckets, hist.running, 0, max_queries)
+        hist._streams[max_queries] = stream
+    return stream
 
 
 @dataclass(frozen=True)
@@ -437,47 +549,55 @@ class UnboundedEstimate:
 
 def _sign_split_totals(
     values: np.ndarray, grid: GeometricGrid, max_queries: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Bucket totals of both unbounded runs from one pass over the data.
+) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """Non-empty buckets and running counts of both unbounded runs, from
+    one pass over the data.
 
     Each point is bucketed once, at y = |x| + 1 on the grid with lower bound
     0. For x >= 0 that is the float x - 0 + 1 the first run's shift
     computes, and for x <= 0 the float (-x) - 0 + 1 of the second run's, so
     both runs read the buckets they would build on their own. Returns the
-    totals over x >= 0 (first run) and over x <= 0 (second run); the zeros,
-    +0.0 and -0.0 alike, sit in bucket 0 of both.
+    (buckets, running counts) over x >= 0 (first run) and over x <= 0
+    (second run); the zeros, +0.0 and -0.0 alike, sit in bucket 0 of both.
     """
     zeros = 0
 
-    def keys(block: np.ndarray) -> np.ndarray:
+    def keys(block, y, idx, work, mask):
         nonlocal zeros
-        zeros += int(np.count_nonzero(block == 0.0))
-        y = np.abs(block)
+        zeros += int(np.count_nonzero(np.equal(block, 0.0, out=mask)))
+        np.abs(block, out=y)
         y += 1.0
-        idx = grid.bucket_indices(y, max_queries)
+        grid._bucket_into(y, max_queries, idx, work, mask)
         idx *= 2
-        idx += block < 0.0
+        idx += np.less(block, 0.0, out=mask)
         return idx
 
-    totals = _bincount_blocks(values, keys)
-    if totals.size % 2:
-        totals = np.append(totals, 0)
-    nonneg, nonpos = totals[0::2], totals[1::2].copy()
-    nonpos[0] += zeros
-    return nonneg, nonpos
+    signed, counts = _key_counts(values, keys)
+    negative = (signed & 1).astype(bool)
+    nonneg_buckets, nonneg_counts = signed[~negative] >> 1, counts[~negative]
+    nonpos_buckets, nonpos_counts = signed[negative] >> 1, counts[negative]
+    if zeros:
+        # the zeros sit in the second run's bucket 0 as well
+        if nonpos_buckets.size and nonpos_buckets[0] == 0:
+            nonpos_counts[0] += zeros
+        else:
+            nonpos_buckets = np.append(0, nonpos_buckets)
+            nonpos_counts = np.append(zeros, nonpos_counts)
+    return (
+        (nonneg_buckets, np.cumsum(nonneg_counts)),
+        (nonpos_buckets, np.cumsum(nonpos_counts)),
+    )
 
 
-def _signed_stream(totals: np.ndarray, n: int, max_queries: int) -> QueryStream:
-    """g_0 counts the points of the other sign, left out of totals; from
+def _signed_stream(
+    buckets: np.ndarray, running: np.ndarray, n: int, max_queries: int
+) -> QueryStream:
+    """g_0 counts the points of the other sign, left out of running; from
     i = 1 on, g_i adds those in buckets < i. Monotonic with sensitivity 1
     under swap neighbors. The stream's position p is candidate index p - 1.
     """
-    lead = n - int(totals.sum())
-    return QueryStream(
-        np.concatenate(([lead], lead + np.cumsum(totals))),
-        n,
-        max_queries=max_queries,
-    )
+    lead = n - (int(running[-1]) if running.size else 0)
+    return _runs_stream(buckets + 1, lead + running, lead, max_queries)
 
 
 def estimate_quantile_unbounded(
@@ -499,14 +619,14 @@ def estimate_quantile_unbounded(
     grid = GeometricGrid(req.beta, 0.0)
     cap = req.max_queries
     nonneg, nonpos = _sign_split_totals(data.values, grid, cap)
-    first = _scan(_signed_stream(nonneg, data.n, cap), req.q * data.n, req, rng, noiseless)
+    first = _scan(_signed_stream(*nonneg, data.n, cap), req.q * data.n, req, rng, noiseless)
     if first.exhausted:
         return UnboundedEstimate(grid.value(cap - 1), True, None, None, False)
     k1 = first.index - 1
     if k1 > 0:
         return UnboundedEstimate(grid.power(k1) - 1.0, False, k1, None, False)
     t2 = (1.0 - req.q) * data.n
-    second = _scan(_signed_stream(nonpos, data.n, cap), t2, req, rng, noiseless)
+    second = _scan(_signed_stream(*nonpos, data.n, cap), t2, req, rng, noiseless)
     if second.exhausted:
         return UnboundedEstimate(-(grid.value(cap - 1)), True, 0, None, True)
     k2 = second.index - 1
@@ -544,16 +664,26 @@ class MultiQuantileResult:
     budget: MultiQuantileBudget
 
 
-def _sorted_cumulative(grid: GeometricGrid, y: np.ndarray, cap: int) -> np.ndarray:
-    """build_histogram(..., max_queries=cap).cumulative of sorted shifted data y.
+def _sorted_stream(grid: GeometricGrid, y: np.ndarray, cap: int) -> QueryStream:
+    """counting_query_stream(build_histogram(..., max_queries=cap), cap) for
+    sorted shifted data y.
 
-    Bucket i < top holds the y below beta^(i+1), and the last bucket, top =
-    min(cap, bucket of y[-1]), holds all y.size points; each count is one
-    binary search.
+    The last bucket, top = min(cap, bucket of y[-1]), holds all y.size
+    points. When there are fewer buckets than points, each bucket is a run
+    of one query: bucket i < top holds the y below beta^(i+1), each count
+    one binary search. Otherwise y is bucketed point by point, and its
+    buckets, which increase with it, start the runs. Either way the work is
+    O(min(top, n) log n), not O(top).
     """
     top = grid._bucket(float(y[-1]), cap)
-    counts = np.searchsorted(y, grid.powers(top + 1)[1:], side="left")
-    return np.append(counts, y.size)
+    if top < y.size:
+        cumulative = np.empty(top + 1, dtype=np.int64)
+        cumulative[:top] = np.searchsorted(y, grid.powers(top + 1)[1:], side="left")
+        cumulative[top] = y.size
+        return QueryStream(np.arange(top + 1), cumulative, cap)
+    idx = grid.bucket_indices(y, cap)
+    ends = np.append(np.flatnonzero(idx[1:] != idx[:-1]), y.size - 1)
+    return _runs_stream(idx[ends], ends + 1, 0, cap)
 
 
 def estimate_multiple_quantiles(
@@ -618,8 +748,7 @@ def estimate_multiple_quantiles(
             empty[lo:hi] = [True] * (hi - lo)
             continue
         y = grid.shift(xs[a:b])
-        counts = _sorted_cumulative(grid, y, cap)
-        stream = QueryStream(counts, b - a, max_queries=cap)
+        stream = _sorted_stream(grid, y, cap)
         t = float((q_arr[mid] - mass_lo) * n_total)
         est = _finish(grid, _scan(stream, t, req, rng, noiseless))
         estimates[mid] = est.value

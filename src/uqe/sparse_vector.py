@@ -1,8 +1,10 @@
 """AboveThreshold over adaptive query streams.
 
-The runner consumes a stream of query values f_1, f_2, ..., an array
-followed by an optional constant, and halts at the first index whose noisy
-value clears the noisy threshold.
+The runner consumes a stream of query values f_1, f_2, ..., stored as
+constant runs (run starts and run values, the last run open up to the cap),
+and halts at the first index whose noisy value clears the noisy threshold.
+A counting stream has one run per non-empty histogram bucket; a generic
+array of values is runs of length 1.
 Halting early (or capping the stream) never hurts privacy, so running out of
 queries is reported as an outcome, not an error.
 
@@ -11,11 +13,13 @@ noise scale), so a query with f_i + NOISE_REACH * b < noisy threshold
 misses whatever its uniform. The runner computes noise only from the first
 query within that reach: it moves the generator past the others in O(1)
 (RandomSource.skip), then compares blocks of queries, and on a hit rewinds
-to just past the halting query. Halt indices, and the generator's state
-after every run, are bit for bit those of a query-by-query loop that draws
-one uniform per query. The scan's wall time therefore depends on where the
-data first comes within reach of the threshold: like the build time, it is
-a debug-only quantity, never one to release.
+to just past the halting query. The search for that first query reads
+runs, not queries, so it costs O(runs) however far the stream reaches.
+Halt indices, and the generator's state after every run, are bit for bit
+those of a query-by-query loop that draws one uniform per query. The scan's
+wall time therefore depends on how many runs come before the data first
+comes within reach of the threshold: like the build time, it is a
+debug-only quantity, never one to release.
 
 For Gumbel noise with eps1 == eps2 the halt index has a closed-form PMF,
 which the verification suites use as ground truth; the same module provides
@@ -91,31 +95,56 @@ def check_split(eps1: float, eps2: float, noise: NoiseKind) -> None:
 
 @dataclass(frozen=True)
 class QueryStream:
-    """f_i = head[i-1] for i <= len(head), then tail forever, capped at
-    max_queries queries.
+    """Query values in constant runs: f_i = values[j] for starts[j] < i <=
+    starts[j+1], capped at max_queries queries.
 
-    A stream without a tail ends after its head, so its cap is at most
-    len(head). Every stream has sensitivity 1: the package builds only
-    counting streams, and swapping one point moves a count by at most 1.
-    The first query is index 1; callers that think of their candidate grid
-    as starting elsewhere remap the halt index themselves.
+    starts begins at 0 and increases strictly. The last run is open: it
+    goes on at values[-1] up to the cap, unless the stream has a length, the
+    number of queries after which it ends (its cap is then at most that).
+    Every stream has sensitivity 1: the package builds only counting
+    streams, and swapping one point moves a count by at most 1. The first
+    query is index 1; callers that think of their candidate grid as
+    starting elsewhere remap the halt index themselves.
+
+    starts already int64 and values already float are kept without a copy,
+    and made read-only.
     """
 
-    head: np.ndarray
-    tail: float | None = None
+    starts: np.ndarray
+    values: np.ndarray
     max_queries: int = DEFAULT_MAX_QUERIES
+    length: int | None = None
 
     def __post_init__(self) -> None:
-        head = np.array(self.head, dtype=float)
+        starts = np.asarray(self.starts, dtype=np.int64)
+        values = np.asarray(self.values, dtype=float)
+        if starts.ndim != 1 or values.shape != starts.shape or not starts.size:
+            raise ValueError("starts and values must be 1-d, of one length >= 1")
+        if starts[0] != 0 or np.count_nonzero(starts[1:] <= starts[:-1]):
+            raise ValueError("run starts must begin at 0 and increase strictly")
+        check_max_queries(self.max_queries)
+        starts.flags.writeable = False
+        values.flags.writeable = False
+        object.__setattr__(self, "starts", starts)
+        object.__setattr__(self, "values", values)
+        if self.length is not None:
+            if not self.length > starts[-1]:
+                raise ValueError("a stream's length must reach into its last run")
+            object.__setattr__(self, "max_queries", min(self.max_queries, self.length))
+
+    @classmethod
+    def from_head(
+        cls, head, tail: float | None = None, max_queries: int = DEFAULT_MAX_QUERIES
+    ) -> "QueryStream":
+        """f_i = head[i-1] for i <= len(head), then tail forever: runs of
+        length 1, with the tail as the open last run. A stream without a
+        tail ends after its head."""
+        head = np.array(head, dtype=float)
         if head.ndim != 1:
             raise ValueError("head must be 1-d")
-        head.flags.writeable = False
-        check_max_queries(self.max_queries)
-        object.__setattr__(self, "head", head)
-        if self.tail is None:
-            object.__setattr__(self, "max_queries", min(self.max_queries, head.size))
-        else:
-            object.__setattr__(self, "tail", float(self.tail))
+        values = head if tail is None else np.append(head, tail)
+        length = head.size if tail is None else None
+        return cls(np.arange(values.size), values, max_queries, length)
 
 
 @dataclass(frozen=True)
@@ -143,33 +172,46 @@ class SvtOutcome:
         return self.index is None
 
 
+def _run_at(starts: np.ndarray, offset: int) -> int:
+    """Index of the run that holds query offset >= 0."""
+    # runs of one query each up to the offset, and the open last run, need
+    # no search
+    if offset < starts.size and starts[offset] == offset:
+        return offset
+    if offset >= starts[-1]:
+        return starts.size - 1
+    return int(starts.searchsorted(offset, "right")) - 1
+
+
 def _window(stream: QueryStream, start: int, stop: int) -> np.ndarray:
-    """Query values f_{start+1} .. f_stop: a slice of the head, padded with
-    the tail past its end."""
-    block = stream.head[start:stop]
-    if block.size < stop - start:
-        block = np.concatenate((block, np.full(stop - start - block.size, stream.tail)))
-    return block
+    """Query values f_{start+1} .. f_stop: each run's value repeated over
+    its part of the window."""
+    starts = stream.starts
+    j, k = _run_at(starts, start), _run_at(starts, stop - 1) + 1
+    if k - j == stop - start:  # one query per run
+        return stream.values[j:k]
+    edges = np.empty(k - j + 1, dtype=np.int64)
+    edges[0], edges[1:-1], edges[-1] = start, starts[j + 1 : k], stop
+    return stream.values[j:k].repeat(edges[1:] - edges[:-1])
 
 
 def _first_within(stream: QueryStream, start: int, reach: float, level: float) -> int:
     """Offset of the first query at or after offset start with
     f + reach >= level, or the cap if there is none.
 
-    The head is searched in windows that double from _FIRST_QUERY_BLOCK, so
-    a query found d places on costs O(d), whatever the head's length; the
-    tail is one comparison.
+    The runs from the one holding start are searched in windows that double
+    from _FIRST_QUERY_BLOCK runs, so a query found d runs on costs O(d),
+    however many queries those runs span; no order of the values is assumed.
     """
-    head, cap = stream.head, stream.max_queries
-    end, size = min(head.size, cap), _FIRST_QUERY_BLOCK
-    while start < end:
-        near = head[start : min(start + size, end)] + reach >= level
+    starts, values, cap = stream.starts, stream.values, stream.max_queries
+    j, size = _run_at(starts, start), _FIRST_QUERY_BLOCK
+    # the last window read may reach past the cap; a hit there reads as the cap
+    while j < starts.size and starts[j] < cap:
+        near = values[j : j + size] + reach >= level
         i = int(near.argmax())
         if near[i]:
-            return start + i
-        start, size = start + near.size, min(2 * size, _MAX_QUERY_BLOCK)
-    if start < cap and stream.tail + reach >= level:
-        return start
+            return min(max(start, int(starts[j + i])), cap)
+        j, size = j + near.size, min(2 * size, _MAX_QUERY_BLOCK)
     return cap
 
 
@@ -335,6 +377,6 @@ def simulate_iterative_em(
 def stream_prefix(stream: QueryStream, k: int) -> np.ndarray:
     """Materialize the first k query values of a stream, whatever its cap."""
     check_max_queries(k)
-    if stream.tail is None and stream.head.size < k:
-        raise ValueError(f"the stream ends after {stream.head.size} of {k} queries")
+    if stream.length is not None and stream.length < k:
+        raise ValueError(f"the stream ends after {stream.length} of {k} queries")
     return _window(stream, 0, k)

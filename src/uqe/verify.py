@@ -31,7 +31,7 @@ from .sparse_vector import (
     stream_prefix,
 )
 
-__all__ = ["SUITE_NAMES", "run_verification_suite"]
+__all__ = ["DP_RATIO_MIN_TRIALS", "SUITE_NAMES", "run_verification_suite"]
 
 SUITE_NAMES = (
     "gumbel-closed-form",
@@ -40,6 +40,10 @@ SUITE_NAMES = (
     "histogram-oracle",
     "noiseless-oracle",
 )
+
+# the dp-ratio suite runs at least this many trials per noise kind,
+# whatever it is asked for
+DP_RATIO_MIN_TRIALS = 100_000
 
 
 def _check(check_id: str, passed: bool, detail: str) -> dict:
@@ -150,7 +154,7 @@ def _suite_dp_ratio(seed: int, trials: int) -> list[dict]:
                 report.passed,
                 "max log ratio "
                 f"{report.max_log_ratio:.3f}, violation lcb {report.violation_lcb:.3f} "
-                f"vs claimed {claimed:.3f}",
+                f"vs claimed {claimed:.3f} x {trials} trials",
             )
         )
     return checks
@@ -228,7 +232,7 @@ def run_verification_suite(name: str, seed: int = 0, trials: int = 200_000) -> d
     elif name == "em-equivalence":
         checks = _suite_em_equivalence(seed, trials)
     elif name == "dp-ratio":
-        checks = _suite_dp_ratio(seed, max(trials, 100_000))
+        checks = _suite_dp_ratio(seed, max(trials, DP_RATIO_MIN_TRIALS))
     elif name == "histogram-oracle":
         checks = _suite_histogram_oracle(seed)
     elif name == "noiseless-oracle":

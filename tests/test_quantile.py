@@ -16,11 +16,13 @@ import warnings
 import numpy as np
 import pytest
 
+from uqe import quantile
 from uqe.accounting import NeighborModel
 from uqe.noise import NoiseKind, RandomSource
 from uqe.quantile import (
     Dataset,
     GeometricGrid,
+    LogBucketHistogram,
     QuantileRequest,
     build_histogram,
     counting_query_stream,
@@ -86,6 +88,52 @@ def test_grid_values_and_validation():
         grid.shift(np.array([0.5]))  # below ell
     assert grid.max_index_at_most(0.7) == -1
     assert grid.max_index_at_most(grid.power(5)) == 5
+
+
+def test_power_cache_is_one_cumprod_however_it_grows():
+    # betas no other test uses, so each cache starts at beta^0 alone
+    rng = np.random.default_rng(23)
+    for j in range(1, 6):
+        beta = 1.0 + j * 2.0**-30
+        want = np.cumprod(np.concatenate(([1.0], np.full(4999, beta))))
+        for size in rng.permutation(np.arange(1, 5001, 97)).tolist():
+            grid = GeometricGrid(beta, float(size))
+            if size % 2:
+                grid.power(size - 1)
+            else:
+                grid.powers(size)
+        assert GeometricGrid(beta, 0.0).powers(5000).tobytes() == want.tobytes()
+
+
+def test_grids_of_one_beta_share_their_powers_and_no_other_grid_sees_them():
+    beta = 1.0 + 2.0**-31
+    a, b = GeometricGrid(beta, 0.0), GeometricGrid(beta, -7.0)
+    a.powers(300)
+    assert np.shares_memory(a.powers(300), b.powers(300))
+    other = GeometricGrid(np.nextafter(beta, 2.0), 0.0)
+    assert not np.shares_memory(other.powers(300), a.powers(300))
+    assert other.power(299) > a.power(299)
+    for pows in (a.powers(300), b.powers(10), quantile._POWERS[beta]):
+        assert not pows.flags.writeable
+        with pytest.raises(ValueError):
+            pows[0] = 2.0
+    # the cache holds a fixed number of betas, dropping the one used longest ago
+    for j in range(quantile._CACHED_BETAS + 3):
+        GeometricGrid(1.5 + j / 64, 0.0).powers(50)
+    assert len(quantile._POWERS) == quantile._CACHED_BETAS
+    assert beta not in quantile._POWERS
+    assert a.powers(300).tobytes() == GeometricGrid(beta, 0.0).powers(300).tobytes()
+
+
+def test_histogram_holds_increasing_non_empty_buckets():
+    grid = GeometricGrid(1.1, 0.0)
+    hist = LogBucketHistogram(grid, [2, 5], [3, 4])
+    assert dict(hist.counts) == {2: 3, 5: 1} and hist.n == 4
+    assert [hist.prefix_count(i) for i in range(-1, 8)] == [0, 0, 0, 0, 3, 3, 3, 4, 4]
+    bad = (([], []), ([-1], [1]), ([2, 2], [1, 2]), ([2, 5], [3, 3]), ([2], [0]))
+    for buckets, running in bad:
+        with pytest.raises(ValueError):
+            LogBucketHistogram(grid, buckets, running)
 
 
 def test_histogram_prefix_counts_match_direct_scan():

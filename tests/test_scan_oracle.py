@@ -12,11 +12,15 @@ per run) stays here too, as the oracle of the one bucketing pass that now
 serves both runs. The multi-quantile recursion that masked each node's
 slice out of its parent's and built a histogram per node stays here as the
 oracle of the one that sorts once and counts by binary search, and the
-vectorized bucket lookup as the oracle of the scalar one. Also here: the
+vectorized bucket lookup as the oracle of the scalar one. The block runner
+as it read a dense array of query values stays here as the oracle of the
+one that reads runs, on the streams every estimator builds. Also here: the
 power cache against repeated multiplication, the capped histogram against
-the uncapped one, and the resource bounds the cap gives.
+the uncapped one, sorted and bincounted bucket keys against each other, and
+the resource bounds the cap and the sparse histogram give.
 """
 
+import copy
 import gc
 import math
 import time
@@ -27,13 +31,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from uqe import quantile, sparse_vector
 from uqe.accounting import multi_quantile_guarantee
 from uqe.emq import uqe_pdf_curve
-from uqe.noise import NoiseKind, NoiseSpec, RandomSource, sample
+from uqe.noise import NOISE_REACH, NoiseKind, NoiseSpec, RandomSource, sample
 from uqe.quantile import (
     Dataset,
     GeometricGrid,
@@ -47,7 +51,7 @@ from uqe.quantile import (
     UnboundedEstimate,
     _sign_split_totals,
     _signed_stream,
-    _sorted_cumulative,
+    _sorted_stream,
 )
 from uqe.sparse_vector import (
     DEFAULT_MAX_QUERIES,
@@ -67,10 +71,14 @@ PROPERTY = settings(
 
 
 def iterate(stream):
-    """Reference reader: the stream's values one at a time, head then tail."""
-    yield from stream.head.tolist()
-    while stream.tail is not None:
-        yield stream.tail
+    """Reference reader: the stream's values one at a time, run by run; the
+    last run goes on forever unless the stream has a length."""
+    starts, values = stream.starts.tolist(), stream.values.tolist()
+    for start, end, value in zip(starts, starts[1:] + [stream.length], values):
+        if end is None:
+            while True:
+                yield value
+        yield from [value] * (end - start)
 
 
 def scalar_above_threshold(stream, cfg, rng):
@@ -149,7 +157,7 @@ def test_block_runner_matches_scalar_on_finite_streams(
 ):
     values = slope * np.arange(length) + np.sin(np.arange(length))
     cfg = config(kind, eps1, eps2, threshold)
-    assert_same_run(lambda: QueryStream(values, max_queries=cap), cfg, seed)
+    assert_same_run(lambda: QueryStream.from_head(values, max_queries=cap), cfg, seed)
 
 
 @PROPERTY
@@ -167,7 +175,7 @@ def test_block_runner_matches_scalar_on_endless_streams(
 ):
     head = np.cumsum(head, dtype=float)
     cfg = config(kind, eps, eps / 2, threshold)
-    assert_same_run(lambda: QueryStream(head, tail, max_queries=cap), cfg, seed)
+    assert_same_run(lambda: QueryStream.from_head(head, tail, max_queries=cap), cfg, seed)
 
 
 @PROPERTY
@@ -180,7 +188,7 @@ def test_block_runner_matches_scalar_on_endless_streams(
 def test_noiseless_block_runner_matches_scalar(head, tail, threshold, cap):
     if not head and tail is None:
         head = [0.0]
-    stream = QueryStream(head, tail, max_queries=cap)
+    stream = QueryStream.from_head(head, tail, max_queries=cap)
     assert run_above_threshold_noiseless(stream, threshold) == scalar_noiseless(
         stream, threshold
     )
@@ -188,7 +196,7 @@ def test_noiseless_block_runner_matches_scalar(head, tail, threshold, cap):
 
 def test_cap_one_and_block_edges_exhaust_with_one_draw_per_query():
     for cap in (1, 255, 256, 257):
-        stream = QueryStream([], -1e9, max_queries=cap)
+        stream = QueryStream.from_head([], -1e9, max_queries=cap)
         rng = RandomSource(5)
         out = run_above_threshold(stream, SvtConfig(1.0, 1.0, NoiseKind.LAPLACE, 0.0), rng)
         assert out == SvtOutcome(None, cap)
@@ -226,8 +234,8 @@ def test_runner_skips_a_long_head_below_the_threshold(
     ramp = threshold - 100.0 + slope * np.arange(ramp)
     head = np.concatenate((np.full(lead, threshold + FAR), ramp))
     cfg = config(kind, eps1, eps2, threshold)
-    assert_same_run(lambda: QueryStream(head, max_queries=cap), cfg, seed)
-    assert_same_run(lambda: QueryStream(head, ramp[-1], max_queries=cap), cfg, seed)
+    assert_same_run(lambda: QueryStream.from_head(head, max_queries=cap), cfg, seed)
+    assert_same_run(lambda: QueryStream.from_head(head, ramp[-1], max_queries=cap), cfg, seed)
 
 
 @PROPERTY
@@ -251,7 +259,7 @@ def test_runner_finds_sparse_queries_within_reach_of_a_non_monotone_head(
         if at < length:
             head[at] = value
     cfg = config(kind, eps1, eps2, 0.0)
-    assert_same_run(lambda: QueryStream(head, tail, max_queries=cap), cfg, seed)
+    assert_same_run(lambda: QueryStream.from_head(head, tail, max_queries=cap), cfg, seed)
 
 
 @PROPERTY
@@ -266,7 +274,7 @@ def test_runner_finds_sparse_queries_within_reach_of_a_non_monotone_head(
 def test_runner_skips_a_head_never_in_reach_to_a_tail_in_reach(kind, eps, length, tail, cap, seed):
     head = np.full(length, FAR)
     cfg = config(kind, eps, eps / 2, 0.0)
-    assert_same_run(lambda: QueryStream(head, tail, max_queries=cap), cfg, seed)
+    assert_same_run(lambda: QueryStream.from_head(head, tail, max_queries=cap), cfg, seed)
 
 
 @PROPERTY
@@ -289,16 +297,16 @@ def test_runner_matches_scalar_where_the_threshold_dwarfs_the_noise(
     step = math.ulp(threshold)
     head = threshold + step * np.array([-10**6] * lead + offsets, dtype=float)
     cfg = config(kind, eps1, eps2, threshold)
-    assert_same_run(lambda: QueryStream(head, max_queries=cap), cfg, seed)
+    assert_same_run(lambda: QueryStream.from_head(head, max_queries=cap), cfg, seed)
 
 
 def test_reach_test_rounds_as_the_hit_test_does():
     # 2**53 + 2 + 1 rounds to 2**53 + 4, so with a reach of 1 the query can
     # clear 2**53 + 4; testing f >= 2**53 + 4 - 1 would round up and skip it
     level = 2.0**53 + 4.0
-    stream = QueryStream([2.0**53 - 8.0, 2.0**53 + 2.0])
+    stream = QueryStream.from_head([2.0**53 - 8.0, 2.0**53 + 2.0])
     assert _first_within(stream, 0, 1.0, level) == 1
-    assert _first_within(QueryStream([2.0**53]), 0, 1.0, level) == 1  # the cap: none
+    assert _first_within(QueryStream.from_head([2.0**53]), 0, 1.0, level) == 1  # the cap: none
 
 
 @pytest.mark.parametrize("cap", [1, 1023, 1024, 1025, 4099, 200_000])
@@ -306,9 +314,9 @@ def test_reach_test_rounds_as_the_hit_test_does():
 def test_a_run_with_no_query_in_reach_exhausts_at_exactly_cap_draws(cap, kind):
     cfg = SvtConfig(1.0, 1.0, kind, 0.0)
     streams = [
-        QueryStream([], FAR, max_queries=cap),
-        QueryStream(np.full(cap, FAR), max_queries=cap),
-        QueryStream(np.linspace(2 * FAR, FAR, 5000), FAR, max_queries=cap),
+        QueryStream.from_head([], FAR, max_queries=cap),
+        QueryStream.from_head(np.full(cap, FAR), max_queries=cap),
+        QueryStream.from_head(np.linspace(2 * FAR, FAR, 5000), FAR, max_queries=cap),
     ]
     for stream in streams:
         rng = RandomSource(6, 2)
@@ -345,7 +353,7 @@ def test_array_stream_is_freed_without_garbage_collection():
     # a reference cycle would keep every run's query arrays until a full collection
     gc.disable()
     try:
-        stream = QueryStream(np.arange(10.0), 10.0)
+        stream = QueryStream.from_head(np.arange(10.0), 10.0)
         ref = weakref.ref(stream)
         del stream
         assert ref() is None
@@ -355,12 +363,12 @@ def test_array_stream_is_freed_without_garbage_collection():
 
 def test_stream_prefix_rejects_a_short_stream():
     with pytest.raises(ValueError):
-        stream_prefix(QueryStream([1.0, 2.0]), 3)
+        stream_prefix(QueryStream.from_head([1.0, 2.0]), 3)
 
 
 def test_max_queries_must_be_an_integer():
     with pytest.raises(ValueError):
-        QueryStream([1.0], max_queries=2.5)
+        QueryStream.from_head([1.0], max_queries=2.5)
     with pytest.raises(ValueError):
         QuantileRequest(q=0.5, eps1=1.0, eps2=1.0, max_queries=2.5)
 
@@ -383,17 +391,19 @@ def test_dense_counting_stream_matches_dict_stream(data, beta, lower, k):
 
 
 def two_build_signed_stream(values, beta, max_queries):
-    """Reference: the leading count of negatives, then the histogram of the
-    nonnegative points split off with a mask, built on its own."""
+    """Reference: the leading count of negatives, then the counting stream
+    of the nonnegative points split off with a mask, built on their own."""
     negatives = int((values < 0).sum())
     nonneg = values[values >= 0]
     grid = GeometricGrid(beta, 0.0)
-    above = np.zeros(0, dtype=np.int64)
+    above = np.zeros(0)
     if nonneg.size:
         hist = build_histogram(nonneg, beta, 0.0, max_queries)
-        grid, above = hist.grid, hist.cumulative
+        # through the last bucket, where the count reaches the points kept
+        above = stream_prefix(counting_query_stream(hist), int(hist.buckets[-1]) + 1)
+        grid = hist.grid
     lead = np.concatenate(([negatives], negatives + above))
-    return QueryStream(lead, values.size, max_queries=max_queries), grid
+    return QueryStream.from_head(lead, values.size, max_queries=max_queries), grid
 
 
 def two_build_unbounded(data, req, rng, noiseless):
@@ -461,8 +471,8 @@ def test_dense_signed_stream_matches_dict_stream(case, cap, k):
     values = np.array(data)
     nonneg, nonpos = _sign_split_totals(values, GeometricGrid(beta, 0.0), cap)
     # first run: the data as given; second run: the negated data
-    for totals, side in ((nonneg, values), (nonpos, -values)):
-        stream = _signed_stream(totals, values.size, cap)
+    for sparse, side in ((nonneg, values), (nonpos, -values)):
+        stream = _signed_stream(*sparse, values.size, cap)
         kept = side[side >= 0]
         counts = build_histogram(kept, beta, 0.0, cap).counts if kept.size else {}
         want = dict_counting_values(counts, k, lead=int((side < 0).sum()))
@@ -603,15 +613,151 @@ def test_multi_quantiles_match_the_mask_and_rebuild_path(case, qs, kind, eps, ca
 
 @PROPERTY
 @given(case=bounded_cases(), cap=BOUNDED_CAPS)
+# fewer buckets than points (one binary search per bucket), and more
+@example(case=(2.0, 0.0, [float(v) for v in range(60)]), cap=DEFAULT_MAX_QUERIES)
+@example(case=(1.001, 0.0, [1e6, 2e6, 3e6]), cap=DEFAULT_MAX_QUERIES)
 def test_sorted_counts_are_the_capped_build(case, cap):
     beta, lower, data = case
     x = np.array(data)
     grid = GeometricGrid(beta, lower)
     y = grid.shift(np.sort(x))
-    capped = build_histogram(x, beta, lower, cap).cumulative
-    assert np.array_equal(_sorted_cumulative(grid, y, cap), capped)
-    full = build_histogram(x, beta, lower).cumulative
-    assert np.array_equal(_sorted_cumulative(grid, y, DEFAULT_MAX_QUERIES), full)
+    for limit, hist in (
+        (cap, build_histogram(x, beta, lower, cap)),
+        (DEFAULT_MAX_QUERIES, build_histogram(x, beta, lower)),
+    ):
+        # one query past the last bucket reads n, as every later one does
+        k = int(hist.buckets[-1]) + 2
+        sorted_stream = _sorted_stream(grid, y, limit)
+        want = stream_prefix(counting_query_stream(hist, limit), k)
+        assert stream_prefix(sorted_stream, k).tobytes() == want.tobytes()
+
+
+def dense_above_threshold(head, tail, cap, cfg, rng):
+    """Reference: the block runner as it read a dense array of query values
+    followed by a constant tail, before streams were stored as runs."""
+    end = min(head.size, cap)
+
+    def first_within(start, reach, level):
+        size = sparse_vector._FIRST_QUERY_BLOCK
+        while start < end:
+            near = head[start : min(start + size, end)] + reach >= level
+            i = int(near.argmax())
+            if near[i]:
+                return start + i
+            start, size = start + near.size, min(2 * size, sparse_vector._MAX_QUERY_BLOCK)
+        if start < cap and tail is not None and tail + reach >= level:
+            return start
+        return cap
+
+    def window(start, stop):
+        block = head[start:stop]
+        return np.concatenate((block, np.full(stop - start - block.size, tail)))
+
+    noisy_t = cfg.threshold + sample(NoiseSpec(cfg.noise, 1.0 / cfg.eps1), rng)
+    query_spec = NoiseSpec(cfg.noise, 1.0 / cfg.eps2)
+    reach = NOISE_REACH * query_spec.scale
+    bit_generator = rng.gen.bit_generator
+    drawn, size = 0, sparse_vector._FIRST_QUERY_BLOCK
+    while (start := first_within(drawn, reach, noisy_t)) < cap:
+        if start > drawn:
+            rng.skip(start - drawn)
+            size = sparse_vector._FIRST_QUERY_BLOCK
+        stop = min(start + size, cap)
+        vals = window(start, stop)
+        saved = bit_generator.state
+        hits = vals + sample(query_spec, rng, vals.size) >= noisy_t
+        h = int(hits.argmax())
+        if hits[h]:
+            bit_generator.state = saved
+            rng.skip(h + 1)
+            return SvtOutcome(start + h + 1)
+        drawn, size = stop, min(2 * size, sparse_vector._MAX_QUERY_BLOCK)
+    rng.skip(cap - drawn)
+    return SvtOutcome(None, cap)
+
+
+def dense_view(stream):
+    """(head, tail, cap) of a stream: its values through the start of its
+    last run, then that run's value as the tail; a stream with a length
+    has no tail."""
+    if stream.length is not None:
+        return stream_prefix(stream, stream.length), None, stream.max_queries
+    head = stream_prefix(stream, int(stream.starts[-1]) + 1)
+    return head, float(stream.values[-1]), stream.max_queries
+
+
+def run_against_dense(stream, cfg, rng, seen):
+    """run_above_threshold, after asserting that the dense-head runner from
+    the same generator state halts alike and leaves the same state."""
+    ref = copy.deepcopy(rng)
+    out = run_above_threshold(stream, cfg, rng)
+    assert dense_above_threshold(*dense_view(stream), cfg, ref) == out
+    assert generator_state(ref) == generator_state(rng)
+    seen.append(out)
+    return out
+
+
+def scan_every_estimator(data, beta, lower, q, kind, cap, seed):
+    """Run the three estimators with every scan checked against the dense
+    runner; returns the outcomes of all their scans."""
+    seen = []
+    req = QuantileRequest.even_split(q, 1.0, beta=beta, noise=kind, max_queries=cap)
+    x = np.array(data)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(
+            quantile, "run_above_threshold", lambda *args: run_against_dense(*args, seen)
+        )
+        rng = RandomSource(seed, 5)
+        estimate_quantile(Dataset(x, lower_bound=lower), req, rng)
+        estimate_quantile_unbounded(Dataset(x), req, rng)
+        estimate_multiple_quantiles(Dataset(x, lower_bound=lower), [0.2, 0.5, 0.9], req, rng)
+    return seen
+
+
+@PROPERTY
+@given(
+    case=bounded_cases(),
+    kind=KINDS,
+    q=st.floats(0.0, 1.0),
+    cap=BOUNDED_CAPS,
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_run_streams_scan_like_the_dense_head(case, kind, q, cap, seed):
+    # the counting stream, both signed runs (lower <= 0 puts data on both
+    # sides of zero) and the multi-quantile node streams
+    beta, lower, data = case
+    assert scan_every_estimator(data, beta, lower, q, kind, cap, seed)
+
+
+@pytest.mark.parametrize("kind", list(NoiseKind))
+def test_exhausted_and_capped_runs_scan_like_the_dense_head(kind):
+    x = RandomSource(42).gen.lognormal(3.0, 1.0, 300) - 20.0
+    lower = float(x.min())
+    outcomes = []
+    for cap, seed in ((1, 1), (3, 2), (40, 3), (300, 4), (700, 5), (DEFAULT_MAX_QUERIES, 6)):
+        for q in (0.0, 0.5, 1.0):
+            outcomes += scan_every_estimator(x, 1.01, lower, q, kind, cap, seed)
+    assert any(o.exhausted for o in outcomes)
+    assert any(o.index == 1 for o in outcomes)
+    assert any(not o.exhausted and o.index > 1 for o in outcomes)
+
+
+@PROPERTY
+@given(
+    kind=KINDS,
+    runs=st.lists(
+        st.tuples(st.integers(1, 400), st.floats(-150.0, 60.0)), min_size=1, max_size=40
+    ),
+    length=st.one_of(st.none(), st.integers(1, 9000)),
+    cap=SKIP_CAPS,
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_non_monotone_runs_scan_like_the_dense_head(kind, runs, length, cap, seed):
+    starts = np.cumsum([0] + [n for n, _ in runs[:-1]])
+    if length is not None:
+        length = max(length, int(starts[-1]) + 1)
+    stream = QueryStream(starts, [v for _, v in runs], cap, length)
+    run_against_dense(stream, config(kind, 1.0, 0.7, 0.0), RandomSource(seed, 6), [])
 
 
 def test_multi_quantile_call_leaves_no_reference_cycles():
@@ -693,10 +839,34 @@ def test_capped_histogram_reads_like_the_uncapped_one(data, beta, cap):
     full = build_histogram(np.array(data), beta, 0.0)
     capped = build_histogram(np.array(data), beta, 0.0, cap)
     assert capped.n == full.n
-    assert capped.cumulative.size <= cap + 1
+    assert capped.buckets[-1] <= cap
     assert stream_prefix(counting_query_stream(capped), cap).tobytes() == stream_prefix(
         counting_query_stream(full), cap
     ).tobytes()
+
+
+@PROPERTY
+@given(case=signed_cases(), cap=SIGNED_CAPS, block=st.integers(1, 70))
+def test_sorted_and_bincounted_keys_build_the_same_histograms(case, cap, block):
+    # _SORT_SPREAD -1 sorts every one-block build and inf sorts none; a
+    # small _BUILD_BLOCK bincounts over many blocks that reuse one set of
+    # buffers, the last block shorter than the others
+    beta, data = case
+    x = np.array(data)
+    lower = float(x.min())
+
+    def build(spread, block_size):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(quantile, "_SORT_SPREAD", spread)
+            mp.setattr(quantile, "_BUILD_BLOCK", block_size)
+            hist = build_histogram(x, beta, lower, cap)
+            split = _sign_split_totals(x, GeometricGrid(beta, 0.0), cap)
+        arrays = [hist.buckets, hist.running] + [a for side in split for a in side]
+        return [(a.dtype.str, a.tobytes()) for a in arrays]
+
+    sorted_once = build(-1, 1 << 16)
+    assert build(math.inf, 1 << 16) == sorted_once
+    assert build(math.inf, block) == sorted_once
 
 
 @pytest.mark.parametrize("beta", [1.0 + 1e-6, 1.001, 1.01, 1.5, 2.0])
@@ -759,6 +929,23 @@ def test_grid_work_is_bounded_by_max_queries():
     assert est.exhausted and est.value == grid.value(100)
     assert unb.exhausted and unb.value == grid.value(99)
     assert multi.estimates[1] == grid.value(100)
+
+
+def test_a_warm_call_on_data_near_1e300_allocates_under_a_megabyte():
+    # 1,000 points span buckets up to 691,000 at beta = 1.001; the call's
+    # memory is bounded by n and the non-empty buckets, not by the grid
+    x = 1e300 * RandomSource(44).gen.uniform(1.0, 1.5, 1000)
+    data = Dataset(x, lower_bound=0.0)
+    req = QuantileRequest.even_split(0.5, 1.0, beta=1.001, max_queries=710_000)
+    estimate_quantile(data, req, RandomSource(45))  # fills the shared power cache
+    tracemalloc.start()
+    try:
+        est = estimate_quantile(data, req, RandomSource(46))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert not est.exhausted and est.halt_index > 690_000
+    assert peak < 1e6
 
 
 def uqe_pdf_reference(data, lower_bound, q, eps, beta, pad_steps=25):

@@ -114,7 +114,7 @@ def test_scalar_runner_matches_simulator_distribution():
     trials = 20_000
     scal = np.array([
         run_above_threshold(
-            QueryStream(values), cfg, RandomSource(60, stream=i)
+            QueryStream.from_head(values), cfg, RandomSource(60, stream=i)
         ).index
         or 0
         for i in range(trials)
@@ -135,14 +135,14 @@ def test_huge_first_query_halts_immediately(kind):
 
 
 def test_noiseless_mode_halts_at_first_crossing():
-    stream = QueryStream([0.1 * i for i in range(1, 11)])
+    stream = QueryStream.from_head([0.1 * i for i in range(1, 11)])
     out = run_above_threshold_noiseless(stream, 0.55)
     assert out == SvtOutcome(6)
     assert not out.exhausted
 
 
 def test_noiseless_mode_reports_exhaustion():
-    stream = QueryStream([0.0, 0.0, 0.0])
+    stream = QueryStream.from_head([0.0, 0.0, 0.0])
     out = run_above_threshold_noiseless(stream, 10.0)
     assert out.exhausted
     assert out.cap == 3
@@ -150,14 +150,14 @@ def test_noiseless_mode_reports_exhaustion():
 
 
 def test_cap_respected_on_endless_stream():
-    stream = QueryStream([], -100.0, max_queries=5)
+    stream = QueryStream.from_head([], -100.0, max_queries=5)
     cfg = SvtConfig(1.0, 1.0, NoiseKind.EXPONENTIAL, 1e9)
     out = run_above_threshold(stream, cfg, RandomSource(8))
     assert out.exhausted and out.cap == 5
 
 
 def test_default_cap_value():
-    assert QueryStream([], 0.0).max_queries == DEFAULT_MAX_QUERIES == 200_000
+    assert QueryStream.from_head([], 0.0).max_queries == DEFAULT_MAX_QUERIES == 200_000
 
 
 def test_gumbel_requires_equal_split():
@@ -182,7 +182,7 @@ def test_iterative_em_scalar_runner_agrees():
     trials = 20_000
     scal = np.array([
         run_iterative_em(
-            QueryStream(values), 0.5, 2.0, RandomSource(77, stream=i)
+            QueryStream.from_head(values), 0.5, 2.0, RandomSource(77, stream=i)
         ).index
         or 0
         for i in range(trials)
@@ -210,18 +210,31 @@ def test_simulated_em_matches_gumbel_run():
 
 
 def test_stream_prefix_and_tailless_stream():
-    stream = QueryStream([3.0, 1.0, 4.0])
+    stream = QueryStream.from_head([3.0, 1.0, 4.0])
     assert np.array_equal(stream_prefix(stream, 2), [3.0, 1.0])
     assert stream.max_queries == 3
     # reading a prefix does not consume the stream
     assert np.array_equal(stream_prefix(stream, 3), [3.0, 1.0, 4.0])
     # a stream without a tail ends after its head, whatever cap it is given
-    assert QueryStream([3.0, 1.0, 4.0], max_queries=10).max_queries == 3
-    assert np.array_equal(stream_prefix(QueryStream([2.0], 5.0), 3), [2.0, 5.0, 5.0])
+    assert QueryStream.from_head([3.0, 1.0, 4.0], max_queries=10).max_queries == 3
+    assert np.array_equal(stream_prefix(QueryStream.from_head([2.0], 5.0), 3), [2.0, 5.0, 5.0])
 
 
 def test_stream_validation():
     with pytest.raises(ValueError):
-        QueryStream([], 0.0, max_queries=0)
+        QueryStream.from_head([], 0.0, max_queries=0)
     with pytest.raises(ValueError):
-        QueryStream([[1.0, 2.0]])
+        QueryStream.from_head([[1.0, 2.0]])
+    # runs start at 0 and increase strictly, one value each, and a length
+    # must reach into the last run
+    for starts, values, length in (
+        ([], [], None),
+        ([1], [0.0], None),
+        ([0, 0], [1.0, 2.0], None),
+        ([0, 2, 1], [1.0, 2.0, 3.0], None),
+        ([0, 1], [1.0], None),
+        ([0, 4], [1.0, 2.0], 4),
+    ):
+        with pytest.raises(ValueError):
+            QueryStream(starts, values, length=length)
+    assert QueryStream([0, 4], [1.0, 2.0], 10, 5).max_queries == 5

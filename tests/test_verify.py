@@ -5,7 +5,7 @@ import math
 import pytest
 
 from uqe import verify
-from uqe.verify import SUITE_NAMES, run_verification_suite
+from uqe.verify import DP_RATIO_MIN_TRIALS, SUITE_NAMES, run_verification_suite
 
 
 def test_all_suites_pass():
@@ -18,9 +18,11 @@ def test_all_suites_pass():
 
 
 def test_detail_strings_are_informative():
-    result = run_verification_suite("dp-ratio", seed=1, trials=100_000)
+    # a request below the floor runs the floor, and the details say so
+    result = run_verification_suite("dp-ratio", seed=1, trials=10)
     for check in result["checks"]:
         assert "claimed" in check["detail"]
+        assert check["detail"].endswith(f" x {DP_RATIO_MIN_TRIALS} trials")
 
 
 def test_unknown_suite_rejected():
