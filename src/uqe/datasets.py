@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import io
 import math
 from pathlib import Path
 
@@ -34,19 +35,81 @@ def generate_synthetic(kind: str, n: int, rng: RandomSource) -> np.ndarray:
 
 
 def load_csv(path, column: str) -> np.ndarray:
-    """Read one numeric column; parse failures report the offending row."""
+    """Read one numeric column; parse failures report the offending row.
+
+    What is read is defined by the csv module's excel dialect and float
+    (_parse_rows). numpy's C parser reads the column instead on text where
+    it gives the same values bit for bit (_parse_column).
+    """
     path = Path(path)
     with path.open(newline="") as fh:
         rows = csv.reader(fh)
-        header = next(rows, None)
+        try:
+            header = next(rows, None)
+        except csv.Error as exc:
+            raise _csv_error(path, rows.line_num, exc) from None
         if header is None or column not in header:
             raise ValueError(
                 f"column {column!r} not found in {path} (available: {header})"
             )
         # a repeated name reads its last column, as a DictReader row does
         col = len(header) - 1 - header[::-1].index(column)
+        text = fh.read()
+    out = _parse_column(text, col)
+    if out is None:
+        out = _parse_rows(path, text, col, rows.line_num)
+    return out
+
+
+# NUL, which the csv module of Python 3.10 rejects, and the separators
+# \x1c-\x1f, which numpy strips around a number and float does not
+_NOT_FOR_LOADTXT = "\x00\x1c\x1d\x1e\x1f"
+
+
+def _parse_column(text: str, col: int) -> np.ndarray | None:
+    """Column col of the data rows by np.loadtxt, or None where the csv
+    module and float might read the text otherwise: loadtxt refuses it, it
+    has no data row (loadtxt would warn), it holds a character of
+    _NOT_FOR_LOADTXT, or a field longer than csv.field_size_limit()."""
+    if (
+        not text.lstrip("\r\n")
+        or any(c in text for c in _NOT_FOR_LOADTXT)
+        or not _fields_within_limit(text)
+    ):
+        return None
+    try:
+        return np.loadtxt(
+            io.StringIO(text),
+            dtype=float,
+            delimiter=",",
+            usecols=col,
+            comments=None,
+            quotechar='"',
+            ndmin=1,
+        )
+    except ValueError:
+        return None
+
+
+def _fields_within_limit(text: str) -> bool:
+    """Whether no field of text can be longer than csv.field_size_limit()."""
+    limit = csv.field_size_limit()
+    if len(text) <= limit:
+        return True
+    # an unquoted field lies within one line; a quoted one may span lines
+    return '"' not in text and max(map(len, text.split("\n"))) <= limit
+
+
+def _parse_rows(path: Path, text: str, col: int, lines_before: int) -> np.ndarray:
+    """Column col of the data rows as the csv module and float read them:
+    the definition of what load_csv accepts. lines_before is the header's
+    line count, so errors name lines of the file."""
+    rows = csv.reader(io.StringIO(text, newline=""))
+    try:
         # blank rows are skipped and short rows read None, as in a DictReader
         cells = [row[col] if col < len(row) else None for row in rows if row]
+    except csv.Error as exc:
+        raise _csv_error(path, lines_before + rows.line_num, exc) from None
     if not cells:
         raise ValueError(f"{path} has no data rows")
     try:
@@ -62,6 +125,10 @@ def load_csv(path, column: str) -> np.ndarray:
                 ) from None
         raise
     return out
+
+
+def _csv_error(path: Path, line: int, exc: csv.Error) -> ValueError:
+    return ValueError(f"{path}, line {line}: {exc}")
 
 
 def check_perturb_scale(scale: float) -> None:

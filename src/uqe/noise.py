@@ -74,8 +74,14 @@ class RandomSource:
         return RandomSource(self.seed, stream)
 
     def uniform_open(self, size=None):
-        """Uniform on the open interval (0, 1); never returns 0.0 or 1.0."""
-        return _to_uniform(self.gen.integers(0, _U53, size=size))
+        """Uniform on the open interval (0, 1); never returns 0.0 or 1.0.
+
+        Its 53-bit integer is the top 53 bits of one raw Philox word: the
+        value and the generator state integers(0, 2**53, size) gives, since
+        on a power-of-two range numpy's bounded draw takes those bits and
+        never rejects a word, without that routine's per-call cost.
+        """
+        return _to_uniform(self.gen.bit_generator.random_raw(size) >> 11)
 
     def skip(self, n: int) -> None:
         """Move past n uniforms without computing them.

@@ -203,6 +203,10 @@ class GeometricGrid:
         y = np.asarray(y, dtype=float)
         if y.size == 0:
             return np.zeros(0, dtype=np.int64)
+        # NaN fails the comparison; checking the floats, not the cast
+        # indices, keeps this independent of how a platform casts NaN and inf
+        if not y.min() >= 1.0:
+            raise ValueError("the bucket domain is the finite numbers >= 1")
         m = y.size
         return self._bucket_into(
             y, limit, np.empty(m, dtype=np.int64), np.empty(m), np.empty(m, dtype=bool)
@@ -217,11 +221,12 @@ class GeometricGrid:
         mask: np.ndarray,
     ) -> np.ndarray:
         """bucket_indices(y, limit) of a non-empty y, computed in the
-        caller's int64, float and bool buffers of y's size; returns idx."""
-        # NaN fails both comparisons; checking the floats, not the cast
-        # indices, keeps this independent of how a platform casts NaN and inf
-        if not y.min() >= 1.0:
-            raise ValueError("the bucket domain is the finite numbers >= 1")
+        caller's int64, float and bool buffers of y's size; returns idx.
+
+        The caller has rejected y < 1, which would give negative indices.
+        NaN and +inf are rejected here: the largest floored log is then NaN
+        or inf.
+        """
         np.log(y, out=work)
         work /= self._log_beta
         np.floor(work, out=work)
@@ -566,6 +571,7 @@ def _sign_split_totals(
         nonlocal zeros
         zeros += int(np.count_nonzero(np.equal(block, 0.0, out=mask)))
         np.abs(block, out=y)
+        # |x| + 1 >= 1, and _bucket_into rejects NaN and inf
         y += 1.0
         grid._bucket_into(y, max_queries, idx, work, mask)
         idx *= 2

@@ -406,6 +406,19 @@ class TestBadInputExits1:
         assert captured.err.startswith("error:")
         assert names in captured.err
 
+    # the csv module rejects the first (a field past its 131072-character
+    # limit) and, on Python 3.10, the second; that used to end in a traceback
+    @pytest.mark.parametrize(
+        "text", ["name,value\na,1\n" + "b" * 200_000 + ",2\n", "value\n1\n2\x00\n3\n"]
+    )
+    def test_file_the_csv_module_rejects_exits_1(self, capsys, tmp_path, text):
+        f = tmp_path / "f.csv"
+        f.write_text(text)
+        assert main(["quantile", "--input", str(f), "--column", "value", "--q", "0.5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {f}, ")
+
 
 class TestGoldenOutput:
     """sha256 of stdout for fixed seeded runs on smoke.csv. A change that

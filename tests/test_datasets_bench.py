@@ -6,12 +6,16 @@ frac = pos - j the value is v_{j+1} + frac * (v_{j+2} - v_{j+1}) (0-indexed
 j, j+1). Frozen cases: {1..101} at q = 0.5 gives 51; {1,2,3,4} gives 2.5.
 """
 
+import csv
 import itertools
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, example, given, settings
+from hypothesis import strategies as st
 
 from uqe import bench
 from uqe.aggregates import clipped_sum
@@ -61,6 +65,102 @@ class TestSynthetic:
             generate_synthetic("uniform", 0, RandomSource(0))
 
 
+def csv_loop_oracle(path, column):
+    """load_csv as the csv module and float read the file row by row."""
+    with open(path, newline="") as fh:
+        rows = csv.reader(fh)
+        try:
+            header = next(rows, None)
+            if header is None or column not in header:
+                raise ValueError(f"column {column!r} not found in {path} (available: {header})")
+            col = len(header) - 1 - header[::-1].index(column)
+            cells = [row[col] if col < len(row) else None for row in rows if row]
+        except csv.Error as exc:
+            raise ValueError(f"{path}, line {rows.line_num}: {exc}") from None
+    if not cells:
+        raise ValueError(f"{path} has no data rows")
+    out = []
+    for row_number, raw in enumerate(cells, start=2):
+        try:
+            out.append(float(raw))
+        except (TypeError, ValueError):
+            raise ValueError(f"{path}, row {row_number}: cannot parse {raw!r} as a number") from None
+    return np.array(out, dtype=float)
+
+
+def assert_same_outcome(got_fn, want_fn):
+    """Both give the same float64 bytes, or a ValueError with the same text."""
+    try:
+        want = want_fn()
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            got_fn()
+        assert str(got.value) == str(exc)
+        return
+    got = got_fn()
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+NUMBERS = st.one_of(
+    st.floats().map(repr),
+    st.integers(-(10**20), 10**20).map(str),
+    st.sampled_from(
+        [
+            "nan", "-nan", "+inf", "-Infinity", "iNf", " 2.5 ", "\t7", "1e5", ".5", "5.",
+            "\x853", "3\u2028", "\u30004", "\x0c5", "+0", "-0.0", "1" * 400, "1e-400",
+        ]
+    ),
+)
+# what float reads and numpy's parser may not, or the other way round
+ODD = st.sampled_from(
+    [
+        "1_000", "1__0", "_1", "\u0661\u0662", "\u0663.\u0665", "1e", "0x10", "", " ", "x",
+        "1 2", "1\x00", "6\x1c", "\x1f6",
+    ]
+)
+
+
+def quoted(cell):
+    return '"' + cell.replace('"', '""') + '"'
+
+
+FIELDS = st.one_of(
+    NUMBERS,
+    NUMBERS.map(quoted),
+    ODD,
+    ODD.map(quoted),
+    st.sampled_from(['"1"2', ' "1"', '"1" ', '1"', '"1,2"', '"1\n2"', '"1\r\n2"', '""', '"3']),
+)
+# rows of numbers come first, so that numpy's parser reads many files
+ROWS = st.one_of(
+    st.lists(NUMBERS, min_size=1, max_size=4).map(",".join),
+    st.lists(NUMBERS.map(quoted), min_size=1, max_size=4).map(",".join),
+    st.just(""),
+    st.lists(FIELDS, min_size=1, max_size=4).map(",".join),
+    st.sampled_from([" ", "\t", ","]),
+)
+NAMES = ["value", "x", "a", "val\nue"]
+ENDINGS = st.one_of(
+    st.just(["\n"]),
+    st.just(["\r\n"]),
+    st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=1, max_size=3),
+)
+
+
+@st.composite
+def csv_files(draw):
+    """A CSV file's text and a column to read: mixed line endings, duplicate
+    and quoted header names, ragged and blank rows, quoting, and number
+    spellings that float and numpy's parser may read differently."""
+    names = draw(st.lists(st.sampled_from(NAMES), min_size=1, max_size=4))
+    column = draw(st.sampled_from([*names, "missing"]))
+    endings = draw(ENDINGS)
+    lines = [",".join(map(quoted, names)), *draw(st.lists(ROWS, max_size=6))]
+    text = "".join(line + draw(st.sampled_from(endings)) for line in lines)
+    return (text if draw(st.booleans()) else text[:-1]), column
+
+
 class TestLoadCsv:
     def test_happy_path(self, tmp_path):
         f = tmp_path / "d.csv"
@@ -98,11 +198,75 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="row 3: cannot parse 'x'"):
             load_csv(f, "value")
 
+    @pytest.mark.filterwarnings("error")
     def test_header_only_rejected(self, tmp_path):
         f = tmp_path / "d.csv"
         f.write_text("value\n")
         with pytest.raises(ValueError, match="no data rows"):
             load_csv(f, "value")
+
+    # numpy's parser would warn "input contained no data" on each of these
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("text", ["value", "value\n\n\r\n", "\"val\nue\",value\n"])
+    def test_no_data_row_rejected_without_a_warning(self, tmp_path, text):
+        f = tmp_path / "d.csv"
+        f.write_text(text, newline="")
+        with pytest.raises(ValueError, match="no data rows"):
+            load_csv(f, "value")
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            # a field past csv.field_size_limit() (131072 by default)
+            ("name,value\na,1\n" + "b" * 200_000 + ",2\n", 3),
+            ("name,value\na,1\nb," + "2" * 200_000 + "\n", 3),
+            # one quoted field over many short lines
+            ("name,value\n\"" + "b\n" * 70_000 + "\",1\n", 65_538),
+        ],
+    )
+    def test_field_over_the_csv_limit_names_file_and_line(self, tmp_path, text, line):
+        f = tmp_path / "d.csv"
+        f.write_text(text)
+        with pytest.raises(ValueError, match=f"d.csv, line {line}: field larger than field limit"):
+            load_csv(f, "value")
+
+    @pytest.mark.parametrize("text", ["value\n1\n2\x00\n3\n", "name,value\na\x00,1\n"])
+    def test_nul_byte_reads_as_the_csv_module_reads_it(self, tmp_path, text):
+        # the csv module of Python 3.10 rejects any NUL, later ones keep it
+        f = tmp_path / "d.csv"
+        f.write_text(text)
+        assert_same_outcome(lambda: load_csv(f, "value"), lambda: csv_loop_oracle(f, "value"))
+
+    def test_long_file_of_short_unquoted_lines(self, tmp_path):
+        x = RandomSource(8).gen.normal(0.0, 5.0, 20_000)
+        f = tmp_path / "d.csv"
+        f.write_text("a,value\n" + "".join(f"{i},{v!r}\n" for i, v in enumerate(x.tolist())))
+        assert load_csv(f, "value").tobytes() == x.tobytes()
+
+    @settings(
+        max_examples=400,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(file=csv_files())
+    @example(file=("value\n1_000\n\u0661\u0662\n", "value"))
+    @example(file=("value\r1\r2\r", "value"))
+    @example(file=("x,value\n1,2,3\n4,5\n", "value"))
+    @example(file=('"val\nue",x\r\n1,2\r\n', "val\nue"))
+    @example(file=('value\n"1"2\n "3"\n"4" \n', "value"))
+    @example(file=("value\n1\n \n2\n", "value"))
+    @example(file=("value\n\n\n", "value"))
+    @example(file=("value,value\n0.0,6\x1c", "value"))
+    def test_matches_the_csv_module_loop(self, tmp_path, file):
+        text, column = file
+        f = tmp_path / "d.csv"
+        try:
+            f.write_text(text, newline="")
+        except UnicodeEncodeError:
+            assume(False)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert_same_outcome(lambda: load_csv(f, column), lambda: csv_loop_oracle(f, column))
 
 
 class TestPerturb:

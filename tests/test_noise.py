@@ -201,3 +201,31 @@ def test_skip_leaves_the_state_of_drawing(n):
         # the next draws agree too, the spare 32-bit half included
         assert skipped.gen.integers(0, 10, 3).tolist() == drawn.gen.integers(0, 10, 3).tolist()
         assert skipped.uniform_open(9).tobytes() == drawn.uniform_open(9).tobytes(), label
+
+
+def bounded_uniforms(rng, size):
+    """Uniforms from numpy's bounded-integer draw of [0, 2**53)."""
+    return _to_uniform(rng.gen.integers(0, U53, size=size))
+
+
+@pytest.mark.parametrize("size", [None, 0, 1, 3, 255, 256, 1023, 1024, 5000, (2, 3)])
+@pytest.mark.parametrize("earlier", [0, 1, 3, 7])
+@pytest.mark.parametrize("spare", [False, True])
+def test_uniform_open_is_the_bounded_integer_draw(size, earlier, spare):
+    # the top 53 bits of a raw word are what integers(0, 2**53) returns,
+    # and the generator ends in the same state, the spare 32-bit half of an
+    # earlier integer draw included; skips between draws keep it so
+    raw, bounded = RandomSource(31, 2), RandomSource(31, 2)
+    for rng in (raw, bounded):
+        rng.gen.bit_generator.random_raw(earlier)
+        if spare:
+            rng.gen.integers(0, 10)
+    for skip in (0, 5, 1031):
+        got, want = raw.uniform_open(size), bounded_uniforms(bounded, size)
+        assert np.shape(got) == np.shape(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        assert philox_state(raw) == philox_state(bounded)
+        raw.skip(skip)
+        bounded.skip(skip)
+        assert philox_state(raw) == philox_state(bounded)
+    assert raw.gen.integers(0, 10, 3).tolist() == bounded.gen.integers(0, 10, 3).tolist()

@@ -311,6 +311,27 @@ def test_nan_data_is_rejected_by_the_build_without_a_warning():
                     build_histogram(np.array([np.nan, 2.0, 7.0]), 1.01, lower, cap)
 
 
+@pytest.mark.parametrize("bad", [0.5, -1.0, np.nan, np.inf, -np.inf])
+def test_every_bucketing_path_rejects_values_without_a_bucket(bad):
+    # one check per block: shift rejects NaN and y < 1 on the build path,
+    # and the bucketing rejects NaN and inf after the log, which catches
+    # the +inf that shift lets through for a lower bound >= 0
+    grid = GeometricGrid(1.01, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError):
+            grid.bucket_indices(np.array([2.0, bad]))
+        with pytest.raises(ValueError):
+            build_histogram(np.array([2.0, bad - 1.0]), 1.01, 0.0)
+        if bad != np.inf:
+            with pytest.raises(ValueError):
+                grid.shift(np.array([2.0, bad - 1.0]))
+        if not np.isfinite(bad):
+            # the sign split buckets |x| + 1, which is >= 1 for finite x
+            with pytest.raises(ValueError):
+                quantile._sign_split_totals(np.array([2.0, bad]), grid, 100)
+
+
 def test_infinite_beta_is_rejected():
     # it used to be accepted, and the estimate released was inf
     with pytest.raises(ValueError, match="beta"):
