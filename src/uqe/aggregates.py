@@ -78,14 +78,10 @@ def clipped_sum(values, clip: float) -> float:
     return float(np.minimum(np.asarray(values, dtype=float), clip).sum())
 
 
-def _clip_floor(values: np.ndarray, emq_range: BoundedRange | None) -> float:
-    """The clip that replaces a nonpositive one: 1e-9 of the declared range's
-    width, or of the data's spread when no range is declared."""
-    width = emq_range.width if emq_range is not None else None
-    if width is None:
-        spread = float(values.max() - values.min())
-        width = spread if spread > 0 else 1.0
-    return width * 1e-9
+def _clip_floor(declared: BoundedRange) -> float:
+    """The clip that replaces a nonpositive one, 1e-9 of the declared range's
+    width. Only an EMQ clip can be one: a UQE clip is beta^k - 1, k >= 1."""
+    return declared.width * 1e-9
 
 
 def _choose_clip(
@@ -138,7 +134,7 @@ def dp_sum(
     clip, exhausted = _choose_clip(values, cfg, rng, noiseless)
     clamped = False
     if clip <= 0.0:
-        clip = _clip_floor(values, cfg.emq_range)
+        clip = _clip_floor(cfg.emq_range)
         clamped = True
 
     total = clipped_sum(values, clip)

@@ -230,7 +230,7 @@ def run_sum_experiment(spec: ExperimentSpec) -> list[ResultRecord]:
             index = 2 * (b * spec.outer_trials + t)
             clip = _estimate_one(method, hist, edges, q, eps, _mech_rng(spec, index))
             if clip <= 0.0:
-                clip = _clip_floor(noisy, rr)
+                clip = _clip_floor(rr)
             lap = sample(
                 NoiseSpec(NoiseKind.LAPLACE, clip / eps),
                 _mech_rng(spec, index + 1),

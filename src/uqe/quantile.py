@@ -77,12 +77,14 @@ class Dataset:
         vals = np.asarray(self.values, dtype=float)
         if vals.ndim != 1 or vals.size == 0:
             raise ValueError("values must be a non-empty 1-d sequence")
-        if not np.isfinite(vals).all():
+        # NaN propagates through both, and no n-byte isfinite mask is made
+        lo, hi = vals.min(), vals.max()
+        if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError("values must be finite")
         if self.lower_bound is not None:
             if not math.isfinite(self.lower_bound):
                 raise ValueError("the lower bound must be finite")
-            if vals.min() < self.lower_bound:
+            if lo < self.lower_bound:
                 raise ValueError("all values must be >= the declared lower bound")
         object.__setattr__(self, "values", vals)
 
@@ -176,7 +178,10 @@ class GeometricGrid:
         out, if given, is a float array of the data's size that receives y.
         """
         x = np.asarray(values, dtype=float)
-        if self.lower_bound >= 0.0:
+        if self.lower_bound == 0.0:
+            # x - 0.0 is x for every x, -0.0 included: the same floats
+            y = np.add(x, 1.0, out=out)
+        elif self.lower_bound > 0.0:
             y = np.subtract(x, self.lower_bound, out=out)
             y += 1.0
         else:
@@ -193,12 +198,12 @@ class GeometricGrid:
     def bucket_indices(self, y: np.ndarray, limit: int | None = None) -> np.ndarray:
         """Bucket b with beta^b <= y < beta^(b+1), vectorized over y >= 1.
 
-        A log-floor guess is corrected by direct comparison against the
-        cached powers, so boundary points land exactly where the strict
+        A log guess is checked against the cached powers wherever it could
+        be wrong, so boundary points land exactly where the strict
         inequality of the counting queries expects them. With a limit, every
         y >= beta^limit goes to the one bucket `limit`, and the cache stops
         at beta^(limit+1). NaN, inf and y < 1 have no bucket and raise
-        ValueError before any of them reaches the log or the integer cast.
+        ValueError before any of them reaches the integer cast.
         """
         y = np.asarray(y, dtype=float)
         if y.size == 0:
@@ -224,47 +229,46 @@ class GeometricGrid:
         caller's int64, float and bool buffers of y's size; returns idx.
 
         The caller has rejected y < 1, which would give negative indices.
-        NaN and +inf are rejected here: the largest floored log is then NaN
-        or inf.
+        NaN and +inf are rejected here: the largest guess is then NaN or inf.
+
+        The guess r = log(y) / ln beta is within B index units of y's place
+        among the cached powers P_k, top being the largest r, where
+            B = K 2^-52 / ln beta + 2^-40 top,  K = min(limit, floor(top) + 2).
+        P_k is P_(k-1) * beta rounded, so ln P_k is within k 2^-53 / (1 - 2^-53)
+        of k ln beta: the first term. np.log and math.log are taken to be
+        within 1024 ulps (2^-42 relative; both are within a few), and
+        1 / ln beta and the product round once each, so r is within a
+        relative 2^-40 of ln y / ln beta: the second. So P_k <= y for
+        k <= min(r - B, K) and P_k > y for K >= k > r + B, and a point whose
+        r is more than delta = max(2^-20, 4B) from every integer is in bucket
+        floor(r), or past the limit. The rest, a share of about 2 delta, are
+        searched among P_1 .. P_K, which counts min(bucket, K) as the powers
+        increase strictly; B < 1/32 keeps the bucket below K unless K is the
+        limit. With delta >= 1/8 (beta within about 1e-9 of 1 at large caps)
+        no guess is trusted: every point is searched, up to the capped bucket
+        of the largest y, which _bucket finds exactly. Elsewhere r is shifted
+        by delta: floor(r + delta) is floor(r) unless r is within delta below
+        an integer, and frac(r + delta) < 2 delta marks r within delta of one.
         """
         np.log(y, out=work)
-        work /= self._log_beta
-        np.floor(work, out=work)
-        top = work.max()
+        work *= 1.0 / self._log_beta
+        top = float(work.max())
         if not top < math.inf:
             raise ValueError("the bucket domain is the finite numbers >= 1")
+        k = int(top) + 2 if limit is None else min(limit, int(top) + 2)
+        delta = max(2.0**-20, 4.0 * (k * 2.0**-52 / self._log_beta + 2.0**-40 * top))
+        if delta >= 0.125:
+            k = self._bucket(float(y.max()), limit)
+            idx[...] = np.searchsorted(self.powers(k + 1)[1:], y, "right")
+            return idx
+        work += delta
         np.copyto(idx, work, casting="unsafe")
+        work -= idx
         if limit is not None and top > limit:
             np.minimum(idx, limit, out=idx)
-            top = limit
-        lower, upper = self._edges(int(top) + 1, limit)
-        # every index stays within the edges (the edges grow first), so
-        # take's clip mode never clips; unlike raise mode it writes to out
-        # without a temporary
-        for _ in range(64):
-            np.take(lower, idx, out=work, mode="clip")
-            moved = bool(np.less(y, work, out=mask).any())
-            if moved:
-                idx -= mask
-            np.take(upper, idx, out=work, mode="clip")
-            if np.greater_equal(y, work, out=mask).any():
-                idx += mask
-                moved = True
-                if int(idx.max()) >= lower.size:
-                    lower, upper = self._edges(int(idx.max()) + 1, limit)
-            if not moved:
-                return idx
-        raise AssertionError("bucket correction did not converge")
-
-    def _edges(self, buckets: int, limit: int | None) -> tuple[np.ndarray, np.ndarray]:
-        """Lower and upper edges of buckets 0 .. buckets-1; bucket `limit`
-        has no upper edge."""
-        pows = self.powers(buckets + 1)
-        upper = pows[1:]
-        if limit is not None and buckets > limit:
-            upper = upper.copy()
-            upper[limit] = np.inf
-        return pows[:-1], upper
+        if np.less(work, 2.0 * delta, out=mask).any():
+            idx[mask] = np.searchsorted(self.powers(k + 1)[1:], y[mask], "right")
+        return idx
 
     def _bucket(self, y: float, limit: int | None) -> int:
         """bucket_indices of one y >= 1, without building arrays: a log guess

@@ -69,6 +69,18 @@ def test_clamp_on_nonpositive_clip():
     assert np.isfinite(res.estimate)
 
 
+def test_uqe_clip_stays_positive_on_all_zero_data():
+    # a UQE clip is beta^k - 1 with k >= 1, so even all-zero data at the
+    # smallest beta above 1 leaves the clip unclamped
+    data = np.zeros(50)
+    cfg = SumConfig(eps=1.0, beta=1.0 + 2.0**-52)
+    res = dp_sum(data, cfg, noiseless=True)
+    assert res.clip == 2.0**-52  # 2.2e-16
+    assert not res.clip_clamped
+    seeded = dp_sum(data, cfg, RandomSource(64))
+    assert seeded.clip >= 2.0**-52 and not seeded.clip_clamped
+
+
 def test_threshold_modes_raise_the_clip():
     data = np.arange(1.0, 101.0)
     base = dp_sum(data, SumConfig(eps=0.5, q=0.5), noiseless=True)

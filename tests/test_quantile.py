@@ -11,10 +11,13 @@ module under test):
     halts at 0, second call halts at k=8, output -(1.1^8 - 1)
 """
 
+import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uqe import quantile
 from uqe.accounting import NeighborModel
@@ -73,6 +76,106 @@ def test_bucket_boundary_points_exact():
         grid = GeometricGrid(beta, 0.0)
         for j in [0, 1, 7, 100, 953]:
             assert grid.max_index_at_most(grid.power(j)) == j
+
+
+def searchsorted_oracle(grid, y, limit):
+    """min(bucket, limit) of each y: a binary search among cached powers
+    that reach past max(y), or past the limit, clamped at the limit."""
+    size = int(math.log(y.max()) / math.log(grid.beta) * (1 + 1e-6)) + 8
+    if limit is not None:
+        size = min(size, limit + 2)
+    pows = grid.powers(size)
+    assert (limit is not None and size == limit + 2) or pows[-1] > y.max()
+    b = np.searchsorted(pows[1:], y, "right")
+    return b if limit is None else np.minimum(b, limit)
+
+
+def edge_neighbourhood(edges):
+    """Each finite edge >= 1 and the doubles just below and just above it."""
+    edges = edges[np.isfinite(edges)]
+    pts = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf)])
+    return pts[pts >= 1.0]
+
+
+# beta from 1 + 2^-40 to 1e10, data magnitude, and limit. A limit of None
+# only where the cache stays under a million powers. At 1 + 2^-40, and at
+# 1 + 1e-9 with the 200,000 limit or near 1e300, the bound is too wide to
+# trust any guess (delta >= 1/8) in some blocks or all, and their points
+# are bucketed by binary search alone.
+EDGE_CASES = [
+    (beta, magnitude, limit)
+    for beta in [1 + 2.0**-40, 1 + 1e-9, 1.0001, 1.001, 1.01, 2.0, 1e10]
+    for magnitude in [10.0, 1e6, 1e300]
+    for limit in [None, 50, 200_000]
+    if limit is not None or math.log(magnitude) / math.log(beta) < 1e6
+]
+
+
+@pytest.mark.parametrize("beta, magnitude, limit", EDGE_CASES)
+def test_bucketing_is_exact_at_every_cached_edge(beta, magnitude, limit):
+    grid = GeometricGrid(beta, 0.0)
+    top = math.log(magnitude) / math.log(beta)
+    last = int(top) + 2 if limit is None else min(int(top) + 2, limit + 1)
+    rng = np.random.default_rng(24)
+    y = np.concatenate(
+        [
+            edge_neighbourhood(grid.powers(last + 1)),
+            edge_neighbourhood(np.array([magnitude])),
+            np.exp(rng.uniform(0.0, math.log(magnitude), 5000)),
+        ]
+    )
+    # sorted, so each block of the build below has its own largest guess
+    y.sort()
+    assert np.array_equal(grid.bucket_indices(y, limit), searchsorted_oracle(grid, y, limit))
+    x = y - 1.0
+    hist = build_histogram(x, beta, 0.0, limit)
+    buckets, counts = np.unique(searchsorted_oracle(grid, grid.shift(x), limit), return_counts=True)
+    assert np.array_equal(hist.buckets, buckets)
+    assert np.array_equal(hist.running, np.cumsum(counts))
+
+
+POINTS = st.lists(
+    st.one_of(st.floats(1.0, 1e300), st.tuples(st.integers(0, 3000), st.integers(-2, 2))),
+    min_size=1,
+    max_size=40,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    beta=st.one_of(
+        st.sampled_from([1 + 2.0**-40, 1 + 1e-9, 1.001, 1.01, 2.0, 1e10]),
+        st.floats(1 + 2.0**-40, 1e10),
+    ),
+    points=POINTS,
+    limit=st.one_of(st.none(), st.integers(1, 200_000)),
+)
+def test_bucketing_matches_the_searchsorted_oracle(beta, points, limit):
+    # a point is a double >= 1, or cached edge k moved by j ulps
+    grid = GeometricGrid(beta, 0.0)
+    pows = grid.powers(3001)
+    y = []
+    for p in points:
+        if isinstance(p, tuple):
+            k, j = p
+            p = pows[k]
+            for _ in range(abs(j)):
+                p = np.nextafter(p, np.inf if j > 0 else 0.0)
+        if 1.0 <= p < np.inf:
+            y.append(p)
+    if not y:
+        y = [1.0]
+    y = np.array(y)
+    if limit is None and math.log(y.max()) / math.log(beta) > 1e6:
+        limit = 200_000
+    assert np.array_equal(grid.bucket_indices(y, limit), searchsorted_oracle(grid, y, limit))
+
+
+def test_shift_at_a_zero_lower_bound_is_subtract_then_add():
+    x = np.array([-0.0, 0.0, 5e-324, 2.0**-60, 0.3, 1.0, 7.5, 2.0**53 + 2.0, 1e300, 1.7e308])
+    for zero in (0.0, -0.0):
+        want = np.subtract(x, zero) + 1.0
+        assert GeometricGrid(1.01, zero).shift(x).tobytes() == want.tobytes()
 
 
 def test_grid_values_and_validation():
@@ -264,8 +367,11 @@ def test_request_guarantee_by_neighbor_model():
 def test_dataset_validation():
     with pytest.raises(ValueError):
         Dataset(np.array([]))
-    with pytest.raises(ValueError):
-        Dataset(np.array([1.0, np.nan]))
+    # non-finite values are named before any lower-bound check
+    for bad in (np.nan, np.inf, -np.inf):
+        for lower in (None, 0.0, np.nan):
+            with pytest.raises(ValueError, match="values must be finite"):
+                Dataset(np.array([1.0, bad]), lower_bound=lower)
     with pytest.raises(ValueError):
         Dataset(np.array([1.0, -2.0]), lower_bound=0.0)
     assert Dataset(np.array([3.0, 4.0]), 3.0).n == 2
