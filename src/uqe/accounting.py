@@ -7,11 +7,12 @@ two neighboring datasets, with prefix gap
 
 the per-run loss is
 
-    eps(x, x') = max_k [ (eps1/D) * D_k + (eps2/D) * max{0, D_k - (f_k(x') - f_k(x))} ]
+    eps(x, x') = max_k [ eps1 * D_k + eps2 * max{0, D_k - (f_k(x') - f_k(x))} ]
 
-with D the sensitivity. This clamped form upper-bounds ln(P_x(k)/P_x'(k))
-for every halting outcome k under all three noise families. Everything
-returned by guarantee_for is derived from it.
+for queries of sensitivity 1, the counting queries of every estimator in
+the package. This clamped form upper-bounds ln(P_x(k)/P_x'(k)) for every
+halting outcome k under all three noise families. Everything returned by
+guarantee_for is derived from it.
 """
 
 from __future__ import annotations
@@ -89,9 +90,7 @@ def compose_zcdp(rhos) -> float:
     return float(sum(rhos))
 
 
-def one_sided_loss(
-    f_x, f_xprime, eps1: float, eps2: float, sensitivity: float = 1.0
-) -> float:
+def one_sided_loss(f_x, f_xprime, eps1: float, eps2: float) -> float:
     """Worst-case ln(P_x(k)/P_x'(k)) bound over halting outcomes k.
 
     Asymmetric in its dataset arguments; evaluate both orders for a
@@ -103,24 +102,16 @@ def one_sided_loss(
         raise ValueError("query sequences must be equal-length non-empty 1-d arrays")
     check_eps(eps1, "eps1")
     check_eps(eps2, "eps2")
-    if not sensitivity > 0:
-        raise ValueError("sensitivity must be positive")
     diffs = fxp - fx
     # D_k of the module docstring: the largest positive gap before query k
     gaps = np.concatenate(([0.0], np.maximum.accumulate(np.maximum(diffs, 0.0))))[:-1]
-    terms = (eps1 / sensitivity) * gaps + (eps2 / sensitivity) * np.maximum(
-        0.0, gaps - diffs
-    )
+    terms = eps1 * gaps + eps2 * np.maximum(0.0, gaps - diffs)
     return float(terms.max())
 
 
-def range_bounded_of_pair(
-    f_x, f_xprime, eps1: float, eps2: float, sensitivity: float = 1.0
-) -> float:
+def range_bounded_of_pair(f_x, f_xprime, eps1: float, eps2: float) -> float:
     """Sum of the two one-sided losses for a neighbor pair."""
-    return one_sided_loss(f_x, f_xprime, eps1, eps2, sensitivity) + one_sided_loss(
-        f_xprime, f_x, eps1, eps2, sensitivity
-    )
+    return one_sided_loss(f_x, f_xprime, eps1, eps2) + one_sided_loss(f_xprime, f_x, eps1, eps2)
 
 
 def guarantee_for(
@@ -221,17 +212,17 @@ def multi_quantile_guarantee(
     )
 
 
-def gumbel_exact_max_log_ratio(
-    f_x,
-    f_xprime,
-    threshold: float,
-    eps: float,
-    sensitivity: float = 1.0,
-) -> float:
+def gumbel_exact_max_log_ratio(f_x, f_xprime, threshold: float, eps: float) -> float:
     """Exact max_k ln(pmf_x(k)/pmf_x'(k)) over halting outcomes, Gumbel noise."""
-    lx = gumbel_halt_log_pmf(f_x, threshold, eps, sensitivity)
-    lxp = gumbel_halt_log_pmf(f_xprime, threshold, eps, sensitivity)
+    lx = gumbel_halt_log_pmf(f_x, threshold, eps)
+    lxp = gumbel_halt_log_pmf(f_xprime, threshold, eps)
     return float((lx - lxp).max())
+
+
+# z-score of both Wilson bounds: a violation needs outcome frequencies
+# about four standard errors apart, so a mechanism that keeps its claim
+# fails the check only by a rare chance
+_WILSON_Z = 4.0
 
 
 def _wilson_bounds(counts: np.ndarray, n: int, z: float) -> tuple[np.ndarray, np.ndarray]:
@@ -260,16 +251,15 @@ def empirical_dp_check(
     claimed_eps: float,
     trials: int,
     rng: RandomSource,
-    z: float = 4.0,
 ) -> EmpiricalDpReport:
     """Sample outcome frequencies under both datasets and hunt for violations.
 
     run_mechanism(dataset, rng, trials) must return an integer outcome label
     per trial. The check fails only on confident evidence: some outcome whose
-    z-score Wilson lower bound under one dataset exceeds e^claimed_eps times
-    the Wilson upper bound under the other. max_log_ratio reports the largest
-    point-estimate log ratio over outcomes seen on both sides (both
-    directions), which should sit near 0 for identical inputs.
+    Wilson lower bound under one dataset exceeds e^claimed_eps times the
+    Wilson upper bound under the other, both at z = _WILSON_Z. max_log_ratio
+    reports the largest point-estimate log ratio over outcomes seen on both
+    sides (both directions), which should sit near 0 for identical inputs.
     """
     if trials < 100_000:
         raise ValueError("insufficient trials for the requested confidence (need >= 1e5)")
@@ -279,8 +269,8 @@ def empirical_dp_check(
     cx = np.array([(out_x == lab).sum() for lab in labels], dtype=float)
     cxp = np.array([(out_xp == lab).sum() for lab in labels], dtype=float)
 
-    lo_x, hi_x = _wilson_bounds(cx, trials, z)
-    lo_xp, hi_xp = _wilson_bounds(cxp, trials, z)
+    lo_x, hi_x = _wilson_bounds(cx, trials, _WILSON_Z)
+    lo_xp, hi_xp = _wilson_bounds(cxp, trials, _WILSON_Z)
 
     both = (cx > 0) & (cxp > 0)
     if both.any():

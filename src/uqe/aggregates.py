@@ -84,12 +84,7 @@ def _clip_floor(declared: BoundedRange) -> float:
     return declared.width * 1e-9
 
 
-def _choose_clip(
-    values: np.ndarray,
-    cfg: SumConfig,
-    rng: RandomSource | None,
-    noiseless: bool,
-) -> tuple[float, bool]:
+def _choose_clip(values: np.ndarray, cfg: SumConfig, rng: RandomSource) -> tuple[float, bool]:
     """Returns (clip, exhausted flag) before the positivity clamp."""
     if cfg.method is ClipMethod.UQE:
         n = values.size
@@ -101,45 +96,29 @@ def _choose_clip(
         req = QuantileRequest(
             q=cfg.q, eps1=cfg.eps / 2.0, eps2=cfg.eps / 2.0, beta=cfg.beta
         )
-        est = estimate_quantile(
-            Dataset(values, lower_bound=0.0), req, rng, noiseless=noiseless, threshold=threshold
-        )
+        est = estimate_quantile(Dataset(values, lower_bound=0.0), req, rng, threshold=threshold)
         return est.value, est.exhausted
-    if noiseless:
-        raise ValueError("noiseless mode is only supported for the UQE clip method")
     return emq_estimate(values, cfg.emq_range, cfg.q, cfg.eps, rng), False
 
 
-def dp_sum(
-    data,
-    cfg: SumConfig,
-    rng: RandomSource | None = None,
-    *,
-    noiseless: bool = False,
-) -> SumResult:
+def dp_sum(data, cfg: SumConfig, rng: RandomSource) -> SumResult:
     """Private clip at quantile q (budget eps), then Laplace(clip/eps) + clipped sum.
 
-    noiseless skips both noise stages (deterministic clip, no Laplace) for
-    oracle tests. A clip at or below 0 is clamped to a small positive floor
-    and flagged.
+    A clip at or below 0 is clamped to a small positive floor and flagged.
     """
     values = np.asarray(data, dtype=float)
     if values.ndim != 1 or values.size == 0:
         raise ValueError("data must be a non-empty 1-d sequence")
     if values.min() < 0:
         raise ValueError("the sum procedure assumes nonnegative data")
-    if not noiseless and rng is None:
-        raise ValueError("a RandomSource is required unless noiseless=True")
 
-    clip, exhausted = _choose_clip(values, cfg, rng, noiseless)
+    clip, exhausted = _choose_clip(values, cfg, rng)
     clamped = False
     if clip <= 0.0:
         clip = _clip_floor(cfg.emq_range)
         clamped = True
 
-    total = clipped_sum(values, clip)
-    if not noiseless:
-        total += sample(NoiseSpec(NoiseKind.LAPLACE, clip / cfg.eps), rng)
+    total = clipped_sum(values, clip) + sample(NoiseSpec(NoiseKind.LAPLACE, clip / cfg.eps), rng)
     return SumResult(
         estimate=float(total),
         clip=float(clip),
@@ -149,14 +128,8 @@ def dp_sum(
     )
 
 
-def dp_mean(
-    data,
-    cfg: SumConfig,
-    rng: RandomSource | None = None,
-    *,
-    noiseless: bool = False,
-) -> SumResult:
+def dp_mean(data, cfg: SumConfig, rng: RandomSource) -> SumResult:
     """dp_sum / n; n is public under swap neighbors."""
     values = np.asarray(data, dtype=float)
-    result = dp_sum(values, cfg, rng, noiseless=noiseless)
+    result = dp_sum(values, cfg, rng)
     return replace(result, estimate=result.estimate / values.size)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .noise import RandomSource
-from .quantile import build_histogram, counting_query_stream
+from .quantile import _check_q, build_histogram, counting_query_stream
 from .sparse_vector import (
     DEFAULT_MAX_QUERIES,
     check_eps,
@@ -39,6 +39,14 @@ __all__ = [
 
 # trials per block in the vectorized simulator
 _BLOCK = 1 << 17
+
+# points of emq_pdf_curve's plot grid, spread evenly over the declared
+# range: the resolution of the range-contrast figures
+_PDF_GRID_POINTS = 1001
+
+# intervals uqe_pdf_curve emits past the first candidate above every point,
+# so the plot shows the tail; the halt mass beyond them is the residual
+_PDF_PAD_STEPS = 25
 
 
 @dataclass(frozen=True)
@@ -70,8 +78,7 @@ def _interval_edges(data, rng_range: BoundedRange) -> np.ndarray:
 
 def _log_weights(edges: np.ndarray, q: float, eps: float) -> np.ndarray:
     check_eps(eps)
-    if not 0.0 <= q <= 1.0:
-        raise ValueError("q must lie in [0, 1]")
+    _check_q(q)
     n = edges.size - 2
     j = np.arange(n + 1, dtype=float)
     gaps = np.diff(edges)
@@ -126,18 +133,17 @@ def simulate_emq_choices(
 
 
 def emq_pdf_curve(
-    data, rng_range: BoundedRange, q: float, eps: float, grid: np.ndarray | None = None
+    data, rng_range: BoundedRange, q: float, eps: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Step density (interval probability / interval length) on a plot grid."""
+    """Step density (interval probability / interval length) on a plot grid
+    of _PDF_GRID_POINTS evenly spaced points across the declared range."""
     edges = _interval_edges(data, rng_range)
     probs = _pmf_from_edges(edges, q, eps)
     gaps = np.diff(edges)
     density = np.zeros_like(probs)
     positive = gaps > 0
     density[positive] = probs[positive] / gaps[positive]
-    if grid is None:
-        grid = np.linspace(rng_range.a, rng_range.b, 1001)
-    grid = np.asarray(grid, dtype=float)
+    grid = np.linspace(rng_range.a, rng_range.b, _PDF_GRID_POINTS)
     idx = np.clip(np.searchsorted(edges, grid, side="right") - 1, 0, probs.size - 1)
     return grid, density[idx]
 
@@ -159,28 +165,23 @@ class UqePdfCurve:
 
 
 def uqe_pdf_curve(
-    data,
-    lower_bound: float,
-    q: float,
-    eps: float,
-    beta: float = 1.001,
-    pad_steps: int = 25,
+    data, lower_bound: float, q: float, eps: float, beta: float = 1.001
 ) -> UqePdfCurve:
     """Exact output PDF of the Gumbel-noise grid estimator (eps1 = eps2 = eps/2).
 
     The number of emitted intervals depends only on the data and beta (enough
-    candidates to pass every point, plus pad_steps), never on any declared
+    candidates to pass every point, plus _PDF_PAD_STEPS), never on any declared
     range, so the curve is identical no matter what range a baseline assumes.
     It is at most DEFAULT_MAX_QUERIES, where the estimator stops, so time and
     memory are bounded by that cap, not by the magnitude of the data.
     """
-    if pad_steps < 0:
-        raise ValueError("pad_steps must be >= 0")
+    check_eps(eps)
+    _check_q(q)
     hist = build_histogram(data, beta, lower_bound, DEFAULT_MAX_QUERIES)
     grid = hist.grid
     n = hist.n
     k_full = int(hist.buckets[-1]) + 1  # first query index where the prefix hits n
-    k_max = min(k_full + int(pad_steps), DEFAULT_MAX_QUERIES)
+    k_max = min(k_full + _PDF_PAD_STEPS, DEFAULT_MAX_QUERIES)
     values = stream_prefix(counting_query_stream(hist), k_max)
     t = q * n
     log_pmf = gumbel_halt_log_pmf(values, t, eps / 2.0)

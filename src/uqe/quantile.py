@@ -99,6 +99,12 @@ def check_beta(beta: float, name: str = "beta") -> None:
         raise ValueError(f"{name} must be finite and > 1, got {beta!r}")
 
 
+def _check_q(q: float) -> None:
+    """The quantile level rule: q lies in [0, 1]; NaN fails it."""
+    if not 0.0 <= q <= 1.0:
+        raise ValueError("q must lie in [0, 1]")
+
+
 # Powers of each beta, shared by every grid of that beta in the process,
 # for the _CACHED_BETAS betas used last.
 _POWERS: dict[float, np.ndarray] = {}
@@ -448,8 +454,7 @@ class QuantileRequest:
     max_queries: int = DEFAULT_MAX_QUERIES
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.q <= 1.0:
-            raise ValueError("q must lie in [0, 1]")
+        _check_q(self.q)
         check_split(self.eps1, self.eps2, self.noise)
         check_beta(self.beta)
         check_max_queries(self.max_queries)
@@ -486,18 +491,8 @@ def _finish(grid: GeometricGrid, outcome: SvtOutcome) -> QuantileEstimate:
     return QuantileEstimate(grid.value(outcome.index), outcome.index, False)
 
 
-def _scan(
-    stream: QueryStream,
-    t: float,
-    req: QuantileRequest,
-    rng: RandomSource | None,
-    noiseless: bool,
-) -> SvtOutcome:
-    """AboveThreshold with threshold t, or its noiseless oracle."""
-    if noiseless:
-        return run_above_threshold_noiseless(stream, t)
-    if rng is None:
-        raise ValueError("a RandomSource is required unless noiseless=True")
+def _scan(stream: QueryStream, t: float, req: QuantileRequest, rng: RandomSource) -> SvtOutcome:
+    """AboveThreshold with threshold t under the request's budget and noise."""
     return run_above_threshold(stream, SvtConfig(req.eps1, req.eps2, req.noise, t), rng)
 
 
@@ -512,11 +507,14 @@ def estimate_quantile(
     """AboveThreshold with T = q*n over the counting stream; output the halt candidate.
 
     threshold overrides q*n (used by the sum procedure's bias-variance
-    knob). noiseless runs the deterministic comparison instead of the
-    private mechanism, for oracle tests only.
+    knob). noiseless releases the deterministic first crossing instead of
+    running the private mechanism: the package's one deterministic entry
+    point, for oracle checks, with no privacy guarantee.
     """
     if data.lower_bound is None:
         raise ValueError("estimate_quantile needs a declared lower bound")
+    if rng is None and not noiseless:
+        raise ValueError("a RandomSource is required unless noiseless=True")
     hist = build_histogram(data.values, req.beta, data.lower_bound, req.max_queries)
     return _release(hist, req, rng, noiseless=noiseless, threshold=threshold)
 
@@ -537,7 +535,9 @@ def _release(
     """
     t = req.q * hist.n if threshold is None else float(threshold)
     stream = counting_query_stream(hist, max_queries=req.max_queries)
-    return _finish(hist.grid, _scan(stream, t, req, rng, noiseless))
+    if noiseless:
+        return _finish(hist.grid, run_above_threshold_noiseless(stream, t))
+    return _finish(hist.grid, _scan(stream, t, req, rng))
 
 
 @dataclass(frozen=True)
@@ -611,11 +611,7 @@ def _signed_stream(
 
 
 def estimate_quantile_unbounded(
-    data: Dataset,
-    req: QuantileRequest,
-    rng: RandomSource | None = None,
-    *,
-    noiseless: bool = False,
+    data: Dataset, req: QuantileRequest, rng: RandomSource
 ) -> UnboundedEstimate:
     """Quantile estimation with no declared bounds at all.
 
@@ -629,14 +625,14 @@ def estimate_quantile_unbounded(
     grid = GeometricGrid(req.beta, 0.0)
     cap = req.max_queries
     nonneg, nonpos = _sign_split_totals(data.values, grid, cap)
-    first = _scan(_signed_stream(*nonneg, data.n, cap), req.q * data.n, req, rng, noiseless)
+    first = _scan(_signed_stream(*nonneg, data.n, cap), req.q * data.n, req, rng)
     if first.exhausted:
         return UnboundedEstimate(grid.value(cap - 1), True, None, None, False)
     k1 = first.index - 1
     if k1 > 0:
         return UnboundedEstimate(grid.power(k1) - 1.0, False, k1, None, False)
     t2 = (1.0 - req.q) * data.n
-    second = _scan(_signed_stream(*nonpos, data.n, cap), t2, req, rng, noiseless)
+    second = _scan(_signed_stream(*nonpos, data.n, cap), t2, req, rng)
     if second.exhausted:
         return UnboundedEstimate(-(grid.value(cap - 1)), True, 0, None, True)
     k2 = second.index - 1
@@ -646,12 +642,7 @@ def estimate_quantile_unbounded(
 
 
 def estimate_small_quantile_inverted(
-    data: Dataset,
-    upper_bound: float,
-    req: QuantileRequest,
-    rng: RandomSource | None = None,
-    *,
-    noiseless: bool = False,
+    data: Dataset, upper_bound: float, req: QuantileRequest, rng: RandomSource
 ) -> QuantileEstimate:
     """Small quantiles of upper-bounded data: negate, estimate 1-q, negate back."""
     if not math.isfinite(upper_bound):
@@ -659,7 +650,7 @@ def estimate_small_quantile_inverted(
     if data.values.max() > upper_bound:
         raise ValueError("all values must be <= the declared upper bound")
     negated = Dataset(-data.values, lower_bound=-float(upper_bound))
-    est = estimate_quantile(negated, replace(req, q=1.0 - req.q), rng, noiseless=noiseless)
+    est = estimate_quantile(negated, replace(req, q=1.0 - req.q), rng)
     return QuantileEstimate(-est.value, est.halt_index, est.exhausted)
 
 
@@ -700,9 +691,7 @@ def estimate_multiple_quantiles(
     data: Dataset,
     qs: Sequence[float],
     req: QuantileRequest,
-    rng: RandomSource | None = None,
-    *,
-    noiseless: bool = False,
+    rng: RandomSource,
 ) -> MultiQuantileResult:
     """Recursive splitting: estimate the middle quantile, partition, recurse.
 
@@ -760,7 +749,7 @@ def estimate_multiple_quantiles(
         y = grid.shift(xs[a:b])
         stream = _sorted_stream(grid, y, cap)
         t = float((q_arr[mid] - mass_lo) * n_total)
-        est = _finish(grid, _scan(stream, t, req, rng, noiseless))
+        est = _finish(grid, _scan(stream, t, req, rng))
         estimates[mid] = est.value
         exhausted[mid] = est.exhausted
         split = a + int(np.searchsorted(xs[a:b], est.value, side="right"))

@@ -99,12 +99,11 @@ class QueryStream:
     starts[j+1], capped at max_queries queries.
 
     starts begins at 0 and increases strictly. The last run is open: it
-    goes on at values[-1] up to the cap, unless the stream has a length, the
-    number of queries after which it ends (its cap is then at most that).
-    Every stream has sensitivity 1: the package builds only counting
-    streams, and swapping one point moves a count by at most 1. The first
-    query is index 1; callers that think of their candidate grid as
-    starting elsewhere remap the halt index themselves.
+    goes on at values[-1] up to the cap. Every stream has sensitivity 1:
+    the package builds only counting streams, and swapping one point moves
+    a count by at most 1. The first query is index 1; callers that think of
+    their candidate grid as starting elsewhere remap the halt index
+    themselves.
 
     starts already int64 and values already float are kept without a copy,
     and made read-only.
@@ -113,7 +112,6 @@ class QueryStream:
     starts: np.ndarray
     values: np.ndarray
     max_queries: int = DEFAULT_MAX_QUERIES
-    length: int | None = None
 
     def __post_init__(self) -> None:
         starts = np.asarray(self.starts, dtype=np.int64)
@@ -127,24 +125,6 @@ class QueryStream:
         values.flags.writeable = False
         object.__setattr__(self, "starts", starts)
         object.__setattr__(self, "values", values)
-        if self.length is not None:
-            if not self.length > starts[-1]:
-                raise ValueError("a stream's length must reach into its last run")
-            object.__setattr__(self, "max_queries", min(self.max_queries, self.length))
-
-    @classmethod
-    def from_head(
-        cls, head, tail: float | None = None, max_queries: int = DEFAULT_MAX_QUERIES
-    ) -> "QueryStream":
-        """f_i = head[i-1] for i <= len(head), then tail forever: runs of
-        length 1, with the tail as the open last run. A stream without a
-        tail ends after its head."""
-        head = np.array(head, dtype=float)
-        if head.ndim != 1:
-            raise ValueError("head must be 1-d")
-        values = head if tail is None else np.append(head, tail)
-        length = head.size if tail is None else None
-        return cls(np.arange(values.size), values, max_queries, length)
 
 
 @dataclass(frozen=True)
@@ -291,39 +271,30 @@ def run_iterative_em(
     return SvtOutcome(None, stream.max_queries)
 
 
-def _scaled_prefix_lse(values, threshold: float, eps: float, sensitivity: float):
-    """L[k] = log(exp(s*T) + sum_{i<=k} exp(s*f_i)) for k = 0..K, s = eps/delta."""
-    s = eps / sensitivity
-    scaled = np.concatenate(([s * threshold], s * np.asarray(values, dtype=float)))
+def _scaled_prefix_lse(values, threshold: float, eps: float):
+    """L[k] = log(exp(eps*T) + sum_{i<=k} exp(eps*f_i)) for k = 0..K."""
+    scaled = np.concatenate(([eps * threshold], eps * np.asarray(values, dtype=float)))
     return scaled, np.logaddexp.accumulate(scaled)
 
 
-def gumbel_halt_log_pmf(
-    values: Sequence[float], threshold: float, eps: float, sensitivity: float = 1.0
-) -> np.ndarray:
+def gumbel_halt_log_pmf(values: Sequence[float], threshold: float, eps: float) -> np.ndarray:
     """log P[halt at k] for k = 1..K under Gumbel noise with eps1 = eps2 = eps.
 
     Everything stays in log space; query values that push exponents past the
     float range are handled by logaddexp, not by exponentiating directly.
     """
-    scaled, lse = _scaled_prefix_lse(values, threshold, eps, sensitivity)
+    scaled, lse = _scaled_prefix_lse(values, threshold, eps)
     return scaled[1:] + scaled[0] - lse[1:] - lse[:-1]
 
 
-def gumbel_no_halt_prob(
-    values: Sequence[float], threshold: float, eps: float, sensitivity: float = 1.0
-) -> float:
+def gumbel_no_halt_prob(values: Sequence[float], threshold: float, eps: float) -> float:
     """P[no halt within the K supplied queries]; 1.0 for an empty list."""
-    scaled, lse = _scaled_prefix_lse(values, threshold, eps, sensitivity)
+    scaled, lse = _scaled_prefix_lse(values, threshold, eps)
     return float(np.exp(scaled[0] - lse[-1]))
 
 
 def simulate_halt_indices(
-    values: Sequence[float],
-    cfg: SvtConfig,
-    rng: RandomSource,
-    trials: int,
-    sensitivity: float = 1.0,
+    values: Sequence[float], cfg: SvtConfig, rng: RandomSource, trials: int
 ) -> np.ndarray:
     """Vectorized AboveThreshold over a finite query list.
 
@@ -333,8 +304,8 @@ def simulate_halt_indices(
     """
     values = np.asarray(values, dtype=float)
     k = len(values)
-    t_spec = NoiseSpec(cfg.noise, sensitivity / cfg.eps1)
-    q_spec = NoiseSpec(cfg.noise, sensitivity / cfg.eps2)
+    t_spec = NoiseSpec(cfg.noise, 1.0 / cfg.eps1)
+    q_spec = NoiseSpec(cfg.noise, 1.0 / cfg.eps2)
     out = np.empty(trials, dtype=np.int64)
     done = 0
     while done < trials:
@@ -348,17 +319,12 @@ def simulate_halt_indices(
 
 
 def simulate_iterative_em(
-    values: Sequence[float],
-    threshold: float,
-    eps: float,
-    rng: RandomSource,
-    trials: int,
-    sensitivity: float = 1.0,
+    values: Sequence[float], threshold: float, eps: float, rng: RandomSource, trials: int
 ) -> np.ndarray:
     """Vectorized run_iterative_em over a finite query list; 0 = no halt."""
     values = np.asarray(values, dtype=float)
     k = len(values)
-    s = eps / (2.0 * sensitivity)
+    s = eps / 2.0
     scores = np.concatenate(([s * threshold], s * values))
     out = np.empty(trials, dtype=np.int64)
     done = 0
@@ -377,6 +343,4 @@ def simulate_iterative_em(
 def stream_prefix(stream: QueryStream, k: int) -> np.ndarray:
     """Materialize the first k query values of a stream, whatever its cap."""
     check_max_queries(k)
-    if stream.length is not None and stream.length < k:
-        raise ValueError(f"the stream ends after {stream.length} of {k} queries")
     return _window(stream, 0, k)

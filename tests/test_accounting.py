@@ -26,7 +26,7 @@ from uqe.noise import NoiseKind, RandomSource
 from uqe.sparse_vector import SvtConfig, simulate_halt_indices
 
 
-def one_sided_brute(fx, fxp, e1, e2, delta, relaxed=False):
+def one_sided_brute(fx, fxp, e1, e2, relaxed=False):
     """Literal double-loop re-implementation used as the oracle."""
     best = -np.inf
     for k in range(1, len(fx) + 1):
@@ -36,22 +36,18 @@ def one_sided_brute(fx, fxp, e1, e2, delta, relaxed=False):
             gap = max(gap, d if relaxed else max(0.0, d))
         if gap == -np.inf:
             gap = 0.0
-        term = (e1 / delta) * gap + (e2 / delta) * max(
-            0.0, gap - (fxp[k - 1] - fx[k - 1])
-        )
+        term = e1 * gap + e2 * max(0.0, gap - (fxp[k - 1] - fx[k - 1]))
         best = max(best, term)
     return best
 
 
-def relaxed_one_sided_loss(f_x, f_xprime, eps1, eps2, sensitivity=1.0):
+def relaxed_one_sided_loss(f_x, f_xprime, eps1, eps2):
     """one_sided_loss with the inner max{0, .} dropped, so the prefix gap D_k
     may go negative. It is not a pointwise upper bound on exact outcome
     ratios; test_relaxed_gap_is_not_a_pointwise_bound pins a counterexample."""
     diffs = np.asarray(f_xprime, dtype=float) - np.asarray(f_x, dtype=float)
     gaps = np.concatenate(([0.0], np.maximum.accumulate(diffs)))[:-1]
-    terms = (eps1 / sensitivity) * gaps + (eps2 / sensitivity) * np.maximum(
-        0.0, gaps - diffs
-    )
+    terms = eps1 * gaps + eps2 * np.maximum(0.0, gaps - diffs)
     return float(terms.max())
 
 
@@ -62,7 +58,7 @@ def test_identical_sequences_cost_nothing():
 
 
 def test_frozen_oracle_instance():
-    # brute-force value for f_x=(0,1,1), f_x'=(1,0,2), eps1=eps2=1, delta=1
+    # brute-force value for f_x=(0,1,1), f_x'=(1,0,2), eps1=eps2=1
     assert one_sided_loss([0, 1, 1], [1, 0, 2], 1.0, 1.0) == pytest.approx(3.0)
     assert one_sided_loss([1, 0, 2], [0, 1, 1], 1.0, 1.0) == pytest.approx(3.0)
 
@@ -76,8 +72,8 @@ def test_matches_bruteforce_on_random_instances(relaxed):
         fxp = fx + rng.uniform(-1, 1, k)
         e1, e2 = rng.uniform(0.1, 2, 2)
         loss = relaxed_one_sided_loss if relaxed else one_sided_loss
-        got = loss(fx, fxp, e1, e2, 1.0)
-        want = one_sided_brute(list(fx), list(fxp), e1, e2, 1.0, relaxed=relaxed)
+        got = loss(fx, fxp, e1, e2)
+        want = one_sided_brute(list(fx), list(fxp), e1, e2, relaxed=relaxed)
         assert got == pytest.approx(want, abs=1e-12)
 
 
@@ -262,8 +258,6 @@ def test_loss_input_validation():
         one_sided_loss([], [], 1.0, 1.0)
     with pytest.raises(ValueError):
         one_sided_loss([1.0], [1.0], 0.0, 1.0)
-    with pytest.raises(ValueError, match="sensitivity"):
-        one_sided_loss([1.0], [1.0], 1.0, 1.0, sensitivity=0.0)
 
 
 def _counting_runner(values_t):

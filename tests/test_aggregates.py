@@ -19,18 +19,18 @@ def test_clipped_sum_arithmetic():
     assert all(a <= b for a, b in zip(sums, sums[1:]))
 
 
-def test_noiseless_high_quantile_clip_recovers_true_sum():
+def test_noiseless_high_quantile_clip_recovers_true_sum(noiseless):
     data = np.arange(1.0, 11.0)
-    res = dp_sum(data, SumConfig(eps=1.0, q=0.99), noiseless=True)
+    res = dp_sum(data, SumConfig(eps=1.0, q=0.99), noiseless)
     assert res.estimate == 55.0
     assert res.clip >= data.max()
     assert res.epsilon_total == 2.0
     assert not res.clip_clamped and not res.clip_exhausted
 
 
-def test_noiseless_mean_of_constant_data():
+def test_noiseless_mean_of_constant_data(noiseless):
     data = np.full(5, 7.0)
-    res = dp_mean(data, SumConfig(eps=1.0, q=0.99), noiseless=True)
+    res = dp_mean(data, SumConfig(eps=1.0, q=0.99), noiseless)
     assert res.estimate == pytest.approx(7.0)
 
 
@@ -69,25 +69,27 @@ def test_clamp_on_nonpositive_clip():
     assert np.isfinite(res.estimate)
 
 
+# a UQE clip is beta^k - 1 with k >= 1, so even all-zero data at the
+# smallest beta above 1 leaves the clip unclamped
+ALL_ZERO, TINY_BETA = np.zeros(50), SumConfig(eps=1.0, beta=1.0 + 2.0**-52)
+
+
 def test_uqe_clip_stays_positive_on_all_zero_data():
-    # a UQE clip is beta^k - 1 with k >= 1, so even all-zero data at the
-    # smallest beta above 1 leaves the clip unclamped
-    data = np.zeros(50)
-    cfg = SumConfig(eps=1.0, beta=1.0 + 2.0**-52)
-    res = dp_sum(data, cfg, noiseless=True)
-    assert res.clip == 2.0**-52  # 2.2e-16
-    assert not res.clip_clamped
-    seeded = dp_sum(data, cfg, RandomSource(64))
+    seeded = dp_sum(ALL_ZERO, TINY_BETA, RandomSource(64))
     assert seeded.clip >= 2.0**-52 and not seeded.clip_clamped
 
 
-def test_threshold_modes_raise_the_clip():
+def test_noiseless_uqe_clip_on_all_zero_data_is_the_first_candidate(noiseless):
+    res = dp_sum(ALL_ZERO, TINY_BETA, noiseless)
+    assert res.clip == 2.0**-52  # 2.2e-16
+    assert not res.clip_clamped
+
+
+def test_threshold_modes_raise_the_clip(noiseless):
     data = np.arange(1.0, 101.0)
-    base = dp_sum(data, SumConfig(eps=0.5, q=0.5), noiseless=True)
-    at_n = dp_sum(data, SumConfig(eps=0.5, q=0.5, threshold_mode="n"), noiseless=True)
-    padded = dp_sum(
-        data, SumConfig(eps=0.5, q=0.5, threshold_mode="n-plus-inv-eps"), noiseless=True
-    )
+    base = dp_sum(data, SumConfig(eps=0.5, q=0.5), noiseless)
+    at_n = dp_sum(data, SumConfig(eps=0.5, q=0.5, threshold_mode="n"), noiseless)
+    padded = dp_sum(data, SumConfig(eps=0.5, q=0.5, threshold_mode="n-plus-inv-eps"), noiseless)
     assert base.clip < at_n.clip <= padded.clip
     assert at_n.clip >= data.max()
     assert padded.estimate == 5050.0
@@ -99,8 +101,6 @@ def test_emq_clip_method_runs():
     res = dp_sum(data, cfg, RandomSource(64))
     assert 0 < res.clip < 10
     assert res.epsilon_total == 2.0
-    with pytest.raises(ValueError):
-        dp_sum(data, cfg, noiseless=True)
 
 
 def test_private_sum_is_usually_close():
@@ -128,10 +128,10 @@ def test_validation():
         dp_sum(np.array([-1.0, 2.0]), SumConfig(eps=1.0), RandomSource(1))
     with pytest.raises(ValueError):
         dp_sum(np.array([]), SumConfig(eps=1.0), RandomSource(1))
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         dp_sum(np.array([1.0]), SumConfig(eps=1.0))
     assert ClipMethod("emq") is ClipMethod.EMQ
     with pytest.raises(ValueError):
         ClipMethod("tree")
-    d = asdict(dp_sum(np.array([1.0]), SumConfig(eps=1.0), noiseless=True))
+    d = asdict(dp_sum(np.array([1.0]), SumConfig(eps=1.0), RandomSource(1)))
     assert set(d) == {"estimate", "clip", "epsilon_total", "clip_clamped", "clip_exhausted"}

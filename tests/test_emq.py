@@ -111,8 +111,17 @@ def test_validation_errors():
         emq_estimate([1.0, np.nan, 3.0], BoundedRange(0, 10), 0.5, 1.0, RandomSource(1))
     with pytest.raises(ValueError, match="outside the declared range"):
         emq_interval_pmf([np.nan], BoundedRange(0, 10), 0.5, 1.0)
-    with pytest.raises(ValueError):
-        uqe_pdf_curve([5.0], 0.0, 0.5, 1.0, pad_steps=-1)
+
+
+@pytest.mark.parametrize(
+    "q, eps",
+    [(0.5, -1.0), (0.5, 0.0), (0.5, np.inf), (0.5, np.nan), (2.0, 1.0), (-0.5, 1.0), (np.nan, 1.0)],
+)
+def test_uqe_pdf_curve_rejects_invalid_eps_and_q(q, eps):
+    # each used to return a curve: one whose mass sums to 1, or NaN mass with
+    # only a RuntimeWarning
+    with pytest.raises(ValueError, match="eps" if q == 0.5 else "q must"):
+        uqe_pdf_curve(np.arange(1.0, 50.0), 0.0, q, eps)
 
 
 def test_estimate_lands_in_selected_interval_distribution():

@@ -1,16 +1,23 @@
 """The package's top-level names cover every `from uqe import X` in the demos
-and in the README's python examples."""
+and in the README's python examples, and its public signatures carry no
+switch that bypasses the private release."""
 
 import ast
+import importlib
+import inspect
 import os
+import pkgutil
 import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import uqe
+from uqe import quantile
+from uqe.quantile import Dataset, QuantileRequest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -64,3 +71,53 @@ def test_demo_runs(demo, tmp_path):
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def public_signatures():
+    """(module.name, parameter names) of every callable a submodule's
+    __all__ names."""
+    out = []
+    for info in pkgutil.iter_modules(uqe.__path__):
+        module = importlib.import_module(f"uqe.{info.name}")
+        for name in getattr(module, "__all__", ()):
+            obj = getattr(module, name)
+            if callable(obj):
+                out.append((f"{info.name}.{name}", set(inspect.signature(obj).parameters)))
+    return out
+
+
+MECHANISMS = (
+    "estimate_quantile_unbounded",
+    "estimate_small_quantile_inverted",
+    "estimate_multiple_quantiles",
+    "dp_sum",
+    "dp_mean",
+)
+
+
+def test_only_estimate_quantile_has_a_noiseless_switch():
+    names = {name for name, _ in public_signatures()}
+    assert {"quantile.estimate_quantile", "aggregates.dp_sum"} <= names
+    noiseless = {name for name, params in public_signatures() if "noiseless" in params}
+    assert noiseless == {"quantile.estimate_quantile"}
+
+
+def test_no_public_callable_takes_a_sensitivity():
+    # every query stream in the package is a counting stream, of sensitivity 1
+    assert [name for name, params in public_signatures() if "sensitivity" in params] == []
+
+
+@pytest.mark.parametrize("name", MECHANISMS)
+def test_mechanisms_require_a_random_source(name):
+    rng = inspect.signature(getattr(uqe, name)).parameters["rng"]
+    assert rng.default is inspect.Parameter.empty
+
+
+def test_a_missing_random_source_fails_at_the_call(monkeypatch):
+    # it used to raise ValueError only after the O(n) sign-split pass
+    passes = []
+    monkeypatch.setattr(quantile, "_sign_split_totals", lambda *args: passes.append(args))
+    req = QuantileRequest.even_split(0.5, 1.0)
+    with pytest.raises(TypeError):
+        uqe.estimate_quantile_unbounded(Dataset(np.arange(5.0)), req)
+    assert passes == []

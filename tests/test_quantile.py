@@ -449,42 +449,42 @@ def test_infinite_beta_is_rejected():
 
 
 class TestUnbounded:
-    def test_all_zeros_outputs_first_candidate(self):
+    def test_all_zeros_outputs_first_candidate(self, noiseless):
         est = estimate_quantile_unbounded(
-            Dataset(np.zeros(8)), QuantileRequest(q=0.5, eps1=1, eps2=1), noiseless=True
+            Dataset(np.zeros(8)), QuantileRequest(q=0.5, eps1=1, eps2=1), noiseless
         )
         assert est.value == 1.001 - 1.0
         assert est.first_halt == 1 and not est.second_ran and not est.exhausted
 
-    def test_nonnegative_data_matches_bounded_run_at_zero(self):
+    def test_nonnegative_data_matches_bounded_run_at_zero(self, noiseless):
         rng = np.random.default_rng(25)
         req = QuantileRequest(q=0.5, eps1=1, eps2=1, beta=1.01)
         for _ in range(100):
             data = rng.uniform(0, 50, int(rng.integers(3, 60)))
-            unb = estimate_quantile_unbounded(Dataset(data), req, noiseless=True)
-            bnd = estimate_quantile(Dataset(data, 0.0), req, noiseless=True)
+            unb = estimate_quantile_unbounded(Dataset(data), req, noiseless)
+            bnd = estimate_quantile(Dataset(data, 0.0), req, noiseless)
             assert unb.value == bnd.value
             assert unb.first_halt == bnd.halt_index
 
-    def test_negative_data_uses_second_call(self):
+    def test_negative_data_uses_second_call(self, noiseless):
         data = Dataset(-np.arange(1, 11.0))
         req = QuantileRequest(q=0.9, eps1=1, eps2=1, beta=1.1)
-        est = estimate_quantile_unbounded(data, req, noiseless=True)
+        est = estimate_quantile_unbounded(data, req, noiseless)
         assert est.first_halt == 0 and est.second_ran
         assert est.second_halt == 8
         assert est.value == -(repeated_power(1.1, 8) - 1.0)
 
-    def test_output_sign_cases(self):
+    def test_output_sign_cases(self, noiseless):
         # positive side, zero, negative side all reachable
         req = QuantileRequest(q=0.5, eps1=1, eps2=1)
-        pos = estimate_quantile_unbounded(Dataset(np.full(9, 7.0)), req, noiseless=True)
+        pos = estimate_quantile_unbounded(Dataset(np.full(9, 7.0)), req, noiseless)
         assert pos.value > 0
-        neg = estimate_quantile_unbounded(Dataset(np.full(9, -7.0)), req, noiseless=True)
+        neg = estimate_quantile_unbounded(Dataset(np.full(9, -7.0)), req, noiseless)
         assert neg.value < 0
         # half negative, half zero: first call halts at 0, second call lands
         # on a slightly negative candidate
         mixed = estimate_quantile_unbounded(
-            Dataset(np.array([-1.0, -1.0, 0.0, 0.0])), req, noiseless=True
+            Dataset(np.array([-1.0, -1.0, 0.0, 0.0])), req, noiseless
         )
         assert mixed.value <= 0
 
@@ -498,10 +498,10 @@ class TestUnbounded:
         assert any(v < 0 for v in values)  # mostly hits the negative branch
 
 
-def test_inverted_small_quantile_mirrors_negated_run():
+def test_inverted_small_quantile_mirrors_negated_run(noiseless):
     data = Dataset(np.arange(1, 101.0))
     req = QuantileRequest(q=0.05, eps1=1, eps2=1, beta=1.1)
-    est = estimate_small_quantile_inverted(data, 100.0, req, noiseless=True)
+    est = estimate_small_quantile_inverted(data, 100.0, req, noiseless)
     direct = estimate_quantile(
         Dataset(-data.values, -100.0),
         QuantileRequest(q=0.95, eps1=1, eps2=1, beta=1.1),
@@ -513,18 +513,18 @@ def test_inverted_small_quantile_mirrors_negated_run():
 
 
 class TestMultiQuantile:
-    def test_single_quantile_reduces_to_plain_run(self):
+    def test_single_quantile_reduces_to_plain_run(self, noiseless):
         data = Dataset(np.arange(1, 101.0), 1.0)
         req = QuantileRequest(q=0.5, eps1=1, eps2=1, beta=1.1)
-        multi = estimate_multiple_quantiles(data, [0.5], req, noiseless=True)
+        multi = estimate_multiple_quantiles(data, [0.5], req, noiseless)
         single = estimate_quantile(data, req, noiseless=True)
         assert multi.estimates == (single.value,)
         assert multi.budget.levels == 1
 
-    def test_quartiles_land_near_truth_and_in_order(self):
+    def test_quartiles_land_near_truth_and_in_order(self, noiseless):
         data = Dataset(np.arange(1, 1001.0), 1.0)
         req = QuantileRequest(q=0.5, eps1=0.5, eps2=0.5, beta=1.001)
-        result = estimate_multiple_quantiles(data, [0.25, 0.5, 0.75], req, noiseless=True)
+        result = estimate_multiple_quantiles(data, [0.25, 0.5, 0.75], req, noiseless)
         ests = np.asarray(result.estimates)
         assert (np.diff(ests) >= 0).all()
         for est, true in zip(ests, [250.75, 500.5, 750.25]):
@@ -543,28 +543,26 @@ class TestMultiQuantile:
             assert (np.diff(result.estimates) >= 0).all()
             assert result.budget.levels == 3
 
-    def test_empty_slice_reports_boundary(self):
+    def test_empty_slice_reports_boundary(self, noiseless):
         # two far-apart clusters: the 0.45/0.55 pair straddles the gap, and
         # slices between successive estimates can be empty
         data = Dataset(np.concatenate([np.zeros(50), np.full(50, 1000.0)]), 0.0)
         req = QuantileRequest(q=0.5, eps1=1, eps2=1, beta=2.0)
-        result = estimate_multiple_quantiles(
-            data, [0.2, 0.4, 0.45, 0.48], req, noiseless=True
-        )
+        result = estimate_multiple_quantiles(data, [0.2, 0.4, 0.45, 0.48], req, noiseless)
         assert (np.diff(result.estimates) >= 0).all()
 
-    def test_validation(self):
+    def test_validation(self, noiseless):
         data = Dataset(np.arange(1, 11.0), 1.0)
         req = QuantileRequest(q=0.5, eps1=1, eps2=1)
         with pytest.raises(ValueError):
-            estimate_multiple_quantiles(data, [0.5, 0.5], req, noiseless=True)
+            estimate_multiple_quantiles(data, [0.5, 0.5], req, noiseless)
         with pytest.raises(ValueError):
-            estimate_multiple_quantiles(data, [0.9, 0.1], req, noiseless=True)
+            estimate_multiple_quantiles(data, [0.9, 0.1], req, noiseless)
         with pytest.raises(ValueError):
-            estimate_multiple_quantiles(data, [0.0, 0.5], req, noiseless=True)
+            estimate_multiple_quantiles(data, [0.0, 0.5], req, noiseless)
         with pytest.raises(ValueError):
-            estimate_multiple_quantiles(data, [], req, noiseless=True)
+            estimate_multiple_quantiles(data, [], req, noiseless)
         # NaN fails every order comparison; it used to pass as a level
         for qs in ([0.2, np.nan], [np.nan], [0.2, np.nan, 0.8], [np.nan, 0.5]):
             with pytest.raises(ValueError):
-                estimate_multiple_quantiles(data, qs, req, noiseless=True)
+                estimate_multiple_quantiles(data, qs, req, noiseless)

@@ -65,6 +65,8 @@ from uqe.sparse_vector import (
     stream_prefix,
 )
 
+from conftest import head_stream, release_without_noise
+
 PROPERTY = settings(
     max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
@@ -72,9 +74,9 @@ PROPERTY = settings(
 
 def iterate(stream):
     """Reference reader: the stream's values one at a time, run by run; the
-    last run goes on forever unless the stream has a length."""
+    last run goes on forever."""
     starts, values = stream.starts.tolist(), stream.values.tolist()
-    for start, end, value in zip(starts, starts[1:] + [stream.length], values):
+    for start, end, value in zip(starts, starts[1:] + [None], values):
         if end is None:
             while True:
                 yield value
@@ -157,7 +159,7 @@ def test_block_runner_matches_scalar_on_finite_streams(
 ):
     values = slope * np.arange(length) + np.sin(np.arange(length))
     cfg = config(kind, eps1, eps2, threshold)
-    assert_same_run(lambda: QueryStream.from_head(values, max_queries=cap), cfg, seed)
+    assert_same_run(lambda: head_stream(values, max_queries=cap), cfg, seed)
 
 
 @PROPERTY
@@ -175,7 +177,7 @@ def test_block_runner_matches_scalar_on_endless_streams(
 ):
     head = np.cumsum(head, dtype=float)
     cfg = config(kind, eps, eps / 2, threshold)
-    assert_same_run(lambda: QueryStream.from_head(head, tail, max_queries=cap), cfg, seed)
+    assert_same_run(lambda: head_stream(head, tail, max_queries=cap), cfg, seed)
 
 
 @PROPERTY
@@ -188,7 +190,7 @@ def test_block_runner_matches_scalar_on_endless_streams(
 def test_noiseless_block_runner_matches_scalar(head, tail, threshold, cap):
     if not head and tail is None:
         head = [0.0]
-    stream = QueryStream.from_head(head, tail, max_queries=cap)
+    stream = head_stream(head, tail, max_queries=cap)
     assert run_above_threshold_noiseless(stream, threshold) == scalar_noiseless(
         stream, threshold
     )
@@ -196,7 +198,7 @@ def test_noiseless_block_runner_matches_scalar(head, tail, threshold, cap):
 
 def test_cap_one_and_block_edges_exhaust_with_one_draw_per_query():
     for cap in (1, 255, 256, 257):
-        stream = QueryStream.from_head([], -1e9, max_queries=cap)
+        stream = head_stream([], -1e9, max_queries=cap)
         rng = RandomSource(5)
         out = run_above_threshold(stream, SvtConfig(1.0, 1.0, NoiseKind.LAPLACE, 0.0), rng)
         assert out == SvtOutcome(None, cap)
@@ -234,8 +236,8 @@ def test_runner_skips_a_long_head_below_the_threshold(
     ramp = threshold - 100.0 + slope * np.arange(ramp)
     head = np.concatenate((np.full(lead, threshold + FAR), ramp))
     cfg = config(kind, eps1, eps2, threshold)
-    assert_same_run(lambda: QueryStream.from_head(head, max_queries=cap), cfg, seed)
-    assert_same_run(lambda: QueryStream.from_head(head, ramp[-1], max_queries=cap), cfg, seed)
+    assert_same_run(lambda: head_stream(head, max_queries=cap), cfg, seed)
+    assert_same_run(lambda: head_stream(head, ramp[-1], max_queries=cap), cfg, seed)
 
 
 @PROPERTY
@@ -259,7 +261,7 @@ def test_runner_finds_sparse_queries_within_reach_of_a_non_monotone_head(
         if at < length:
             head[at] = value
     cfg = config(kind, eps1, eps2, 0.0)
-    assert_same_run(lambda: QueryStream.from_head(head, tail, max_queries=cap), cfg, seed)
+    assert_same_run(lambda: head_stream(head, tail, max_queries=cap), cfg, seed)
 
 
 @PROPERTY
@@ -274,7 +276,7 @@ def test_runner_finds_sparse_queries_within_reach_of_a_non_monotone_head(
 def test_runner_skips_a_head_never_in_reach_to_a_tail_in_reach(kind, eps, length, tail, cap, seed):
     head = np.full(length, FAR)
     cfg = config(kind, eps, eps / 2, 0.0)
-    assert_same_run(lambda: QueryStream.from_head(head, tail, max_queries=cap), cfg, seed)
+    assert_same_run(lambda: head_stream(head, tail, max_queries=cap), cfg, seed)
 
 
 @PROPERTY
@@ -297,16 +299,16 @@ def test_runner_matches_scalar_where_the_threshold_dwarfs_the_noise(
     step = math.ulp(threshold)
     head = threshold + step * np.array([-10**6] * lead + offsets, dtype=float)
     cfg = config(kind, eps1, eps2, threshold)
-    assert_same_run(lambda: QueryStream.from_head(head, max_queries=cap), cfg, seed)
+    assert_same_run(lambda: head_stream(head, max_queries=cap), cfg, seed)
 
 
 def test_reach_test_rounds_as_the_hit_test_does():
     # 2**53 + 2 + 1 rounds to 2**53 + 4, so with a reach of 1 the query can
     # clear 2**53 + 4; testing f >= 2**53 + 4 - 1 would round up and skip it
     level = 2.0**53 + 4.0
-    stream = QueryStream.from_head([2.0**53 - 8.0, 2.0**53 + 2.0])
+    stream = head_stream([2.0**53 - 8.0, 2.0**53 + 2.0])
     assert _first_within(stream, 0, 1.0, level) == 1
-    assert _first_within(QueryStream.from_head([2.0**53]), 0, 1.0, level) == 1  # the cap: none
+    assert _first_within(head_stream([2.0**53]), 0, 1.0, level) == 1  # the cap: none
 
 
 @pytest.mark.parametrize("cap", [1, 1023, 1024, 1025, 4099, 200_000])
@@ -314,9 +316,9 @@ def test_reach_test_rounds_as_the_hit_test_does():
 def test_a_run_with_no_query_in_reach_exhausts_at_exactly_cap_draws(cap, kind):
     cfg = SvtConfig(1.0, 1.0, kind, 0.0)
     streams = [
-        QueryStream.from_head([], FAR, max_queries=cap),
-        QueryStream.from_head(np.full(cap, FAR), max_queries=cap),
-        QueryStream.from_head(np.linspace(2 * FAR, FAR, 5000), FAR, max_queries=cap),
+        head_stream([], FAR, max_queries=cap),
+        head_stream(np.full(cap, FAR), max_queries=cap),
+        head_stream(np.linspace(2 * FAR, FAR, 5000), FAR, max_queries=cap),
     ]
     for stream in streams:
         rng = RandomSource(6, 2)
@@ -353,7 +355,7 @@ def test_array_stream_is_freed_without_garbage_collection():
     # a reference cycle would keep every run's query arrays until a full collection
     gc.disable()
     try:
-        stream = QueryStream.from_head(np.arange(10.0), 10.0)
+        stream = head_stream(np.arange(10.0), 10.0)
         ref = weakref.ref(stream)
         del stream
         assert ref() is None
@@ -361,14 +363,9 @@ def test_array_stream_is_freed_without_garbage_collection():
         gc.enable()
 
 
-def test_stream_prefix_rejects_a_short_stream():
-    with pytest.raises(ValueError):
-        stream_prefix(QueryStream.from_head([1.0, 2.0]), 3)
-
-
 def test_max_queries_must_be_an_integer():
     with pytest.raises(ValueError):
-        QueryStream.from_head([1.0], max_queries=2.5)
+        QueryStream([0], [1.0], max_queries=2.5)
     with pytest.raises(ValueError):
         QuantileRequest(q=0.5, eps1=1.0, eps2=1.0, max_queries=2.5)
 
@@ -403,7 +400,7 @@ def two_build_signed_stream(values, beta, max_queries):
         above = stream_prefix(counting_query_stream(hist), int(hist.buckets[-1]) + 1)
         grid = hist.grid
     lead = np.concatenate(([negatives], negatives + above))
-    return QueryStream.from_head(lead, values.size, max_queries=max_queries), grid
+    return head_stream(lead, values.size, max_queries=max_queries), grid
 
 
 def two_build_unbounded(data, req, rng, noiseless):
@@ -498,9 +495,10 @@ def test_unbounded_estimator_matches_the_two_build_path(case, kind, q, cap, seed
         # the value's bytes too, so -0.0 and 0.0 count as different releases
         return est, np.float64(est.value).tobytes()
 
-    assert released(estimate_quantile_unbounded(x, req, noiseless=True)) == released(
-        two_build_unbounded(x, req, None, True)
-    )
+    with pytest.MonkeyPatch.context() as mp:
+        release_without_noise(mp)
+        noiseless = released(estimate_quantile_unbounded(x, req, RandomSource(seed, 3)))
+    assert noiseless == released(two_build_unbounded(x, req, None, True))
     a, b = RandomSource(seed, 3), RandomSource(seed, 3)
     assert released(estimate_quantile_unbounded(x, req, a)) == released(
         two_build_unbounded(x, req, b, False)
@@ -508,7 +506,7 @@ def test_unbounded_estimator_matches_the_two_build_path(case, kind, q, cap, seed
     assert generator_state(a) == generator_state(b)
 
 
-def mask_and_rebuild_multi(data, qs, req, rng=None, noiseless=False):
+def mask_and_rebuild_multi(data, qs, req, rng):
     """Reference: each node masks its slice out of its parent's and runs
     estimate_quantile on it, with a fresh Dataset, grid and histogram."""
     q_arr = np.asarray(qs, dtype=float)
@@ -535,7 +533,6 @@ def mask_and_rebuild_multi(data, qs, req, rng=None, noiseless=False):
             Dataset(values, lower_bound=grid_lower),
             replace(req, max_queries=cap),
             rng,
-            noiseless=noiseless,
             threshold=t,
         )
         estimates[mid] = est.value
@@ -601,9 +598,12 @@ def test_multi_quantiles_match_the_mask_and_rebuild_path(case, qs, kind, eps, ca
         # the estimates' bytes too, so -0.0 and 0.0 count as different releases
         return result, np.array(result.estimates).tobytes()
 
-    assert released(estimate_multiple_quantiles(x, qs, req, noiseless=True)) == released(
-        mask_and_rebuild_multi(x, qs, req, noiseless=True)
-    )
+    with pytest.MonkeyPatch.context() as mp:
+        release_without_noise(mp)
+        rng = RandomSource(seed, 4)
+        assert released(estimate_multiple_quantiles(x, qs, req, rng)) == released(
+            mask_and_rebuild_multi(x, qs, req, rng)
+        )
     a, b = RandomSource(seed, 4), RandomSource(seed, 4)
     assert released(estimate_multiple_quantiles(x, qs, req, a)) == released(
         mask_and_rebuild_multi(x, qs, req, b)
@@ -678,10 +678,7 @@ def dense_above_threshold(head, tail, cap, cfg, rng):
 
 def dense_view(stream):
     """(head, tail, cap) of a stream: its values through the start of its
-    last run, then that run's value as the tail; a stream with a length
-    has no tail."""
-    if stream.length is not None:
-        return stream_prefix(stream, stream.length), None, stream.max_queries
+    last run, then that run's value as the tail."""
     head = stream_prefix(stream, int(stream.starts[-1]) + 1)
     return head, float(stream.values[-1]), stream.max_queries
 
@@ -753,10 +750,11 @@ def test_exhausted_and_capped_runs_scan_like_the_dense_head(kind):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_non_monotone_runs_scan_like_the_dense_head(kind, runs, length, cap, seed):
+    # a stream that ends after length queries is the stream capped there
     starts = np.cumsum([0] + [n for n, _ in runs[:-1]])
     if length is not None:
-        length = max(length, int(starts[-1]) + 1)
-    stream = QueryStream(starts, [v for _, v in runs], cap, length)
+        cap = min(cap, max(length, int(starts[-1]) + 1))
+    stream = QueryStream(starts, [v for _, v in runs], cap)
     run_against_dense(stream, config(kind, 1.0, 0.7, 0.0), RandomSource(seed, 6), [])
 
 
@@ -985,19 +983,22 @@ def test_estimators_release_the_same_values_as_the_scalar_path(data, beta, kind,
     lower = float(x.min())
     req = QuantileRequest.even_split(q, 1.0, beta=beta, noise=kind, max_queries=cap)
 
-    def release(noiseless):
-        rng = None if noiseless else RandomSource(seed, 2)
-        out = (
-            estimate_quantile(Dataset(x, lower_bound=lower), req, rng, noiseless=noiseless),
-            estimate_quantile_unbounded(Dataset(x), req, rng, noiseless=noiseless),
-            estimate_multiple_quantiles(
-                Dataset(x, lower_bound=lower), [0.2, 0.5, 0.8], req, rng, noiseless=noiseless
-            ),
-        )
-        return out, None if rng is None else generator_state(rng)
+    def release(runner=None):
+        rng = RandomSource(seed, 2)
+        with pytest.MonkeyPatch.context() as mp:
+            if runner is not None:
+                mp.setattr(quantile, "run_above_threshold", runner)
+            bounded = Dataset(x, lower_bound=lower)
+            out = (
+                estimate_quantile(bounded, req, rng),
+                estimate_quantile_unbounded(Dataset(x), req, rng),
+                estimate_multiple_quantiles(bounded, [0.2, 0.5, 0.8], req, rng),
+            )
+        return out, generator_state(rng)
 
-    block = release(False), release(True)
+    assert release(scalar_above_threshold) == release()
+    # the noiseless release, with the package's noiseless runner and the scalar one
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(quantile, "run_above_threshold", scalar_above_threshold)
-        mp.setattr(quantile, "run_above_threshold_noiseless", scalar_noiseless)
-        assert (release(False), release(True)) == block
+        release_without_noise(mp)
+        noiseless = release()
+    assert release(lambda stream, cfg, rng: scalar_noiseless(stream, cfg.threshold)) == noiseless
