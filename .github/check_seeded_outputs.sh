@@ -2,7 +2,9 @@
 # Same-seed outputs stay bitwise identical. Each perfbench workload's digest
 # of its first 27 calls is pinned, and no call may fail its checks.
 # perfbench never runs the sum experiment, so `uqe bench` records of both
-# experiments are pinned byte for byte as well.
+# experiments are pinned byte for byte as well: with one eps and five
+# resamples, and with three eps (several blocks per resample) and nine
+# resamples (a per-record reduction longer than numpy's 8-element block).
 #
 # Run from the repository root, with uqe installed or PYTHONPATH=src.
 set -euo pipefail
@@ -28,4 +30,25 @@ do
     --experiment "$1" | sha256sum | cut -d ' ' -f 1)
   if [ "$got" != "$2" ]; then echo "uqe bench --experiment $1: $got"; exit 1; fi
   echo "uqe bench --experiment $1: $got"
+done
+
+# The three-eps sum records have one form per log1p kernel: numpy's AVX-512
+# log1p and its baseline one differ by an ulp in some Laplace draws, and one
+# std in its last digit. A runner dispatches one kernel, so it must print
+# exactly one of the two.
+for pin in \
+  "quantile d0ce69bece0e93617f08de145affbf7f9e04d0f1f4c3e20a2e17c74704a12074" \
+  "sum 6bafea60e2a109ee48a53991eb52313114a28b422bf739b0a057c84b0667d02d 2260f35ac18dd11ce8621876a818497ff2b3f6167d2f063932cf1fae713139d3"
+do
+  set -- $pin
+  experiment=$1
+  shift
+  got=$(python3 -m uqe.cli bench --input src/uqe/data/smoke.csv --column value --range 0 10 \
+    --sample-size 100 --outer 9 --qs 0.25,0.5,0.75,0.9 --eps 0.5,1,2 --seed 909 \
+    --experiment "$experiment" | sha256sum | cut -d ' ' -f 1)
+  echo "uqe bench --experiment $experiment --eps 0.5,1,2: $got"
+  case " $* " in
+    *" $got "*) ;;
+    *) exit 1 ;;
+  esac
 done

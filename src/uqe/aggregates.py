@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .emq import BoundedRange, emq_estimate
-from .noise import NoiseKind, NoiseSpec, RandomSource, sample
+from .noise import NoiseKind, NoiseSpec, RandomSource, _check_source, sample
 from .quantile import Dataset, QuantileRequest, estimate_quantile
 from .sparse_vector import check_eps
 
@@ -106,6 +106,7 @@ def dp_sum(data, cfg: SumConfig, rng: RandomSource) -> SumResult:
 
     A clip at or below 0 is clamped to a small positive floor and flagged.
     """
+    _check_source(rng)
     values = np.asarray(data, dtype=float)
     if values.ndim != 1 or values.size == 0:
         raise ValueError("data must be a non-empty 1-d sequence")

@@ -28,6 +28,7 @@ from .emq import (
     BoundedRange,
     _draw_from_edges,
     _interval_edges,
+    _interval_logs,
     emq_pdf_curve,
     uqe_pdf_curve,
 )
@@ -112,78 +113,96 @@ class ResultRecord:
     runtime: float | None = None
 
 
-def _draw_sample(spec: ExperimentSpec, trial: int) -> tuple[np.ndarray, np.ndarray]:
-    """(unperturbed sample, perturbed copy) for one outer trial."""
-    picker = RandomSource(spec.seed, _SAMPLE_BASE + trial)
-    idx = picker.gen.choice(spec.data.size, size=spec.sample_size, replace=False)
+def _draw_sample(
+    spec: ExperimentSpec, trial: int, source: RandomSource
+) -> tuple[np.ndarray, np.ndarray]:
+    """(unperturbed sample, perturbed copy) for one outer trial; source is
+    re-keyed to each of the two streams they are drawn from."""
+    source._rekey(_SAMPLE_BASE + trial)
+    idx = source.gen.choice(spec.data.size, size=spec.sample_size, replace=False)
     clean = spec.data[idx]
-    noisy = perturb(clean, spec.perturb_scale, RandomSource(spec.seed, _PERTURB_BASE + trial))
-    return clean, noisy
-
-
-def _mech_rng(spec: ExperimentSpec, index: int) -> RandomSource:
-    return RandomSource(spec.seed, _MECH_BASE + index)
+    source._rekey(_PERTURB_BASE + trial)
+    return clean, perturb(clean, spec.perturb_scale, source)
 
 
 def _prepare(
     spec: ExperimentSpec, noisy: np.ndarray, lower: float, beta: float
-) -> tuple[LogBucketHistogram | None, np.ndarray | None]:
+) -> tuple[LogBucketHistogram | None, tuple[np.ndarray, ...] | None]:
     """The O(n) work every release on one resample shares: the grid
-    histogram for uqe and the sorted interval edges for emq, each only when
-    its method runs. Neither draws randomness."""
-    hist = edges = None
+    histogram for uqe, and for emq the sorted interval edges with their
+    _interval_logs, each only when its method runs. Neither draws
+    randomness."""
+    hist = intervals = None
     if "uqe" in spec.methods:
         hist = build_histogram(noisy, beta, lower, DEFAULT_MAX_QUERIES)
     if "emq" in spec.methods:
         edges = _interval_edges(noisy, spec.declared_range)
-    return hist, edges
+        intervals = (edges, *_interval_logs(edges))
+    return hist, intervals
 
 
-def _estimate_one(
-    method: str,
-    hist: LogBucketHistogram | None,
-    edges: np.ndarray | None,
-    q: float,
-    eps: float,
-    rng: RandomSource,
+def _uqe_release(
+    hist: LogBucketHistogram, q: float, eps: float, source: RandomSource, stream: int
 ) -> float:
-    if method == "uqe":
-        req = QuantileRequest.even_split(q, eps, beta=hist.grid.beta)
-        return _release(hist, req, rng).value
-    return _draw_from_edges(edges, q, eps, rng)
+    """The uqe release at level q from mechanism stream `stream`."""
+    source._rekey(_MECH_BASE + stream)
+    req = QuantileRequest.even_split(q, eps, beta=hist.grid.beta)
+    return _release(hist, req, source).value
+
+
+def _emq_block(
+    intervals: tuple[np.ndarray, ...], qs, eps: float, source: RandomSource, streams
+) -> np.ndarray:
+    """The emq draws at the levels qs as one batch, level i's uniforms from
+    mechanism stream streams[i]."""
+    uniforms = np.empty((len(streams), intervals[0].size))
+    for row, stream in zip(uniforms, streams):
+        source._rekey(_MECH_BASE + stream)
+        row[...] = source.uniform_open(row.size)
+    return _draw_from_edges(*intervals, qs, eps, uniforms)
 
 
 def run_quantile_experiment(spec: ExperimentSpec) -> list[ResultRecord]:
     """Mean absolute error per (method, eps, q) over the resampling protocol.
 
     Cell c, one (eps, method, q), releases on resample t from mechanism
-    stream c * outer_trials + t. A record's runtime is the time of its
-    cell's releases, summed over the resamples.
+    stream c * outer_trials + t. The q cells of one (eps, method) block are
+    contiguous, and emq draws a block's levels as one batch. A uqe record's
+    runtime is the time of its cell's releases, summed over the resamples;
+    an emq record's is its block's time divided evenly among the levels.
     """
     rr = spec.declared_range
+    outer = spec.outer_trials
     levels = np.asarray(spec.quantile_grid, dtype=float)
-    cells = [
-        (eps, method, q)
-        for eps in spec.eps_grid
-        for method in spec.methods
-        for q in spec.quantile_grid
-    ]
-    errs = np.empty((len(cells), spec.outer_trials))
+    m = levels.size
+    blocks = [(eps, method) for eps in spec.eps_grid for method in spec.methods]
+    cells = [(eps, method, q) for eps, method in blocks for q in spec.quantile_grid]
+    errs = np.empty((len(cells), outer))
     runtime = np.zeros(len(cells))
-    for t in range(spec.outer_trials):
-        clean, noisy = _draw_sample(spec, t)
+    source = RandomSource(spec.seed)
+    for t in range(outer):
+        clean, noisy = _draw_sample(spec, t, source)
         noisy = np.clip(noisy, rr.a, rr.b)
         refs = true_quantile(clean, levels)
-        hist, edges = _prepare(spec, noisy, rr.a, spec.beta)
-        for c, (eps, method, q) in enumerate(cells):
+        hist, intervals = _prepare(spec, noisy, rr.a, spec.beta)
+        for b, (eps, method) in enumerate(blocks):
+            first = b * m
+            streams = [c * outer + t for c in range(first, first + m)]
             start = time.perf_counter()
-            rng = _mech_rng(spec, c * spec.outer_trials + t)
-            est = _estimate_one(method, hist, edges, q, eps, rng)
+            if method == "emq":
+                est = _emq_block(intervals, levels, eps, source, streams)
+                runtime[first : first + m] += (time.perf_counter() - start) / m
+            else:
+                est = np.empty(m)
+                for i, q in enumerate(spec.quantile_grid):
+                    est[i] = _uqe_release(hist, q, eps, source, streams[i])
+                    now = time.perf_counter()
+                    runtime[first + i] += now - start
+                    start = now
             if spec.round_outputs:
-                est = float(np.rint(est))
-            # q varies fastest over the cells
-            errs[c, t] = abs(est - refs[c % levels.size])
-            runtime[c] += time.perf_counter() - start
+                np.rint(est, out=est)
+            errs[first : first + m, t] = np.abs(est - refs)
+    mae, std = errs.mean(axis=1), errs.std(axis=1)
     return [
         ResultRecord(
             dataset=spec.name,
@@ -191,9 +210,9 @@ def run_quantile_experiment(spec: ExperimentSpec) -> list[ResultRecord]:
             method=method,
             eps=float(eps),
             q=float(q),
-            mae=float(errs[c].mean()),
-            std=float(errs[c].std()),
-            n_outer=spec.outer_trials,
+            mae=float(mae[c]),
+            std=float(std[c]),
+            n_outer=outer,
             n_inner=1,
             runtime=float(runtime[c]),
         )
@@ -206,61 +225,67 @@ def run_sum_experiment(spec: ExperimentSpec) -> list[ResultRecord]:
 
     The grid method always clips at q = 0.99; the interval baseline reports
     its best q from EMQ_SUM_QS, as the head-to-head protocol prescribes.
-    Block b, one (eps, method, q), draws its clip on resample t from
-    mechanism stream 2 * (b * outer_trials + t) and its Laplace noise from
-    the next one. A record's runtime is the time of its blocks' clips and
-    sums, summed over the resamples.
+    Row r, one (eps, method, q), draws its clip on resample t from
+    mechanism stream 2 * (r * outer_trials + t) and its Laplace noise from
+    the next one; emq draws the clips of its levels as one batch. A
+    record's runtime is the time of its rows' clips and sums, summed over
+    the resamples.
     """
     rr = spec.declared_range
+    outer = spec.outer_trials
     blocks = [
-        (eps, method, q)
+        (eps, method, (0.99,) if method == "uqe" else EMQ_SUM_QS)
         for eps in spec.eps_grid
         for method in spec.methods
-        for q in ((0.99,) if method == "uqe" else EMQ_SUM_QS)
     ]
-    per_outer = np.empty((len(blocks), spec.outer_trials))
+    per_outer = np.empty((sum(len(qs) for _, _, qs in blocks), outer))
     runtime = np.zeros(len(blocks))
-    for t in range(spec.outer_trials):
-        clean, noisy = _draw_sample(spec, t)
+    source = RandomSource(spec.seed)
+    for t in range(outer):
+        clean, noisy = _draw_sample(spec, t, source)
         noisy = np.clip(noisy, 0.0, rr.b)
         total = clean.sum()
-        hist, edges = _prepare(spec, noisy, 0.0, spec.sum_beta)
-        for b, (eps, method, q) in enumerate(blocks):
+        hist, intervals = _prepare(spec, noisy, 0.0, spec.sum_beta)
+        r = 0
+        for b, (eps, method, qs) in enumerate(blocks):
             start = time.perf_counter()
-            index = 2 * (b * spec.outer_trials + t)
-            clip = _estimate_one(method, hist, edges, q, eps, _mech_rng(spec, index))
-            if clip <= 0.0:
-                clip = _clip_floor(rr)
-            lap = sample(
-                NoiseSpec(NoiseKind.LAPLACE, clip / eps),
-                _mech_rng(spec, index + 1),
-                size=spec.inner_trials,
-            )
-            per_outer[b, t] = np.abs(clipped_sum(noisy, clip) + lap - total).mean()
-            runtime[b] += time.perf_counter() - start
-    records = []
-    b = 0
-    for eps in spec.eps_grid:
-        for method in spec.methods:
-            rows = range(b, b + (1 if method == "uqe" else len(EMQ_SUM_QS)))
-            b = rows.stop
-            mae, std, best_q = min(
-                (float(per_outer[r].mean()), float(per_outer[r].std()), blocks[r][2]) for r in rows
-            )
-            records.append(
-                ResultRecord(
-                    dataset=spec.name,
-                    experiment="sum",
-                    method=method,
-                    eps=float(eps),
-                    q=float(best_q),
-                    mae=mae,
-                    std=std,
-                    n_outer=spec.outer_trials,
-                    n_inner=spec.inner_trials,
-                    runtime=float(runtime[rows].sum()),
+            streams = [2 * ((r + i) * outer + t) for i in range(len(qs))]
+            if method == "emq":
+                clips = _emq_block(intervals, qs, eps, source, streams)
+            else:
+                clips = [_uqe_release(hist, qs[0], eps, source, streams[0])]
+            for clip, stream in zip(clips, streams):
+                if clip <= 0.0:
+                    clip = _clip_floor(rr)
+                source._rekey(_MECH_BASE + stream + 1)
+                lap = sample(
+                    NoiseSpec(NoiseKind.LAPLACE, clip / eps), source, size=spec.inner_trials
                 )
+                per_outer[r, t] = np.abs(clipped_sum(noisy, clip) + lap - total).mean()
+                r += 1
+            runtime[b] += time.perf_counter() - start
+    mae, std = per_outer.mean(axis=1), per_outer.std(axis=1)
+    records = []
+    r = 0
+    for b, (eps, method, qs) in enumerate(blocks):
+        best_mae, best_std, best_q = min(
+            (float(mae[r + i]), float(std[r + i]), q) for i, q in enumerate(qs)
+        )
+        r += len(qs)
+        records.append(
+            ResultRecord(
+                dataset=spec.name,
+                experiment="sum",
+                method=method,
+                eps=float(eps),
+                q=float(best_q),
+                mae=best_mae,
+                std=best_std,
+                n_outer=outer,
+                n_inner=spec.inner_trials,
+                runtime=float(runtime[b]),
             )
+        )
     return records
 
 

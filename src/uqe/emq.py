@@ -40,6 +40,10 @@ __all__ = [
 # trials per block in the vectorized simulator
 _BLOCK = 1 << 17
 
+# log weights _draw_from_edges computes at once (64 KB): a batch then holds
+# one (levels x n+2) array of uniforms, and no second one of its size
+_WEIGHT_CHUNK = 1 << 13
+
 # points of emq_pdf_curve's plot grid, spread evenly over the declared
 # range: the resolution of the range-contrast figures
 _PDF_GRID_POINTS = 1001
@@ -76,14 +80,21 @@ def _interval_edges(data, rng_range: BoundedRange) -> np.ndarray:
     return np.concatenate(([rng_range.a], vals, [rng_range.b]))
 
 
+def _interval_logs(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(ranks j = 0..n as floats, log interval lengths) of the edges
+    _interval_edges gives: the parts of the log weights every (q, eps)
+    shares. A zero-length interval has log length -inf."""
+    ranks = np.arange(edges.size - 1, dtype=float)
+    with np.errstate(divide="ignore"):
+        return ranks, np.log(np.diff(edges))
+
+
 def _log_weights(edges: np.ndarray, q: float, eps: float) -> np.ndarray:
     check_eps(eps)
     _check_q(q)
     n = edges.size - 2
-    j = np.arange(n + 1, dtype=float)
-    gaps = np.diff(edges)
-    with np.errstate(divide="ignore"):
-        return -eps * np.abs(j - q * n) / 2.0 + np.log(gaps)
+    ranks, log_gaps = _interval_logs(edges)
+    return -eps * np.abs(ranks - q * n) / 2.0 + log_gaps
 
 
 def emq_interval_pmf(data, rng_range: BoundedRange, q: float, eps: float) -> np.ndarray:
@@ -103,17 +114,53 @@ def emq_estimate(
     data, rng_range: BoundedRange, q: float, eps: float, rng: RandomSource
 ) -> float:
     """One eps-DP draw: Gumbel-max interval choice, then uniform inside it."""
-    return _draw_from_edges(_interval_edges(data, rng_range), q, eps, rng)
+    edges = _interval_edges(data, rng_range)
+    check_eps(eps)
+    _check_q(q)
+    uniforms = rng.uniform_open((1, edges.size))
+    return float(_draw_from_edges(edges, *_interval_logs(edges), [q], eps, uniforms)[0])
 
 
-def _draw_from_edges(edges: np.ndarray, q: float, eps: float, rng: RandomSource) -> float:
-    """emq_estimate on the edges _interval_edges gives. The edges draw no
-    randomness, so one sort can serve every (q, eps) draw on the same data."""
-    logw = _log_weights(edges, q, eps)
-    gumbels = -np.log(-np.log(rng.uniform_open(logw.size)))
-    j = int(np.argmax(logw + gumbels))
-    u = float(rng.uniform_open())
-    return float(edges[j] + u * (edges[j + 1] - edges[j]))
+def _draw_from_edges(
+    edges: np.ndarray,
+    ranks: np.ndarray,
+    log_gaps: np.ndarray,
+    qs,
+    eps: float,
+    uniforms: np.ndarray,
+) -> np.ndarray:
+    """emq_estimate at each level of qs, on the edges _interval_edges gives
+    and their _interval_logs, for a valid eps and levels.
+
+    Row i of uniforms holds level i's n + 2 open uniforms, in the order one
+    stream draws them: n + 1 for the Gumbel noise of the intervals, then
+    the one that places the draw inside the chosen interval. The rows are
+    overwritten. Every step is elementwise along a row, so a row gives the
+    bits of a draw of its level alone; nothing here draws randomness, so
+    one sort can serve every (q, eps) draw on the same data. Besides the
+    uniforms, a batch holds at most _WEIGHT_CHUNK log weights at a time.
+    """
+    # log(-log u) is minus the Gumbel noise; the score of interval j is
+    # its log weight minus it, computed for a few levels at a time
+    scores = uniforms[:, :-1]
+    np.log(scores, out=scores)
+    np.negative(scores, out=scores)
+    np.log(scores, out=scores)
+    shifts = np.multiply(qs, edges.size - 2)[:, None]
+    step = max(1, _WEIGHT_CHUNK // ranks.size)
+    logw = np.empty((min(step, shifts.size), ranks.size))
+    for start in range(0, shifts.size, step):
+        rows = slice(start, start + step)
+        w = logw[: scores[rows].shape[0]]
+        np.subtract(ranks, shifts[rows], out=w)
+        np.abs(w, out=w)
+        w *= -eps
+        w /= 2.0
+        w += log_gaps
+        np.subtract(w, scores[rows], out=scores[rows])
+    j = np.argmax(scores, axis=1)
+    lo = edges[j]
+    return lo + uniforms[:, -1] * (edges[j + 1] - lo)
 
 
 def simulate_emq_choices(

@@ -63,11 +63,33 @@ class RandomSource:
     def __init__(self, seed: int, stream: int = 0) -> None:
         self.seed = int(seed)
         self.stream = int(stream)
-        key = np.array(
+        self.gen = np.random.Generator(np.random.Philox(key=self._key()))
+
+    def _key(self) -> np.ndarray:
+        return np.array(
             [self.seed & 0xFFFFFFFFFFFFFFFF, self.stream & 0xFFFFFFFFFFFFFFFF],
             dtype=np.uint64,
         )
-        self.gen = np.random.Generator(np.random.Philox(key=key))
+
+    def _rekey(self, stream: int) -> None:
+        """Restart as RandomSource(self.seed, stream) starts: Philox keyed
+        by (seed, stream), counter 0, an empty buffer and no spare 32-bit
+        half-word. Setting the state costs a few us; a new source costs
+        about 20, as numpy seeds its Philox from OS entropy before the key
+        replaces it.
+
+        Use is sequential only: re-keying ends the old stream, so nothing
+        that still draws from it may hold this source.
+        """
+        self.stream = int(stream)
+        self.gen.bit_generator.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": np.zeros(4, dtype=np.uint64), "key": self._key()},
+            "buffer": np.zeros(_WORDS_PER_BLOCK, dtype=np.uint64),
+            "buffer_pos": _WORDS_PER_BLOCK,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
 
     def spawn(self, stream: int) -> "RandomSource":
         """Fresh independent stream under the same seed."""
@@ -112,6 +134,14 @@ class RandomSource:
 
     def __repr__(self) -> str:
         return f"RandomSource(seed={self.seed}, stream={self.stream})"
+
+
+def _check_source(rng) -> None:
+    """The rule of every mechanism that draws noise: rng is a RandomSource.
+    Checked before any pass over the data, so None is a ValueError, not an
+    AttributeError once the first draw is due."""
+    if not isinstance(rng, RandomSource):
+        raise ValueError(f"a RandomSource is required, got {type(rng).__name__}")
 
 
 def _to_uniform(k):

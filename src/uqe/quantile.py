@@ -35,7 +35,7 @@ from .accounting import (
     guarantee_for,
     multi_quantile_guarantee,
 )
-from .noise import NoiseKind, RandomSource
+from .noise import NoiseKind, RandomSource, _check_source
 from .sparse_vector import (
     DEFAULT_MAX_QUERIES,
     QueryStream,
@@ -251,8 +251,9 @@ class GeometricGrid:
         searched among P_1 .. P_K, which counts min(bucket, K) as the powers
         increase strictly; B < 1/32 keeps the bucket below K unless K is the
         limit. With delta >= 1/8 (beta within about 1e-9 of 1 at large caps)
-        no guess is trusted: every point is searched, up to the capped bucket
-        of the largest y, which _bucket finds exactly. Elsewhere r is shifted
+        no guess is trusted: with k the capped bucket of the largest y, which
+        _bucket finds exactly, the points at or past P_k take k and the rest
+        are searched among P_1 .. P_(k-1). Elsewhere r is shifted
         by delta: floor(r + delta) is floor(r) unless r is within delta below
         an integer, and frac(r + delta) < 2 delta marks r within delta of one.
         """
@@ -265,7 +266,10 @@ class GeometricGrid:
         delta = max(2.0**-20, 4.0 * (k * 2.0**-52 / self._log_beta + 2.0**-40 * top))
         if delta >= 0.125:
             k = self._bucket(float(y.max()), limit)
-            idx[...] = np.searchsorted(self.powers(k + 1)[1:], y, "right")
+            pows = self.powers(k + 1)
+            idx.fill(k)
+            if np.less(y, pows[k], out=mask).any():
+                idx[mask] = np.searchsorted(pows[1:k], y[mask], "right")
             return idx
         work += delta
         np.copyto(idx, work, casting="unsafe")
@@ -622,6 +626,7 @@ def estimate_quantile_unbounded(
     halts at 0, the estimate is 0. Each run pays the request's (eps1, eps2);
     the two compose.
     """
+    _check_source(rng)
     grid = GeometricGrid(req.beta, 0.0)
     cap = req.max_queries
     nonneg, nonpos = _sign_split_totals(data.values, grid, cap)
@@ -645,6 +650,7 @@ def estimate_small_quantile_inverted(
     data: Dataset, upper_bound: float, req: QuantileRequest, rng: RandomSource
 ) -> QuantileEstimate:
     """Small quantiles of upper-bounded data: negate, estimate 1-q, negate back."""
+    _check_source(rng)
     if not math.isfinite(upper_bound):
         raise ValueError("the upper bound must be finite")
     if data.values.max() > upper_bound:
@@ -711,6 +717,7 @@ def estimate_multiple_quantiles(
     run depth first, left before right, which is the order their noise is
     drawn in.
     """
+    _check_source(rng)
     if data.lower_bound is None:
         raise ValueError("multi-quantile estimation needs a declared lower bound")
     q_arr = np.asarray(qs, dtype=float)

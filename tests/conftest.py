@@ -1,5 +1,6 @@
-"""The deterministic release the oracle tests compare against, and a
-stream builder for runner tests.
+"""The deterministic release the oracle tests compare against, a stream
+builder for runner tests, and the one-level EMQ draw the batched draw is
+checked against.
 
 The mechanisms take a RandomSource and have one release path. A test gets
 their noiseless release by swapping the runner behind them: every
@@ -41,3 +42,18 @@ def head_stream(head, tail=None, max_queries=DEFAULT_MAX_QUERIES):
     if tail is None:
         return QueryStream(np.arange(head.size), head, min(max_queries, head.size))
     return QueryStream(np.arange(head.size + 1), np.append(head, tail), max_queries)
+
+
+def emq_draw_oracle(edges, q, eps, rng):
+    """One EMQ draw at level q on interval edges, as a scalar loop body: the
+    log weights, n + 1 Gumbel uniforms from rng, the argmax, then one more
+    uniform for the place inside the chosen interval."""
+    n = edges.size - 2
+    j = np.arange(n + 1, dtype=float)
+    gaps = np.diff(edges)
+    with np.errstate(divide="ignore"):
+        logw = -eps * np.abs(j - q * n) / 2.0 + np.log(gaps)
+    gumbels = -np.log(-np.log(rng.uniform_open(logw.size)))
+    k = int(np.argmax(logw + gumbels))
+    u = float(rng.uniform_open())
+    return float(edges[k] + u * (edges[k + 1] - edges[k]))

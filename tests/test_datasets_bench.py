@@ -14,6 +14,7 @@ import warnings
 
 import numpy as np
 import pytest
+from conftest import emq_draw_oracle
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -30,7 +31,7 @@ from uqe.bench import (
     run_sum_experiment,
 )
 from uqe.datasets import generate_synthetic, load_csv, perturb, true_quantile
-from uqe.emq import BoundedRange, emq_estimate
+from uqe.emq import BoundedRange, _interval_edges
 from uqe.noise import NoiseKind, NoiseSpec, RandomSource, sample
 from uqe.quantile import Dataset, QuantileRequest, estimate_quantile
 
@@ -468,8 +469,9 @@ def oracle_mech_rng(spec, index):
 
 def oracle_quantile_experiment(spec):
     """Reference: the per-quantile protocol, which rebuilt the histogram,
-    re-sorted the perturbed copy and recomputed the reference quantile for
-    every (eps, method, q) cell of every resample."""
+    re-sorted the perturbed copy, recomputed the reference quantile and drew
+    one level at a time from a new generator for every (eps, method, q) cell
+    of every resample, and summarized each cell's errors on their own."""
     rr = spec.declared_range
     samples = [oracle_sample(spec, t) for t in range(spec.outer_trials)]
     clipped = [(clean, np.clip(noisy, rr.a, rr.b)) for clean, noisy in samples]
@@ -486,7 +488,7 @@ def oracle_quantile_experiment(spec):
                         req = QuantileRequest(q=q, eps1=eps / 2.0, eps2=eps / 2.0, beta=spec.beta)
                         est = estimate_quantile(Dataset(noisy, lower_bound=rr.a), req, rng).value
                     else:
-                        est = emq_estimate(noisy, rr, q, eps, rng)
+                        est = emq_draw_oracle(_interval_edges(noisy, rr), q, eps, rng)
                     if spec.round_outputs:
                         est = float(np.rint(est))
                     errs[t] = abs(est - true_quantile(clean, q))
@@ -499,7 +501,8 @@ def oracle_quantile_experiment(spec):
 
 def oracle_sum_experiment(spec):
     """Reference: the per-block sum protocol, which rebuilt the histogram or
-    re-sorted the perturbed copy for every clip."""
+    re-sorted the perturbed copy, and drew from a new generator, for every
+    clip."""
     rr = spec.declared_range
     raw = [oracle_sample(spec, t) for t in range(spec.outer_trials)]
     samples = [(clean, np.clip(noisy, 0.0, rr.b)) for clean, noisy in raw]
@@ -513,7 +516,7 @@ def oracle_sum_experiment(spec):
                 req = QuantileRequest(q=q, eps1=eps / 2.0, eps2=eps / 2.0, beta=spec.sum_beta)
                 clip = estimate_quantile(Dataset(noisy, lower_bound=0.0), req, rng).value
             else:
-                clip = emq_estimate(noisy, rr, q, eps, rng)
+                clip = emq_draw_oracle(_interval_edges(noisy, rr), q, eps, rng)
             if clip <= 0.0:
                 clip = rr.width * 1e-9
             lap = sample(
@@ -576,6 +579,16 @@ def test_one_pass_per_resample_matches_the_per_quantile_oracle(outer, beta, ties
         assert records_to_json(run_sum_experiment(spec)) == records_to_json(
             oracle_sum_experiment(spec)
         )
+
+
+@pytest.mark.parametrize("outer", [1, 7, 8, 9, 127, 128, 129, 1000])
+def test_row_statistics_are_the_per_row_ones(outer):
+    # sizes on both sides of numpy's pairwise-summation blocks
+    errs = np.abs(RandomSource(outer).gen.standard_cauchy((38, outer)))
+    mae, std = errs.mean(axis=1), errs.std(axis=1)
+    for row, m, s in zip(errs, mae, std):
+        assert float(m).hex() == float(row.mean()).hex()
+        assert float(s).hex() == float(row.std()).hex()
 
 
 def test_each_resample_is_bucketed_sorted_and_scored_once(monkeypatch):

@@ -10,9 +10,15 @@ import math
 
 import numpy as np
 import pytest
+from conftest import emq_draw_oracle
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uqe.emq import (
     BoundedRange,
+    _draw_from_edges,
+    _interval_edges,
+    _interval_logs,
     emq_estimate,
     emq_interval_pmf,
     emq_pdf_curve,
@@ -137,6 +143,80 @@ def test_estimate_lands_in_selected_interval_distribution():
     freq = hist / trials
     se = np.sqrt(pmf * (1 - pmf) / trials)
     assert (np.abs(freq - pmf) <= 5 * se + 1e-9).all()
+
+
+def batched_draws(edges, qs, eps, seed, streams):
+    """_draw_from_edges at the levels qs, level i's uniforms from stream
+    streams[i] under seed."""
+    uniforms = np.array([RandomSource(seed, s).uniform_open(edges.size) for s in streams])
+    return _draw_from_edges(edges, *_interval_logs(edges), qs, eps, uniforms)
+
+
+def oracle_draws(edges, qs, eps, seed, streams):
+    return np.array(
+        [emq_draw_oracle(edges, q, eps, RandomSource(seed, s)) for q, s in zip(qs, streams)]
+    )
+
+
+# data with ties and a point on each range end, so some intervals have
+# zero length, and 1,000 spread points, whose 19 levels take three chunks
+# of log weights
+EDGE_SETS = {
+    "ties": _interval_edges(
+        np.repeat([0.0, 0.5, 2.0, 2.0, 7.25, 10.0], 3), BoundedRange(0.0, 10.0)
+    ),
+    "spread": _interval_edges(
+        RandomSource(40).gen.normal(0.0, 5.0, 1000).clip(-20.0, 20.0), BoundedRange(-20.0, 20.0)
+    ),
+}
+LEVEL_SETS = {
+    1: [[0.0], [1.0], [0.37]],
+    5: [[0.0, 0.25, 0.5, 0.93, 1.0], [1.0, 0.5, 0.5, 0.0, 0.01]],
+    19: [[0.0, *(round(0.05 * i, 2) for i in range(1, 18)), 1.0]],
+}
+
+
+@pytest.mark.parametrize("edges", EDGE_SETS.values(), ids=EDGE_SETS.keys())
+@pytest.mark.parametrize("eps", [1e-3, 1.0, 1e3])
+@pytest.mark.parametrize("levels", [1, 5, 19])
+def test_batched_draw_is_the_scalar_draw_row_by_row(edges, eps, levels):
+    for qs in LEVEL_SETS[levels]:
+        streams = [7 * i + 3 for i in range(levels)]
+        got = batched_draws(edges, qs, eps, 61, streams)
+        want = oracle_draws(edges, qs, eps, 61, streams)
+        assert got.shape == (levels,)
+        assert got.tobytes() == want.tobytes(), qs
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.lists(st.integers(0, 12), min_size=1, max_size=60),
+    qs=st.lists(
+        st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)), min_size=1, max_size=19
+    ),
+    eps=st.one_of(st.sampled_from([1e-3, 1.0, 1e3]), st.floats(1e-3, 1e3)),
+    seed=st.integers(0, 2**32),
+)
+def test_batched_draw_matches_the_scalar_draw(data, qs, eps, seed):
+    # integer data in [0, 12] of a [0, 12] range: ties and zero-length
+    # intervals at the ends and inside
+    edges = _interval_edges(np.array(data, dtype=float), BoundedRange(0.0, 12.0))
+    streams = list(range(len(qs)))
+    assert (
+        batched_draws(edges, qs, eps, seed, streams).tobytes()
+        == oracle_draws(edges, qs, eps, seed, streams).tobytes()
+    )
+
+
+def test_estimate_is_the_scalar_draw_and_leaves_the_same_state():
+    data = [3.0, 1.0, 1.0, 9.5]
+    edges = _interval_edges(data, BoundedRange(0.0, 10.0))
+    got, want = RandomSource(8, 1), RandomSource(8, 1)
+    for q, eps in [(0.5, 1.0), (0.0, 1e-3), (1.0, 1e3), (0.9, 2.0)]:
+        assert emq_estimate(data, BoundedRange(0.0, 10.0), q, eps, got) == emq_draw_oracle(
+            edges, q, eps, want
+        )
+        assert repr(got.gen.bit_generator.state) == repr(want.gen.bit_generator.state)
 
 
 def test_vectorized_simulator_matches_pmf():

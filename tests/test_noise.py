@@ -65,6 +65,33 @@ def test_keyed_stream_equals_spawned_stream():
         assert philox_state(direct) == philox_state(spawned)
 
 
+def plain(state):
+    """A Philox state dict with its arrays as lists, so == compares values."""
+    if isinstance(state, dict):
+        return {k: plain(v) for k, v in state.items()}
+    return state.tolist() if isinstance(state, np.ndarray) else state
+
+
+@pytest.mark.parametrize("stream", [0, 5, 2**64 - 1, 10_000_123])
+def test_rekey_is_a_fresh_source_on_that_stream(stream):
+    rng = RandomSource(17, 3)
+    for draw in (
+        lambda: None,
+        lambda: rng.uniform_open(5),
+        lambda: rng.gen.integers(0, 10),  # a 32-bit draw leaves a spare half-word
+        lambda: rng.gen.normal(size=3),
+        lambda: rng.skip(4099),
+    ):
+        draw()
+        rng._rekey(stream)
+        fresh = RandomSource(17, stream)
+        assert plain(rng.gen.bit_generator.state) == plain(fresh.gen.bit_generator.state)
+        assert rng.stream == stream and repr(rng) == repr(fresh)
+        words = rng.gen.bit_generator.random_raw(1000)
+        assert words.tolist() == fresh.gen.bit_generator.random_raw(1000).tolist()
+        assert rng.gen.integers(0, 10, 3).tolist() == fresh.gen.integers(0, 10, 3).tolist()
+
+
 def test_uniform_open_avoids_endpoints():
     u = RandomSource(1).uniform_open(200_000)
     assert u.min() > 0.0

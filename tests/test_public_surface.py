@@ -121,3 +121,44 @@ def test_a_missing_random_source_fails_at_the_call(monkeypatch):
     with pytest.raises(TypeError):
         uqe.estimate_quantile_unbounded(Dataset(np.arange(5.0)), req)
     assert passes == []
+
+
+def call_without_a_source(name, rng):
+    """Call mechanism `name` with rng and otherwise valid arguments."""
+    req = QuantileRequest.even_split(0.5, 1.0)
+    data = np.arange(5.0)
+    emq = uqe.SumConfig(eps=1.0, method=uqe.ClipMethod.EMQ, emq_range=uqe.BoundedRange(0.0, 9.0))
+    calls = {
+        "estimate_quantile_unbounded": lambda: uqe.estimate_quantile_unbounded(
+            Dataset(data), req, rng
+        ),
+        "estimate_small_quantile_inverted": lambda: uqe.estimate_small_quantile_inverted(
+            Dataset(data), 9.0, req, rng
+        ),
+        "estimate_multiple_quantiles": lambda: uqe.estimate_multiple_quantiles(
+            Dataset(data, lower_bound=0.0), [0.25, 0.75], req, rng
+        ),
+        "dp_sum": lambda: uqe.dp_sum(data, uqe.SumConfig(eps=1.0), rng),
+        "dp_sum with the EMQ clip": lambda: uqe.dp_sum(data, emq, rng),
+        "dp_mean": lambda: uqe.dp_mean(data, uqe.SumConfig(eps=1.0), rng),
+    }
+    return calls[name]()
+
+
+@pytest.mark.parametrize("rng", [None, 7], ids=["None", "a seed"])
+@pytest.mark.parametrize("name", [*MECHANISMS, "dp_sum with the EMQ clip"])
+def test_a_random_source_that_is_not_one_fails_before_the_data_pass(monkeypatch, name, rng):
+    # None used to reach the first draw: an AttributeError after the O(n)
+    # pass, or a message naming a switch dp_sum no longer has. The
+    # estimators' passes over the data are patched to fail the test.
+    def no_pass(*args, **kwargs):
+        raise AssertionError("the data were read")
+
+    for module, attr in [
+        (quantile, "_sign_split_totals"),
+        (quantile, "build_histogram"),
+        (np, "sort"),
+    ]:
+        monkeypatch.setattr(module, attr, no_pass)
+    with pytest.raises(ValueError, match=r"^a RandomSource is required, got (NoneType|int)$"):
+        call_without_a_source(name, rng)

@@ -134,6 +134,44 @@ def test_bucketing_is_exact_at_every_cached_edge(beta, magnitude, limit):
     assert np.array_equal(hist.running, np.cumsum(counts))
 
 
+@pytest.mark.parametrize("beta", [1 + 2.0**-40, 1 + 1e-9])
+@pytest.mark.parametrize("past", ["every point", "some points"])
+def test_points_past_the_limit_take_it_without_a_search(monkeypatch, beta, past):
+    # with the 200,000 cap these betas leave no guess trusted (delta >= 1/8),
+    # so every point below P_limit is searched and only those
+    limit = 200_000
+    grid = GeometricGrid(beta, 0.0)
+    pows = grid.powers(limit + 1)
+    rng = np.random.default_rng(25)
+    y = np.exp(rng.uniform(math.log(pows[limit]), math.log(1e6), 5000))
+    y = np.append(y, [pows[limit], np.nextafter(pows[limit], np.inf)])
+    if past == "some points":
+        y = np.concatenate(
+            [y, edge_neighbourhood(pows[limit - 50 :]), rng.uniform(1.0, pows[limit], 1000)]
+        )
+    want = searchsorted_oracle(grid, y, limit)
+    searched = []
+    search = np.searchsorted
+
+    def counted(a, v, side="left", sorter=None):
+        searched.append(np.size(v))
+        return search(a, v, side, sorter)
+
+    monkeypatch.setattr(np, "searchsorted", counted)
+    got = grid.bucket_indices(y, limit)
+    hist = build_histogram(y - 1.0, beta, 0.0, limit)
+    monkeypatch.undo()
+    assert np.array_equal(got, want)
+    below = np.count_nonzero(y < pows[limit])
+    assert (below == 0) == (past == "every point")
+    # once by bucket_indices, once by the build, which has one block here
+    assert sum(searched) == 2 * below
+    shifted = grid.shift(y - 1.0)
+    buckets, counts = np.unique(searchsorted_oracle(grid, shifted, limit), return_counts=True)
+    assert np.array_equal(hist.buckets, buckets)
+    assert np.array_equal(hist.running, np.cumsum(counts))
+
+
 POINTS = st.lists(
     st.one_of(st.floats(1.0, 1e300), st.tuples(st.integers(0, 3000), st.integers(-2, 2))),
     min_size=1,
