@@ -32,7 +32,6 @@ __all__ = [
     "PrivacyGuarantee",
     "MultiQuantileBudget",
     "one_sided_loss",
-    "range_bounded_of_pair",
     "guarantee_for",
     "zcdp_of_dp",
     "zcdp_of_range_bounded",
@@ -107,11 +106,6 @@ def one_sided_loss(f_x, f_xprime, eps1: float, eps2: float) -> float:
     gaps = np.concatenate(([0.0], np.maximum.accumulate(np.maximum(diffs, 0.0))))[:-1]
     terms = eps1 * gaps + eps2 * np.maximum(0.0, gaps - diffs)
     return float(terms.max())
-
-
-def range_bounded_of_pair(f_x, f_xprime, eps1: float, eps2: float) -> float:
-    """Sum of the two one-sided losses for a neighbor pair."""
-    return one_sided_loss(f_x, f_xprime, eps1, eps2) + one_sided_loss(f_xprime, f_x, eps1, eps2)
 
 
 def guarantee_for(

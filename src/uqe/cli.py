@@ -43,6 +43,7 @@ from .quantile import (
     estimate_quantile_unbounded,
     estimate_small_quantile_inverted,
     request_guarantee,
+    _check_q,
 )
 from .sparse_vector import DEFAULT_MAX_QUERIES
 from .verify import DP_RATIO_MIN_TRIALS, SUITE_NAMES, run_verification_suite
@@ -203,6 +204,8 @@ def cmd_sum(args) -> tuple[dict, int]:
 
 def cmd_account(args) -> tuple[dict, int]:
     noise = NoiseKind(args.noise)
+    if args.q is not None:
+        _check_q(args.q)
     if args.num_quantiles is not None:
         budget = multi_quantile_guarantee(args.num_quantiles, args.eps1, args.eps2, noise)
         return {"multi_quantile": asdict(budget)}, 0

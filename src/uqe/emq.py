@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .noise import RandomSource
+from .noise import RandomSource, _check_source
 from .quantile import _check_q, build_histogram, counting_query_stream
 from .sparse_vector import (
     DEFAULT_MAX_QUERIES,
@@ -32,13 +32,9 @@ __all__ = [
     "emq_interval_pmf",
     "emq_estimate",
     "emq_pdf_curve",
-    "simulate_emq_choices",
     "UqePdfCurve",
     "uqe_pdf_curve",
 ]
-
-# trials per block in the vectorized simulator
-_BLOCK = 1 << 17
 
 # log weights _draw_from_edges computes at once (64 KB): a batch then holds
 # one (levels x n+2) array of uniforms, and no second one of its size
@@ -114,6 +110,7 @@ def emq_estimate(
     data, rng_range: BoundedRange, q: float, eps: float, rng: RandomSource
 ) -> float:
     """One eps-DP draw: Gumbel-max interval choice, then uniform inside it."""
+    _check_source(rng)
     edges = _interval_edges(data, rng_range)
     check_eps(eps)
     _check_q(q)
@@ -161,22 +158,6 @@ def _draw_from_edges(
     j = np.argmax(scores, axis=1)
     lo = edges[j]
     return lo + uniforms[:, -1] * (edges[j + 1] - lo)
-
-
-def simulate_emq_choices(
-    data, rng_range: BoundedRange, q: float, eps: float, rng: RandomSource, trials: int
-) -> np.ndarray:
-    """Vectorized interval choices (for Monte Carlo comparison to the PMF)."""
-    edges = _interval_edges(data, rng_range)
-    logw = _log_weights(edges, q, eps)
-    out = np.empty(trials, dtype=np.int64)
-    done = 0
-    while done < trials:
-        block = min(_BLOCK, trials - done)
-        gumbels = -np.log(-np.log(rng.uniform_open((block, logw.size))))
-        out[done : done + block] = np.argmax(logw[None, :] + gumbels, axis=1)
-        done += block
-    return out
 
 
 def emq_pdf_curve(

@@ -517,8 +517,8 @@ def estimate_quantile(
     """
     if data.lower_bound is None:
         raise ValueError("estimate_quantile needs a declared lower bound")
-    if rng is None and not noiseless:
-        raise ValueError("a RandomSource is required unless noiseless=True")
+    if not noiseless:
+        _check_source(rng)
     hist = build_histogram(data.values, req.beta, data.lower_bound, req.max_queries)
     return _release(hist, req, rng, noiseless=noiseless, threshold=threshold)
 
@@ -619,12 +619,13 @@ def estimate_quantile_unbounded(
 ) -> UnboundedEstimate:
     """Quantile estimation with no declared bounds at all.
 
-    First run: T = q*n over g_i = |{x_j + 1 < beta^i}|, i from 0. A halt at
-    k > 0 yields beta^k - 1. A halt at k = 0 says at least ~q*n points are
-    negative, so a second run on the negated data with T = (1-q)*n searches
-    below zero and a halt at k > 0 yields -(beta^k - 1). If that run also
-    halts at 0, the estimate is 0. Each run pays the request's (eps1, eps2);
-    the two compose.
+    First run: T = q*n over g_i = |{x_j + 1 < beta^i}|, i from 0; g_0 counts
+    the x_j < 0, of which x_j + 1 rounds to 1 for those closest to zero. A
+    halt at k > 0 yields beta^k - 1. A halt at k = 0 says at least ~q*n
+    points are negative, so a second run on the negated data with
+    T = (1-q)*n searches below zero and a halt at k > 0 yields
+    -(beta^k - 1). If that run also halts at 0, the estimate is 0. Each run
+    pays the request's (eps1, eps2); the two compose.
     """
     _check_source(rng)
     grid = GeometricGrid(req.beta, 0.0)

@@ -44,11 +44,11 @@ __all__ = [
     "check_max_queries",
     "check_eps",
     "check_split",
+    "check_threshold",
     "SvtConfig",
     "SvtOutcome",
     "run_above_threshold",
     "run_above_threshold_noiseless",
-    "run_iterative_em",
     "gumbel_halt_log_pmf",
     "gumbel_no_halt_prob",
     "simulate_halt_indices",
@@ -82,6 +82,14 @@ def check_eps(eps: float, name: str = "eps") -> None:
     """The budget rule: eps is a finite number > 0."""
     if not 0 < eps < math.inf:
         raise ValueError(f"{name} must be finite and > 0, got {eps!r}")
+
+
+def check_threshold(threshold: float) -> None:
+    """The threshold rule: any number but NaN, which no query can clear, so
+    a run would end exhausted however the data lie. +-inf stay valid: every
+    query clears -inf, and none clears +inf."""
+    if threshold != threshold:
+        raise ValueError("the threshold must be a number, got nan")
 
 
 def check_split(eps1: float, eps2: float, noise: NoiseKind) -> None:
@@ -138,6 +146,7 @@ class SvtConfig:
 
     def __post_init__(self) -> None:
         check_split(self.eps1, self.eps2, self.noise)
+        check_threshold(self.threshold)
 
 
 @dataclass(frozen=True)
@@ -244,30 +253,10 @@ def run_above_threshold_noiseless(
 ) -> SvtOutcome:
     """Deterministic halt at the first f_i >= threshold. Test hook only:
     the private runner never branches on this path."""
+    check_threshold(threshold)
     i = _first_within(stream, 0, 0.0, threshold)
     if i < stream.max_queries:
         return SvtOutcome(i + 1)
-    return SvtOutcome(None, stream.max_queries)
-
-
-def run_iterative_em(
-    stream: QueryStream, threshold: float, eps: float, rng: RandomSource
-) -> SvtOutcome:
-    """Step-wise exponential mechanism that halts when it picks the newest query.
-
-    At step i the mechanism selects from {threshold, f_1, ..., f_i} with
-    exponent eps/2 and halts iff it picks f_i. Distributionally identical
-    to the Gumbel run with eps1 = eps2 = eps/2.
-    """
-    check_eps(eps)
-    s = eps / 2.0
-    scores = [s * threshold]
-    values = _window(stream, 0, stream.max_queries).tolist()
-    for i, value in enumerate(values, start=1):
-        scores.append(s * value)
-        gums = -np.log(-np.log(rng.uniform_open(len(scores))))
-        if int(np.argmax(np.asarray(scores) + gums)) == i:
-            return SvtOutcome(i)
     return SvtOutcome(None, stream.max_queries)
 
 
@@ -321,7 +310,13 @@ def simulate_halt_indices(
 def simulate_iterative_em(
     values: Sequence[float], threshold: float, eps: float, rng: RandomSource, trials: int
 ) -> np.ndarray:
-    """Vectorized run_iterative_em over a finite query list; 0 = no halt."""
+    """Step-wise exponential mechanism over a finite query list, trials at
+    a time; 0 = no halt.
+
+    At step i each trial selects from {threshold, f_1, ..., f_i} with
+    exponent eps/2 and halts iff it picks f_i. Distributionally identical
+    to the Gumbel run with eps1 = eps2 = eps/2.
+    """
     values = np.asarray(values, dtype=float)
     k = len(values)
     s = eps / 2.0

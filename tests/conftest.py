@@ -1,6 +1,6 @@
 """The deterministic release the oracle tests compare against, a stream
-builder for runner tests, and the one-level EMQ draw the batched draw is
-checked against.
+builder for runner tests, the one-level EMQ draw the batched draw is
+checked against, and the EMQ interval choices the Monte Carlo tests count.
 
 The mechanisms take a RandomSource and have one release path. A test gets
 their noiseless release by swapping the runner behind them: every
@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from uqe import aggregates, quantile
+from uqe.emq import _interval_edges, _log_weights
 from uqe.noise import RandomSource
 from uqe.sparse_vector import DEFAULT_MAX_QUERIES, QueryStream, run_above_threshold_noiseless
 
@@ -57,3 +58,16 @@ def emq_draw_oracle(edges, q, eps, rng):
     k = int(np.argmax(logw + gumbels))
     u = float(rng.uniform_open())
     return float(edges[k] + u * (edges[k + 1] - edges[k]))
+
+
+def simulate_emq_choices(data, rng_range, q, eps, rng, trials):
+    """Interval indices of trials EMQ choices, for Monte Carlo comparison
+    to emq_interval_pmf: Gumbel-max over the log weights, in blocks of
+    2**17 trials."""
+    logw = _log_weights(_interval_edges(data, rng_range), q, eps)
+    out = np.empty(trials, dtype=np.int64)
+    for start in range(0, trials, 1 << 17):
+        block = min(1 << 17, trials - start)
+        gumbels = -np.log(-np.log(rng.uniform_open((block, logw.size))))
+        out[start : start + block] = np.argmax(logw[None, :] + gumbels, axis=1)
+    return out

@@ -39,7 +39,7 @@ from uqe.accounting import (
 )
 from uqe.bench import ExperimentSpec, emit_pdf_figures, run_sum_experiment
 from uqe.datasets import load_csv
-from uqe.emq import BoundedRange, emq_interval_pmf, simulate_emq_choices, uqe_pdf_curve
+from uqe.emq import BoundedRange, emq_interval_pmf, uqe_pdf_curve
 from uqe.noise import NoiseKind, RandomSource
 from uqe.quantile import (
     Dataset,
@@ -56,6 +56,8 @@ from uqe.sparse_vector import (
     simulate_iterative_em,
     stream_prefix,
 )
+
+from conftest import simulate_emq_choices
 
 SMOKE = str(resources.files("uqe") / "data" / "smoke.csv")
 CENSUS = Path(__file__).resolve().parent.parent / "data" / "census.csv"

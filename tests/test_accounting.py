@@ -18,7 +18,6 @@ from uqe.accounting import (
     multi_quantile_guarantee,
     multi_quantile_levels,
     one_sided_loss,
-    range_bounded_of_pair,
     zcdp_of_dp,
     zcdp_of_range_bounded,
 )
@@ -39,6 +38,11 @@ def one_sided_brute(fx, fxp, e1, e2, relaxed=False):
         term = e1 * gap + e2 * max(0.0, gap - (fxp[k - 1] - fx[k - 1]))
         best = max(best, term)
     return best
+
+
+def range_bounded_of_pair(f_x, f_xprime, eps1, eps2):
+    """Sum of the two one-sided losses for a neighbor pair."""
+    return one_sided_loss(f_x, f_xprime, eps1, eps2) + one_sided_loss(f_xprime, f_x, eps1, eps2)
 
 
 def relaxed_one_sided_loss(f_x, f_xprime, eps1, eps2):

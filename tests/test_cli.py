@@ -383,6 +383,9 @@ class TestBadInputExits1:
             (["quantiles", "--qs", "0.2,nan", "--lower", "0"], "qs"),
             (["account", "--eps1", "inf", "--query-class", "monotonic"], "eps1"),
             (["account", "--eps1", "0.5", "--eps2", "inf", "--num-quantiles", "3"], "eps2"),
+            # used to print "q": NaN or "q": Infinity, which is not JSON
+            (["account", "--q", "nan", "--query-class", "monotonic"], "q must lie in [0, 1]"),
+            (["account", "--q", "inf", "--query-class", "general"], "q must lie in [0, 1]"),
             (["quantile", "--q", "0.5", "--epsilon", "inf"], "eps1"),
             (["sum", "--epsilon", "inf"], "eps"),
             # smoke.csv reaches 9.943; both used to report the lower bound

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import emq_draw_oracle
+from conftest import emq_draw_oracle, simulate_emq_choices
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,7 +22,6 @@ from uqe.emq import (
     emq_estimate,
     emq_interval_pmf,
     emq_pdf_curve,
-    simulate_emq_choices,
     uqe_pdf_curve,
 )
 from uqe.noise import RandomSource

@@ -17,6 +17,7 @@ import pytest
 
 import uqe
 from uqe import quantile
+from uqe.emq import emq_estimate
 from uqe.quantile import Dataset, QuantileRequest
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -141,12 +142,16 @@ def call_without_a_source(name, rng):
         "dp_sum": lambda: uqe.dp_sum(data, uqe.SumConfig(eps=1.0), rng),
         "dp_sum with the EMQ clip": lambda: uqe.dp_sum(data, emq, rng),
         "dp_mean": lambda: uqe.dp_mean(data, uqe.SumConfig(eps=1.0), rng),
+        "estimate_quantile": lambda: uqe.estimate_quantile(Dataset(data, 0.0), req, rng),
+        "emq_estimate": lambda: emq_estimate(data, uqe.BoundedRange(0.0, 9.0), 0.5, 1.0, rng),
     }
     return calls[name]()
 
 
 @pytest.mark.parametrize("rng", [None, 7], ids=["None", "a seed"])
-@pytest.mark.parametrize("name", [*MECHANISMS, "dp_sum with the EMQ clip"])
+@pytest.mark.parametrize(
+    "name", [*MECHANISMS, "dp_sum with the EMQ clip", "estimate_quantile", "emq_estimate"]
+)
 def test_a_random_source_that_is_not_one_fails_before_the_data_pass(monkeypatch, name, rng):
     # None used to reach the first draw: an AttributeError after the O(n)
     # pass, or a message naming a switch dp_sum no longer has. The

@@ -9,6 +9,7 @@ module under test):
     0.010045120210250946 for ell=0 (ten repeated multiplications)
   - unbounded run on all-negative {-1..-10}, q=0.9, noiseless: first call
     halts at 0, second call halts at k=8, output -(1.1^8 - 1)
+Bucket indices and powers are checked against the model in reference.py.
 """
 
 import math
@@ -37,21 +38,7 @@ from uqe.quantile import (
 )
 from uqe.sparse_vector import stream_prefix
 
-
-def bucket_oracle(y, beta):
-    """Literal definition: smallest b with beta^b <= y < beta^(b+1)."""
-    b, p = 0, 1.0
-    while not (p <= y < p * beta):
-        p *= beta
-        b += 1
-    return b
-
-
-def repeated_power(beta, k):
-    p = 1.0
-    for _ in range(k):
-        p *= beta
-    return p
+import reference
 
 
 def test_bucket_frozen_values():
@@ -66,8 +53,7 @@ def test_bucket_indices_match_oracle():
         grid = GeometricGrid(beta, 0.0)
         y = np.exp(rng.uniform(0, np.log(5e4), 400))
         got = grid.bucket_indices(y)
-        want = [bucket_oracle(v, beta) for v in y]
-        assert got.tolist() == want
+        assert got.tolist() == reference.bucket(beta, y).tolist()
 
 
 def test_bucket_boundary_points_exact():
@@ -76,18 +62,6 @@ def test_bucket_boundary_points_exact():
         grid = GeometricGrid(beta, 0.0)
         for j in [0, 1, 7, 100, 953]:
             assert grid.max_index_at_most(grid.power(j)) == j
-
-
-def searchsorted_oracle(grid, y, limit):
-    """min(bucket, limit) of each y: a binary search among cached powers
-    that reach past max(y), or past the limit, clamped at the limit."""
-    size = int(math.log(y.max()) / math.log(grid.beta) * (1 + 1e-6)) + 8
-    if limit is not None:
-        size = min(size, limit + 2)
-    pows = grid.powers(size)
-    assert (limit is not None and size == limit + 2) or pows[-1] > y.max()
-    b = np.searchsorted(pows[1:], y, "right")
-    return b if limit is None else np.minimum(b, limit)
 
 
 def edge_neighbourhood(edges):
@@ -119,17 +93,17 @@ def test_bucketing_is_exact_at_every_cached_edge(beta, magnitude, limit):
     rng = np.random.default_rng(24)
     y = np.concatenate(
         [
-            edge_neighbourhood(grid.powers(last + 1)),
+            edge_neighbourhood(reference.powers(beta, last)),
             edge_neighbourhood(np.array([magnitude])),
             np.exp(rng.uniform(0.0, math.log(magnitude), 5000)),
         ]
     )
     # sorted, so each block of the build below has its own largest guess
     y.sort()
-    assert np.array_equal(grid.bucket_indices(y, limit), searchsorted_oracle(grid, y, limit))
+    assert np.array_equal(grid.bucket_indices(y, limit), reference.bucket(beta, y, limit))
     x = y - 1.0
     hist = build_histogram(x, beta, 0.0, limit)
-    buckets, counts = np.unique(searchsorted_oracle(grid, grid.shift(x), limit), return_counts=True)
+    buckets, counts = np.unique(reference.bucket(beta, x + 1.0, limit), return_counts=True)
     assert np.array_equal(hist.buckets, buckets)
     assert np.array_equal(hist.running, np.cumsum(counts))
 
@@ -141,7 +115,7 @@ def test_points_past_the_limit_take_it_without_a_search(monkeypatch, beta, past)
     # so every point below P_limit is searched and only those
     limit = 200_000
     grid = GeometricGrid(beta, 0.0)
-    pows = grid.powers(limit + 1)
+    pows = reference.powers(beta, limit)
     rng = np.random.default_rng(25)
     y = np.exp(rng.uniform(math.log(pows[limit]), math.log(1e6), 5000))
     y = np.append(y, [pows[limit], np.nextafter(pows[limit], np.inf)])
@@ -149,7 +123,7 @@ def test_points_past_the_limit_take_it_without_a_search(monkeypatch, beta, past)
         y = np.concatenate(
             [y, edge_neighbourhood(pows[limit - 50 :]), rng.uniform(1.0, pows[limit], 1000)]
         )
-    want = searchsorted_oracle(grid, y, limit)
+    want = reference.bucket(beta, y, limit)
     searched = []
     search = np.searchsorted
 
@@ -166,8 +140,7 @@ def test_points_past_the_limit_take_it_without_a_search(monkeypatch, beta, past)
     assert (below == 0) == (past == "every point")
     # once by bucket_indices, once by the build, which has one block here
     assert sum(searched) == 2 * below
-    shifted = grid.shift(y - 1.0)
-    buckets, counts = np.unique(searchsorted_oracle(grid, shifted, limit), return_counts=True)
+    buckets, counts = np.unique(reference.bucket(beta, (y - 1.0) + 1.0, limit), return_counts=True)
     assert np.array_equal(hist.buckets, buckets)
     assert np.array_equal(hist.running, np.cumsum(counts))
 
@@ -188,10 +161,10 @@ POINTS = st.lists(
     points=POINTS,
     limit=st.one_of(st.none(), st.integers(1, 200_000)),
 )
-def test_bucketing_matches_the_searchsorted_oracle(beta, points, limit):
+def test_bucketing_matches_the_model(beta, points, limit):
     # a point is a double >= 1, or cached edge k moved by j ulps
     grid = GeometricGrid(beta, 0.0)
-    pows = grid.powers(3001)
+    pows = reference.powers(beta, 3000)
     y = []
     for p in points:
         if isinstance(p, tuple):
@@ -206,7 +179,7 @@ def test_bucketing_matches_the_searchsorted_oracle(beta, points, limit):
     y = np.array(y)
     if limit is None and math.log(y.max()) / math.log(beta) > 1e6:
         limit = 200_000
-    assert np.array_equal(grid.bucket_indices(y, limit), searchsorted_oracle(grid, y, limit))
+    assert np.array_equal(grid.bucket_indices(y, limit), reference.bucket(beta, y, limit))
 
 
 def test_shift_at_a_zero_lower_bound_is_subtract_then_add():
@@ -222,28 +195,13 @@ def test_grid_values_and_validation():
     assert GeometricGrid(1.001, 0.0).value(10) == pytest.approx(
         0.010045120210250946, abs=0
     )
-    assert grid.power(10) == repeated_power(1.001, 10)
+    assert grid.power(10) == reference.power(1.001, 10)
     with pytest.raises(ValueError):
         GeometricGrid(1.0, 0.0)
     with pytest.raises(ValueError):
         grid.shift(np.array([0.5]))  # below ell
     assert grid.max_index_at_most(0.7) == -1
     assert grid.max_index_at_most(grid.power(5)) == 5
-
-
-def test_power_cache_is_one_cumprod_however_it_grows():
-    # betas no other test uses, so each cache starts at beta^0 alone
-    rng = np.random.default_rng(23)
-    for j in range(1, 6):
-        beta = 1.0 + j * 2.0**-30
-        want = np.cumprod(np.concatenate(([1.0], np.full(4999, beta))))
-        for size in rng.permutation(np.arange(1, 5001, 97)).tolist():
-            grid = GeometricGrid(beta, float(size))
-            if size % 2:
-                grid.power(size - 1)
-            else:
-                grid.powers(size)
-        assert GeometricGrid(beta, 0.0).powers(5000).tobytes() == want.tobytes()
 
 
 def test_grids_of_one_beta_share_their_powers_and_no_other_grid_sees_them():
@@ -351,7 +309,7 @@ def test_exhaustion_reports_cap_candidate():
     req = QuantileRequest(q=0.9, eps1=1, eps2=1, beta=1.1, max_queries=3)
     est = estimate_quantile(data, req, noiseless=True)
     assert est.exhausted and est.halt_index is None
-    assert est.value == pytest.approx(repeated_power(1.1, 3), abs=0)
+    assert est.value == pytest.approx(reference.power(1.1, 3), abs=0)
 
 
 def test_private_estimate_mae_sanity():
@@ -373,6 +331,16 @@ def test_estimate_requires_lower_bound_and_rng():
         estimate_quantile(data, req, RandomSource(1))
     with pytest.raises(ValueError):
         estimate_quantile(Dataset(np.array([1.0, 2.0]), 0.0), req)
+
+
+def test_estimate_with_a_nan_threshold_is_a_value_error():
+    # it used to release the cap candidate as exhausted, on either path
+    data = Dataset(np.arange(1, 11.0), lower_bound=0.0)
+    req = QuantileRequest.even_split(0.5, 1.0)
+    with pytest.raises(ValueError, match="threshold"):
+        estimate_quantile(data, req, RandomSource(9), threshold=np.nan)
+    with pytest.raises(ValueError, match="threshold"):
+        estimate_quantile(data, req, noiseless=True, threshold=np.nan)
 
 
 def test_request_validation_and_split():
@@ -510,7 +478,7 @@ class TestUnbounded:
         est = estimate_quantile_unbounded(data, req, noiseless)
         assert est.first_halt == 0 and est.second_ran
         assert est.second_halt == 8
-        assert est.value == -(repeated_power(1.1, 8) - 1.0)
+        assert est.value == -(reference.power(1.1, 8) - 1.0)
 
     def test_output_sign_cases(self, noiseless):
         # positive side, zero, negative side all reachable

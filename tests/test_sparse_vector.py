@@ -18,12 +18,12 @@ from uqe.sparse_vector import (
     gumbel_no_halt_prob,
     run_above_threshold,
     run_above_threshold_noiseless,
-    run_iterative_em,
     simulate_halt_indices,
     simulate_iterative_em,
     stream_prefix,
 )
 
+import reference
 from conftest import head_stream
 
 # quad-based oracle values for values (1.0, 2.0, 0.5), T = 1.5, eps1 = eps2 = 1
@@ -165,6 +165,20 @@ def test_gumbel_requires_equal_split():
             SvtConfig(eps, 0.5, NoiseKind.LAPLACE, 0.0)
 
 
+def test_a_nan_threshold_is_a_value_error_on_both_release_paths():
+    # no query clears NaN, so every run used to end exhausted
+    stream = head_stream([1.0, 2.0])
+    with pytest.raises(ValueError, match="threshold"):
+        SvtConfig(1.0, 1.0, NoiseKind.LAPLACE, np.nan)
+    with pytest.raises(ValueError, match="threshold"):
+        run_above_threshold_noiseless(stream, np.nan)
+    # every query clears -inf and none clears +inf
+    for threshold, want in ((-np.inf, SvtOutcome(1)), (np.inf, SvtOutcome(None, 2))):
+        assert run_above_threshold_noiseless(stream, threshold) == want
+        cfg = SvtConfig(1.0, 1.0, NoiseKind.LAPLACE, threshold)
+        assert run_above_threshold(stream, cfg, RandomSource(9)) == want
+
+
 def test_iterative_em_trivial_half():
     # one query exactly at threshold: select it with probability 1/2
     halts = simulate_iterative_em([0.0], 0.0, 1.0, RandomSource(12), 100_000)
@@ -176,9 +190,7 @@ def test_iterative_em_scalar_runner_agrees():
     values = [1.0, 0.0]
     trials = 20_000
     scal = np.array([
-        run_iterative_em(
-            head_stream(values), 0.5, 2.0, RandomSource(77, stream=i)
-        ).index
+        reference.iterative_em(values, len(values), 0.5, 2.0, RandomSource(77, stream=i)).index
         or 0
         for i in range(trials)
     ])
