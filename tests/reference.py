@@ -59,15 +59,6 @@ def bucket(beta, y, limit=None):
     return b if limit is None else np.minimum(b, limit)
 
 
-def max_index_at_most(beta, y, stop):
-    """The largest i <= stop with beta^i <= y, or -1 when y < 1, by walking
-    the powers from beta^0."""
-    i, p = -1, 1.0
-    while i < stop and p <= y:
-        i, p = i + 1, p * beta
-    return i
-
-
 def counts(ys, beta):
     """f_1, f_2, ...: how many of the sorted ys lie below beta^i."""
     p = 1.0
@@ -191,7 +182,7 @@ def estimate_multiple_quantiles(values, lower, qs, req, rng):
         mid = lo + (hi - lo) // 2
         cap = req.max_queries
         if upper < math.inf:
-            cap = max_index_at_most(req.beta, upper - lower + 1.0, cap)
+            cap = int(bucket(req.beta, [upper - lower + 1.0], cap)[0])
         if not xs or cap < 1:
             estimates[lo:hi] = [fallback] * (hi - lo)
             empty[lo:hi] = [True] * (hi - lo)

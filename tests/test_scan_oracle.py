@@ -25,7 +25,8 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from uqe import quantile, sparse_vector
-from uqe.emq import _PDF_PAD_STEPS, uqe_pdf_curve
+from uqe.accounting import multi_quantile_guarantee
+from uqe.emq import uqe_pdf_curve
 from uqe.noise import NoiseKind, RandomSource, sample
 from uqe.quantile import (
     Dataset,
@@ -433,7 +434,8 @@ def assert_is_the_model(name, args, model_args, seed, **kwargs):
     """uqe.quantile.<name>(*args, rng) and reference.<name>(*model_args,
     rng) release alike and leave the generator alike; and so they do
     without noise: the package's noise patched away, which must then draw
-    nothing, against the model's noiseless twin."""
+    nothing, against the model's noiseless twin. Returns the package's
+    noisy release."""
 
     def release(rng):
         return getattr(quantile, name)(*args, rng, **kwargs)
@@ -442,13 +444,15 @@ def assert_is_the_model(name, args, model_args, seed, **kwargs):
         return getattr(reference, name)(*model_args, rng, **kwargs)
 
     a, b = RandomSource(seed, 3), RandomSource(seed, 3)
-    assert released(release(a)) == released(model(b))
+    result = release(a)
+    assert released(result) == released(model(b))
     assert generator_state(a) == generator_state(b)
     with pytest.MonkeyPatch.context() as mp:
         release_without_noise(mp)
         rng = RandomSource(seed, 3)
         assert released(release(rng)) == released(model(None))
     assert generator_state(rng) == generator_state(RandomSource(seed, 3))
+    return result
 
 
 @PROPERTY
@@ -521,13 +525,28 @@ def test_estimate_small_quantile_inverted_is_the_model(case, kind, q, eps, cap, 
 
 @PROPERTY
 @given(
-    case=bounded_cases(), qs=QUANTILE_LISTS, kind=KINDS, eps=EPS, cap=BOUNDED_CAPS, seed=SEEDS
+    case=bounded_cases(),
+    qs=QUANTILE_LISTS,
+    kind=KINDS,
+    eps=EPS,
+    share=st.sampled_from([0.5, 0.25]),
+    cap=BOUNDED_CAPS,
+    seed=SEEDS,
 )
-def test_estimate_multiple_quantiles_is_the_model(case, qs, kind, eps, cap, seed):
+def test_estimate_multiple_quantiles_is_the_model(case, qs, kind, eps, share, cap, seed):
+    # eps1 = share * eps; an uneven split tells eps1 from eps2, in the noise
+    # and in the budget, but Gumbel noise needs the even one
     beta, lower, data = case
-    req = QuantileRequest.even_split(0.5, eps, beta=beta, noise=kind, max_queries=cap)
+    share = 0.5 if kind is NoiseKind.GUMBEL else share
+    req = QuantileRequest(
+        0.5, share * eps, (1.0 - share) * eps, beta=beta, noise=kind, max_queries=cap
+    )
     x = Dataset(np.array(data), lower_bound=lower)
-    assert_is_the_model("estimate_multiple_quantiles", (x, qs, req), (data, lower, qs, req), seed)
+    result = assert_is_the_model(
+        "estimate_multiple_quantiles", (x, qs, req), (data, lower, qs, req), seed
+    )
+    # the model has no budget: the release's is the accounting's
+    assert result.budget == multi_quantile_guarantee(len(qs), req.eps1, req.eps2, req.noise)
 
 
 @pytest.mark.parametrize("kind", list(NoiseKind))
@@ -594,19 +613,22 @@ def test_sorted_and_bincounted_keys_build_the_same_histograms(case, cap, block):
     beta, data = case
     x = np.array(data)
     lower = float(x.min())
+    # points near both ends of the float range: x - min(x) + 1 overflows,
+    # and every build must reject it alike
+    overflows = not math.isfinite(float(x.max()) - lower + 1.0)
 
     def build(spread, block_size):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(quantile, "_SORT_SPREAD", spread)
             mp.setattr(quantile, "_BUILD_BLOCK", block_size)
             split = _sign_split_totals(x, GeometricGrid(beta, 0.0), cap)
-            try:
+            if overflows:
+                with pytest.raises(ValueError) as exc:
+                    build_histogram(x, beta, lower, cap)
+                arrays = [np.array(str(exc.value))]
+            else:
                 hist = build_histogram(x, beta, lower, cap)
                 arrays = [hist.buckets, hist.running]
-            except ValueError as exc:
-                # points near both ends of the float range: x - min(x) + 1
-                # overflows, and every build must reject it alike
-                arrays = [np.array(str(exc))]
         arrays += [a for side in split for a in side]
         return [(a.dtype.str, a.tobytes()) for a in arrays]
 
@@ -674,18 +696,18 @@ def test_bucket_indices_rejects_values_below_one(y):
     "beta", [*(1.0 + j * 2.0**-30 for j in range(1, 6)), 1.0 + 1e-6, 1.001, 1.01, 1.5, 2.0]
 )
 def test_power_cache_is_repeated_multiplication(beta):
-    # grown piecewise, as the build and power() grow it, then by sizes in a
-    # random order, through grids of other lower bounds
-    grid = GeometricGrid(beta, 0.0)
-    grid.power(5)
-    grid.powers(700)
-    grid.power(1500)
+    # grown by sizes in a random order, through grids of other lower bounds,
+    # then piecewise, as the build and power() grow it
     for size in np.random.default_rng(23).permutation(np.arange(1, 5001, 97)).tolist():
         other = GeometricGrid(beta, float(size))
         if size % 2:
             other.power(size - 1)
         else:
             other.powers(size)
+    grid = GeometricGrid(beta, 0.0)
+    grid.power(5)
+    grid.powers(700)
+    grid.power(1500)
     want = reference.powers(beta, 4999)
     assert grid.powers(5000).tobytes() == want.tobytes()
     for i in (0, 17, 2999):
@@ -766,7 +788,7 @@ def test_uqe_pdf_curve_matches_the_model(beta):
         values.append(float(f))
         if f == data.size:
             break
-    values += [float(data.size)] * _PDF_PAD_STEPS
+    values += [float(data.size)] * 25
     edges = reference.powers(beta, len(values)) + lower - 1.0
     assert curve.lefts.tobytes() == edges[:-1].tobytes()
     assert curve.rights.tobytes() == edges[1:].tobytes()
