@@ -9,13 +9,21 @@ estimator (no range needed) or the bounded-range baseline.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .emq import BoundedRange, emq_estimate
 from .noise import NoiseKind, NoiseSpec, RandomSource, _check_source, sample
-from .quantile import Dataset, QuantileRequest, estimate_quantile
+from .quantile import (
+    _BUILD_BLOCK,
+    Dataset,
+    QuantileRequest,
+    _map_parts,
+    _part_cuts,
+    estimate_quantile,
+)
 from .sparse_vector import check_eps
 
 __all__ = [
@@ -74,8 +82,29 @@ class SumResult:
 
 
 def clipped_sum(values, clip: float) -> float:
-    """Sum of min(x_j, clip); nondecreasing in clip."""
-    return float(np.minimum(np.asarray(values, dtype=float), clip).sum())
+    """Sum of min(x_j, clip); nondecreasing in clip. A NaN clip, or a NaN
+    sum (NaN data, or both infinities under an infinite clip), is a
+    ValueError.
+
+    Data of more than one block is clipped part by part (_map_parts) into
+    one array, which is then summed whole: numpy's pairwise summation, and
+    so the sum's bits, do not depend on the parts.
+    """
+    if math.isnan(clip):
+        raise ValueError("the clip must not be NaN")
+    x = np.asarray(values, dtype=float)
+    if x.size > _BUILD_BLOCK:
+        clipped = np.empty_like(x)
+        _map_parts(
+            lambda lo, hi: np.minimum(x[lo:hi], clip, out=clipped[lo:hi]), _part_cuts(x.size)
+        )
+    else:
+        clipped = np.minimum(x, clip)
+    with np.errstate(invalid="ignore"):
+        total = float(clipped.sum())
+    if math.isnan(total):
+        raise ValueError("the clipped sum is NaN: the data hold NaN, or both infinities")
+    return total
 
 
 def _clip_floor(declared: BoundedRange) -> float:
@@ -110,7 +139,11 @@ def dp_sum(data, cfg: SumConfig, rng: RandomSource) -> SumResult:
     values = np.asarray(data, dtype=float)
     if values.ndim != 1 or values.size == 0:
         raise ValueError("data must be a non-empty 1-d sequence")
-    if values.min() < 0:
+    if values.size > _BUILD_BLOCK:
+        lo = np.min(_map_parts(lambda a, b: values[a:b].min(), _part_cuts(values.size)))
+    else:
+        lo = values.min()
+    if lo < 0:
         raise ValueError("the sum procedure assumes nonnegative data")
 
     clip, exhausted = _choose_clip(values, cfg, rng)

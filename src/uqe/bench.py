@@ -321,7 +321,15 @@ def records_to_json(records: list[ResultRecord], include_runtime: bool = False) 
     if not include_runtime:
         for row in payload:
             del row["runtime"]
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    if not payload:
+        return "[]\n"
+    # The bytes of json.dumps(payload, sort_keys=True, indent=2) from one call
+    # of json's C encoder, which any indent would bypass for its pure-Python
+    # one. The item separator breaks the lines inside a record; a JSON string
+    # holds no raw newline, so of flat records "},\n    {" joins two records.
+    text = json.dumps(payload, sort_keys=True, separators=(",\n    ", ": "))
+    text = text[2:-2].replace("},\n    {", "\n  },\n  {\n    ")
+    return "[\n  {\n    " + text + "\n  }\n]\n"
 
 
 def _write_csv(path: Path, rows: list[tuple[float, float]]) -> None:

@@ -11,7 +11,19 @@ histogram: the non-empty buckets and their running counts. The counting
 queries are constant between non-empty buckets, so the scan reads them as
 runs, and a call's work and memory grow with n and the number of non-empty
 buckets, not with the largest bucket index. Grid powers live in one cache
-per beta, shared by every grid in the process.
+per beta, shared by every grid in the process, behind a lock.
+
+Data of four or more 65,536-point blocks is read in w = min(CPUs,
+blocks // 2) contiguous parts of whole blocks: the build and the sign
+split, Dataset's min and max, and the sum's checks and clip (see
+uqe.aggregates). Part 0 runs in the calling thread and the others on a
+pool of the process. Each part bincounts its blocks in its own buffers,
+about 1.6 MB, which the calling thread allocates; the parts' integer counts
+add up exactly in any order, so the histogram, and every release, is the
+serial pass's. A part meets the errors of the blocks it reads, and the
+lowest part's error, the one the serial pass meets first, is raised once
+every part has finished. One block runs as it always has: no pool, no
+parts.
 Variants here: a fully unbounded estimator (no declared bounds, two runs), an
 inverted transform for small quantiles of upper-bounded data, and recursive
 splitting for several quantiles at once.
@@ -21,9 +33,11 @@ from __future__ import annotations
 
 import functools
 import math
+import os
+import threading
 from dataclasses import dataclass, replace
 from types import MappingProxyType
-from typing import Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -46,6 +60,9 @@ from .sparse_vector import (
     run_above_threshold,
     run_above_threshold_noiseless,
 )
+
+if TYPE_CHECKING:
+    from concurrent.futures import ThreadPoolExecutor
 
 __all__ = [
     "Dataset",
@@ -78,7 +95,13 @@ class Dataset:
         if vals.ndim != 1 or vals.size == 0:
             raise ValueError("values must be a non-empty 1-d sequence")
         # NaN propagates through both, and no n-byte isfinite mask is made
-        lo, hi = vals.min(), vals.max()
+        if vals.size > _BUILD_BLOCK:
+            ends = np.array(
+                _map_parts(lambda a, b: (vals[a:b].min(), vals[a:b].max()), _part_cuts(vals.size))
+            )
+            lo, hi = ends[:, 0].min(), ends[:, 1].max()
+        else:
+            lo, hi = vals.min(), vals.max()
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError("values must be finite")
         if self.lower_bound is not None:
@@ -109,6 +132,8 @@ def _check_q(q: float) -> None:
 # for the _CACHED_BETAS betas used last.
 _POWERS: dict[float, np.ndarray] = {}
 _CACHED_BETAS = 8
+# the parts of one build extend the cache from several threads
+_POWERS_LOCK = threading.Lock()
 
 
 def _shared_powers(beta: float, size: int) -> np.ndarray:
@@ -118,21 +143,22 @@ def _shared_powers(beta: float, size: int) -> np.ndarray:
     one times beta, as a scalar loop computes it: the cache holds the same
     floats however it was grown. Powers past the float range are inf.
     """
-    pows = _POWERS.pop(beta, None)
-    if pows is None:
-        pows = np.ones(1)
-    if pows.size < size:
-        steps = np.full(size - pows.size + 1, beta)
-        steps[0] = pows[-1]
-        with np.errstate(over="ignore"):
-            np.cumprod(steps, out=steps)
-        pows = np.concatenate((pows, steps[1:]))
-    pows.flags.writeable = False
-    # re-inserted last, so the beta dropped is the one used longest ago
-    _POWERS[beta] = pows
-    while len(_POWERS) > _CACHED_BETAS:
-        del _POWERS[next(iter(_POWERS))]
-    return pows
+    with _POWERS_LOCK:
+        pows = _POWERS.pop(beta, None)
+        if pows is None:
+            pows = np.ones(1)
+        if pows.size < size:
+            steps = np.full(size - pows.size + 1, beta)
+            steps[0] = pows[-1]
+            with np.errstate(over="ignore"):
+                np.cumprod(steps, out=steps)
+            pows = np.concatenate((pows, steps[1:]))
+        pows.flags.writeable = False
+        # re-inserted last, so the beta dropped is the one used longest ago
+        _POWERS[beta] = pows
+        while len(_POWERS) > _CACHED_BETAS:
+            del _POWERS[next(iter(_POWERS))]
+        return pows
 
 
 class GeometricGrid:
@@ -158,18 +184,21 @@ class GeometricGrid:
 
     def powers(self, size: int) -> np.ndarray:
         """beta^0 .. beta^(size-1), read-only; extends the cache as needed."""
-        if self._powers.size < size:
-            self._powers = _shared_powers(self.beta, size)
-        return self._powers[:size]
+        # read once: a build's other parts may swap in a shorter cache
+        pows = self._powers
+        if pows.size < size:
+            pows = self._powers = _shared_powers(self.beta, size)
+        return pows[:size]
 
     def power(self, i: int) -> float:
         """beta^i from the multiplication cache (extends it as needed)."""
         if i < 0:
             raise ValueError("power index must be >= 0")
-        if i >= self._powers.size:
+        pows = self._powers
+        if i >= pows.size:
             # doubling keeps a run of increasing indices linear overall
-            self.powers(max(i + 1, 2 * self._powers.size))
-        return float(self._powers[i])
+            pows = self.powers(max(i + 1, 2 * pows.size))
+        return float(pows[i])
 
     def value(self, i: int) -> float:
         """Grid candidate number i: beta^i + ell - 1."""
@@ -347,6 +376,68 @@ class LogBucketHistogram:
 # the per-element build cost flat from small n to millions
 _BUILD_BLOCK = 1 << 16
 
+# The O(n) passes over data of more than one block cut it into contiguous
+# parts of whole blocks (_part_cuts) and run them through _map_parts. A pass
+# of one part runs in the calling thread alone. Of several, part 0 runs in
+# the calling thread and the rest on the process's pool, keyed by pid so
+# that a forked child makes its own. The pool starts its threads as parts
+# need them, so a pass of w parts runs w - 1 of them. A part never submits
+# to the pool, so nested or concurrent passes cannot deadlock.
+_POOLS: dict[tuple[int, int], ThreadPoolExecutor] = {}
+_POOLS_LOCK = threading.Lock()
+
+
+def _cpu_count() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _pool(workers: int) -> ThreadPoolExecutor:
+    # imported here: concurrent.futures imports logging, about 5 ms that a
+    # process which never splits a pass does not pay
+    from concurrent.futures import ThreadPoolExecutor
+
+    key = (os.getpid(), workers)
+    with _POOLS_LOCK:
+        pool = _POOLS.get(key)
+        if pool is None:
+            pool = _POOLS[key] = ThreadPoolExecutor(workers, "uqe-part")
+        return pool
+
+
+def _part_cuts(size: int) -> list[int]:
+    """The offsets [0, ..., size] of the contiguous parts of whole
+    _BUILD_BLOCK blocks that a pass over size points makes: one per CPU, at
+    most, and at least two blocks each, as a part of one block costs more
+    CPU time in hand-off and in two cores' contention than it saves."""
+    blocks = -(-size // _BUILD_BLOCK)
+    w = max(1, min(_cpu_count(), blocks // 2))
+    return [_BUILD_BLOCK * (blocks * i // w) for i in range(w)] + [size]
+
+
+def _map_parts(fn: Callable[[int, int], object], cuts: list[int]) -> list:
+    """[fn(lo, hi) for each part [lo, hi) between the cuts], part 0 in the
+    calling thread and the rest on the pool.
+
+    A part is a run of the blocks a serial pass reads, so it meets the same
+    errors. Every part is waited for before this returns or raises, and the
+    error raised is the lowest part's: the one a serial pass meets first.
+    """
+    if len(cuts) == 2:
+        return [fn(0, cuts[1])]
+    pool = _pool(_cpu_count() - 1)
+    rest = [pool.submit(fn, lo, hi) for lo, hi in zip(cuts[1:-1], cuts[2:])]
+    try:
+        first = fn(0, cuts[1])
+    finally:
+        for part in rest:
+            part.exception()  # waits for the part, raising nothing
+    return [first, *(part.result() for part in rest)]
+
+
 # a bincount costs O(largest key) and a sort O(n log n): data of one block
 # whose largest key is more than _SORT_SPREAD times its size is sorted
 _SORT_SPREAD = 4
@@ -362,38 +453,69 @@ def _sorted_key_counts(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return keys[ends], counts
 
 
-def _key_counts(x: np.ndarray, keys: Callable[..., np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct keys of x's points in increasing order, and how many
-    points have each.
+def _block_buffers(*shape: int) -> tuple[np.ndarray, ...]:
+    """A block's float, int64, float and bool buffers: of shape (m,) for one
+    block of m points, or (w, m) with row i for part i."""
+    # one allocation for the three 8-byte buffers of every part: malloc can
+    # then keep it resident between builds, where separate ones are unmapped
+    # or trimmed and fault their pages in again on every build. So the
+    # calling thread allocates them, and no pool thread keeps a heap of its
+    # own resident between passes.
+    wide = np.empty((3, *shape))
+    return wide[0], wide[1].view(np.int64), wide[2], np.empty(shape, dtype=bool)
+
+
+def _add_totals(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a + b of two count arrays indexed by key, into the longer one."""
+    if b.size > a.size:
+        a, b = b, a
+    a[: b.size] += b
+    return a
+
+
+def _bincount_blocks(
+    x: np.ndarray, keys: Callable, buffers: tuple[np.ndarray, ...]
+) -> tuple[np.ndarray, int]:
+    """The count of each key over x, bincounted block by block in buffers
+    that every block reuses, and the sum of the blocks' tallies."""
+    totals = np.zeros(0, dtype=np.int64)
+    tally = 0
+    for start in range(0, x.size, _BUILD_BLOCK):
+        block = x[start : start + _BUILD_BLOCK]
+        k, block_tally = keys(block, *(buf[: block.size] for buf in buffers))
+        totals = _add_totals(totals, np.bincount(k))
+        tally += block_tally
+    return totals, tally
+
+
+def _key_counts(x: np.ndarray, keys: Callable) -> tuple[np.ndarray, np.ndarray, int]:
+    """The distinct keys of x's points in increasing order, how many points
+    have each, and the sum of the integer that keys tallies per block.
 
     keys(block, y, idx, work, mask) returns the int64 keys of one
     _BUILD_BLOCK block, computed in float, int64, float and bool buffers of
-    the block's size. Every block of a build reuses the same buffers, so
-    the build's cost does not depend on how the process allocated before.
-    Data of more than one block is bincounted block by block; one block is
-    sorted instead when its keys spread wide (_SORT_SPREAD), so a small
-    build costs O(n log n), not O(largest bucket index).
+    the block's size, and its tally (the sign split counts zeros). Every
+    block of a part reuses the part's buffers, so the build's cost does not
+    depend on how the process allocated before. Data of more than one block
+    is bincounted block by block, part by part (_map_parts), and the parts'
+    integer counts add up exactly in any order. One block is sorted instead
+    when its keys spread wide (_SORT_SPREAD), so a small build costs
+    O(n log n), not O(largest bucket index).
     """
-    m = min(x.size, _BUILD_BLOCK)
-    # one allocation for the three 8-byte buffers: malloc can then keep it
-    # resident between builds, where separate ones are unmapped or trimmed
-    # and fault their pages in again on every build
-    wide = np.empty((3, m))
-    buffers = (wide[0], wide[1].view(np.int64), wide[2], np.empty(m, dtype=bool))
-    totals = np.zeros(0, dtype=np.int64)
-    for start in range(0, x.size, _BUILD_BLOCK):
-        block = x[start : start + _BUILD_BLOCK]
-        k = keys(block, *(buf[: block.size] for buf in buffers))
-        if block.size == x.size and k.max() > _SORT_SPREAD * x.size:
-            return _sorted_key_counts(k)
-        bc = np.bincount(k)
-        if bc.size > totals.size:
-            bc[: totals.size] += totals
-            totals = bc
-        else:
-            totals[: bc.size] += bc
+    if x.size > _BUILD_BLOCK:
+        cuts = _part_cuts(x.size)
+        rows = _block_buffers(len(cuts) - 1, _BUILD_BLOCK)
+        buffers = {lo: tuple(row[i] for row in rows) for i, lo in enumerate(cuts[:-1])}
+        parts = _map_parts(lambda lo, hi: _bincount_blocks(x[lo:hi], keys, buffers[lo]), cuts)
+        totals = functools.reduce(_add_totals, (part[0] for part in parts))
+        tally = sum(part[1] for part in parts)
+    else:
+        k, tally = keys(x, *_block_buffers(x.size))
+        if k.max() > _SORT_SPREAD * x.size:
+            return (*_sorted_key_counts(k), tally)
+        totals = np.bincount(k)
     nonzero = np.flatnonzero(totals)
-    return nonzero, totals[nonzero]
+    return nonzero, totals[nonzero], tally
 
 
 def build_histogram(
@@ -412,9 +534,9 @@ def build_histogram(
         raise ValueError("cannot build a histogram from empty data")
 
     def keys(block, y, idx, work, mask):
-        return grid._bucket_into(grid.shift(block, out=y), max_queries, idx, work, mask)
+        return grid._bucket_into(grid.shift(block, out=y), max_queries, idx, work, mask), 0
 
-    buckets, counts = _key_counts(x, keys)
+    buckets, counts, _ = _key_counts(x, keys)
     return LogBucketHistogram(grid, buckets, np.cumsum(counts))
 
 
@@ -573,20 +695,18 @@ def _sign_split_totals(
     (buckets, running counts) over x >= 0 (first run) and over x <= 0
     (second run); the zeros, +0.0 and -0.0 alike, sit in bucket 0 of both.
     """
-    zeros = 0
 
     def keys(block, y, idx, work, mask):
-        nonlocal zeros
-        zeros += int(np.count_nonzero(np.equal(block, 0.0, out=mask)))
+        zeros = int(np.count_nonzero(np.equal(block, 0.0, out=mask)))
         np.abs(block, out=y)
         # |x| + 1 >= 1, and _bucket_into rejects NaN and inf
         y += 1.0
         grid._bucket_into(y, max_queries, idx, work, mask)
         idx *= 2
         idx += np.less(block, 0.0, out=mask)
-        return idx
+        return idx, zeros
 
-    signed, counts = _key_counts(values, keys)
+    signed, counts, zeros = _key_counts(values, keys)
     negative = (signed & 1).astype(bool)
     nonneg_buckets, nonneg_counts = signed[~negative] >> 1, counts[~negative]
     nonpos_buckets, nonpos_counts = signed[negative] >> 1, counts[negative]

@@ -19,6 +19,21 @@ def test_clipped_sum_arithmetic():
     assert all(a <= b for a, b in zip(sums, sums[1:]))
 
 
+@pytest.mark.parametrize("n", [3, 3 * (1 << 16) + 5])
+def test_clipped_sum_rejects_nan(n):
+    data = np.arange(float(n))
+    with pytest.raises(ValueError, match="clip must not be NaN"):
+        clipped_sum(data, float("nan"))
+    data[-1] = np.nan
+    with pytest.raises(ValueError, match="clipped sum is NaN"):
+        clipped_sum(data, 5.0)
+    # +inf clips to the clip; with an infinite clip it meets -inf
+    data[-1], data[0] = np.inf, -np.inf
+    assert clipped_sum(data, 5.0) == -np.inf
+    with pytest.raises(ValueError, match="clipped sum is NaN"):
+        clipped_sum(data, np.inf)
+
+
 def test_noiseless_high_quantile_clip_recovers_true_sum(noiseless):
     data = np.arange(1.0, 11.0)
     res = dp_sum(data, SumConfig(eps=1.0, q=0.99), noiseless)

@@ -642,3 +642,18 @@ class TestRecordJson:
         text = records_to_json([rec])
         assert text.endswith("\n")
         assert json.loads(text)[0]["dataset"] == "d"
+
+    @pytest.mark.parametrize("include_runtime", [False, True])
+    @pytest.mark.parametrize("size", [0, 1, 3])
+    def test_bytes_are_those_of_the_indented_encoder(self, include_runtime, size):
+        names = ["plain", 'q"uo}te,d\nlineé中', '},\n    {"x": 1}']
+        recs = [
+            ResultRecord(names[i], "sum", "emq", 0.5, 0.1 * i, math.nan, -1e300, 9, 3, 0.25 * i)
+            for i in range(size)
+        ]
+        rows = [dict(vars(r)) for r in recs]
+        if not include_runtime:
+            for row in rows:
+                del row["runtime"]
+        expected = json.dumps(rows, sort_keys=True, indent=2) + "\n"
+        assert records_to_json(recs, include_runtime=include_runtime) == expected
