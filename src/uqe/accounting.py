@@ -206,6 +206,17 @@ def multi_quantile_guarantee(
     )
 
 
+def _check_multi_quantile_neighbor(neighbor: NeighborModel) -> None:
+    """The neighbor rule of multi_quantile_guarantee: swap only. Its node
+    thresholds (q - mass_lo) * n rest on a public n, which add-subtract
+    neighbors do not have, so no budget is derived for them."""
+    if neighbor is not NeighborModel.SWAP:
+        raise ValueError(
+            "the multi-quantile budget is derived for swap neighbors only, "
+            f"not {neighbor.value}"
+        )
+
+
 def gumbel_exact_max_log_ratio(f_x, f_xprime, threshold: float, eps: float) -> float:
     """Exact max_k ln(pmf_x(k)/pmf_x'(k)) over halting outcomes, Gumbel noise."""
     lx = gumbel_halt_log_pmf(f_x, threshold, eps)

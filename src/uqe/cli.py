@@ -20,6 +20,7 @@ from pathlib import Path
 from .accounting import (
     NeighborModel,
     QueryClass,
+    _check_multi_quantile_neighbor,
     guarantee_for,
     multi_quantile_guarantee,
 )
@@ -207,6 +208,7 @@ def cmd_account(args) -> tuple[dict, int]:
     if args.q is not None:
         _check_q(args.q)
     if args.num_quantiles is not None:
+        _check_multi_quantile_neighbor(NeighborModel(args.neighbor))
         budget = multi_quantile_guarantee(args.num_quantiles, args.eps1, args.eps2, noise)
         return {"multi_quantile": asdict(budget)}, 0
     if args.query_class is None:

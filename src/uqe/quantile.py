@@ -46,6 +46,7 @@ from .accounting import (
     NeighborModel,
     PrivacyGuarantee,
     QueryClass,
+    _check_multi_quantile_neighbor,
     guarantee_for,
     multi_quantile_guarantee,
 )
@@ -547,7 +548,7 @@ def _runs_stream(
     run of lead from offset 0 when the first of them starts later."""
     if not (starts.size and starts[0] == 0):
         starts, values = np.append(0, starts), np.append(lead, values)
-    return QueryStream(starts, values, max_queries)
+    return QueryStream._built(starts, values, max_queries)
 
 
 def counting_query_stream(
@@ -781,6 +782,11 @@ def estimate_small_quantile_inverted(
     return QuantileEstimate(-est.value, est.halt_index, est.exhausted)
 
 
+# the budget depends on the public (m, eps1, eps2, noise) alone; typed, so
+# an int eps gets the int arithmetic an uncached call gives
+_budget = functools.lru_cache(maxsize=64, typed=True)(multi_quantile_guarantee)
+
+
 @dataclass(frozen=True)
 class MultiQuantileResult:
     """Jointly estimated quantiles, nondecreasing by construction."""
@@ -792,26 +798,40 @@ class MultiQuantileResult:
     budget: MultiQuantileBudget
 
 
-def _sorted_stream(grid: GeometricGrid, y: np.ndarray, cap: int) -> QueryStream:
+def _sorted_stream(
+    grid: GeometricGrid, y: np.ndarray, cap: int, above: np.ndarray | None = None
+) -> tuple[QueryStream, np.ndarray | None]:
     """counting_query_stream(build_histogram(..., max_queries=cap), cap) for
-    sorted shifted data y.
+    sorted shifted data y, and the counts below beta^1 .. beta^top when
+    they are the stream's values.
 
     The last bucket, top = min(cap, bucket of y[-1]), holds all y.size
     points. When there are fewer buckets than points, each bucket is a run
     of one query: bucket i < top holds the y below beta^(i+1), each count
     one binary search. Otherwise y is bucketed point by point, and its
-    buckets, which increase with it, start the runs. Either way the work is
-    O(min(top, n) log n), not O(top).
+    buckets, which increase with it, start the runs, and no counts are
+    returned. Either way the work is O(min(top, n) log n), not O(top).
+
+    above, if given, holds such counts of a sorted array z that y is a
+    prefix of, with z's top at least y's, and y's first top counts are
+    above's: for i <= top, beta^i <= beta^top <= y[-1], so the z below
+    beta^i are below y[-1] and all in y. A multi-quantile left child meets
+    this: every node's points lie at or below its upper bound, so its top is
+    min(max_queries, bucket of its largest point), and a left child's
+    largest point is at most its parent's.
     """
     top = grid._bucket(float(y[-1]), cap)
     if top < y.size:
-        cumulative = np.empty(top + 1, dtype=np.int64)
-        cumulative[:top] = np.searchsorted(y, grid.powers(top + 1)[1:], side="left")
+        cumulative = np.empty(top + 1)
+        if above is None:
+            cumulative[:top] = np.searchsorted(y, grid.powers(top + 1)[1:], side="left")
+        else:
+            cumulative[:top] = above[:top]
         cumulative[top] = y.size
-        return QueryStream(np.arange(top + 1), cumulative, cap)
+        return QueryStream._built(np.arange(top + 1), cumulative, cap), cumulative[:top]
     idx = grid.bucket_indices(y, cap)
     ends = np.append(np.flatnonzero(idx[1:] != idx[:-1]), y.size - 1)
-    return _runs_stream(idx[ends], ends + 1, 0, cap)
+    return _runs_stream(idx[ends], ends + 1, 0, cap), None
 
 
 def estimate_multiple_quantiles(
@@ -834,11 +854,20 @@ def estimate_multiple_quantiles(
     The data are sorted once per call. A node is an index range of the
     sorted values, split by binary search at its estimate; its counting
     queries are binary searches for the grid powers in its shifted slice,
-    the same cumulative counts a histogram build of that slice gives. Nodes
-    run depth first, left before right, which is the order their noise is
-    drawn in.
+    the same cumulative counts a histogram build of that slice gives. A
+    left child has its parent's lower bound, so its shifted slice is a
+    prefix of its parent's, read without shifting or checking it again, and
+    when both count one query per bucket its counts are the first of its
+    parent's, with no search (see _sorted_stream). Only a right child
+    shifts its slice anew. Nodes run depth first, left before right, which is the
+    order their noise is drawn in.
+
+    The budget is multi_quantile_guarantee's, which holds for swap
+    neighbors: the thresholds rest on the public n. Under add-subtract
+    neighbors n is private, so that request is a ValueError.
     """
     _check_source(rng)
+    _check_multi_quantile_neighbor(req.neighbor)
     if data.lower_bound is None:
         raise ValueError("multi-quantile estimation needs a declared lower bound")
     q_arr = np.asarray(qs, dtype=float)
@@ -859,10 +888,11 @@ def estimate_multiple_quantiles(
     # one grid serves every node: its powers do not depend on the lower
     # bound, so a node only moves the bound
     grid = GeometricGrid(req.beta, data.lower_bound)
-    # (xs[a:b], quantiles lo..hi-1, grid lower bound, upper, mass_lo, fallback)
-    todo = [(0, n_total, 0, m, data.lower_bound, math.inf, 0.0, data.lower_bound)]
+    # (xs[a:b], quantiles lo..hi-1, grid lower bound, upper, mass_lo,
+    # fallback, and for a left child its shifted slice and parent's counts)
+    todo = [(0, n_total, 0, m, data.lower_bound, math.inf, 0.0, data.lower_bound, None, None)]
     while todo:
-        a, b, lo, hi, lower, upper, mass_lo, fallback = todo.pop()
+        a, b, lo, hi, lower, upper, mass_lo, fallback, y, above = todo.pop()
         if lo >= hi:
             continue
         mid = lo + (hi - lo) // 2
@@ -874,20 +904,22 @@ def estimate_multiple_quantiles(
             estimates[lo:hi] = fallback
             empty[lo:hi] = [True] * (hi - lo)
             continue
-        y = grid.shift(xs[a:b])
-        stream = _sorted_stream(grid, y, cap)
+        if y is None:
+            y = grid.shift(xs[a:b])
+        stream, counts = _sorted_stream(grid, y, cap, above)
         t = float((q_arr[mid] - mass_lo) * n_total)
         est = _finish(grid, _scan(stream, t, req, rng))
         estimates[mid] = est.value
         exhausted[mid] = est.exhausted
         split = a + int(np.searchsorted(xs[a:b], est.value, side="right"))
         # the left child is pushed last, so it runs next
-        todo.append((split, b, mid + 1, hi, est.value, upper, q_arr[mid], est.value))
-        todo.append((a, split, lo, mid, lower, est.value, mass_lo, est.value))
+        todo.append((split, b, mid + 1, hi, est.value, upper, q_arr[mid], est.value, None, None))
+        left = y[: split - a]
+        todo.append((a, split, lo, mid, lower, est.value, mass_lo, est.value, left, counts))
     return MultiQuantileResult(
         quantiles=tuple(float(q) for q in q_arr),
         estimates=tuple(float(v) for v in estimates),
         exhausted=tuple(exhausted),
         empty_slice=tuple(empty),
-        budget=multi_quantile_guarantee(m, req.eps1, req.eps2, req.noise),
+        budget=_budget(m, req.eps1, req.eps2, req.noise),
     )

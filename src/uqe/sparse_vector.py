@@ -29,6 +29,7 @@ identical to the Gumbel run.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -66,6 +67,9 @@ _BLOCK = 1 << 18
 # ceiling, which bounds a run's temporaries whatever its cap
 _FIRST_QUERY_BLOCK = 256
 _MAX_QUERY_BLOCK = 1 << 14
+
+# a runner's two noise specs depend on the public (kind, scale) alone
+_noise_spec = functools.lru_cache(maxsize=64)(NoiseSpec)
 
 
 def check_max_queries(max_queries) -> None:
@@ -113,8 +117,14 @@ class QueryStream:
     their candidate grid as starting elsewhere remap the halt index
     themselves.
 
-    starts already int64 and values already float are kept without a copy,
-    and made read-only.
+    Two constructors build a stream. QueryStream(starts, values,
+    max_queries), for streams from outside, checks every rule above: one
+    length, starts from 0 and strictly increasing, an integer cap >= 1.
+    QueryStream._built, for the streams the package builds from a histogram
+    or a sorted slice, checks only the cap: their starts are an np.arange
+    or strictly increasing bucket indices from 0, so the rest holds by
+    construction. Both keep starts already int64 and values already float
+    without a copy, and make them read-only.
     """
 
     starts: np.ndarray
@@ -133,6 +143,20 @@ class QueryStream:
         values.flags.writeable = False
         object.__setattr__(self, "starts", starts)
         object.__setattr__(self, "values", values)
+
+    @classmethod
+    def _built(cls, starts: np.ndarray, values: np.ndarray, max_queries: int) -> "QueryStream":
+        """The stream of int64 starts that begin at 0 and increase strictly,
+        and values of the same length: arrays the package built so."""
+        check_max_queries(max_queries)
+        values = np.asarray(values, dtype=float)
+        starts.flags.writeable = False
+        values.flags.writeable = False
+        stream = object.__new__(cls)
+        object.__setattr__(stream, "starts", starts)
+        object.__setattr__(stream, "values", values)
+        object.__setattr__(stream, "max_queries", max_queries)
+        return stream
 
 
 @dataclass(frozen=True)
@@ -224,8 +248,8 @@ def run_above_threshold(
     f >= noisy threshold - reach rounds the subtraction, and with a bound
     that noise can attain it skips hits.
     """
-    noisy_t = cfg.threshold + sample(NoiseSpec(cfg.noise, 1.0 / cfg.eps1), rng)
-    query_spec = NoiseSpec(cfg.noise, 1.0 / cfg.eps2)
+    noisy_t = cfg.threshold + sample(_noise_spec(cfg.noise, 1.0 / cfg.eps1), rng)
+    query_spec = _noise_spec(cfg.noise, 1.0 / cfg.eps2)
     reach = NOISE_REACH * query_spec.scale
     cap = stream.max_queries
     bit_generator = rng.gen.bit_generator

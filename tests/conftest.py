@@ -1,6 +1,8 @@
 """The deterministic release the oracle tests compare against, a stream
 builder for runner tests, the one-level EMQ draw the batched draw is
 checked against, and the EMQ interval choices the Monte Carlo tests count.
+Every test also runs the streams the package builds through the public
+QueryStream checks (built_streams_pass_the_public_checks).
 
 The mechanisms take a RandomSource and have one release path. A test gets
 their noiseless release by swapping the runner behind them: every
@@ -15,6 +17,30 @@ from uqe import aggregates, quantile
 from uqe.emq import _interval_edges, _log_weights
 from uqe.noise import RandomSource
 from uqe.sparse_vector import DEFAULT_MAX_QUERIES, QueryStream, run_above_threshold_noiseless
+
+
+@pytest.fixture(autouse=True, scope="session")
+def built_streams_pass_the_public_checks():
+    """QueryStream._built skips the public constructor's checks for the
+    streams the package builds, valid by construction. In the tests each
+    such stream passes those checks too, and must come out of both
+    constructors the same, so every property that runs an estimator also
+    checks its streams."""
+    built = QueryStream._built
+
+    def checked(cls, starts, values, max_queries):
+        public = cls(starts, values, max_queries)
+        stream = built(starts, values, max_queries)
+        for name in ("starts", "values"):
+            want, got = getattr(public, name), getattr(stream, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            assert not got.flags.writeable
+        assert stream.max_queries == public.max_queries
+        return stream
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(QueryStream, "_built", classmethod(checked))
+        yield
 
 
 def release_without_noise(mp):

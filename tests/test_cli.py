@@ -383,6 +383,13 @@ class TestBadInputExits1:
             (["quantiles", "--qs", "0.2,nan", "--lower", "0"], "qs"),
             (["account", "--eps1", "inf", "--query-class", "monotonic"], "eps1"),
             (["account", "--eps1", "0.5", "--eps2", "inf", "--num-quantiles", "3"], "eps2"),
+            # both used to print the swap budget, which assumes a public n
+            (["account", "--num-quantiles", "3", "--neighbor", "add-subtract"], "add-subtract"),
+            (
+                ["quantiles", "--qs", "0.25,0.5,0.75", "--lower", "0",
+                 "--neighbor", "add-subtract"],
+                "add-subtract",
+            ),
             # used to print "q": NaN or "q": Infinity, which is not JSON
             (["account", "--q", "nan", "--query-class", "monotonic"], "q must lie in [0, 1]"),
             (["account", "--q", "inf", "--query-class", "general"], "q must lie in [0, 1]"),

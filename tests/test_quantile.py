@@ -572,3 +572,31 @@ class TestMultiQuantile:
         for qs in ([0.2, np.nan], [np.nan], [0.2, np.nan, 0.8], [np.nan, 0.5]):
             with pytest.raises(ValueError):
                 estimate_multiple_quantiles(data, qs, req, noiseless)
+
+    def test_add_subtract_neighbors_have_no_budget(self, noiseless):
+        # the budget rests on a public n, which add-subtract neighbors lack
+        data = Dataset(np.arange(1, 11.0), 1.0)
+        req = QuantileRequest(q=0.5, eps1=1, eps2=1, neighbor=NeighborModel.ADD_SUBTRACT)
+        with pytest.raises(ValueError, match="add-subtract"):
+            estimate_multiple_quantiles(data, [0.25, 0.5, 0.75], req, noiseless)
+
+    def test_left_children_shift_no_slice(self, noiseless, monkeypatch):
+        # nine deciles make nine nodes: the root, three right children and
+        # five left children, which read a prefix of their parent's shifted
+        # slice; so only the root and the right children shift, each at its
+        # own lower bound: the data's, then the estimates at 0.3, 0.5, 0.8
+        lowers = []
+        shift = GeometricGrid.shift
+
+        def counting_shift(grid, values, out=None):
+            lowers.append(grid.lower_bound)
+            return shift(grid, values, out)
+
+        monkeypatch.setattr(GeometricGrid, "shift", counting_shift)
+        data = Dataset(RandomSource(38).gen.lognormal(2.0, 0.8, 2000), lower_bound=0.0)
+        req = QuantileRequest.even_split(0.5, 1.0, beta=1.01)
+        deciles = [j / 10 for j in range(1, 10)]
+        result = estimate_multiple_quantiles(data, deciles, req, noiseless)
+        assert not any(result.empty_slice)
+        est = result.estimates
+        assert lowers == [0.0, est[2], est[4], est[7]]

@@ -7,9 +7,10 @@ reach the noisy threshold and draws the rest a block at a time, must halt
 where the model's query-by-query loop halts and leave its state, on streams
 built to stress the skips, the block edges and rounding. Also here: the two
 live paths the code picks between, checked against each other (a multi-
-quantile node's sorted counts against the capped build, sorted against
-bincounted bucket keys), the power cache against repeated multiplication,
-and the resource bounds the cap and the sparse histogram give.
+quantile node's sorted counts, and a prefix's taken from them, against the
+capped build; sorted against bincounted bucket keys), the power cache
+against repeated multiplication, and the resource bounds the cap and the
+sparse histogram give.
 """
 
 import gc
@@ -533,6 +534,51 @@ def test_estimate_small_quantile_inverted_is_the_model(case, kind, q, eps, cap, 
     cap=BOUNDED_CAPS,
     seed=SEEDS,
 )
+# A left child reads a prefix of its parent's shifted slice, and when both
+# count one query per bucket, its parent's counts clipped at its size.
+# Without noise: every point is at or below the root's estimate 7, so the
+# left child gets the whole slice
+@example(
+    case=(2.0, 0.0, [5.0] * 40),
+    qs=[0.25, 0.5, 0.75, 0.9],
+    kind=NoiseKind.EXPONENTIAL,
+    eps=10.0,
+    share=0.5,
+    cap=DEFAULT_MAX_QUERIES,
+    seed=0,
+)
+# the root halts at 1, and 1.01 + 3 - 1 - 3 + 1 rounds below 1.01: the
+# left child's cap is 0, and it releases its boundary
+@example(
+    case=(1.01, 3.0, [3.0] * 20),
+    qs=[0.5, 0.9],
+    kind=NoiseKind.EXPONENTIAL,
+    eps=10.0,
+    share=0.5,
+    cap=DEFAULT_MAX_QUERIES,
+    seed=0,
+)
+# five points tie at the root's estimate 7, and go left
+@example(
+    case=(2.0, 0.0, [1.0] * 5 + [3.0] * 10 + [7.0] * 5 + [20.0] * 5),
+    qs=[0.25, 0.5, 0.75],
+    kind=NoiseKind.EXPONENTIAL,
+    eps=10.0,
+    share=0.5,
+    cap=DEFAULT_MAX_QUERIES,
+    seed=0,
+)
+# the root's top bucket, 19, is past its 12 points, so it buckets them one
+# by one and has no counts to pass on; its left child counts per bucket
+@example(
+    case=(2.0, 0.0, [0.0] * 10 + [1e6] * 2),
+    qs=[0.25, 0.5],
+    kind=NoiseKind.EXPONENTIAL,
+    eps=10.0,
+    share=0.5,
+    cap=DEFAULT_MAX_QUERIES,
+    seed=0,
+)
 def test_estimate_multiple_quantiles_is_the_model(case, qs, kind, eps, share, cap, seed):
     # eps1 = share * eps; an uneven split tells eps1 from eps2, in the noise
     # and in the budget, but Gumbel noise needs the even one
@@ -583,24 +629,27 @@ def test_multi_quantile_call_leaves_no_reference_cycles():
 
 
 @PROPERTY
-@given(case=bounded_cases(), cap=BOUNDED_CAPS)
+@given(case=bounded_cases(), cap=BOUNDED_CAPS, cut=st.floats(0.0, 1.0))
 # fewer buckets than points (one binary search per bucket), and more
-@example(case=(2.0, 0.0, [float(v) for v in range(60)]), cap=DEFAULT_MAX_QUERIES)
-@example(case=(1.001, 0.0, [1e6, 2e6, 3e6]), cap=DEFAULT_MAX_QUERIES)
-def test_sorted_counts_are_the_capped_build(case, cap):
+@example(case=(2.0, 0.0, [float(v) for v in range(60)]), cap=DEFAULT_MAX_QUERIES, cut=0.5)
+@example(case=(1.001, 0.0, [1e6, 2e6, 3e6]), cap=DEFAULT_MAX_QUERIES, cut=0.5)
+def test_sorted_counts_are_the_capped_build(case, cap, cut):
     beta, lower, data = case
-    x = np.array(data)
+    x = np.sort(np.array(data))
     grid = GeometricGrid(beta, lower)
-    y = grid.shift(np.sort(x))
-    for limit, hist in (
-        (cap, build_histogram(x, beta, lower, cap)),
-        (DEFAULT_MAX_QUERIES, build_histogram(x, beta, lower)),
-    ):
-        # one query past the last bucket reads n, as every later one does
-        k = int(hist.buckets[-1]) + 2
-        sorted_stream = _sorted_stream(grid, y, limit)
-        want = stream_prefix(counting_query_stream(hist, limit), k)
-        assert stream_prefix(sorted_stream, k).tobytes() == want.tobytes()
+    y = grid.shift(x)
+    # a prefix of the sorted data counts from the whole's counts, as a
+    # multi-quantile left child does from its parent's
+    size = 1 + int(cut * (x.size - 1))
+    for limit, build_cap in ((cap, cap), (DEFAULT_MAX_QUERIES, None)):
+        whole, above = _sorted_stream(grid, y, limit)
+        prefix, _ = _sorted_stream(grid, y[:size], limit, above)
+        for stream, part in ((whole, x), (prefix, x[:size])):
+            hist = build_histogram(part, beta, lower, build_cap)
+            # one query past the last bucket reads n, as every later one does
+            k = int(hist.buckets[-1]) + 2
+            want = stream_prefix(counting_query_stream(hist, limit), k)
+            assert stream_prefix(stream, k).tobytes() == want.tobytes()
 
 
 @PROPERTY
