@@ -18,11 +18,12 @@ from .emq import BoundedRange, emq_estimate
 from .noise import NoiseKind, NoiseSpec, RandomSource, _check_source, sample
 from .quantile import (
     _BUILD_BLOCK,
-    Dataset,
     QuantileRequest,
+    _finite_min,
     _map_parts,
     _part_cuts,
-    estimate_quantile,
+    _release,
+    build_histogram,
 )
 from .sparse_vector import check_eps
 
@@ -125,7 +126,10 @@ def _choose_clip(values: np.ndarray, cfg: SumConfig, rng: RandomSource) -> tuple
         req = QuantileRequest(
             q=cfg.q, eps1=cfg.eps / 2.0, eps2=cfg.eps / 2.0, beta=cfg.beta
         )
-        est = estimate_quantile(Dataset(values, lower_bound=0.0), req, rng, threshold=threshold)
+        # dp_sum has checked the data: estimate_quantile on them, with no
+        # second pass to check them again
+        hist = build_histogram(values, req.beta, 0.0, req.max_queries)
+        est = _release(hist, req, rng, threshold=threshold)
         return est.value, est.exhausted
     return emq_estimate(values, cfg.emq_range, cfg.q, cfg.eps, rng), False
 
@@ -133,17 +137,15 @@ def _choose_clip(values: np.ndarray, cfg: SumConfig, rng: RandomSource) -> tuple
 def dp_sum(data, cfg: SumConfig, rng: RandomSource) -> SumResult:
     """Private clip at quantile q (budget eps), then Laplace(clip/eps) + clipped sum.
 
-    A clip at or below 0 is clamped to a small positive floor and flagged.
+    The data are read once before the clip stage: values that are not all
+    finite, then negative ones, are a ValueError. A clip at or below 0 is
+    clamped to a small positive floor and flagged.
     """
     _check_source(rng)
     values = np.asarray(data, dtype=float)
     if values.ndim != 1 or values.size == 0:
         raise ValueError("data must be a non-empty 1-d sequence")
-    if values.size > _BUILD_BLOCK:
-        lo = np.min(_map_parts(lambda a, b: values[a:b].min(), _part_cuts(values.size)))
-    else:
-        lo = values.min()
-    if lo < 0:
+    if _finite_min(values) < 0:
         raise ValueError("the sum procedure assumes nonnegative data")
 
     clip, exhausted = _choose_clip(values, cfg, rng)

@@ -33,8 +33,15 @@ from .emq import (
     uqe_pdf_curve,
 )
 from .noise import NoiseKind, NoiseSpec, RandomSource, sample
-from .quantile import LogBucketHistogram, QuantileRequest, _release, build_histogram, check_beta
-from .sparse_vector import DEFAULT_MAX_QUERIES, check_eps
+from .quantile import (
+    LogBucketHistogram,
+    QuantileRequest,
+    _release,
+    build_histogram,
+    check_beta,
+    counting_query_stream,
+)
+from .sparse_vector import DEFAULT_MAX_QUERIES, _first_window_halts, check_eps
 
 __all__ = [
     "DEFAULT_QUANTILE_GRID",
@@ -141,13 +148,42 @@ def _prepare(
     return hist, intervals
 
 
+def _request(hist: LogBucketHistogram, q: float, eps: float) -> QuantileRequest:
+    """The uqe request at level q: the even budget split, the histogram's
+    beta and the bench's query cap, which its histograms are built with."""
+    return QuantileRequest.even_split(
+        q, eps, beta=hist.grid.beta, max_queries=DEFAULT_MAX_QUERIES
+    )
+
+
 def _uqe_release(
     hist: LogBucketHistogram, q: float, eps: float, source: RandomSource, stream: int
 ) -> float:
     """The uqe release at level q from mechanism stream `stream`."""
     source._rekey(_MECH_BASE + stream)
-    req = QuantileRequest.even_split(q, eps, beta=hist.grid.beta)
-    return _release(hist, req, source).value
+    return _release(hist, _request(hist, q, eps), source).value
+
+
+def _uqe_block(
+    hist: LogBucketHistogram, qs, eps: float, source: RandomSource, streams
+) -> np.ndarray:
+    """The uqe releases at the levels qs, level i from mechanism stream
+    streams[i]: _uqe_release's values, bit for bit. Every run's first
+    window is decided as one batch (sparse_vector._first_window_halts);
+    only a level whose halt lies past it is released on its own."""
+    req = _request(hist, float(qs[0]), eps)
+    stream = counting_query_stream(hist, req.max_queries)
+    thresholds = np.asarray(qs, dtype=float) * hist.n
+    keys = [_MECH_BASE + s for s in streams]
+    halts = _first_window_halts(
+        stream, thresholds, req.eps1, req.eps2, req.noise, source, keys
+    )
+    return np.array(
+        [
+            hist.grid.value(h) if h else _uqe_release(hist, q, eps, source, s)
+            for h, q, s in zip(halts.tolist(), qs, streams)
+        ]
+    )
 
 
 def _emq_block(
@@ -167,9 +203,9 @@ def run_quantile_experiment(spec: ExperimentSpec) -> list[ResultRecord]:
 
     Cell c, one (eps, method, q), releases on resample t from mechanism
     stream c * outer_trials + t. The q cells of one (eps, method) block are
-    contiguous, and emq draws a block's levels as one batch. A uqe record's
-    runtime is the time of its cell's releases, summed over the resamples;
-    an emq record's is its block's time divided evenly among the levels.
+    contiguous, and each method releases a block's levels as one batch. A
+    record's runtime is its block's time divided evenly among the levels,
+    summed over the resamples.
     """
     rr = spec.declared_range
     outer = spec.outer_trials
@@ -191,14 +227,9 @@ def run_quantile_experiment(spec: ExperimentSpec) -> list[ResultRecord]:
             start = time.perf_counter()
             if method == "emq":
                 est = _emq_block(intervals, levels, eps, source, streams)
-                runtime[first : first + m] += (time.perf_counter() - start) / m
             else:
-                est = np.empty(m)
-                for i, q in enumerate(spec.quantile_grid):
-                    est[i] = _uqe_release(hist, q, eps, source, streams[i])
-                    now = time.perf_counter()
-                    runtime[first + i] += now - start
-                    start = now
+                est = _uqe_block(hist, spec.quantile_grid, eps, source, streams)
+            runtime[first : first + m] += (time.perf_counter() - start) / m
             if spec.round_outputs:
                 np.rint(est, out=est)
             errs[first : first + m, t] = np.abs(est - refs)

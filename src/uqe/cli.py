@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, replace
@@ -38,6 +39,7 @@ from .emq import BoundedRange
 from .noise import NoiseKind, RandomSource
 from .quantile import (
     Dataset,
+    GeometricGrid,
     QuantileRequest,
     estimate_multiple_quantiles,
     estimate_quantile,
@@ -101,6 +103,21 @@ def _emit(payload, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _check_finite(estimates, beta: float) -> None:
+    """Released grid estimates, which JSON can print only when finite. A
+    candidate beta^k + ell - 1 is inf once beta^k passes the float range,
+    or a little sooner above a lower bound near it: a ValueError that names
+    the last index before that. A release that overflowed has read the
+    powers that far, or nearly, so finding the index costs little."""
+    if all(math.isfinite(v) for v in estimates):
+        return
+    top = GeometricGrid(beta, 0.0).max_index_at_most(sys.float_info.max)
+    raise ValueError(
+        f"a released estimate is not finite: at beta {beta!r} the grid's "
+        f"candidates overflow a float past index {top}"
+    )
+
+
 def _request(args, q: float, eps1: float, eps2: float) -> QuantileRequest:
     return QuantileRequest(
         q=q,
@@ -131,6 +148,7 @@ def cmd_quantile(args) -> tuple[dict, int]:
         raise ValueError("give at most one of --lower / --upper")
     if args.lower is None and args.upper is None:
         est = estimate_quantile_unbounded(Dataset(values), req, rng)
+        _check_finite([est.value], req.beta)
         g1 = request_guarantee(req)
         g2 = request_guarantee(replace(req, q=1.0 - req.q))
         payload = {
@@ -151,6 +169,7 @@ def cmd_quantile(args) -> tuple[dict, int]:
     else:
         mode, run_q = "inverted", 1.0 - req.q
         est = estimate_small_quantile_inverted(Dataset(values), args.upper, req, rng)
+    _check_finite([est.value], req.beta)
     payload = {
         "mode": mode,
         "estimate": est.value,
@@ -171,6 +190,7 @@ def cmd_quantiles(args) -> tuple[dict, int]:
     result = estimate_multiple_quantiles(
         Dataset(values, lower_bound=args.lower), qs, req, rng
     )
+    _check_finite(result.estimates, req.beta)
     payload = {
         "qs": list(result.quantiles),
         "estimates": list(result.estimates),
@@ -195,6 +215,9 @@ def cmd_sum(args) -> tuple[dict, int]:
     )
     rng = RandomSource(_resolve_seed(args))
     result = dp_mean(values, cfg, rng) if args.mean else dp_sum(values, cfg, rng)
+    _check_finite([result.clip], cfg.beta)
+    if not math.isfinite(result.estimate):
+        raise ValueError("the released sum is not finite: the clipped data overflow a float")
     payload = asdict(result)
     payload["kind"] = "mean" if args.mean else "sum"
     payload["n"] = int(values.size)

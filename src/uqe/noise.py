@@ -28,7 +28,7 @@ NOISE_REACH = 38.0
 
 # Philox turns one 256-bit counter into four 64-bit words
 _WORDS_PER_BLOCK = 4
-_COUNTER_MASK = (1 << 256) - 1
+_WORD_MASK = (1 << 64) - 1
 # below this many words drawing them beats a state round trip (about 10 us)
 _SKIP_BY_COUNTER = 1024
 
@@ -56,7 +56,8 @@ class RandomSource:
 
     Philox is keyed directly by the two 64-bit words, so distinct stream ids
     give independent streams and equal ids reproduce the same draws exactly.
-    Mechanism noise must come from :meth:`uniform_open`; data-level
+    Mechanism noise must come from :meth:`uniform_open`, or from raw
+    words of the bit generator through the same map to (0, 1); data-level
     randomness (subsampling, synthetic data) may use :attr:`gen` directly.
     """
 
@@ -64,32 +65,41 @@ class RandomSource:
         self.seed = int(seed)
         self.stream = int(stream)
         self.gen = np.random.Generator(np.random.Philox(key=self._key()))
+        # the state _rekey sets, of Python ints, which numpy reads faster
+        # than arrays; only the stream's key word and the counter change
+        self._restart = {
+            "bit_generator": "Philox",
+            "state": {"counter": [0] * 4, "key": [self.seed & _WORD_MASK, 0]},
+            "buffer": [0] * _WORDS_PER_BLOCK,
+            "buffer_pos": _WORDS_PER_BLOCK,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
 
     def _key(self) -> np.ndarray:
-        return np.array(
-            [self.seed & 0xFFFFFFFFFFFFFFFF, self.stream & 0xFFFFFFFFFFFFFFFF],
-            dtype=np.uint64,
-        )
+        return np.array([self.seed & _WORD_MASK, self.stream & _WORD_MASK], dtype=np.uint64)
 
-    def _rekey(self, stream: int) -> None:
-        """Restart as RandomSource(self.seed, stream) starts: Philox keyed
-        by (seed, stream), counter 0, an empty buffer and no spare 32-bit
-        half-word. Setting the state costs a few us; a new source costs
-        about 20, as numpy seeds its Philox from OS entropy before the key
-        replaces it.
+    def _rekey(self, stream: int, skip: int = 0) -> None:
+        """Restart as RandomSource(self.seed, stream) starts, then moved
+        past skip uniforms as self.skip(skip) moves it: Philox keyed by
+        (seed, stream), its counter on the block that holds uniform skip,
+        and no spare 32-bit half-word. The state is set once, in under a
+        us; a new source costs about 20, as numpy seeds its Philox from OS
+        entropy before the key replaces it.
 
         Use is sequential only: re-keying ends the old stream, so nothing
         that still draws from it may hold this source.
         """
         self.stream = int(stream)
-        self.gen.bit_generator.state = {
-            "bit_generator": "Philox",
-            "state": {"counter": np.zeros(4, dtype=np.uint64), "key": self._key()},
-            "buffer": np.zeros(_WORDS_PER_BLOCK, dtype=np.uint64),
-            "buffer_pos": _WORDS_PER_BLOCK,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
+        restart = self._restart
+        restart["state"]["key"][1] = self.stream & _WORD_MASK
+        # from a fresh state, skip's last (1 to 4) uniforms are drawn from
+        # the block the counter ends on, as in skip
+        blocks, last = divmod(skip - 1, _WORDS_PER_BLOCK) if skip else (0, -1)
+        restart["state"]["counter"] = _counter_words(blocks)
+        self.gen.bit_generator.state = restart
+        if skip:
+            self.gen.bit_generator.random_raw(last + 1)
 
     def spawn(self, stream: int) -> "RandomSource":
         """Fresh independent stream under the same seed."""
@@ -124,10 +134,8 @@ class RandomSource:
         fresh = n - (_WORDS_PER_BLOCK - state["buffer_pos"])
         blocks, last = divmod(fresh - 1, _WORDS_PER_BLOCK)
         words = state["state"]["counter"].tolist()
-        counter = (sum(w << (64 * i) for i, w in enumerate(words)) + blocks) & _COUNTER_MASK
-        state["state"]["counter"] = np.array(
-            [(counter >> (64 * i)) & 0xFFFFFFFFFFFFFFFF for i in range(4)], dtype=np.uint64
-        )
+        counter = sum(w << (64 * i) for i, w in enumerate(words)) + blocks
+        state["state"]["counter"] = _counter_words(counter)
         state["buffer_pos"] = _WORDS_PER_BLOCK
         bit_generator.state = state
         bit_generator.random_raw(last + 1)
@@ -144,6 +152,12 @@ def _check_source(rng) -> None:
         raise ValueError(f"a RandomSource is required, got {type(rng).__name__}")
 
 
+def _counter_words(counter: int) -> list[int]:
+    """A Philox counter, taken mod 2**256, as its four 64-bit words, the
+    lowest first."""
+    return [(counter >> shift) & _WORD_MASK for shift in (0, 64, 128, 192)]
+
+
 def _to_uniform(k):
     """Map integers k in [0, 2**53) to the open interval (0, 1).
 
@@ -156,13 +170,15 @@ def _to_uniform(k):
     return min(u, _U_MAX)
 
 
-def sample(spec: NoiseSpec, rng: RandomSource, size=None):
-    """Draw from the noise distribution by inverting its CDF.
+def _noise_of_words(spec: NoiseSpec, words):
+    """The noise of raw Philox words, one value per word: the inverse CDF
+    at each word's uniform, as uniform_open maps it (its top 53 bits).
+    sample() and the AboveThreshold runners compute every value here.
 
-    Returns a scalar when size is None, else an ndarray of that shape.
+    Returns a scalar for an int word, else an ndarray of the words' shape.
     """
     b = spec.scale
-    u = rng.uniform_open(size)
+    u = _to_uniform(words >> 11)
     if spec.kind is NoiseKind.LAPLACE:
         v = 2.0 * u - 1.0
         return -b * np.sign(v) * np.log1p(-np.abs(v))
@@ -171,6 +187,14 @@ def sample(spec: NoiseSpec, rng: RandomSource, size=None):
     if spec.kind is NoiseKind.EXPONENTIAL:
         return -b * np.log(u)
     raise ValueError(f"unknown noise kind: {spec.kind}")
+
+
+def sample(spec: NoiseSpec, rng: RandomSource, size=None):
+    """Draw from the noise distribution by inverting its CDF.
+
+    Returns a scalar when size is None, else an ndarray of that shape.
+    """
+    return _noise_of_words(spec, rng.gen.bit_generator.random_raw(size))
 
 
 def pdf(spec: NoiseSpec, z):

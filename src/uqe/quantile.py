@@ -95,16 +95,7 @@ class Dataset:
         vals = np.asarray(self.values, dtype=float)
         if vals.ndim != 1 or vals.size == 0:
             raise ValueError("values must be a non-empty 1-d sequence")
-        # NaN propagates through both, and no n-byte isfinite mask is made
-        if vals.size > _BUILD_BLOCK:
-            ends = np.array(
-                _map_parts(lambda a, b: (vals[a:b].min(), vals[a:b].max()), _part_cuts(vals.size))
-            )
-            lo, hi = ends[:, 0].min(), ends[:, 1].max()
-        else:
-            lo, hi = vals.min(), vals.max()
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise ValueError("values must be finite")
+        lo = _finite_min(vals)
         if self.lower_bound is not None:
             if not math.isfinite(self.lower_bound):
                 raise ValueError("the lower bound must be finite")
@@ -115,6 +106,22 @@ class Dataset:
     @property
     def n(self) -> int:
         return int(self.values.size)
+
+
+def _finite_min(vals: np.ndarray) -> float:
+    """The least of non-empty 1-d float data, from one min and max pass;
+    data that are not all finite are a ValueError."""
+    # NaN propagates through both, and no n-byte isfinite mask is made
+    if vals.size > _BUILD_BLOCK:
+        ends = np.array(
+            _map_parts(lambda a, b: (vals[a:b].min(), vals[a:b].max()), _part_cuts(vals.size))
+        )
+        lo, hi = ends[:, 0].min(), ends[:, 1].max()
+    else:
+        lo, hi = vals.min(), vals.max()
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError("values must be finite")
+    return float(lo)
 
 
 def check_beta(beta: float, name: str = "beta") -> None:
@@ -140,15 +147,20 @@ _POWERS_LOCK = threading.Lock()
 def _shared_powers(beta: float, size: int) -> np.ndarray:
     """The cached powers of beta, read-only, extended to at least size.
 
-    np.cumprod multiplies in sequence, so each new power is the previous
-    one times beta, as a scalar loop computes it: the cache holds the same
-    floats however it was grown. Powers past the float range are inf.
+    An extension at least doubles the cache, so lookups in increasing order
+    copy it O(log size) times, not once per lookup. It never holds more
+    than twice the most powers asked for, so the cache of runs capped at k
+    queries, which read powers up to beta^(k+1), stays O(k). np.cumprod
+    multiplies in sequence, so each new power is the previous one times
+    beta, as a scalar loop computes it: the cache holds the same floats
+    however it was grown. Powers past the float range are inf.
     """
     with _POWERS_LOCK:
         pows = _POWERS.pop(beta, None)
         if pows is None:
             pows = np.ones(1)
         if pows.size < size:
+            size = max(size, 2 * pows.size)
             steps = np.full(size - pows.size + 1, beta)
             steps[0] = pows[-1]
             with np.errstate(over="ignore"):
@@ -197,8 +209,7 @@ class GeometricGrid:
             raise ValueError("power index must be >= 0")
         pows = self._powers
         if i >= pows.size:
-            # doubling keeps a run of increasing indices linear overall
-            pows = self.powers(max(i + 1, 2 * pows.size))
+            pows = self.powers(i + 1)
         return float(pows[i])
 
     def value(self, i: int) -> float:

@@ -21,6 +21,13 @@ wall time therefore depends on how many runs come before the data first
 comes within reach of the threshold: like the build time, it is a
 debug-only quantity, never one to release.
 
+Many runs on one counting stream, each on a generator of its own, are
+decided together where they halt in their first block
+(_first_window_halts): one array of noisy thresholds, one binary search
+for where each comes within reach, and one hit test over every run's
+block. A run that halts later is left to the runner, which draws the same
+words and so releases the same halt.
+
 For Gumbel noise with eps1 == eps2 the halt index has a closed-form PMF,
 which the verification suites use as ground truth; the same module provides
 the step-wise exponential-mechanism formulation that is distributionally
@@ -37,7 +44,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .noise import NOISE_REACH, NoiseKind, NoiseSpec, RandomSource, sample
+from .noise import NOISE_REACH, NoiseKind, NoiseSpec, RandomSource, _noise_of_words, sample
 
 __all__ = [
     "DEFAULT_MAX_QUERIES",
@@ -228,19 +235,26 @@ def _first_within(stream: QueryStream, start: int, reach: float, level: float) -
     return cap
 
 
+def _hits(values: np.ndarray, words: np.ndarray, spec: NoiseSpec, noisy_t) -> np.ndarray:
+    """The block hit test: which queries clear the noisy threshold, each
+    noised by one raw word. values, words and noisy_t broadcast together."""
+    return values + _noise_of_words(spec, words) >= noisy_t
+
+
 def run_above_threshold(
     stream: QueryStream, cfg: SvtConfig, rng: RandomSource
 ) -> SvtOutcome:
     """Noisy threshold, then one noisy comparison per query until a hit.
 
-    Queries with f + NOISE_REACH * b < noisy threshold cannot hit, so the
-    generator skips their uniforms without computing them. From the next
-    query within reach, each block of queries gets its noise from one
-    sample() call, and argmax finds the first hit; blocks restart small
-    after every skip. A hit rewinds the generator to the block's start and
-    moves it past the uniforms up to and including the hit. So the halt
-    index and the generator's state afterwards are those of a
-    query-by-query loop.
+    The threshold takes the run's first uniform, and the query at offset o
+    (f_(o+1)) uniform 1 + o. Queries with f + NOISE_REACH * b < noisy
+    threshold cannot hit, so the generator skips their uniforms without
+    computing them. From the next query within reach, each block of
+    queries gets its noise from one array of raw words, and argmax finds
+    the first hit; blocks restart small after every skip. A hit rewinds the
+    generator to the block's start and moves it past the uniforms up to and
+    including the hit. So the halt index and the generator's state
+    afterwards are those of a query-by-query loop.
 
     The reach test is written as the hit test is, f + reach >= noisy
     threshold: rounded addition is monotone, so noise <= reach gives
@@ -248,11 +262,13 @@ def run_above_threshold(
     f >= noisy threshold - reach rounds the subtraction, and with a bound
     that noise can attain it skips hits.
     """
-    noisy_t = cfg.threshold + sample(_noise_spec(cfg.noise, 1.0 / cfg.eps1), rng)
+    bit_generator = rng.gen.bit_generator
+    noisy_t = cfg.threshold + _noise_of_words(
+        _noise_spec(cfg.noise, 1.0 / cfg.eps1), bit_generator.random_raw()
+    )
     query_spec = _noise_spec(cfg.noise, 1.0 / cfg.eps2)
     reach = NOISE_REACH * query_spec.scale
     cap = stream.max_queries
-    bit_generator = rng.gen.bit_generator
     drawn, size = 0, _FIRST_QUERY_BLOCK
     while (start := _first_within(stream, drawn, reach, noisy_t)) < cap:
         if start > drawn:
@@ -261,7 +277,7 @@ def run_above_threshold(
         stop = min(start + size, cap)
         vals = _window(stream, start, stop)
         saved = bit_generator.state
-        hits = vals + sample(query_spec, rng, vals.size) >= noisy_t
+        hits = _hits(vals, bit_generator.random_raw(vals.size), query_spec, noisy_t)
         h = int(hits.argmax())
         if hits[h]:
             bit_generator.state = saved
@@ -270,6 +286,58 @@ def run_above_threshold(
         drawn, size = stop, min(2 * size, _MAX_QUERY_BLOCK)
     rng.skip(cap - drawn)
     return SvtOutcome(None, cap)
+
+
+def _first_window_halts(
+    stream: QueryStream,
+    thresholds: np.ndarray,
+    eps1: float,
+    eps2: float,
+    noise: NoiseKind,
+    source: RandomSource,
+    keys,
+) -> np.ndarray:
+    """The runs of many thresholds on one stream of nondecreasing values,
+    as every counting stream's are, decided from their first windows as one
+    batch: run i is run_above_threshold(stream, SvtConfig(eps1, eps2,
+    noise, thresholds[i]), rng) with rng a fresh RandomSource(source.seed,
+    keys[i]).
+
+    Returns each run's halt index where its first window of
+    _FIRST_QUERY_BLOCK queries, from the first query within reach, holds
+    its hit, and 0 where it does not, or where that window would reach the
+    cap: the caller runs those in full, and as the same words decide them,
+    a halt found here is the one that run returns. source is re-keyed to
+    each run's stream twice: for its threshold's uniform, then for its
+    window's.
+    """
+    raw = source.gen.bit_generator.random_raw
+    words = np.empty(len(keys), dtype=np.uint64)
+    for i, key in enumerate(keys):
+        source._rekey(key)
+        words[i] = raw()
+    noisy_t = thresholds + _noise_of_words(_noise_spec(noise, 1.0 / eps1), words)
+    query_spec = _noise_spec(noise, 1.0 / eps2)
+    reach = NOISE_REACH * query_spec.scale
+    # the window starts, _first_within(stream, 0, reach, t) of every t at
+    # once: values + reach is nondecreasing, as rounded addition is
+    # monotone, so its first run at or past t is one binary search away
+    cap, size = stream.max_queries, _FIRST_QUERY_BLOCK
+    run = np.searchsorted(stream.values + reach, noisy_t)
+    at = np.minimum(np.append(stream.starts, cap)[run], cap)
+    rows = np.flatnonzero(at + size <= cap)
+    words = np.empty((rows.size, size), dtype=np.uint64)
+    for row, i, start in zip(words, rows.tolist(), at[rows].tolist()):
+        source._rekey(keys[i], 1 + start)
+        row[...] = raw(size)
+    offsets = at[rows, None] + np.arange(size)
+    vals = stream.values[stream.starts.searchsorted(offsets, "right") - 1]
+    hits = _hits(vals, words, query_spec, noisy_t[rows, None])
+    h = hits.argmax(axis=1)
+    hit = hits[np.arange(rows.size), h]
+    halts = np.zeros(len(keys), dtype=np.int64)
+    halts[rows[hit]] = at[rows[hit]] + h[hit] + 1
+    return halts
 
 
 def run_above_threshold_noiseless(

@@ -10,6 +10,35 @@ from uqe.emq import BoundedRange
 from uqe.noise import RandomSource
 
 
+@pytest.mark.parametrize("n", [3, 3 * (1 << 16) + 5])
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        SumConfig(eps=1.0),
+        SumConfig(eps=1.0, method=ClipMethod.EMQ, emq_range=BoundedRange(-1e9, 1e9)),
+    ],
+)
+def test_dp_sum_rejects_negative_and_nonfinite_data(n, cfg):
+    # negative data under the one message for both clip methods; a value
+    # that is not finite, -inf included, is the finiteness error first
+    data = np.arange(float(n))
+    for bad, message in [
+        (-1.0, "the sum procedure assumes nonnegative data"),
+        (np.nan, "values must be finite"),
+        (np.inf, "values must be finite"),
+        (-np.inf, "values must be finite"),
+    ]:
+        for at in (0, n - 1):
+            x = data.copy()
+            x[at] = bad
+            with pytest.raises(ValueError, match=message):
+                dp_sum(x, cfg, RandomSource(1))
+    x = data.copy()
+    x[0], x[-1] = -1.0, np.nan
+    with pytest.raises(ValueError, match="values must be finite"):
+        dp_sum(x, cfg, RandomSource(1))
+
+
 def test_clipped_sum_arithmetic():
     assert clipped_sum([1.0, 2.0, 10.0], 5.0) == 8.0
     assert clipped_sum([1.0, 2.0, 10.0], 100.0) == 13.0

@@ -163,7 +163,35 @@ class TestQuantile:
         assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "mode", [["--q", "0.99", "--lower", "0"], ["--q", "0.99"], ["--q", "0.01", "--upper", "10"]]
+)
+def test_an_overflowing_single_estimate_exits_1(capsys, mode):
+    # bounded, unbounded and inverted runs that halt past index 1,023 at beta 2
+    code = main(["quantile", "--input", SMOKE, "--column", "value", *mode, "--beta", "2",
+                 "--eps1", "0.05", "--eps2", "0.05", "--seed", "4"])  # fmt: skip
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert "not finite" in captured.err and "index 1023" in captured.err
+
+
 class TestQuantiles:
+    def test_an_overflowing_estimate_exits_1_and_prints_no_infinity(self):
+        # at beta 2 the 0.99 run halted past index 1,023, where beta^k is
+        # inf; this used to exit 0 with "estimates": [7.0, Infinity]
+        proc = subprocess.run(
+            [sys.executable, "-m", "uqe.cli", "quantiles", "--input", SMOKE,
+             "--column", "value", "--qs", "0.5,0.99", "--lower", "0", "--beta", "2",
+             "--eps1", "0.05", "--eps2", "0.05", "--seed", "4"],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )  # fmt: skip
+        assert proc.returncode == 1, proc.stdout
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error:"), proc.stderr
+        assert "beta 2.0" in proc.stderr and "index 1023" in proc.stderr, proc.stderr
+
     def test_monotone_estimates(self, capsys):
         code, payload = run_cli(
             capsys,

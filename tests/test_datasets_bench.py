@@ -18,7 +18,7 @@ from conftest import emq_draw_oracle
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from uqe import bench
+from uqe import bench, quantile
 from uqe.aggregates import clipped_sum
 from uqe.bench import (
     EMQ_SUM_QS,
@@ -33,7 +33,7 @@ from uqe.bench import (
 from uqe.datasets import generate_synthetic, load_csv, perturb, true_quantile
 from uqe.emq import BoundedRange, _interval_edges
 from uqe.noise import NoiseKind, NoiseSpec, RandomSource, sample
-from uqe.quantile import Dataset, QuantileRequest, estimate_quantile
+from uqe.quantile import Dataset, QuantileRequest, build_histogram, estimate_quantile
 
 
 def quantile_oracle(values, q):
@@ -614,6 +614,64 @@ def test_each_resample_is_bucketed_sorted_and_scored_once(monkeypatch):
     calls.clear()
     run_sum_experiment(small_spec(outer_trials=2, declared_range=BoundedRange(-5.0, 5.0)))
     assert calls == {"build_histogram": 2, "_interval_edges": 2}
+
+
+@st.composite
+def uqe_block_cases(draw):
+    """A histogram at lower bound 0 with a bench query cap, and the levels
+    and budgets of its blocks. Data far above the lower bound leave a long
+    run of zero counts ahead of them, in which a low level's first window
+    lies and misses, so it falls back to the one-level release; a cap
+    below the data leaves levels that exhaust."""
+    beta = draw(st.sampled_from([1.001, 1.01, 2.0]))
+    lead = draw(st.sampled_from([0.0, 1.0, 30.0, 1e4]))
+    n = draw(st.integers(1, 300))
+    spread = draw(st.sampled_from([0.01, 1.0, 3.0]))
+    data = lead + RandomSource(draw(st.integers(0, 2**32 - 1))).gen.lognormal(0.0, spread, n)
+    cap = draw(st.sampled_from([None, 1, 255, 256, 700, 5000]))
+    levels = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=25))
+    eps_grid = draw(st.lists(st.sampled_from([0.01, 0.3, 1.0, 8.0]), min_size=1, max_size=3))
+    return data, beta, cap, tuple(levels), eps_grid
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=uqe_block_cases(), seed=st.integers(0, 2**32 - 1))
+def test_a_uqe_block_releases_what_the_per_level_loop_releases(case, seed):
+    data, beta, cap, levels, eps_grid = case
+    with pytest.MonkeyPatch.context() as mp:
+        if cap is not None:
+            mp.setattr(bench, "DEFAULT_MAX_QUERIES", cap)
+        hist = build_histogram(data, beta, 0.0, bench.DEFAULT_MAX_QUERIES)
+        source = RandomSource(seed)
+        for b, eps in enumerate(eps_grid):
+            streams = [b * len(levels) + i for i in range(len(levels))]
+            block = bench._uqe_block(hist, levels, eps, source, streams)
+            loop = [bench._uqe_release(hist, q, eps, source, s) for q, s in zip(levels, streams)]
+            assert block.tobytes() == np.array(loop).tobytes()
+
+
+def test_a_uqe_block_runs_alone_only_the_levels_its_batch_leaves_undecided(monkeypatch):
+    # 500 points near 51 at beta 1.01: buckets from about 360 on, behind a
+    # run of zero counts. At eps 1 the lowest levels' thresholds are within
+    # the noise's reach of zero, so their first windows lie in that run and
+    # miss; every other level halts in its first window.
+    data = 51.0 + RandomSource(3).gen.normal(0.0, 5.0, 500)
+    hist = build_histogram(data, 1.01, 0.0, bench.DEFAULT_MAX_QUERIES)
+    levels = tuple(round(0.05 * i, 2) for i in range(1, 20))
+    alone = []
+    run = quantile.run_above_threshold
+
+    def counted(stream, cfg, rng):
+        alone.append(cfg.threshold)
+        return run(stream, cfg, rng)
+
+    monkeypatch.setattr(quantile, "run_above_threshold", counted)
+    est = bench._uqe_block(hist, levels, 1.0, RandomSource(8), range(19))
+    assert sorted(alone) == [q * 500 for q in levels[: len(alone)]]
+    assert 1 <= len(alone) <= 3
+    monkeypatch.setattr(quantile, "run_above_threshold", run)
+    loop = [bench._uqe_release(hist, q, 1.0, RandomSource(8), s) for q, s in zip(levels, range(19))]
+    assert est.tobytes() == np.array(loop).tobytes()
 
 
 class TestFigureEmission:

@@ -6,7 +6,16 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from uqe.noise import NOISE_REACH, NoiseKind, NoiseSpec, RandomSource, _to_uniform, pdf, sample
+from uqe.noise import (
+    NOISE_REACH,
+    NoiseKind,
+    NoiseSpec,
+    RandomSource,
+    _noise_of_words,
+    _to_uniform,
+    pdf,
+    sample,
+)
 
 ALL_KINDS = [NoiseKind.LAPLACE, NoiseKind.GUMBEL, NoiseKind.EXPONENTIAL]
 
@@ -92,6 +101,18 @@ def test_rekey_is_a_fresh_source_on_that_stream(stream):
         assert rng.gen.integers(0, 10, 3).tolist() == fresh.gen.integers(0, 10, 3).tolist()
 
 
+@pytest.mark.parametrize("skip", [0, 1, 3, 4, 5, 255, 1023, 1024, 4099, 2**70 + 3])
+def test_rekey_past_uniforms_is_a_fresh_source_that_skipped_them(skip):
+    rng = RandomSource(17, 3)
+    rng.gen.integers(0, 10)  # a spare 32-bit half-word the re-key drops
+    rng._rekey(2**64 - 1, skip)
+    fresh = RandomSource(17, 2**64 - 1)
+    fresh.skip(skip)
+    assert plain(rng.gen.bit_generator.state) == plain(fresh.gen.bit_generator.state)
+    assert rng.stream == 2**64 - 1 and repr(rng) == repr(fresh)
+    assert rng.uniform_open(9).tobytes() == fresh.uniform_open(9).tobytes()
+
+
 def test_uniform_open_avoids_endpoints():
     u = RandomSource(1).uniform_open(200_000)
     assert u.min() > 0.0
@@ -149,16 +170,6 @@ def test_noise_kind_parse():
 U53 = 2**53
 
 
-class Fixed:
-    """A stand-in source whose every uniform is u."""
-
-    def __init__(self, u):
-        self.u = u
-
-    def uniform_open(self, size=None):
-        return self.u if size is None else np.full(size, self.u)
-
-
 @pytest.mark.parametrize(
     "k, want",
     [
@@ -174,16 +185,42 @@ def test_uniform_map_stays_inside_the_open_interval(k, want):
     scalar = _to_uniform(np.int64(k))
     array = _to_uniform(np.array([k, k], dtype=np.int64))
     assert scalar == want and array.tolist() == [want, want]
+    # the raw words whose top 53 bits are k, as random_raw gives one (an
+    # int) and many (an array); the low 11 bits play no part
+    word = k << 11
+    words = np.array([word, word | 0x7FF], dtype=np.uint64)
     for kind in ALL_KINDS:
         for b in (1e-3, 1.0, 7.5):
             spec = NoiseSpec(kind, b)
-            for z in (sample(spec, Fixed(scalar)), *sample(spec, Fixed(scalar), 2)):
-                assert np.isfinite(z) and abs(z) <= NOISE_REACH * b
+            one, two = _noise_of_words(spec, word), _noise_of_words(spec, words)
+            assert two.tolist() == [one, one]
+            assert np.isfinite(one) and abs(one) <= NOISE_REACH * b
 
 
 def test_noise_reach_is_within_one_scale_of_the_largest_value():
-    top = sample(NoiseSpec(NoiseKind.EXPONENTIAL, 1.0), Fixed(_to_uniform(np.int64(0))))
+    top = _noise_of_words(NoiseSpec(NoiseKind.EXPONENTIAL, 1.0), 0)
     assert NOISE_REACH - 1.0 < top <= NOISE_REACH
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@pytest.mark.parametrize("size", [None, 1, 7, (2, 3)])
+def test_sample_is_the_noise_of_the_words_it_draws(kind, size):
+    spec = NoiseSpec(kind, 0.5)
+    drawn, raw = RandomSource(8, 1), RandomSource(8, 1)
+    got = sample(spec, drawn, size)
+    want = _noise_of_words(spec, raw.gen.bit_generator.random_raw(size))
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    assert np.shape(got) == np.shape(want)
+    # and each value is the inverse CDF at the uniform uniform_open gives
+    u = RandomSource(8, 1).uniform_open(size)
+    if kind is NoiseKind.LAPLACE:
+        v = 2.0 * u - 1.0
+        inverse = -0.5 * np.sign(v) * np.log1p(-np.abs(v))
+    elif kind is NoiseKind.GUMBEL:
+        inverse = -0.5 * np.log(-np.log(u))
+    else:
+        inverse = -0.5 * np.log(u)
+    assert np.asarray(got).tobytes() == np.asarray(inverse).tobytes()
 
 
 def with_state(rng, counter, buffer_pos):

@@ -224,6 +224,25 @@ def test_grids_of_one_beta_share_their_powers_and_no_other_grid_sees_them():
     assert a.powers(300).tobytes() == GeometricGrid(beta, 0.0).powers(300).tobytes()
 
 
+def test_lookups_in_increasing_order_copy_the_power_cache_log_times():
+    # each lookup needs a power or two past the ones cached so far; a cache
+    # grown to exactly the size asked for would be copied on every one
+    beta = 1.0 + 2.0**-24
+    quantile._POWERS.pop(beta, None)
+    grid, copies, cache = GeometricGrid(beta, 0.0), 0, None
+    try:
+        for i in range(1, 20_000):
+            grid.max_index_at_most(beta**i)
+            if quantile._POWERS[beta] is not cache:
+                copies, cache = copies + 1, quantile._POWERS[beta]
+        assert 20_000 <= cache.size <= 2 * 20_002
+        assert copies <= math.log2(cache.size) + 2
+        # the same floats as one multiplication after another
+        assert cache.tobytes() == reference.powers(beta, cache.size - 1).tobytes()
+    finally:
+        quantile._POWERS.pop(beta, None)
+
+
 def test_histogram_holds_increasing_non_empty_buckets():
     grid = GeometricGrid(1.1, 0.0)
     hist = LogBucketHistogram(grid, [2, 5], [3, 4])

@@ -14,6 +14,7 @@ sparse histogram give.
 """
 
 import gc
+import itertools
 import math
 import time
 import tracemalloc
@@ -28,7 +29,7 @@ from hypothesis import strategies as st
 from uqe import quantile, sparse_vector
 from uqe.accounting import multi_quantile_guarantee
 from uqe.emq import uqe_pdf_curve
-from uqe.noise import NoiseKind, RandomSource, sample
+from uqe.noise import NOISE_REACH, NoiseKind, NoiseSpec, RandomSource, _noise_of_words, sample
 from uqe.quantile import (
     Dataset,
     GeometricGrid,
@@ -47,6 +48,7 @@ from uqe.sparse_vector import (
     QueryStream,
     SvtConfig,
     SvtOutcome,
+    _first_window_halts,
     _first_within,
     gumbel_halt_log_pmf,
     run_above_threshold,
@@ -278,6 +280,55 @@ def test_runner_on_non_monotone_runs_is_the_model_loop(kind, runs, length, cap, 
     assert_runs_as_the_model(stream, config(kind, 1.0, 0.7, 0.0), seed)
 
 
+@PROPERTY
+@given(
+    kind=KINDS,
+    eps1=st.floats(0.01, 5.0),
+    eps2=st.floats(0.01, 5.0),
+    lead=st.sampled_from([0, 1, 200, 300, 2000]),
+    head=st.lists(st.integers(0, 40), max_size=400),
+    thresholds=st.lists(st.floats(-20.0, 3000.0), min_size=1, max_size=12),
+    cap=CAPS,
+    seed=SEEDS,
+)
+# a run of zeros ahead of the data, as in a counting stream: a window that
+# lies in it misses whatever the noise, and the run is left undecided
+@example(
+    kind=NoiseKind.EXPONENTIAL,
+    eps1=0.5,
+    eps2=0.5,
+    lead=300,
+    head=[5] * 40,
+    thresholds=[10.0, 100.0],
+    cap=200_000,
+    seed=1,
+)
+def test_first_window_batch_halts_where_the_model_halts(
+    kind, eps1, eps2, lead, head, thresholds, cap, seed
+):
+    # run i is the model's run on a fresh RandomSource(seed, keys[i]); the
+    # batch must give its halt exactly when that halt lies in the first
+    # 256 queries from the first one within reach, and the window ends at
+    # or before the cap, and 0 otherwise
+    if kind is NoiseKind.GUMBEL:
+        eps2 = eps1
+    values = np.concatenate((np.zeros(lead), np.cumsum(head, dtype=float)))
+    stream = head_stream(values, values[-1] + 1.0 if values.size else 0.0, cap)
+    keys = [7 * i + 3 for i in range(len(thresholds))]
+    halts = _first_window_halts(
+        stream, np.array(thresholds), eps1, eps2, kind, RandomSource(seed), keys
+    )
+    queries = list(itertools.islice(model_queries(stream), cap))
+    reach = NOISE_REACH * (1.0 / eps2)
+    for t, key, halt in zip(thresholds, keys, halts.tolist()):
+        cfg = config(kind, eps1, eps2, t)
+        want = reference.above_threshold(queries, cap, cfg, RandomSource(seed, key))
+        noisy_t = t + sample(NoiseSpec(kind, 1.0 / eps1), RandomSource(seed, key))
+        first = next((o for o, f in enumerate(queries) if f + reach >= noisy_t), cap)
+        decided = first + 256 <= cap and not want.exhausted and want.index <= first + 256
+        assert halt == (want.index if decided else 0)
+
+
 def test_reach_test_rounds_as_the_hit_test_does():
     # 2**53 + 2 + 1 rounds to 2**53 + 4, so with a reach of 1 the query can
     # clear 2**53 + 4; testing f >= 2**53 + 4 - 1 would round up and skip it
@@ -312,12 +363,12 @@ def test_a_scan_computes_noise_only_near_its_halt(kind, monkeypatch):
     # 13,800, and only the queries past the first one within reach get noise
     computed = []
 
-    def counting_sample(spec, rng, size=None):
-        out = sample(spec, rng, size)
+    def counting_noise(spec, words):
+        out = _noise_of_words(spec, words)
         computed.append(np.size(out))
         return out
 
-    monkeypatch.setattr(sparse_vector, "sample", counting_sample)
+    monkeypatch.setattr(sparse_vector, "_noise_of_words", counting_noise)
     x = RandomSource(40).gen.lognormal(math.log(1e6), 0.8, 1000)
     req = QuantileRequest.even_split(0.5, 1.0, beta=1.001, noise=kind)
     for seed in range(5):
