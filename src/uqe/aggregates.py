@@ -24,6 +24,7 @@ from .quantile import (
     _part_cuts,
     _release,
     build_histogram,
+    check_beta,
 )
 from .sparse_vector import check_eps
 
@@ -67,10 +68,13 @@ class SumConfig:
         check_eps(self.eps)
         if not 0.0 < self.q <= 1.0:
             raise ValueError("q must lie in (0, 1]")
-        if self.method is ClipMethod.EMQ and self.emq_range is None:
-            raise ValueError("the EMQ clip method needs a declared range")
+        if (self.emq_range is None) == (self.method is ClipMethod.EMQ):
+            raise ValueError("the EMQ clip needs a declared range, and the UQE one reads none")
         if self.threshold_mode not in (None, *THRESHOLD_MODES):
             raise ValueError(f"threshold_mode must be None or one of {THRESHOLD_MODES}")
+        if self.threshold_mode is not None and self.method is not ClipMethod.UQE:
+            raise ValueError("threshold_mode moves the uqe clip's threshold; emq has none")
+        check_beta(self.beta)
 
 
 @dataclass(frozen=True)

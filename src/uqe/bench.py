@@ -34,9 +34,8 @@ from .emq import (
 )
 from .noise import NoiseKind, NoiseSpec, RandomSource, sample
 from .quantile import (
+    GeometricGrid,
     LogBucketHistogram,
-    QuantileRequest,
-    _release,
     build_histogram,
     check_beta,
     counting_query_stream,
@@ -100,6 +99,8 @@ class ExperimentSpec:
             raise ValueError("the quantile grid must be non-empty with levels in [0, 1]")
         for eps in self.eps_grid:
             check_eps(eps)
+            if "uqe" in self.methods:  # its runs take the even split
+                check_eps(eps / 2.0, "eps1")
         check_perturb_scale(self.perturb_scale)
         check_beta(self.beta)
         check_beta(self.sum_beta, "sum_beta")
@@ -132,58 +133,52 @@ def _draw_sample(
     return clean, perturb(clean, spec.perturb_scale, source)
 
 
-def _prepare(
-    spec: ExperimentSpec, noisy: np.ndarray, lower: float, beta: float
-) -> tuple[LogBucketHistogram | None, tuple[np.ndarray, ...] | None]:
-    """The O(n) work every release on one resample shares: the grid
-    histogram for uqe, and for emq the sorted interval edges with their
+def _prepare(spec: ExperimentSpec, noisy: np.ndarray, lower: float, beta: float) -> dict:
+    """The O(n) work every release on one resample shares, by method: the
+    grid histogram for uqe, and for emq the sorted interval edges with their
     _interval_logs, each only when its method runs. Neither draws
     randomness."""
-    hist = intervals = None
+    prepared = {}
     if "uqe" in spec.methods:
-        hist = build_histogram(noisy, beta, lower, DEFAULT_MAX_QUERIES)
+        prepared["uqe"] = build_histogram(noisy, beta, lower, DEFAULT_MAX_QUERIES)
     if "emq" in spec.methods:
         edges = _interval_edges(noisy, spec.declared_range)
-        intervals = (edges, *_interval_logs(edges))
-    return hist, intervals
+        prepared["emq"] = (edges, *_interval_logs(edges))
+    return prepared
 
 
-def _request(hist: LogBucketHistogram, q: float, eps: float) -> QuantileRequest:
-    """The uqe request at level q: the even budget split, the histogram's
-    beta and the bench's query cap, which its histograms are built with."""
-    return QuantileRequest.even_split(
-        q, eps, beta=hist.grid.beta, max_queries=DEFAULT_MAX_QUERIES
+def _check_finite(estimates, beta: float) -> None:
+    """Released grid estimates, which JSON can print only when finite. A
+    candidate beta^k + ell - 1 is inf once beta^k passes the float range,
+    or a little sooner above a lower bound near it: a ValueError that names
+    the last index before that. A release that overflowed has read the
+    powers that far, or nearly, so finding the index costs little."""
+    if np.isfinite(estimates).all():
+        return
+    top = GeometricGrid(beta, 0.0).max_index_at_most(np.finfo(float).max)
+    raise ValueError(
+        f"a released estimate is not finite: at beta {beta!r} the grid's "
+        f"candidates overflow a float past index {top}"
     )
-
-
-def _uqe_release(
-    hist: LogBucketHistogram, q: float, eps: float, source: RandomSource, stream: int
-) -> float:
-    """The uqe release at level q from mechanism stream `stream`."""
-    source._rekey(_MECH_BASE + stream)
-    return _release(hist, _request(hist, q, eps), source).value
 
 
 def _uqe_block(
     hist: LogBucketHistogram, qs, eps: float, source: RandomSource, streams
 ) -> np.ndarray:
     """The uqe releases at the levels qs, level i from mechanism stream
-    streams[i]: _uqe_release's values, bit for bit. Every run's first
-    window is decided as one batch (sparse_vector._first_window_halts);
-    only a level whose halt lies past it is released on its own."""
-    req = _request(hist, float(qs[0]), eps)
-    stream = counting_query_stream(hist, req.max_queries)
+    streams[i]: the grid values of one batch of AboveThreshold runs
+    (sparse_vector._first_window_halts) at thresholds q * n, with the even
+    split eps / 2, exponential noise and the bench's query cap. A value
+    that overflows a float is a ValueError, before it is scored."""
+    stream = counting_query_stream(hist, DEFAULT_MAX_QUERIES)
     thresholds = np.asarray(qs, dtype=float) * hist.n
     keys = [_MECH_BASE + s for s in streams]
     halts = _first_window_halts(
-        stream, thresholds, req.eps1, req.eps2, req.noise, source, keys
+        stream, thresholds, eps / 2.0, eps / 2.0, NoiseKind.EXPONENTIAL, source, keys
     )
-    return np.array(
-        [
-            hist.grid.value(h) if h else _uqe_release(hist, q, eps, source, s)
-            for h, q, s in zip(halts.tolist(), qs, streams)
-        ]
-    )
+    est = np.array([hist.grid.value(h) for h in halts.tolist()])
+    _check_finite(est, hist.grid.beta)
+    return est
 
 
 def _emq_block(
@@ -196,6 +191,10 @@ def _emq_block(
         source._rekey(_MECH_BASE + stream)
         row[...] = source.uniform_open(row.size)
     return _draw_from_edges(*intervals, qs, eps, uniforms)
+
+
+# each method's block: its releases at levels qs from what _prepare made
+_BLOCKS = {"uqe": _uqe_block, "emq": _emq_block}
 
 
 def run_quantile_experiment(spec: ExperimentSpec) -> list[ResultRecord]:
@@ -220,15 +219,12 @@ def run_quantile_experiment(spec: ExperimentSpec) -> list[ResultRecord]:
         clean, noisy = _draw_sample(spec, t, source)
         noisy = np.clip(noisy, rr.a, rr.b)
         refs = true_quantile(clean, levels)
-        hist, intervals = _prepare(spec, noisy, rr.a, spec.beta)
+        prepared = _prepare(spec, noisy, rr.a, spec.beta)
         for b, (eps, method) in enumerate(blocks):
             first = b * m
             streams = [c * outer + t for c in range(first, first + m)]
             start = time.perf_counter()
-            if method == "emq":
-                est = _emq_block(intervals, levels, eps, source, streams)
-            else:
-                est = _uqe_block(hist, spec.quantile_grid, eps, source, streams)
+            est = _BLOCKS[method](prepared[method], levels, eps, source, streams)
             runtime[first : first + m] += (time.perf_counter() - start) / m
             if spec.round_outputs:
                 np.rint(est, out=est)
@@ -276,15 +272,12 @@ def run_sum_experiment(spec: ExperimentSpec) -> list[ResultRecord]:
         clean, noisy = _draw_sample(spec, t, source)
         noisy = np.clip(noisy, 0.0, rr.b)
         total = clean.sum()
-        hist, intervals = _prepare(spec, noisy, 0.0, spec.sum_beta)
+        prepared = _prepare(spec, noisy, 0.0, spec.sum_beta)
         r = 0
         for b, (eps, method, qs) in enumerate(blocks):
             start = time.perf_counter()
             streams = [2 * ((r + i) * outer + t) for i in range(len(qs))]
-            if method == "emq":
-                clips = _emq_block(intervals, qs, eps, source, streams)
-            else:
-                clips = [_uqe_release(hist, qs[0], eps, source, streams[0])]
+            clips = _BLOCKS[method](prepared[method], qs, eps, source, streams)
             for clip, stream in zip(clips, streams):
                 if clip <= 0.0:
                     clip = _clip_floor(rr)
@@ -347,7 +340,8 @@ def normalized_error_rows(records: list[ResultRecord]) -> list[dict]:
 
 def records_to_json(records: list[ResultRecord], include_runtime: bool = False) -> str:
     """Canonical JSON: fixed key order and separators, so reruns are comparable
-    byte for byte. Runtimes vary between runs and are opt-in."""
+    byte for byte. Runtimes vary between runs and are opt-in. JSON has no
+    inf or NaN: a record that holds one is a ValueError."""
     payload = [dict(vars(r)) for r in records]
     if not include_runtime:
         for row in payload:
@@ -358,7 +352,7 @@ def records_to_json(records: list[ResultRecord], include_runtime: bool = False) 
     # of json's C encoder, which any indent would bypass for its pure-Python
     # one. The item separator breaks the lines inside a record; a JSON string
     # holds no raw newline, so of flat records "},\n    {" joins two records.
-    text = json.dumps(payload, sort_keys=True, separators=(",\n    ", ": "))
+    text = json.dumps(payload, sort_keys=True, separators=(",\n    ", ": "), allow_nan=False)
     text = text[2:-2].replace("},\n    {", "\n  },\n  {\n    ")
     return "[\n  {\n    " + text + "\n  }\n]\n"
 

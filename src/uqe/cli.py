@@ -28,6 +28,7 @@ from .accounting import (
 from .aggregates import THRESHOLD_MODES, ClipMethod, SumConfig, dp_mean, dp_sum
 from .bench import (
     ExperimentSpec,
+    _check_finite,
     emit_pdf_figures,
     normalized_error_rows,
     records_to_json,
@@ -39,7 +40,6 @@ from .emq import BoundedRange
 from .noise import NoiseKind, RandomSource
 from .quantile import (
     Dataset,
-    GeometricGrid,
     QuantileRequest,
     estimate_multiple_quantiles,
     estimate_quantile,
@@ -93,29 +93,15 @@ def _float_list(text: str) -> tuple[float, ...]:
 
 
 def _emit(payload, out: str | None) -> None:
+    """Write JSON text, or a dict as JSON, which has no inf or NaN."""
     if isinstance(payload, str):
         text = payload
     else:
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
     if out:
         Path(out).write_text(text)
     else:
         sys.stdout.write(text)
-
-
-def _check_finite(estimates, beta: float) -> None:
-    """Released grid estimates, which JSON can print only when finite. A
-    candidate beta^k + ell - 1 is inf once beta^k passes the float range,
-    or a little sooner above a lower bound near it: a ValueError that names
-    the last index before that. A release that overflowed has read the
-    powers that far, or nearly, so finding the index costs little."""
-    if all(math.isfinite(v) for v in estimates):
-        return
-    top = GeometricGrid(beta, 0.0).max_index_at_most(sys.float_info.max)
-    raise ValueError(
-        f"a released estimate is not finite: at beta {beta!r} the grid's "
-        f"candidates overflow a float past index {top}"
-    )
 
 
 def _request(args, q: float, eps1: float, eps2: float) -> QuantileRequest:
@@ -231,6 +217,8 @@ def cmd_account(args) -> tuple[dict, int]:
     if args.q is not None:
         _check_q(args.q)
     if args.num_quantiles is not None:
+        if args.query_class is not None or args.q is not None:
+            raise ValueError("--num-quantiles gives the joint budget: drop --query-class and --q")
         _check_multi_quantile_neighbor(NeighborModel(args.neighbor))
         budget = multi_quantile_guarantee(args.num_quantiles, args.eps1, args.eps2, noise)
         return {"multi_quantile": asdict(budget)}, 0
@@ -268,6 +256,9 @@ def _bench_data(args):
 
 
 def cmd_bench(args) -> tuple[str, int]:
+    if args.experiment == "sum" and (args.curves is not None or args.round):
+        flag = "--curves" if args.curves is not None else "--round"
+        raise ValueError(f"{flag} applies to the quantile experiment only")
     data, name = _bench_data(args)
     qs = _float_list(args.qs) if args.qs is not None else tuple(
         round(0.05 + 0.05 * i, 2) for i in range(19)
@@ -468,10 +459,10 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         payload, code = args.handler(args)
+        _emit(payload, getattr(args, "out", None))
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _emit(payload, getattr(args, "out", None))
     return code
 
 

@@ -21,12 +21,11 @@ wall time therefore depends on how many runs come before the data first
 comes within reach of the threshold: like the build time, it is a
 debug-only quantity, never one to release.
 
-Many runs on one counting stream, each on a generator of its own, are
-decided together where they halt in their first block
-(_first_window_halts): one array of noisy thresholds, one binary search
-for where each comes within reach, and one hit test over every run's
-block. A run that halts later is left to the runner, which draws the same
-words and so releases the same halt.
+Many runs on one counting stream, each on a generator of its own, run as
+one batch (_first_window_halts): one array of noisy thresholds, one binary
+search for where each comes within reach, and one hit test over every
+run's first block. A run that does not halt there finishes in the
+runner's own loop (_run_from), so every run reads the runner's words.
 
 For Gumbel noise with eps1 == eps2 the halt index has a closed-form PMF,
 which the verification suites use as ground truth; the same module provides
@@ -262,14 +261,21 @@ def run_above_threshold(
     f >= noisy threshold - reach rounds the subtraction, and with a bound
     that noise can attain it skips hits.
     """
-    bit_generator = rng.gen.bit_generator
     noisy_t = cfg.threshold + _noise_of_words(
-        _noise_spec(cfg.noise, 1.0 / cfg.eps1), bit_generator.random_raw()
+        _noise_spec(cfg.noise, 1.0 / cfg.eps1), rng.gen.bit_generator.random_raw()
     )
-    query_spec = _noise_spec(cfg.noise, 1.0 / cfg.eps2)
+    return _run_from(stream, noisy_t, _noise_spec(cfg.noise, 1.0 / cfg.eps2), rng, 0)
+
+
+def _run_from(
+    stream: QueryStream, noisy_t, query_spec: NoiseSpec, rng: RandomSource, drawn: int
+) -> SvtOutcome:
+    """run_above_threshold's loop from query offset drawn on, with rng on
+    uniform 1 + drawn: the queries before it are known to miss noisy_t."""
+    bit_generator = rng.gen.bit_generator
     reach = NOISE_REACH * query_spec.scale
     cap = stream.max_queries
-    drawn, size = 0, _FIRST_QUERY_BLOCK
+    size = _FIRST_QUERY_BLOCK
     while (start := _first_within(stream, drawn, reach, noisy_t)) < cap:
         if start > drawn:
             rng.skip(start - drawn)
@@ -298,18 +304,16 @@ def _first_window_halts(
     keys,
 ) -> np.ndarray:
     """The runs of many thresholds on one stream of nondecreasing values,
-    as every counting stream's are, decided from their first windows as one
-    batch: run i is run_above_threshold(stream, SvtConfig(eps1, eps2,
-    noise, thresholds[i]), rng) with rng a fresh RandomSource(source.seed,
-    keys[i]).
+    as every counting stream's are, as one batch: run i is
+    run_above_threshold(stream, SvtConfig(eps1, eps2, noise, thresholds[i]),
+    rng) with rng a fresh RandomSource(source.seed, keys[i]).
 
-    Returns each run's halt index where its first window of
-    _FIRST_QUERY_BLOCK queries, from the first query within reach, holds
-    its hit, and 0 where it does not, or where that window would reach the
-    cap: the caller runs those in full, and as the same words decide them,
-    a halt found here is the one that run returns. source is re-keyed to
-    each run's stream twice: for its threshold's uniform, then for its
-    window's.
+    Returns each run's halt index, or the cap where it exhausts. The
+    threshold words are noised as one array, and so is the first window of
+    _FIRST_QUERY_BLOCK queries from each run's first query within reach. A
+    run finishes in the runner's loop (_run_from) from the query after a
+    window that misses, or from that first query where the window would
+    reach the cap. source is re-keyed to the run's stream for each part.
     """
     raw = source.gen.bit_generator.random_raw
     words = np.empty(len(keys), dtype=np.uint64)
@@ -335,8 +339,14 @@ def _first_window_halts(
     hits = _hits(vals, words, query_spec, noisy_t[rows, None])
     h = hits.argmax(axis=1)
     hit = hits[np.arange(rows.size), h]
-    halts = np.zeros(len(keys), dtype=np.int64)
-    halts[rows[hit]] = at[rows[hit]] + h[hit] + 1
+    # a halt where the window hit, else the offset the run goes on from
+    halts = at.copy()
+    halts[rows] += np.where(hit, h + 1, size)
+    for i in np.setdiff1d(np.arange(len(keys)), rows[hit]).tolist():
+        resume = int(halts[i])
+        source._rekey(keys[i], 1 + resume)
+        outcome = _run_from(stream, noisy_t[i], query_spec, source, resume)
+        halts[i] = outcome.cap if outcome.exhausted else outcome.index
     return halts
 
 

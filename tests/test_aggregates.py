@@ -1,11 +1,20 @@
 """Tests for the private clipped-sum and mean procedures."""
 
+import math
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from uqe.aggregates import ClipMethod, SumConfig, SumResult, clipped_sum, dp_mean, dp_sum
+from uqe.aggregates import (
+    THRESHOLD_MODES,
+    ClipMethod,
+    SumConfig,
+    SumResult,
+    clipped_sum,
+    dp_mean,
+    dp_sum,
+)
 from uqe.emq import BoundedRange
 from uqe.noise import RandomSource
 
@@ -156,6 +165,32 @@ def test_private_sum_is_usually_close():
         for i in range(50)
     ]
     assert float(np.mean(errs)) < 60.0  # loose sanity bound, scale ~ sqrt(2)*10
+
+
+@pytest.mark.parametrize("beta", [1.0, 0.5, -2.0, math.inf, math.nan])
+@pytest.mark.parametrize("emq_range", [None, BoundedRange(0, 100)])
+def test_sum_config_checks_beta_for_either_method(beta, emq_range):
+    method = ClipMethod.UQE if emq_range is None else ClipMethod.EMQ
+    with pytest.raises(ValueError, match="beta"):
+        SumConfig(eps=1.0, method=method, beta=beta, emq_range=emq_range)
+
+
+def test_a_declared_range_goes_with_the_emq_clip_only():
+    # the UQE clip needs no range, and used to accept one and ignore it
+    with pytest.raises(ValueError, match="UQE one reads none"):
+        SumConfig(eps=1.0, emq_range=BoundedRange(0, 100))
+    with pytest.raises(ValueError, match="EMQ clip needs a declared range"):
+        SumConfig(eps=1.0, method=ClipMethod.EMQ)
+
+
+@pytest.mark.parametrize("mode", THRESHOLD_MODES)
+def test_threshold_mode_is_rejected_where_no_uqe_clip_reads_it(mode):
+    # the EMQ clip has no AboveThreshold threshold to move
+    with pytest.raises(ValueError, match="threshold_mode"):
+        SumConfig(
+            eps=1.0, method=ClipMethod.EMQ, emq_range=BoundedRange(0, 100), threshold_mode=mode
+        )
+    assert SumConfig(eps=1.0, threshold_mode=mode).threshold_mode == mode
 
 
 def test_validation():

@@ -433,6 +433,54 @@ class TestBadInputExits1:
                  "--outer", "1", "--qs", "0.5", "--range", "-5", "inf"],
                 "range",
             ),
+            # used to end in a traceback: the write ran outside the try
+            (["account", "--query-class", "general", "--out", "/nonexistent/dir/x.json"],
+             "x.json"),
+            # each used to print "rho_zcdp": Infinity, which is not JSON
+            (
+                ["account", "--query-class", "count-minus-qn", "--neighbor", "add-subtract",
+                 "--q", "0.5", "--eps1", "1e308", "--eps2", "1e308"],
+                "not JSON compliant",
+            ),
+            (["quantile", "--q", "0.5", "--lower", "0", "--eps1", "1e200", "--eps2", "1e200"],
+             "not JSON compliant"),
+            # each used to print "mae": Infinity after a numpy RuntimeWarning
+            (
+                ["bench", "--input", SMOKE, "--column", "value", "--range", "0", "100",
+                 "--sample-size", "100", "--outer", "2", "--qs", "0.5,0.99",
+                 "--beta", "1e300", "--methods", "uqe"],
+                "at beta 1e+300 the grid's candidates overflow a float past index 1",
+            ),
+            (
+                ["bench", "--input", SMOKE, "--column", "value", "--range", "0", "100",
+                 "--sample-size", "100", "--outer", "2", "--qs", "0.5,0.99",
+                 "--experiment", "sum", "--sum-beta", "1e300", "--eps", "0.01"],
+                "at beta 1e+300 the grid's candidates overflow a float past index 1",
+            ),
+            # a budget whose half, each uqe run's eps1 and eps2, is 0
+            (
+                ["bench", "--input", SMOKE, "--column", "value", "--range", "0", "100",
+                 "--sample-size", "100", "--outer", "1", "--qs", "0.5", "--eps", "5e-324"],
+                "eps1",
+            ),
+            # each used to release the EMQ clip and ignore the flag
+            (["sum", "--method", "emq", "--range", "0", "100", "--threshold-mode", "n"],
+             "threshold_mode"),
+            (["sum", "--method", "emq", "--range", "0", "100", "--beta", "0.5"], "beta"),
+            (["sum", "--range", "0", "100"], "UQE one reads none"),
+            # each used to exit 0 and drop the flag
+            (["account", "--num-quantiles", "3", "--query-class", "general"], "--query-class"),
+            (["account", "--num-quantiles", "3", "--q", "0.5"], "--q"),
+            (
+                ["bench", "--input", SMOKE, "--column", "value", "--range", "0", "100",
+                 "--experiment", "sum", "--curves", "/nonexistent/curves.csv"],
+                "--curves",
+            ),
+            (
+                ["bench", "--input", SMOKE, "--column", "value", "--range", "0", "100",
+                 "--experiment", "sum", "--round"],
+                "--round",
+            ),
         ],
     )
     def test_exits_1_with_an_error(self, capsys, argv, names):

@@ -18,7 +18,7 @@ from conftest import emq_draw_oracle
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from uqe import bench, quantile
+from uqe import bench, quantile, sparse_vector
 from uqe.aggregates import clipped_sum
 from uqe.bench import (
     EMQ_SUM_QS,
@@ -33,7 +33,7 @@ from uqe.bench import (
 from uqe.datasets import generate_synthetic, load_csv, perturb, true_quantile
 from uqe.emq import BoundedRange, _interval_edges
 from uqe.noise import NoiseKind, NoiseSpec, RandomSource, sample
-from uqe.quantile import Dataset, QuantileRequest, build_histogram, estimate_quantile
+from uqe.quantile import Dataset, QuantileRequest, _release, build_histogram, estimate_quantile
 
 
 def quantile_oracle(values, q):
@@ -621,9 +621,10 @@ def uqe_block_cases(draw):
     """A histogram at lower bound 0 with a bench query cap, and the levels
     and budgets of its blocks. Data far above the lower bound leave a long
     run of zero counts ahead of them, in which a low level's first window
-    lies and misses, so it falls back to the one-level release; a cap
-    below the data leaves levels that exhaust."""
-    beta = draw(st.sampled_from([1.001, 1.01, 2.0]))
+    lies and misses, so its run goes on past it; a cap below the data
+    leaves levels that exhaust. At beta 1e100 a halt past index 3 overflows
+    a float, which the block rejects."""
+    beta = draw(st.sampled_from([1.001, 1.01, 2.0, 1e100]))
     lead = draw(st.sampled_from([0.0, 1.0, 30.0, 1e4]))
     n = draw(st.integers(1, 300))
     spread = draw(st.sampled_from([0.01, 1.0, 3.0]))
@@ -632,6 +633,16 @@ def uqe_block_cases(draw):
     levels = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=25))
     eps_grid = draw(st.lists(st.sampled_from([0.01, 0.3, 1.0, 8.0]), min_size=1, max_size=3))
     return data, beta, cap, tuple(levels), eps_grid
+
+
+def one_level_release(hist, q, eps, source, stream):
+    """The uqe release at level q on its own: the even split, the bench's
+    query cap and a source re-keyed to mechanism stream `stream`."""
+    source._rekey(bench._MECH_BASE + stream)
+    req = QuantileRequest.even_split(
+        q, eps, beta=hist.grid.beta, max_queries=bench.DEFAULT_MAX_QUERIES
+    )
+    return _release(hist, req, source).value
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -645,33 +656,44 @@ def test_a_uqe_block_releases_what_the_per_level_loop_releases(case, seed):
         source = RandomSource(seed)
         for b, eps in enumerate(eps_grid):
             streams = [b * len(levels) + i for i in range(len(levels))]
-            block = bench._uqe_block(hist, levels, eps, source, streams)
-            loop = [bench._uqe_release(hist, q, eps, source, s) for q, s in zip(levels, streams)]
-            assert block.tobytes() == np.array(loop).tobytes()
+            loop = np.array(
+                [one_level_release(hist, q, eps, source, s) for q, s in zip(levels, streams)]
+            )
+            if np.isfinite(loop).all():
+                block = bench._uqe_block(hist, levels, eps, source, streams)
+                assert block.tobytes() == loop.tobytes()
+            else:
+                with pytest.raises(ValueError, match="not finite"):
+                    bench._uqe_block(hist, levels, eps, source, streams)
 
 
-def test_a_uqe_block_runs_alone_only_the_levels_its_batch_leaves_undecided(monkeypatch):
+def test_a_uqe_block_noises_each_threshold_word_once_and_runs_no_level_alone(monkeypatch):
     # 500 points near 51 at beta 1.01: buckets from about 360 on, behind a
     # run of zero counts. At eps 1 the lowest levels' thresholds are within
     # the noise's reach of zero, so their first windows lie in that run and
-    # miss; every other level halts in its first window.
+    # miss, and their runs go on past them.
     data = 51.0 + RandomSource(3).gen.normal(0.0, 5.0, 500)
     hist = build_histogram(data, 1.01, 0.0, bench.DEFAULT_MAX_QUERIES)
     levels = tuple(round(0.05 * i, 2) for i in range(1, 20))
-    alone = []
-    run = quantile.run_above_threshold
+    keys = [bench._MECH_BASE + s for s in range(19)]
+    threshold_words = [RandomSource(8, key).gen.bit_generator.random_raw() for key in keys]
+    noised = []
+    noise_of_words = sparse_vector._noise_of_words
 
-    def counted(stream, cfg, rng):
-        alone.append(cfg.threshold)
-        return run(stream, cfg, rng)
+    def counted(spec, words):
+        noised.extend(np.ravel(words).tolist())
+        return noise_of_words(spec, words)
 
-    monkeypatch.setattr(quantile, "run_above_threshold", counted)
+    def alone(*args, **kwargs):
+        raise AssertionError("a level ran on its own")
+
+    monkeypatch.setattr(sparse_vector, "_noise_of_words", counted)
+    monkeypatch.setattr(sparse_vector, "run_above_threshold", alone)
+    monkeypatch.setattr(quantile, "run_above_threshold", alone)
     est = bench._uqe_block(hist, levels, 1.0, RandomSource(8), range(19))
-    assert sorted(alone) == [q * 500 for q in levels[: len(alone)]]
-    assert 1 <= len(alone) <= 3
-    monkeypatch.setattr(quantile, "run_above_threshold", run)
-    loop = [bench._uqe_release(hist, q, 1.0, RandomSource(8), s) for q, s in zip(levels, range(19))]
-    assert est.tobytes() == np.array(loop).tobytes()
+    # the lowest level halted past its first window [0, 256)
+    assert est[0] > hist.grid.value(256)
+    assert [noised.count(w) for w in threshold_words] == [1] * 19
 
 
 class TestFigureEmission:
@@ -706,7 +728,7 @@ class TestRecordJson:
     def test_bytes_are_those_of_the_indented_encoder(self, include_runtime, size):
         names = ["plain", 'q"uo}te,d\nlineé中', '},\n    {"x": 1}']
         recs = [
-            ResultRecord(names[i], "sum", "emq", 0.5, 0.1 * i, math.nan, -1e300, 9, 3, 0.25 * i)
+            ResultRecord(names[i], "sum", "emq", 0.5, 0.1 * i, 5e-324, -1e300, 9, 3, 0.25 * i)
             for i in range(size)
         ]
         rows = [dict(vars(r)) for r in recs]
@@ -715,3 +737,10 @@ class TestRecordJson:
                 del row["runtime"]
         expected = json.dumps(rows, sort_keys=True, indent=2) + "\n"
         assert records_to_json(recs, include_runtime=include_runtime) == expected
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_a_record_json_cannot_print_is_a_value_error(self, value):
+        # JSON has no NaN or Infinity, which json.dumps would print by default
+        rec = ResultRecord("d", "quantile", "uqe", 1.0, 0.5, value, 0.1, 10, 1)
+        with pytest.raises(ValueError, match="JSON"):
+            records_to_json([rec])

@@ -29,7 +29,7 @@ from hypothesis import strategies as st
 from uqe import quantile, sparse_vector
 from uqe.accounting import multi_quantile_guarantee
 from uqe.emq import uqe_pdf_curve
-from uqe.noise import NOISE_REACH, NoiseKind, NoiseSpec, RandomSource, _noise_of_words, sample
+from uqe.noise import NoiseKind, RandomSource, _noise_of_words
 from uqe.quantile import (
     Dataset,
     GeometricGrid,
@@ -291,8 +291,7 @@ def test_runner_on_non_monotone_runs_is_the_model_loop(kind, runs, length, cap, 
     cap=CAPS,
     seed=SEEDS,
 )
-# a run of zeros ahead of the data, as in a counting stream: a window that
-# lies in it misses whatever the noise, and the run is left undecided
+# a run of zeros ahead of the data, as in a counting stream
 @example(
     kind=NoiseKind.EXPONENTIAL,
     eps1=0.5,
@@ -303,13 +302,46 @@ def test_runner_on_non_monotone_runs_is_the_model_loop(kind, runs, length, cap, 
     cap=200_000,
     seed=1,
 )
+# a threshold of 60 is within reach from the first query, but no noise
+# lifts a zero to it: the run halts in the data, past its first 256 queries
+@example(
+    kind=NoiseKind.LAPLACE,
+    eps1=0.5,
+    eps2=0.5,
+    lead=2000,
+    head=[100] * 5,
+    thresholds=[60.0],
+    cap=200_000,
+    seed=2,
+)
+# a cap inside the first window: no window is tested as a batch
+@example(
+    kind=NoiseKind.GUMBEL,
+    eps1=1.0,
+    eps2=1.0,
+    lead=0,
+    head=[1] * 50,
+    thresholds=[20.0, 45.0],
+    cap=100,
+    seed=3,
+)
+# runs that exhaust: 100 is within reach of the last value, 41, but out
+# of the noise's range of it; nothing reaches 3000
+@example(
+    kind=NoiseKind.EXPONENTIAL,
+    eps1=0.5,
+    eps2=0.5,
+    lead=0,
+    head=[1] * 40,
+    thresholds=[100.0, 3000.0],
+    cap=2000,
+    seed=4,
+)
 def test_first_window_batch_halts_where_the_model_halts(
     kind, eps1, eps2, lead, head, thresholds, cap, seed
 ):
     # run i is the model's run on a fresh RandomSource(seed, keys[i]); the
-    # batch must give its halt exactly when that halt lies in the first
-    # 256 queries from the first one within reach, and the window ends at
-    # or before the cap, and 0 otherwise
+    # batch gives its halt, or the cap where it exhausts
     if kind is NoiseKind.GUMBEL:
         eps2 = eps1
     values = np.concatenate((np.zeros(lead), np.cumsum(head, dtype=float)))
@@ -319,14 +351,10 @@ def test_first_window_batch_halts_where_the_model_halts(
         stream, np.array(thresholds), eps1, eps2, kind, RandomSource(seed), keys
     )
     queries = list(itertools.islice(model_queries(stream), cap))
-    reach = NOISE_REACH * (1.0 / eps2)
     for t, key, halt in zip(thresholds, keys, halts.tolist()):
         cfg = config(kind, eps1, eps2, t)
         want = reference.above_threshold(queries, cap, cfg, RandomSource(seed, key))
-        noisy_t = t + sample(NoiseSpec(kind, 1.0 / eps1), RandomSource(seed, key))
-        first = next((o for o, f in enumerate(queries) if f + reach >= noisy_t), cap)
-        decided = first + 256 <= cap and not want.exhausted and want.index <= first + 256
-        assert halt == (want.index if decided else 0)
+        assert halt == (want.cap if want.exhausted else want.index)
 
 
 def test_reach_test_rounds_as_the_hit_test_does():
