@@ -24,8 +24,9 @@ debug-only quantity, never one to release.
 Many runs on one counting stream, each on a generator of its own, run as
 one batch (_first_window_halts): one array of noisy thresholds, one binary
 search for where each comes within reach, and one hit test over every
-run's first block. A run that does not halt there finishes in the
-runner's own loop (_run_from), so every run reads the runner's words.
+run's first block. A run that does not halt there goes on in the runner,
+with the queries its block tested made -inf (_past): the runner skips
+their uniforms, so it tests each query once and halts where the run does.
 
 For Gumbel noise with eps1 == eps2 the halt index has a closed-form PMF,
 which the verification suites use as ground truth; the same module provides
@@ -261,21 +262,14 @@ def run_above_threshold(
     f >= noisy threshold - reach rounds the subtraction, and with a bound
     that noise can attain it skips hits.
     """
-    noisy_t = cfg.threshold + _noise_of_words(
-        _noise_spec(cfg.noise, 1.0 / cfg.eps1), rng.gen.bit_generator.random_raw()
-    )
-    return _run_from(stream, noisy_t, _noise_spec(cfg.noise, 1.0 / cfg.eps2), rng, 0)
-
-
-def _run_from(
-    stream: QueryStream, noisy_t, query_spec: NoiseSpec, rng: RandomSource, drawn: int
-) -> SvtOutcome:
-    """run_above_threshold's loop from query offset drawn on, with rng on
-    uniform 1 + drawn: the queries before it are known to miss noisy_t."""
     bit_generator = rng.gen.bit_generator
+    noisy_t = cfg.threshold + _noise_of_words(
+        _noise_spec(cfg.noise, 1.0 / cfg.eps1), bit_generator.random_raw()
+    )
+    query_spec = _noise_spec(cfg.noise, 1.0 / cfg.eps2)
     reach = NOISE_REACH * query_spec.scale
     cap = stream.max_queries
-    size = _FIRST_QUERY_BLOCK
+    drawn, size = 0, _FIRST_QUERY_BLOCK
     while (start := _first_within(stream, drawn, reach, noisy_t)) < cap:
         if start > drawn:
             rng.skip(start - drawn)
@@ -309,11 +303,11 @@ def _first_window_halts(
     rng) with rng a fresh RandomSource(source.seed, keys[i]).
 
     Returns each run's halt index, or the cap where it exhausts. The
-    threshold words are noised as one array, and so is the first window of
-    _FIRST_QUERY_BLOCK queries from each run's first query within reach. A
-    run finishes in the runner's loop (_run_from) from the query after a
-    window that misses, or from that first query where the window would
-    reach the cap. source is re-keyed to the run's stream for each part.
+    threshold words are noised as one array, and so is each run's window
+    of _FIRST_QUERY_BLOCK queries, from its first query within reach up to
+    the cap. A run whose window misses short of the cap, at offset o, goes
+    on in run_above_threshold on _past(stream, o): its first o queries
+    miss, so it halts where the run on stream does. source ends re-keyed.
     """
     raw = source.gen.bit_generator.random_raw
     words = np.empty(len(keys), dtype=np.uint64)
@@ -329,25 +323,30 @@ def _first_window_halts(
     cap, size = stream.max_queries, _FIRST_QUERY_BLOCK
     run = np.searchsorted(stream.values + reach, noisy_t)
     at = np.minimum(np.append(stream.starts, cap)[run], cap)
-    rows = np.flatnonzero(at + size <= cap)
-    words = np.empty((rows.size, size), dtype=np.uint64)
-    for row, i, start in zip(words, rows.tolist(), at[rows].tolist()):
-        source._rekey(keys[i], 1 + start)
+    words = np.empty((len(keys), size), dtype=np.uint64)
+    for row, key, start in zip(words, keys, at.tolist()):
+        source._rekey(key, 1 + start)
         row[...] = raw(size)
-    offsets = at[rows, None] + np.arange(size)
+    offsets = at[:, None] + np.arange(size)
     vals = stream.values[stream.starts.searchsorted(offsets, "right") - 1]
-    hits = _hits(vals, words, query_spec, noisy_t[rows, None])
+    hits = _hits(vals, words, query_spec, noisy_t[:, None]) & (offsets < cap)
     h = hits.argmax(axis=1)
-    hit = hits[np.arange(rows.size), h]
+    hit = hits[np.arange(len(keys)), h]
     # a halt where the window hit, else the offset the run goes on from
-    halts = at.copy()
-    halts[rows] += np.where(hit, h + 1, size)
-    for i in np.setdiff1d(np.arange(len(keys)), rows[hit]).tolist():
-        resume = int(halts[i])
-        source._rekey(keys[i], 1 + resume)
-        outcome = _run_from(stream, noisy_t[i], query_spec, source, resume)
+    halts = np.where(hit, at + h + 1, np.minimum(at + size, cap))
+    for i in np.flatnonzero(~hit & (halts < cap)).tolist():
+        source._rekey(keys[i])
+        cfg = SvtConfig(eps1, eps2, noise, float(thresholds[i]))
+        outcome = run_above_threshold(_past(stream, int(halts[i])), cfg, source)
         halts[i] = outcome.cap if outcome.exhausted else outcome.index
     return halts
+
+
+def _past(stream: QueryStream, offset: int) -> QueryStream:
+    """stream with its first offset >= 1 queries -inf, which no noise lifts."""
+    j = _run_at(stream.starts, offset)
+    starts = np.append((0, offset), stream.starts[j + 1 :])
+    return QueryStream._built(starts, np.append(-np.inf, stream.values[j:]), stream.max_queries)
 
 
 def run_above_threshold_noiseless(

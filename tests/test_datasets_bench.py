@@ -667,33 +667,37 @@ def test_a_uqe_block_releases_what_the_per_level_loop_releases(case, seed):
                     bench._uqe_block(hist, levels, eps, source, streams)
 
 
-def test_a_uqe_block_noises_each_threshold_word_once_and_runs_no_level_alone(monkeypatch):
+def test_a_uqe_block_runs_alone_only_the_levels_past_their_first_window(monkeypatch):
     # 500 points near 51 at beta 1.01: buckets from about 360 on, behind a
     # run of zero counts. At eps 1 the lowest levels' thresholds are within
     # the noise's reach of zero, so their first windows lie in that run and
-    # miss, and their runs go on past them.
+    # miss; every other level halts in its first window.
     data = 51.0 + RandomSource(3).gen.normal(0.0, 5.0, 500)
     hist = build_histogram(data, 1.01, 0.0, bench.DEFAULT_MAX_QUERIES)
     levels = tuple(round(0.05 * i, 2) for i in range(1, 20))
     keys = [bench._MECH_BASE + s for s in range(19)]
     threshold_words = [RandomSource(8, key).gen.bit_generator.random_raw() for key in keys]
-    noised = []
-    noise_of_words = sparse_vector._noise_of_words
+    noised, alone = [], []
+    noise_of_words, run = sparse_vector._noise_of_words, sparse_vector.run_above_threshold
 
-    def counted(spec, words):
+    def counted_noise(spec, words):
         noised.extend(np.ravel(words).tolist())
         return noise_of_words(spec, words)
 
-    def alone(*args, **kwargs):
-        raise AssertionError("a level ran on its own")
+    def counted_run(stream, cfg, rng):
+        alone.append(cfg.threshold)
+        return run(stream, cfg, rng)
 
-    monkeypatch.setattr(sparse_vector, "_noise_of_words", counted)
-    monkeypatch.setattr(sparse_vector, "run_above_threshold", alone)
-    monkeypatch.setattr(quantile, "run_above_threshold", alone)
+    monkeypatch.setattr(sparse_vector, "_noise_of_words", counted_noise)
+    monkeypatch.setattr(sparse_vector, "run_above_threshold", counted_run)
     est = bench._uqe_block(hist, levels, 1.0, RandomSource(8), range(19))
-    # the lowest level halted past its first window [0, 256)
-    assert est[0] > hist.grid.value(256)
-    assert [noised.count(w) for w in threshold_words] == [1] * 19
+    assert sorted(alone) == [q * 500 for q in levels[: len(alone)]]
+    assert 1 <= len(alone) <= 3
+    assert est[0] > hist.grid.value(256)  # halted past its first window [0, 256)
+    # a level that goes on draws its threshold word again, and no word of
+    # a query the batch tested is noised twice
+    twice = [w for w, q in zip(threshold_words, levels) if q * 500 in alone]
+    assert sorted(w for w in set(noised) if noised.count(w) > 1) == sorted(twice)
 
 
 class TestFigureEmission:

@@ -50,6 +50,7 @@ from uqe.sparse_vector import (
     SvtOutcome,
     _first_window_halts,
     _first_within,
+    _past,
     gumbel_halt_log_pmf,
     run_above_threshold,
     run_above_threshold_noiseless,
@@ -314,7 +315,7 @@ def test_runner_on_non_monotone_runs_is_the_model_loop(kind, runs, length, cap, 
     cap=200_000,
     seed=2,
 )
-# a cap inside the first window: no window is tested as a batch
+# a cap inside the first window: the batch tests the queries up to it
 @example(
     kind=NoiseKind.GUMBEL,
     eps1=1.0,
@@ -355,6 +356,18 @@ def test_first_window_batch_halts_where_the_model_halts(
         cfg = config(kind, eps1, eps2, t)
         want = reference.above_threshold(queries, cap, cfg, RandomSource(seed, key))
         assert halt == (want.cap if want.exhausted else want.index)
+
+
+@pytest.mark.parametrize("offset", [1, 3, 4, 5, 9, 12])
+def test_past_makes_only_the_first_offset_queries_minus_inf(offset):
+    # offsets inside a run, at a run's start, on a run of one query, on the
+    # open last run and at the cap
+    stream = QueryStream([0, 4, 5, 9], [1.0, 2.0, 3.0, 4.0], 12)
+    want = stream_prefix(stream, 14).copy()
+    want[:offset] = -np.inf
+    past = _past(stream, offset)
+    assert past.max_queries == 12
+    assert stream_prefix(past, 14).tolist() == want.tolist()
 
 
 def test_reach_test_rounds_as_the_hit_test_does():
