@@ -65,7 +65,12 @@ _MECH_BASE = 10_000_000
 
 @dataclass(frozen=True, eq=False)
 class ExperimentSpec:
-    """Dataset plus the resampling protocol parameters."""
+    """Dataset plus the resampling protocol parameters.
+
+    round_outputs rounds the quantile experiment's releases to integers.
+    Rounding applies to the quantile experiment only: run_sum_experiment
+    does not read the flag, and its records are the same with it or without.
+    """
 
     data: np.ndarray
     name: str
@@ -256,7 +261,8 @@ def run_sum_experiment(spec: ExperimentSpec) -> list[ResultRecord]:
     mechanism stream 2 * (r * outer_trials + t) and its Laplace noise from
     the next one; emq draws the clips of its levels as one batch. A
     record's runtime is the time of its rows' clips and sums, summed over
-    the resamples.
+    the resamples. spec.round_outputs is not read: rounding applies to the
+    quantile experiment only.
     """
     rr = spec.declared_range
     outer = spec.outer_trials

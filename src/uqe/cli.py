@@ -416,7 +416,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--perturb-scale", type=float, default=0.1)
     p.add_argument("--beta", type=float, default=1.001)
     p.add_argument("--sum-beta", type=float, default=1.001)
-    p.add_argument("--round", action="store_true", help="round outputs to integers")
+    p.add_argument(
+        "--round", action="store_true", help="round outputs to integers (quantile experiment only)"
+    )
     p.add_argument("--include-runtime", action="store_true")
     p.add_argument("--curves", default=None, help="also write normalized-error CSV here")
     p.set_defaults(handler=cmd_bench)

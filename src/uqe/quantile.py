@@ -58,6 +58,7 @@ from .sparse_vector import (
     SvtOutcome,
     check_max_queries,
     check_split,
+    check_threshold,
     run_above_threshold,
     run_above_threshold_noiseless,
 )
@@ -630,8 +631,13 @@ def _finish(grid: GeometricGrid, outcome: SvtOutcome) -> QuantileEstimate:
 
 
 def _scan(stream: QueryStream, t: float, req: QuantileRequest, rng: RandomSource) -> SvtOutcome:
-    """AboveThreshold with threshold t under the request's budget and noise."""
-    return run_above_threshold(stream, SvtConfig(req.eps1, req.eps2, req.noise, t), rng)
+    """AboveThreshold with threshold t under the request's budget and noise.
+
+    The request checked its split, and t is a number (the estimators
+    compute it from q and n, and _release checks a caller's), so the config
+    is built unchecked (SvtConfig._built).
+    """
+    return run_above_threshold(stream, SvtConfig._built(req.eps1, req.eps2, req.noise, t), rng)
 
 
 def estimate_quantile(
@@ -671,7 +677,11 @@ def _release(
     and max_queries. It draws no randomness, so one build can serve every
     (q, eps) release on the same data, each drawing only its own scan noise.
     """
-    t = req.q * hist.n if threshold is None else float(threshold)
+    if threshold is None:
+        t = req.q * hist.n
+    else:
+        t = float(threshold)
+        check_threshold(t)
     stream = counting_query_stream(hist, max_queries=req.max_queries)
     if noiseless:
         return _finish(hist.grid, run_above_threshold_noiseless(stream, t))

@@ -10,11 +10,16 @@ queries is reported as an outcome, not an error.
 
 Every query noise value lies within NOISE_REACH * b of zero (b the query
 noise scale), so a query with f_i + NOISE_REACH * b < noisy threshold
-misses whatever its uniform. The runner computes noise only from the first
-query within that reach: it moves the generator past the others in O(1)
+misses whatever its uniform. Where the data stay out of reach for a
+long head, the runner computes noise only from the first query within
+that reach: it moves the generator past the others in O(1)
 (RandomSource.skip), then compares blocks of queries, and on a hit rewinds
 to just past the halting query. The search for that first query reads
 runs, not queries, so it costs O(runs) however far the stream reaches.
+Where the last query of the first block is within reach of the lowest
+noisy threshold, there is no such head: the run's first block starts at
+query 1 and draws the threshold's word with its queries', with no search
+and no skip, and its queries out of reach get noise that cannot lift them.
 Halt indices, and the generator's state after every run, are bit for bit
 those of a query-by-query loop that draws one uniform per query. The scan's
 wall time therefore depends on how many runs come before the data first
@@ -168,7 +173,15 @@ class QueryStream:
 
 @dataclass(frozen=True)
 class SvtConfig:
-    """Budget split, noise family and threshold for one AboveThreshold run."""
+    """Budget split, noise family and threshold for one AboveThreshold run.
+
+    Two constructors build a config, as for QueryStream. SvtConfig(eps1,
+    eps2, noise, threshold), for configs from outside, checks the split
+    (check_split) and the threshold (check_threshold). SvtConfig._built,
+    for the configs the estimators build, checks nothing: their split comes
+    from a QuantileRequest, which checked it, and their threshold is one
+    they computed from q and n, or a caller's that they checked.
+    """
 
     eps1: float
     eps2: float
@@ -178,6 +191,16 @@ class SvtConfig:
     def __post_init__(self) -> None:
         check_split(self.eps1, self.eps2, self.noise)
         check_threshold(self.threshold)
+
+    @classmethod
+    def _built(cls, eps1: float, eps2: float, noise: NoiseKind, threshold: float) -> "SvtConfig":
+        """The config of a checked split and threshold."""
+        cfg = object.__new__(cls)
+        object.__setattr__(cfg, "eps1", eps1)
+        object.__setattr__(cfg, "eps2", eps2)
+        object.__setattr__(cfg, "noise", noise)
+        object.__setattr__(cfg, "threshold", threshold)
+        return cfg
 
 
 @dataclass(frozen=True)
@@ -194,12 +217,15 @@ class SvtOutcome:
 
 def _run_at(starts: np.ndarray, offset: int) -> int:
     """Index of the run that holds query offset >= 0."""
-    # runs of one query each up to the offset, and the open last run, need
-    # no search
+    # runs of one query each up to the offset, the open last run, and a
+    # first run that reaches past the offset (a counting stream's zeros
+    # ahead of the data) need no search
     if offset < starts.size and starts[offset] == offset:
         return offset
     if offset >= starts[-1]:
         return starts.size - 1
+    if offset < starts[1]:
+        return 0
     return int(starts.searchsorted(offset, "right")) - 1
 
 
@@ -256,6 +282,14 @@ def run_above_threshold(
     including the hit. So the halt index and the generator's state
     afterwards are those of a query-by-query loop.
 
+    When the stream's last query of the first block, min(256, cap), is
+    within reach of the lowest noisy threshold the noise allows, the data
+    come near the threshold early and there is no head to skip: the first
+    block then starts at query 1 and carries the threshold's word, so one
+    array of words holds the threshold's and the block's uniforms. Its
+    queries that are out of reach get noise too, but cannot hit, so the
+    run still halts where the query-by-query loop does.
+
     The reach test is written as the hit test is, f + reach >= noisy
     threshold: rounded addition is monotone, so noise <= reach gives
     f + noise <= f + reach in floating point too. The form
@@ -263,27 +297,35 @@ def run_above_threshold(
     that noise can attain it skips hits.
     """
     bit_generator = rng.gen.bit_generator
-    noisy_t = cfg.threshold + _noise_of_words(
-        _noise_spec(cfg.noise, 1.0 / cfg.eps1), bit_generator.random_raw()
-    )
+    threshold_spec = _noise_spec(cfg.noise, 1.0 / cfg.eps1)
     query_spec = _noise_spec(cfg.noise, 1.0 / cfg.eps2)
     reach = NOISE_REACH * query_spec.scale
     cap = stream.max_queries
-    drawn, size = 0, _FIRST_QUERY_BLOCK
-    while (start := _first_within(stream, drawn, reach, noisy_t)) < cap:
+    drawn = start = 0
+    size = min(_FIRST_QUERY_BLOCK, cap)
+    # words ahead of the block's queries: the threshold's, in a head block
+    head = stream.values[_run_at(stream.starts, size - 1)] + reach
+    lead = 1 if head >= cfg.threshold - NOISE_REACH * threshold_spec.scale else 0
+    if not lead:
+        noisy_t = cfg.threshold + _noise_of_words(threshold_spec, bit_generator.random_raw())
+    while lead or (start := _first_within(stream, drawn, reach, noisy_t)) < cap:
         if start > drawn:
             rng.skip(start - drawn)
             size = _FIRST_QUERY_BLOCK
         stop = min(start + size, cap)
         vals = _window(stream, start, stop)
         saved = bit_generator.state
-        hits = _hits(vals, bit_generator.random_raw(vals.size), query_spec, noisy_t)
+        words = bit_generator.random_raw(lead + vals.size)
+        if lead:
+            noisy_t = cfg.threshold + _noise_of_words(threshold_spec, int(words[0]))
+            words = words[1:]
+        hits = _hits(vals, words, query_spec, noisy_t)
         h = int(hits.argmax())
         if hits[h]:
             bit_generator.state = saved
-            rng.skip(h + 1)
+            rng.skip(lead + h + 1)
             return SvtOutcome(start + h + 1)
-        drawn, size = stop, min(2 * size, _MAX_QUERY_BLOCK)
+        drawn, size, lead = stop, min(2 * size, _MAX_QUERY_BLOCK), 0
     rng.skip(cap - drawn)
     return SvtOutcome(None, cap)
 

@@ -1,8 +1,9 @@
 """The deterministic release the oracle tests compare against, a stream
 builder for runner tests, the one-level EMQ draw the batched draw is
 checked against, and the EMQ interval choices the Monte Carlo tests count.
-Every test also runs the streams the package builds through the public
-QueryStream checks (built_streams_pass_the_public_checks).
+Every test also runs the streams and the run configs the package builds
+through the public QueryStream and SvtConfig checks
+(built_streams_pass_the_public_checks, built_configs_pass_the_public_checks).
 
 The mechanisms take a RandomSource and have one release path. A test gets
 their noiseless release by swapping the runner behind them: every
@@ -16,7 +17,12 @@ import pytest
 from uqe import aggregates, quantile
 from uqe.emq import _interval_edges, _log_weights
 from uqe.noise import RandomSource
-from uqe.sparse_vector import DEFAULT_MAX_QUERIES, QueryStream, run_above_threshold_noiseless
+from uqe.sparse_vector import (
+    DEFAULT_MAX_QUERIES,
+    QueryStream,
+    SvtConfig,
+    run_above_threshold_noiseless,
+)
 
 
 @pytest.fixture(autouse=True, scope="session")
@@ -40,6 +46,29 @@ def built_streams_pass_the_public_checks():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(QueryStream, "_built", classmethod(checked))
+        yield
+
+
+@pytest.fixture(autouse=True, scope="session")
+def built_configs_pass_the_public_checks():
+    """SvtConfig._built skips the public constructor's checks for the
+    configs the estimators build from a checked request and a threshold
+    they computed or checked. In the tests each such config passes those
+    checks too, and equals the config SvtConfig(...) builds. A config that
+    fails them fails the test, not as the ValueError a test may expect."""
+    built = SvtConfig._built
+
+    def checked(cls, eps1, eps2, noise, threshold):
+        try:
+            public = cls(eps1, eps2, noise, threshold)
+        except ValueError as e:
+            pytest.fail(f"a built config fails SvtConfig's checks: {e}")
+        cfg = built(eps1, eps2, noise, threshold)
+        assert cfg == public
+        return cfg
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(SvtConfig, "_built", classmethod(checked))
         yield
 
 

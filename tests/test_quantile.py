@@ -36,7 +36,8 @@ from uqe.quantile import (
     estimate_small_quantile_inverted,
     request_guarantee,
 )
-from uqe.sparse_vector import stream_prefix
+from uqe.aggregates import SumConfig, dp_sum
+from uqe.sparse_vector import SvtConfig, stream_prefix
 
 import reference
 
@@ -360,6 +361,40 @@ def test_estimate_with_a_nan_threshold_is_a_value_error():
         estimate_quantile(data, req, RandomSource(9), threshold=np.nan)
     with pytest.raises(ValueError, match="threshold"):
         estimate_quantile(data, req, noiseless=True, threshold=np.nan)
+
+
+def test_every_estimator_run_builds_its_config_through_the_trusted_constructor(monkeypatch):
+    # SvtConfig._built checks nothing; conftest runs each config it builds
+    # through SvtConfig(...) too, so every run here passes the public checks
+    runs = []
+    built = SvtConfig._built
+
+    def counted(cls, eps1, eps2, noise, threshold):
+        runs.append((eps1, eps2, noise, threshold))
+        return built(eps1, eps2, noise, threshold)
+
+    monkeypatch.setattr(SvtConfig, "_built", classmethod(counted))
+    data = Dataset(np.arange(1, 11.0), lower_bound=0.0)
+    req = QuantileRequest(q=0.3, eps1=0.4, eps2=0.6, noise=NoiseKind.LAPLACE)
+    split = (0.4, 0.6, NoiseKind.LAPLACE)
+    estimate_quantile(data, req, RandomSource(1))
+    estimate_quantile(data, req, RandomSource(1), threshold=7.5)
+    estimate_small_quantile_inverted(data, 20.0, req, RandomSource(1))
+    assert runs == [(*split, 3.0), (*split, 7.5), (*split, 7.0)]
+    runs.clear()
+    # mostly negative data: the first run halts at 0 and the second runs
+    est = estimate_quantile_unbounded(Dataset(-np.arange(1, 11.0)), req, RandomSource(1))
+    assert est.second_ran and runs == [(*split, 3.0), (*split, 7.0)]
+    runs.clear()
+    # a budget large enough that no slice comes out empty
+    sharp = QuantileRequest(q=0.5, eps1=50.0, eps2=50.0, beta=1.01)
+    many = Dataset(np.arange(1, 101.0), lower_bound=0.0)
+    result = estimate_multiple_quantiles(many, [0.25, 0.5, 0.75], sharp, RandomSource(1))
+    assert not any(result.empty_slice)
+    assert runs == [(50.0, 50.0, NoiseKind.EXPONENTIAL, t) for t in (50.0, 25.0, 25.0)]
+    runs.clear()
+    dp_sum(np.arange(1, 11.0), SumConfig(eps=1.0, threshold_mode="n"), RandomSource(1))
+    assert runs == [(0.5, 0.5, NoiseKind.EXPONENTIAL, 10.0)]
 
 
 def test_request_validation_and_split():

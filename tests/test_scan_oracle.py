@@ -281,6 +281,67 @@ def test_runner_on_non_monotone_runs_is_the_model_loop(kind, runs, length, cap, 
     assert_runs_as_the_model(stream, config(kind, 1.0, 0.7, 0.0), seed)
 
 
+# A run whose query min(256, cap) is within reach of the lowest noisy
+# threshold, T - 38 b1, starts its first block at query 1, with the
+# threshold's word ahead of the queries'. With eps1 = eps2 = 1, T - 75 is
+# within that reach, but no two noise values differ by 75, so it never hits;
+# no noise lifts T + FAR to T, nor lowers T + 1e5 below it.
+T = 100.0
+HEAD_CASES = {
+    # name: (head, tail, cap, threshold, halt, whether the run takes the head block)
+    "a hit at query 1": ([T + 1e5], T + 1e5, DEFAULT_MAX_QUERIES, T, 1, True),
+    "a hit at query 256": ([T + FAR] * 255, T + 1e5, DEFAULT_MAX_QUERIES, T, 256, True),
+    "a hit at query cap": ([T + FAR] * 99, T + 1e5, 100, T, 100, True),
+    "a first hit past the head": ([T - 75.0] * 299, T + 1e5, DEFAULT_MAX_QUERIES, T, 300, True),
+    "a cap of 1 that exhausts": ([], T - 75.0, 1, T, None, True),
+    "a cap below 256 that exhausts": ([], T - 75.0, 100, T, None, True),
+    "a threshold of -inf": ([T + FAR] * 300, T + FAR, 1000, -math.inf, 1, True),
+    "a threshold of +inf, reached": ([0.0] * 9, math.inf, 1000, math.inf, 10, True),
+    "a threshold of +inf": ([0.0] * 300, 0.0, 1000, math.inf, None, False),
+    # the check reads query 256, out of reach; query 10 is in reach
+    "a non-monotone head": (
+        [T + FAR] * 9 + [T + 1e5] + [T + FAR] * 300, T + FAR, 1000, T, 10, False
+    ),
+}
+
+
+@pytest.fixture
+def searched_from(monkeypatch):
+    """The offsets the runner searches from for a query within reach."""
+    offsets = []
+
+    def first_within(stream, start, reach, level):
+        offsets.append(start)
+        return _first_within(stream, start, reach, level)
+
+    monkeypatch.setattr(sparse_vector, "_first_within", first_within)
+    return offsets
+
+
+@pytest.mark.parametrize("case", HEAD_CASES.values(), ids=HEAD_CASES.keys())
+@pytest.mark.parametrize("kind", list(NoiseKind))
+def test_a_head_block_run_is_the_model(case, kind, searched_from):
+    head, tail, cap, threshold, halt, takes_head = case
+    stream = head_stream(head, tail, max_queries=cap)
+    cfg = SvtConfig(1.0, 1.0, kind, threshold)
+    for seed in range(4):
+        a, b = RandomSource(seed, 1), RandomSource(seed, 1)
+        for rng in (a, b):
+            rng.gen.integers(0, 10)  # leaves a spare 32-bit half the run must keep
+        want = reference.above_threshold(model_queries(stream), cap, cfg, b)
+        assert want == (SvtOutcome(None, cap) if halt is None else SvtOutcome(halt))
+        searched_from.clear()
+        assert run_above_threshold(stream, cfg, a) == want
+        assert generator_state(a) == generator_state(b)
+        # a head block never searches from query 1
+        assert (0 not in searched_from) == takes_head
+        if halt is None:
+            ref = RandomSource(seed, 1)
+            ref.gen.integers(0, 10)
+            ref.uniform_open(cap + 1)
+            assert generator_state(a) == generator_state(ref)
+
+
 @PROPERTY
 @given(
     kind=KINDS,
@@ -417,6 +478,32 @@ def test_a_scan_computes_noise_only_near_its_halt(kind, monkeypatch):
         est = estimate_quantile(Dataset(x, lower_bound=0.0), req, RandomSource(41, seed))
         assert est.halt_index > 13_000
         assert sum(computed) <= 1024
+
+
+@pytest.mark.parametrize(
+    "median, beta, qs, takes_head",
+    [
+        # perfbench's multi-split call: every node's stream comes within
+        # reach of its threshold by query 256
+        (10.0, 1.01, [0.1 * j for j in range(1, 10)], True),
+        # data near 1e6 at beta 1.001, as in scan-heavy: thousands of
+        # queries of zeros ahead of the data
+        (1e6, 1.001, [0.5], False),
+    ],
+)
+def test_a_run_takes_the_head_block_where_its_data_come_near_the_threshold_early(
+    median, beta, qs, takes_head, searched_from
+):
+    x = RandomSource(50).gen.lognormal(math.log(median), 0.8, 5000)
+    req = QuantileRequest.even_split(0.5, 1.0, beta=beta)
+    for seed in range(5):
+        searched_from.clear()
+        result = estimate_multiple_quantiles(Dataset(x, 0.0), qs, req, RandomSource(51, seed))
+        assert not any(result.exhausted + result.empty_slice)
+        if takes_head:
+            assert searched_from == []
+        else:
+            assert searched_from[0] == 0 and len(searched_from) == len(qs)
 
 
 def test_array_stream_is_freed_without_garbage_collection():
