@@ -12,13 +12,18 @@ the per-run loss is
 for queries of sensitivity 1, the counting queries of every estimator in
 the package. This clamped form upper-bounds ln(P_x(k)/P_x'(k)) for every
 halting outcome k under all three noise families. Everything returned by
-guarantee_for is derived from it.
+guarantee_for is derived from it. Each guarantee and zCDP conversion here
+is its formula's exact value on the input doubles, rounded up (_round_up):
+a printed claim never falls below the true cost, nor to 0 from above.
 """
 
 from __future__ import annotations
 
 import enum
+import math
+import sys
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable
 
 import numpy as np
@@ -67,18 +72,24 @@ class PrivacyGuarantee:
     gamma_range_bounded: float | None = None
 
 
+def _round_up(x: Fraction) -> float:
+    """The least double >= x: inf past the float range."""
+    f = float(min(x, Fraction(sys.float_info.max)))
+    return f if f >= x else math.nextafter(f, math.inf)
+
+
 def zcdp_of_dp(eps: float) -> float:
     """eps-DP implies (eps^2/2)-zCDP."""
     if eps < 0:
         raise ValueError("eps must be nonnegative")
-    return eps * eps / 2.0
+    return math.inf if eps == math.inf else _round_up(Fraction(eps) ** 2 / 2)
 
 
 def zcdp_of_range_bounded(gamma: float) -> float:
     """gamma-range-bounded implies (gamma^2/8)-zCDP."""
     if gamma < 0:
         raise ValueError("gamma must be nonnegative")
-    return gamma * gamma / 8.0
+    return math.inf if gamma == math.inf else _round_up(Fraction(gamma) ** 2 / 8)
 
 
 def compose_zcdp(rhos) -> float:
@@ -86,7 +97,7 @@ def compose_zcdp(rhos) -> float:
     rhos = list(rhos)
     if any(r < 0 for r in rhos):
         raise ValueError("rho values must be nonnegative")
-    return float(sum(rhos))
+    return math.inf if math.inf in rhos else _round_up(sum(map(Fraction, rhos)))
 
 
 def one_sided_loss(f_x, f_xprime, eps1: float, eps2: float) -> float:
@@ -133,32 +144,33 @@ def guarantee_for(
     rho_zcdp is the better of gamma^2/8 and eps^2/2.
     """
     check_split(eps1, eps2, noise)
+    return PrivacyGuarantee(*map(_round_up, _exact_costs(query_class, neighbor, eps1, eps2, q)))
 
+
+def _exact_costs(
+    query_class: QueryClass, neighbor: NeighborModel, eps1: float, eps2: float, q=None
+) -> tuple[Fraction, Fraction, Fraction]:
+    """guarantee_for's (eps, rho, gamma) in exact arithmetic."""
+    e1, e2 = Fraction(float(eps1)), Fraction(float(eps2))
     if query_class is QueryClass.GENERAL:
-        eps = eps1 + 2 * eps2
-        gamma = 2 * eps
+        eps, gamma = e1 + 2 * e2, 2 * (e1 + 2 * e2)
     elif query_class is QueryClass.MONOTONIC:
-        eps = eps1 + eps2
-        gamma = eps1 + 2 * eps2
+        eps, gamma = e1 + e2, e1 + 2 * e2
     elif query_class is QueryClass.COUNT_MINUS_QN:
         if neighbor is not NeighborModel.ADD_SUBTRACT:
             raise ValueError("count-minus-qn accounting assumes add-subtract neighbors")
         if q is None or not 0 < q < 1:
             raise ValueError("count-minus-qn accounting needs a quantile q in (0, 1)")
-        eps = max((1 - q) * eps1, q * eps1 + eps2)
-        gamma = (q * eps1 + eps2) + max((1 - q) * eps1, q * eps2)
+        q = Fraction(float(q))
+        eps = max((1 - q) * e1, q * e1 + e2)
+        gamma = (q * e1 + e2) + max((1 - q) * e1, q * e2)
     elif query_class is QueryClass.FIXED_THRESHOLD_COUNT:
         if neighbor is not NeighborModel.ADD_SUBTRACT:
-            raise ValueError(
-                "fixed-threshold-count accounting assumes add-subtract neighbors"
-            )
-        eps = max(eps1, eps2)
-        gamma = eps1 + eps2
+            raise ValueError("fixed-threshold-count accounting assumes add-subtract neighbors")
+        eps, gamma = max(e1, e2), e1 + e2
     else:
         raise ValueError(f"unknown query class: {query_class}")
-
-    rho = min(zcdp_of_range_bounded(gamma), zcdp_of_dp(eps))
-    return PrivacyGuarantee(eps_dp=eps, rho_zcdp=rho, gamma_range_bounded=gamma)
+    return eps, min(gamma * gamma / 8, eps * eps / 2), gamma
 
 
 def multi_quantile_levels(m: int) -> int:
@@ -191,16 +203,12 @@ def multi_quantile_guarantee(
     levels compose.
     """
     levels = multi_quantile_levels(m)
-    mono = guarantee_for(QueryClass.MONOTONIC, NeighborModel.SWAP, noise, eps1, eps2)
-    fixed = guarantee_for(
-        QueryClass.FIXED_THRESHOLD_COUNT, NeighborModel.ADD_SUBTRACT, noise, eps1, eps2
-    )
-    per_eps = max(mono.eps_dp, 2 * fixed.eps_dp)
-    per_rho = max(mono.rho_zcdp, 2 * fixed.rho_zcdp)
-    per_level = PrivacyGuarantee(eps_dp=per_eps, rho_zcdp=per_rho)
-    total = PrivacyGuarantee(
-        eps_dp=levels * per_eps, rho_zcdp=compose_zcdp([per_rho] * levels)
-    )
+    check_split(eps1, eps2, noise)
+    mono = _exact_costs(QueryClass.MONOTONIC, NeighborModel.SWAP, eps1, eps2)
+    fixed = _exact_costs(QueryClass.FIXED_THRESHOLD_COUNT, NeighborModel.ADD_SUBTRACT, eps1, eps2)
+    per_eps, per_rho = max(mono[0], 2 * fixed[0]), max(mono[1], 2 * fixed[1])
+    per_level = PrivacyGuarantee(eps_dp=_round_up(per_eps), rho_zcdp=_round_up(per_rho))
+    total = PrivacyGuarantee(_round_up(levels * per_eps), _round_up(levels * per_rho))
     return MultiQuantileBudget(
         m=m, levels=levels, log_base=2, per_level=per_level, total=total
     )

@@ -7,23 +7,18 @@ are monotonic with sensitivity 1 under swap neighbors, which is what the
 privacy accounting of this pipeline rests on.
 
 Preprocessing is a single O(n) pass into a sparse log-spaced bucket
-histogram: the non-empty buckets and their running counts. The counting
-queries are constant between non-empty buckets, so the scan reads them as
-runs, and a call's work and memory grow with n and the number of non-empty
-buckets, not with the largest bucket index. Grid powers live in one cache
-per beta, shared by every grid in the process, behind a lock.
+histogram: the non-empty buckets and their running counts, written once as
+the counting stream's runs. The counting queries are constant between
+non-empty buckets, so a call's work and memory grow with n and the number
+of non-empty buckets, not with the largest bucket index. Grid powers live
+in one cache per beta, shared by every grid in the process, behind a lock.
 
-Data of four or more 65,536-point blocks is read in w = min(CPUs,
-blocks // 2) contiguous parts of whole blocks: the build and the sign
-split, Dataset's min and max, and the sum's checks and clip (see
-uqe.aggregates). Part 0 runs in the calling thread and the others on a
-pool of the process. Each part bincounts its blocks in its own buffers,
-about 1.6 MB, which the calling thread allocates; the parts' integer counts
-add up exactly in any order, so the histogram, and every release, is the
-serial pass's. A part meets the errors of the blocks it reads, and the
-lowest part's error, the one the serial pass meets first, is raised once
-every part has finished. One block runs as it always has: no pool, no
-parts.
+Data of four or more 65,536-point blocks is read in contiguous parts of
+whole blocks, at most one per CPU (_part_cuts, _map_parts): the build and
+the sign split, Dataset's min and max, and the sum's checks and clip (see
+uqe.aggregates). The parts' integer counts add up exactly in any order, so
+every release is the serial pass's, and the error raised is the one the
+serial pass meets first.
 Variants here: a fully unbounded estimator (no declared bounds, two runs), an
 inverted transform for small quantiles of upper-bounded data, and recursive
 splitting for several quantiles at once.
@@ -354,6 +349,10 @@ class LogBucketHistogram:
     constant from one non-empty bucket to the next, so the histogram takes
     memory in the number of non-empty buckets, at most min(n, cap + 1),
     never in the largest bucket index.
+
+    It holds them as its counting stream's runs (see _key_counts). The
+    public constructor checks buckets and running and writes the runs;
+    LogBucketHistogram._built keeps the runs a build wrote, unchecked.
     """
 
     def __init__(self, grid: GeometricGrid, buckets, running) -> None:
@@ -365,13 +364,32 @@ class LogBucketHistogram:
             raise ValueError("buckets must be >= 0 and each must hold a point")
         if not ((buckets[1:] > buckets[:-1]).all() and (running[1:] > running[:-1]).all()):
             raise ValueError("buckets and running counts must increase strictly")
-        buckets.flags.writeable = False
-        running.flags.writeable = False
-        self.grid = grid
-        self.buckets = buckets
-        self.running = running
-        self.n = int(running[-1])
+        lead = int(buckets[0] != 0)
+        starts, values = np.zeros(lead + buckets.size, np.int64), np.zeros(lead + buckets.size)
+        starts[lead:], values[lead:] = buckets, running
+        self._hold(grid, starts, values)
+
+    @classmethod
+    def _built(cls, grid: GeometricGrid, starts: np.ndarray, values: np.ndarray):
+        """The histogram of runs a build wrote, valid by construction."""
+        hist = object.__new__(cls)
+        hist._hold(grid, starts, values)
+        return hist
+
+    def _hold(self, grid: GeometricGrid, starts: np.ndarray, values: np.ndarray) -> None:
+        starts.flags.writeable = False
+        values.flags.writeable = False
+        self.grid, self._starts, self._values = grid, starts, values
+        self.n = int(values[-1])
+        # a first value of 0 is the zeros' run, ahead of bucket 1 or later
+        self.buckets = starts[int(values[0] == 0) :]
         self._streams: dict[int, QueryStream] = {}
+
+    @functools.cached_property
+    def running(self) -> np.ndarray:
+        running = self._values[-self.buckets.size :].astype(np.int64)
+        running.flags.writeable = False
+        return running
 
     @functools.cached_property
     def counts(self) -> Mapping[int, int]:
@@ -381,8 +399,7 @@ class LogBucketHistogram:
 
     def prefix_count(self, i: int) -> int:
         """|{x_j : x_j - ell + 1 < beta^i}|, i.e. everything in buckets < i."""
-        below = int(self.buckets.searchsorted(i, "left")) if i > 0 else 0
-        return int(self.running[below - 1]) if below else 0
+        return int(self._values[self._starts.searchsorted(i, "left") - 1]) if i > 0 else 0
 
 
 # sized so a block's shift/log/index buffers stay cache-resident, keeping
@@ -456,14 +473,13 @@ def _map_parts(fn: Callable[[int, int], object], cuts: list[int]) -> list:
 _SORT_SPREAD = 4
 
 
-def _sorted_key_counts(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct keys in increasing order and how often each occurs, by
-    sorting; keys is sorted in place."""
-    keys.sort()
-    ends = np.append(np.flatnonzero(keys[1:] != keys[:-1]), keys.size - 1)
-    counts = np.empty_like(ends)
-    counts[0], counts[1:] = ends[0] + 1, ends[1:] - ends[:-1]
-    return keys[ends], counts
+def _sorted_runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The runs of sorted int64 keys >= 0 (see _key_counts). Behind a 0
+    and ahead of a -1, the last of each stretch of equal keys sits at the
+    position that counts the keys up to it, a 0 that no key equals too."""
+    padded = np.concatenate(([0], keys, [-1]))
+    ends = np.flatnonzero(padded[1:] != padded[:-1])
+    return padded[ends], ends.astype(float)
 
 
 def _block_buffers(*shape: int) -> tuple[np.ndarray, ...]:
@@ -502,18 +518,18 @@ def _bincount_blocks(
 
 
 def _key_counts(x: np.ndarray, keys: Callable) -> tuple[np.ndarray, np.ndarray, int]:
-    """The distinct keys of x's points in increasing order, how many points
-    have each, and the sum of the integer that keys tallies per block.
+    """The runs of x's keys, and the sum of the integer that keys tallies
+    per block: int64 starts, the distinct keys in increasing order and a 0,
+    and float values, how many points have a key at most each start. With
+    bucket indices for keys, that is the counting stream.
 
     keys(block, y, idx, work, mask) returns the int64 keys of one
     _BUILD_BLOCK block, computed in float, int64, float and bool buffers of
-    the block's size, and its tally (the sign split counts zeros). Every
-    block of a part reuses the part's buffers, so the build's cost does not
-    depend on how the process allocated before. Data of more than one block
-    is bincounted block by block, part by part (_map_parts), and the parts'
-    integer counts add up exactly in any order. One block is sorted instead
-    when its keys spread wide (_SORT_SPREAD), so a small build costs
-    O(n log n), not O(largest bucket index).
+    the block's size that every block of a part reuses, and its tally (the
+    sign split counts zeros). Data of more than one block is bincounted
+    block by block, part by part (_map_parts). One block is sorted instead
+    when its keys spread wide (_SORT_SPREAD): O(n log n), not O(largest
+    bucket index).
     """
     if x.size > _BUILD_BLOCK:
         cuts = _part_cuts(x.size)
@@ -525,10 +541,14 @@ def _key_counts(x: np.ndarray, keys: Callable) -> tuple[np.ndarray, np.ndarray, 
     else:
         k, tally = keys(x, *_block_buffers(x.size))
         if k.max() > _SORT_SPREAD * x.size:
-            return (*_sorted_key_counts(k), tally)
+            k.sort()
+            return (*_sorted_runs(k), tally)
         totals = np.bincount(k)
-    nonzero = np.flatnonzero(totals)
-    return nonzero, totals[nonzero], tally
+    # key 0 starts the first run, whether or not a point has it
+    totals[0] += 1
+    starts = np.flatnonzero(totals)
+    totals[0] -= 1
+    return starts, np.cumsum(totals[starts], dtype=float), tally
 
 
 def build_histogram(
@@ -536,10 +556,13 @@ def build_histogram(
 ) -> LogBucketHistogram:
     """Shift, bucket and count the data in blocks. O(n) arithmetic.
 
-    A run capped at max_queries reads no bucket past max_queries - 1, so
-    with a cap every larger index goes to the one bucket max_queries and the
-    grid's powers stop at beta^(max_queries+1): the work is bounded by the
-    cap, not by how many buckets the data spans.
+    The counts are written once, as the counting stream's runs with its
+    zeros ahead of the first point in place, and the histogram keeps them
+    unchecked (LogBucketHistogram._built). A run capped at max_queries
+    reads no bucket past max_queries - 1, so with a cap every larger index
+    goes to the one bucket max_queries and the grid's powers stop at
+    beta^(max_queries+1): the work is bounded by the cap, not by how many
+    buckets the data spans.
     """
     grid = GeometricGrid(beta, lower_bound)
     x = np.asarray(values, dtype=float)
@@ -549,33 +572,24 @@ def build_histogram(
     def keys(block, y, idx, work, mask):
         return grid._bucket_into(grid.shift(block, out=y), max_queries, idx, work, mask), 0
 
-    buckets, counts, _ = _key_counts(x, keys)
-    return LogBucketHistogram(grid, buckets, np.cumsum(counts))
-
-
-def _runs_stream(
-    starts: np.ndarray, values: np.ndarray, lead: int, max_queries: int
-) -> QueryStream:
-    """The stream of runs at starts (increasing, >= 0) with values, behind a
-    run of lead from offset 0 when the first of them starts later."""
-    if not (starts.size and starts[0] == 0):
-        starts, values = np.append(0, starts), np.append(lead, values)
-    return QueryStream._built(starts, values, max_queries)
+    starts, values, _ = _key_counts(x, keys)
+    return LogBucketHistogram._built(grid, starts, values)
 
 
 def counting_query_stream(
     hist: LogBucketHistogram, max_queries: int = DEFAULT_MAX_QUERIES
 ) -> QueryStream:
     """f_i = prefix count through bucket i-1: one run per non-empty bucket,
-    behind a run of zeros up to the first (see _runs_stream). A stream is
-    immutable, so the histogram keeps the one it built for each cap.
+    behind a run of zeros up to the first: the runs the build wrote, read
+    without a copy. The histogram keeps the stream of each cap, which a
+    lookup finds faster than a new one is made.
 
     Monotonic with sensitivity 1 under swap neighbors: swapping one point
     moves every prefix count by at most 1, in the same direction.
     """
     stream = hist._streams.get(max_queries)
     if stream is None:
-        stream = _runs_stream(hist.buckets, hist.running, 0, max_queries)
+        stream = QueryStream._built(hist._starts, hist._values, max_queries)
         hist._streams[max_queries] = stream
     return stream
 
@@ -631,12 +645,9 @@ def _finish(grid: GeometricGrid, outcome: SvtOutcome) -> QuantileEstimate:
 
 
 def _scan(stream: QueryStream, t: float, req: QuantileRequest, rng: RandomSource) -> SvtOutcome:
-    """AboveThreshold with threshold t under the request's budget and noise.
-
-    The request checked its split, and t is a number (the estimators
-    compute it from q and n, and _release checks a caller's), so the config
-    is built unchecked (SvtConfig._built).
-    """
+    """AboveThreshold with threshold t under the request's budget and noise,
+    its config built unchecked (SvtConfig._built): the request checked its
+    split, and t is q * n or a threshold _release checked."""
     return run_above_threshold(stream, SvtConfig._built(req.eps1, req.eps2, req.noise, t), rng)
 
 
@@ -707,15 +718,17 @@ class UnboundedEstimate:
 def _sign_split_totals(
     values: np.ndarray, grid: GeometricGrid, max_queries: int
 ) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
-    """Non-empty buckets and running counts of both unbounded runs, from
-    one pass over the data.
+    """The runs of both unbounded runs' streams, from one pass over the data.
 
     Each point is bucketed once, at y = |x| + 1 on the grid with lower bound
     0. For x >= 0 that is the float x - 0 + 1 the first run's shift
     computes, and for x <= 0 the float (-x) - 0 + 1 of the second run's, so
     both runs read the buckets they would build on their own. Returns the
-    (buckets, running counts) over x >= 0 (first run) and over x <= 0
-    (second run); the zeros, +0.0 and -0.0 alike, sit in bucket 0 of both.
+    (starts, values) over x >= 0 (first run) and over x <= 0 (second run),
+    the zeros, +0.0 and -0.0 alike, in bucket 0 of both. g_0 counts the
+    points of the other sign, and g_i, i >= 1, adds those in buckets < i:
+    monotonic with sensitivity 1 under swap neighbors. The stream's
+    position p is candidate index p - 1.
     """
 
     def keys(block, y, idx, work, mask):
@@ -728,32 +741,24 @@ def _sign_split_totals(
         idx += np.less(block, 0.0, out=mask)
         return idx, zeros
 
-    signed, counts, zeros = _key_counts(values, keys)
+    signed, running, zeros = _key_counts(values, keys)
+    counts = running - np.concatenate(([0.0], running[:-1]))
     negative = (signed & 1).astype(bool)
-    nonneg_buckets, nonneg_counts = signed[~negative] >> 1, counts[~negative]
-    nonpos_buckets, nonpos_counts = signed[negative] >> 1, counts[negative]
-    if zeros:
-        # the zeros sit in the second run's bucket 0 as well
-        if nonpos_buckets.size and nonpos_buckets[0] == 0:
-            nonpos_counts[0] += zeros
-        else:
-            nonpos_buckets = np.append(0, nonpos_buckets)
-            nonpos_counts = np.append(zeros, nonpos_counts)
-    return (
-        (nonneg_buckets, np.cumsum(nonneg_counts)),
-        (nonpos_buckets, np.cumsum(nonpos_counts)),
-    )
-
-
-def _signed_stream(
-    buckets: np.ndarray, running: np.ndarray, n: int, max_queries: int
-) -> QueryStream:
-    """g_0 counts the points of the other sign, left out of running; from
-    i = 1 on, g_i adds those in buckets < i. Monotonic with sensitivity 1
-    under swap neighbors. The stream's position p is candidate index p - 1.
-    """
-    lead = n - (int(running[-1]) if running.size else 0)
-    return _runs_stream(buckets + 1, lead + running, lead, max_queries)
+    nonneg = ~negative
+    nonneg[0] = counts[0] > 0  # key 0 may be only the runs' first start
+    signed >>= 1
+    signed += 1  # bucket b's run starts at b + 1
+    runs = []
+    # the zeros sit in the second run's bucket 0 as well
+    for side, shared in ((nonneg, 0), (negative, zeros)):
+        starts, running = signed[side], counts[side].cumsum()
+        head = 2 if shared and not (starts.size and starts[0] == 1) else 1
+        running += shared
+        other = values.size - (running[-1] if running.size else shared)
+        running += other
+        starts = np.concatenate(((0, 1)[:head], starts))
+        runs.append((starts, np.concatenate(((other, other + shared)[:head], running))))
+    return runs[0], runs[1]
 
 
 def estimate_quantile_unbounded(
@@ -773,14 +778,14 @@ def estimate_quantile_unbounded(
     grid = GeometricGrid(req.beta, 0.0)
     cap = req.max_queries
     nonneg, nonpos = _sign_split_totals(data.values, grid, cap)
-    first = _scan(_signed_stream(*nonneg, data.n, cap), req.q * data.n, req, rng)
+    first = _scan(QueryStream._built(*nonneg, cap), req.q * data.n, req, rng)
     if first.exhausted:
         return UnboundedEstimate(grid.value(cap - 1), True, None, None, False)
     k1 = first.index - 1
     if k1 > 0:
         return UnboundedEstimate(grid.power(k1) - 1.0, False, k1, None, False)
     t2 = (1.0 - req.q) * data.n
-    second = _scan(_signed_stream(*nonpos, data.n, cap), t2, req, rng)
+    second = _scan(QueryStream._built(*nonpos, cap), t2, req, rng)
     if second.exhausted:
         return UnboundedEstimate(-(grid.value(cap - 1)), True, 0, None, True)
     k2 = second.index - 1
@@ -831,15 +836,13 @@ def _sorted_stream(
     of one query: bucket i < top holds the y below beta^(i+1), each count
     one binary search. Otherwise y is bucketed point by point, and its
     buckets, which increase with it, start the runs, and no counts are
-    returned. Either way the work is O(min(top, n) log n), not O(top).
+    returned (_sorted_runs). Either way the work is O(min(top, n) log n),
+    not O(top).
 
     above, if given, holds such counts of a sorted array z that y is a
-    prefix of, with z's top at least y's, and y's first top counts are
-    above's: for i <= top, beta^i <= beta^top <= y[-1], so the z below
-    beta^i are below y[-1] and all in y. A multi-quantile left child meets
-    this: every node's points lie at or below its upper bound, so its top is
-    min(max_queries, bucket of its largest point), and a left child's
-    largest point is at most its parent's.
+    prefix of, with z's top at least y's, as a multi-quantile left child's
+    parent does. y's first top counts are above's: for i <= top, beta^i <=
+    beta^top <= y[-1], so the z below beta^i are below y[-1], all in y.
     """
     top = grid._bucket(float(y[-1]), cap)
     if top < y.size:
@@ -850,9 +853,7 @@ def _sorted_stream(
             cumulative[:top] = above[:top]
         cumulative[top] = y.size
         return QueryStream._built(np.arange(top + 1), cumulative, cap), cumulative[:top]
-    idx = grid.bucket_indices(y, cap)
-    ends = np.append(np.flatnonzero(idx[1:] != idx[:-1]), y.size - 1)
-    return _runs_stream(idx[ends], ends + 1, 0, cap), None
+    return QueryStream._built(*_sorted_runs(grid.bucket_indices(y, cap)), cap), None
 
 
 def estimate_multiple_quantiles(
@@ -873,15 +874,12 @@ def estimate_multiple_quantiles(
     is flagged.
 
     The data are sorted once per call. A node is an index range of the
-    sorted values, split by binary search at its estimate; its counting
-    queries are binary searches for the grid powers in its shifted slice,
-    the same cumulative counts a histogram build of that slice gives. A
-    left child has its parent's lower bound, so its shifted slice is a
-    prefix of its parent's, read without shifting or checking it again, and
-    when both count one query per bucket its counts are the first of its
-    parent's, with no search (see _sorted_stream). Only a right child
-    shifts its slice anew. Nodes run depth first, left before right, which is the
-    order their noise is drawn in.
+    sorted values, split by binary search at its estimate, and its counting
+    stream is the one a capped build of its shifted slice gives
+    (_sorted_stream). A left child's shifted slice is a prefix of its
+    parent's, read as it is; only a right child shifts its slice anew.
+    Nodes run depth first, left before right, the order their noise is
+    drawn in.
 
     The budget is multi_quantile_guarantee's, which holds for swap
     neighbors: the thresholds rest on the public n. Under add-subtract

@@ -1,37 +1,31 @@
 """AboveThreshold over adaptive query streams.
 
 The runner consumes a stream of query values f_1, f_2, ..., stored as
-constant runs (run starts and run values, the last run open up to the cap),
-and halts at the first index whose noisy value clears the noisy threshold.
-A counting stream has one run per non-empty histogram bucket; a generic
-array of values is runs of length 1.
-Halting early (or capping the stream) never hurts privacy, so running out of
-queries is reported as an outcome, not an error.
+constant runs (run starts and run values, the last run open up to the cap;
+a counting stream has one run per non-empty histogram bucket), and halts at
+the first index whose noisy value clears the noisy threshold. Halting early
+(or capping the stream) never hurts privacy, so running out of queries is
+reported as an outcome, not an error.
 
 Every query noise value lies within NOISE_REACH * b of zero (b the query
 noise scale), so a query with f_i + NOISE_REACH * b < noisy threshold
-misses whatever its uniform. Where the data stay out of reach for a
-long head, the runner computes noise only from the first query within
-that reach: it moves the generator past the others in O(1)
-(RandomSource.skip), then compares blocks of queries, and on a hit rewinds
-to just past the halting query. The search for that first query reads
-runs, not queries, so it costs O(runs) however far the stream reaches.
-Where the last query of the first block is within reach of the lowest
-noisy threshold, there is no such head: the run's first block starts at
-query 1 and draws the threshold's word with its queries', with no search
-and no skip, and its queries out of reach get noise that cannot lift them.
-Halt indices, and the generator's state after every run, are bit for bit
-those of a query-by-query loop that draws one uniform per query. The scan's
-wall time therefore depends on how many runs come before the data first
-comes within reach of the threshold: like the build time, it is a
-debug-only quantity, never one to release.
+misses whatever its uniform. Where the data stay out of reach for a long
+head, the runner moves the generator past those queries in O(1)
+(RandomSource.skip) and computes noise from the first query within reach,
+a block at a time, rewinding on a hit to just past the halting query. The
+first block ends at the first query whose value alone clears the noisy
+threshold, so a run nearly always decides in it. The searches read runs,
+not queries: each costs O(runs) however far the stream reaches. Where the
+last query of the first block is within reach of the lowest noisy
+threshold there is no such head, and the first block starts at query 1
+with the threshold's word drawn with its queries'. Halt indices, and the
+generator's state after every run, are bit for bit those of a
+query-by-query loop. The scan's wall time depends on where the data first
+come within reach of the threshold: like the build time, it is debug-only.
 
 Many runs on one counting stream, each on a generator of its own, run as
-one batch (_first_window_halts): one array of noisy thresholds, one binary
-search for where each comes within reach, and one hit test over every
-run's first block. A run that does not halt there goes on in the runner,
-with the queries its block tested made -inf (_past): the runner skips
-their uniforms, so it tests each query once and halts where the run does.
+one batch over their first blocks (_first_window_halts); a run that does
+not halt there goes on in the runner, past the queries it tested (_past).
 
 For Gumbel noise with eps1 == eps2 the halt index has a closed-form PMF,
 which the verification suites use as ground truth; the same module provides
@@ -130,13 +124,11 @@ class QueryStream:
     themselves.
 
     Two constructors build a stream. QueryStream(starts, values,
-    max_queries), for streams from outside, checks every rule above: one
-    length, starts from 0 and strictly increasing, an integer cap >= 1.
-    QueryStream._built, for the streams the package builds from a histogram
-    or a sorted slice, checks only the cap: their starts are an np.arange
-    or strictly increasing bucket indices from 0, so the rest holds by
-    construction. Both keep starts already int64 and values already float
-    without a copy, and make them read-only.
+    max_queries), for streams from outside, checks every rule above.
+    QueryStream._built, for the package's streams, whose starts are an
+    np.arange or strictly increasing bucket indices from 0, checks only the
+    cap. Both keep int64 starts and float values without a copy, and make
+    them read-only.
     """
 
     starts: np.ndarray
@@ -159,15 +151,12 @@ class QueryStream:
     @classmethod
     def _built(cls, starts: np.ndarray, values: np.ndarray, max_queries: int) -> "QueryStream":
         """The stream of int64 starts that begin at 0 and increase strictly,
-        and values of the same length: arrays the package built so."""
+        and float values of the same length: arrays the package built so."""
         check_max_queries(max_queries)
-        values = np.asarray(values, dtype=float)
         starts.flags.writeable = False
         values.flags.writeable = False
         stream = object.__new__(cls)
-        object.__setattr__(stream, "starts", starts)
-        object.__setattr__(stream, "values", values)
-        object.__setattr__(stream, "max_queries", max_queries)
+        stream.__dict__.update(starts=starts, values=values, max_queries=max_queries)
         return stream
 
 
@@ -175,12 +164,10 @@ class QueryStream:
 class SvtConfig:
     """Budget split, noise family and threshold for one AboveThreshold run.
 
-    Two constructors build a config, as for QueryStream. SvtConfig(eps1,
-    eps2, noise, threshold), for configs from outside, checks the split
-    (check_split) and the threshold (check_threshold). SvtConfig._built,
-    for the configs the estimators build, checks nothing: their split comes
-    from a QuantileRequest, which checked it, and their threshold is one
-    they computed from q and n, or a caller's that they checked.
+    Two constructors build a config, as for QueryStream. SvtConfig(...)
+    checks the split (check_split) and the threshold (check_threshold).
+    SvtConfig._built, for the estimators' configs, checks nothing: a
+    QuantileRequest checked their split, and they checked their threshold.
     """
 
     eps1: float
@@ -196,10 +183,7 @@ class SvtConfig:
     def _built(cls, eps1: float, eps2: float, noise: NoiseKind, threshold: float) -> "SvtConfig":
         """The config of a checked split and threshold."""
         cfg = object.__new__(cls)
-        object.__setattr__(cfg, "eps1", eps1)
-        object.__setattr__(cfg, "eps2", eps2)
-        object.__setattr__(cfg, "noise", noise)
-        object.__setattr__(cfg, "threshold", threshold)
+        cfg.__dict__.update(eps1=eps1, eps2=eps2, noise=noise, threshold=threshold)
         return cfg
 
 
@@ -261,6 +245,20 @@ def _first_within(stream: QueryStream, start: int, reach: float, level: float) -
     return cap
 
 
+def _first_block(stream: QueryStream, start: int, noisy_t: float) -> int:
+    """The first block's size from offset start: through the first query
+    whose value alone clears noisy_t, in _FIRST_QUERY_BLOCK to
+    _MAX_QUERY_BLOCK queries, or _FIRST_QUERY_BLOCK if none does."""
+    size = _FIRST_QUERY_BLOCK
+    # a block whose last query clears noisy_t holds the first that does
+    if stream.values[_run_at(stream.starts, start + size - 1)] >= noisy_t:
+        return size
+    clears = _first_within(stream, start, 0.0, noisy_t)
+    if clears == stream.max_queries:
+        return size
+    return min(max(clears + 1 - start, size), _MAX_QUERY_BLOCK)
+
+
 def _hits(values: np.ndarray, words: np.ndarray, spec: NoiseSpec, noisy_t) -> np.ndarray:
     """The block hit test: which queries clear the noisy threshold, each
     noised by one raw word. values, words and noisy_t broadcast together."""
@@ -277,24 +275,21 @@ def run_above_threshold(
     threshold cannot hit, so the generator skips their uniforms without
     computing them. From the next query within reach, each block of
     queries gets its noise from one array of raw words, and argmax finds
-    the first hit; blocks restart small after every skip. A hit rewinds the
-    generator to the block's start and moves it past the uniforms up to and
-    including the hit. So the halt index and the generator's state
-    afterwards are those of a query-by-query loop.
+    the first hit. The block after a skip runs through the first query
+    whose value alone clears the noisy threshold (_first_block); later
+    blocks double. A hit rewinds the generator to the block's start and
+    moves it past the uniforms up to and including the hit, so the halt
+    index and the generator's state are those of a query-by-query loop.
 
-    When the stream's last query of the first block, min(256, cap), is
-    within reach of the lowest noisy threshold the noise allows, the data
-    come near the threshold early and there is no head to skip: the first
-    block then starts at query 1 and carries the threshold's word, so one
-    array of words holds the threshold's and the block's uniforms. Its
-    queries that are out of reach get noise too, but cannot hit, so the
-    run still halts where the query-by-query loop does.
+    When query min(256, cap) is within reach of the lowest noisy threshold
+    the noise allows, there is no head to skip: the first block starts at
+    query 1 and carries the threshold's word. Its queries out of reach get
+    noise too, but cannot hit.
 
     The reach test is written as the hit test is, f + reach >= noisy
     threshold: rounded addition is monotone, so noise <= reach gives
-    f + noise <= f + reach in floating point too. The form
-    f >= noisy threshold - reach rounds the subtraction, and with a bound
-    that noise can attain it skips hits.
+    f + noise <= f + reach in floating point too, where f >= noisy
+    threshold - reach would round the subtraction and skip hits.
     """
     bit_generator = rng.gen.bit_generator
     threshold_spec = _noise_spec(cfg.noise, 1.0 / cfg.eps1)
@@ -311,7 +306,7 @@ def run_above_threshold(
     while lead or (start := _first_within(stream, drawn, reach, noisy_t)) < cap:
         if start > drawn:
             rng.skip(start - drawn)
-            size = _FIRST_QUERY_BLOCK
+            size = _first_block(stream, start, noisy_t)
         stop = min(start + size, cap)
         vals = _window(stream, start, stop)
         saved = bit_generator.state
@@ -346,10 +341,9 @@ def _first_window_halts(
 
     Returns each run's halt index, or the cap where it exhausts. The
     threshold words are noised as one array, and so is each run's window
-    of _FIRST_QUERY_BLOCK queries, from its first query within reach up to
-    the cap. A run whose window misses short of the cap, at offset o, goes
-    on in run_above_threshold on _past(stream, o): its first o queries
-    miss, so it halts where the run on stream does. source ends re-keyed.
+    of _FIRST_QUERY_BLOCK queries from its first query within reach. A run
+    that misses there, short of the cap, at offset o, goes on in
+    run_above_threshold on _past(stream, o). source ends re-keyed.
     """
     raw = source.gen.bit_generator.random_raw
     words = np.empty(len(keys), dtype=np.uint64)

@@ -1,9 +1,13 @@
 """The deterministic release the oracle tests compare against, a stream
 builder for runner tests, the one-level EMQ draw the batched draw is
 checked against, and the EMQ interval choices the Monte Carlo tests count.
-Every test also runs the streams and the run configs the package builds
-through the public QueryStream and SvtConfig checks
-(built_streams_pass_the_public_checks, built_configs_pass_the_public_checks).
+Every test also runs the histograms, the streams and the run configs the
+package builds through the public LogBucketHistogram, QueryStream and
+SvtConfig checks (built_histograms_pass_the_public_checks,
+built_streams_pass_the_public_checks, built_configs_pass_the_public_checks).
+A hypothesis profile, "derandomized", draws the same examples on every run
+and keeps no example database, so what a run catches rests on the
+committed examples and the fixed draws alone.
 
 The mechanisms take a RandomSource and have one release path. A test gets
 their noiseless release by swapping the runner behind them: every
@@ -13,16 +17,44 @@ threshold, and dp_sum adds no Laplace noise to the clipped sum.
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from uqe import aggregates, quantile
 from uqe.emq import _interval_edges, _log_weights
 from uqe.noise import RandomSource
+from uqe.quantile import LogBucketHistogram
 from uqe.sparse_vector import (
     DEFAULT_MAX_QUERIES,
     QueryStream,
     SvtConfig,
     run_above_threshold_noiseless,
 )
+
+
+settings.register_profile("derandomized", derandomize=True, database=None)
+
+
+@pytest.fixture(autouse=True, scope="session")
+def built_histograms_pass_the_public_checks():
+    """LogBucketHistogram._built keeps the runs a build wrote unchecked. In
+    the tests each such histogram's buckets and running counts pass the
+    public constructor's checks too, and it writes the same runs from
+    them."""
+    built = LogBucketHistogram._built
+
+    def checked(cls, grid, starts, values):
+        hist = built(grid, starts, values)
+        public = cls(grid, hist.buckets, hist.running)
+        for name in ("_starts", "_values", "buckets", "running"):
+            want, got = getattr(public, name), getattr(hist, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            assert not got.flags.writeable
+        assert hist.n == public.n
+        return hist
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(LogBucketHistogram, "_built", classmethod(checked))
+        yield
 
 
 @pytest.fixture(autouse=True, scope="session")

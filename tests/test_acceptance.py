@@ -24,6 +24,7 @@ import statistics
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
@@ -158,24 +159,31 @@ def _removal_count_pair(gen, q):
     return fx, fxp
 
 
+def is_rounded_up(value, exact):
+    """value is the least double at or above the exact rational."""
+    return Fraction(value) >= exact > Fraction(math.nextafter(value, -math.inf))
+
+
 def test_acceptance_3_privacy_bounds():
     start = time.perf_counter()
     gen = RandomSource(303).spawn(0).gen
 
+    # each claim is its formula's exact value on the input doubles, rounded up
     for _ in range(200):
         e1 = float(gen.uniform(0.05, 3.0))
         e2 = float(gen.uniform(0.05, 3.0))
         q = float(gen.uniform(0.01, 0.99))
+        f1, f2, fq = Fraction(e1), Fraction(e2), Fraction(q)
         g = guarantee_for(
             QueryClass.GENERAL, NeighborModel.SWAP, NoiseKind.EXPONENTIAL, e1, e2
         )
-        assert g.eps_dp == e1 + 2 * e2
+        assert is_rounded_up(g.eps_dp, f1 + 2 * f2)
         g = guarantee_for(
             QueryClass.MONOTONIC, NeighborModel.SWAP, NoiseKind.EXPONENTIAL, e1, e2
         )
-        assert g.eps_dp == e1 + e2
-        assert g.gamma_range_bounded == e1 + 2 * e2
-        assert g.rho_zcdp == (e1 / 2.0 + e2) ** 2 / 2.0
+        assert is_rounded_up(g.eps_dp, f1 + f2)
+        assert is_rounded_up(g.gamma_range_bounded, f1 + 2 * f2)
+        assert is_rounded_up(g.rho_zcdp, (f1 / 2 + f2) ** 2 / 2)
         g = guarantee_for(
             QueryClass.COUNT_MINUS_QN,
             NeighborModel.ADD_SUBTRACT,
@@ -184,7 +192,7 @@ def test_acceptance_3_privacy_bounds():
             e2,
             q=q,
         )
-        assert g.eps_dp == max((1.0 - q) * e1, q * e1 + e2)
+        assert is_rounded_up(g.eps_dp, max((1 - fq) * f1, fq * f1 + f2))
         g = guarantee_for(
             QueryClass.FIXED_THRESHOLD_COUNT,
             NeighborModel.ADD_SUBTRACT,
@@ -192,7 +200,7 @@ def test_acceptance_3_privacy_bounds():
             e1,
             e2,
         )
-        assert g.eps_dp == max(e1, e2)
+        assert is_rounded_up(g.eps_dp, max(f1, f2))
     gumbel_count = guarantee_for(
         QueryClass.COUNT_MINUS_QN,
         NeighborModel.ADD_SUBTRACT,

@@ -1,9 +1,13 @@
 """Tests for loss accounting, closed-form guarantees and the empirical checker."""
 
+import math
 from dataclasses import asdict
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from uqe.accounting import (
     EmpiricalDpReport,
@@ -217,6 +221,65 @@ def test_multi_quantile_guarantee_composes():
     assert budget.total.rho_zcdp == pytest.approx(2 * budget.per_level.rho_zcdp)
     d = asdict(budget)
     assert d["m"] == 3 and d["per_level"]["eps_dp"] == pytest.approx(1.0)
+
+
+def is_rounded_up(value, exact):
+    """value is the least double at or above the exact rational: inf only
+    past the float range."""
+    return value >= exact and not math.nextafter(value, -math.inf) >= exact
+
+
+def exact_costs(query_class, e1, e2, q):
+    """(eps, rho, gamma) of guarantee_for's docstring, in exact arithmetic."""
+    if query_class is QueryClass.GENERAL:
+        eps, gamma = e1 + 2 * e2, 2 * (e1 + 2 * e2)
+    elif query_class is QueryClass.MONOTONIC:
+        eps, gamma = e1 + e2, e1 + 2 * e2
+    elif query_class is QueryClass.COUNT_MINUS_QN:
+        eps = max((1 - q) * e1, q * e1 + e2)
+        gamma = (q * e1 + e2) + max((1 - q) * e1, q * e2)
+    else:
+        eps, gamma = max(e1, e2), e1 + e2
+    return eps, min(gamma**2 / 8, eps**2 / 2), gamma
+
+
+BUDGETS = st.floats(min_value=5e-324, max_value=1e308)
+
+
+@settings(max_examples=300, deadline=None)
+@given(eps1=BUDGETS, eps2=BUDGETS, q=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+# 0.1 + 0.7 rounds below the exact sum, and 1e-300 squared to 0
+@example(eps1=0.1, eps2=0.7, q=0.5)
+@example(eps1=1e-300, eps2=1e-300, q=0.5)
+@example(eps1=1e308, eps2=1e308, q=0.5)
+def test_claims_are_their_exact_formulas_rounded_up(eps1, eps2, q):
+    e1, e2, fq = Fraction(eps1), Fraction(eps2), Fraction(q)
+    for query_class in QueryClass:
+        neighbor = NeighborModel.SWAP if query_class in (
+            QueryClass.GENERAL, QueryClass.MONOTONIC
+        ) else NeighborModel.ADD_SUBTRACT
+        g = guarantee_for(query_class, neighbor, NoiseKind.EXPONENTIAL, eps1, eps2, q=q)
+        got = (g.eps_dp, g.rho_zcdp, g.gamma_range_bounded)
+        for value, exact in zip(got, exact_costs(query_class, e1, e2, fq)):
+            assert value > 0 and is_rounded_up(value, exact)
+    budget = multi_quantile_guarantee(7, eps1, eps2, NoiseKind.EXPONENTIAL)
+    mono_eps, mono_rho, _ = exact_costs(QueryClass.MONOTONIC, e1, e2, None)
+    fixed_eps, fixed_rho, _ = exact_costs(QueryClass.FIXED_THRESHOLD_COUNT, e1, e2, None)
+    per_eps, per_rho = max(mono_eps, 2 * fixed_eps), max(mono_rho, 2 * fixed_rho)
+    for value, exact in [
+        (budget.per_level.eps_dp, per_eps),
+        (budget.per_level.rho_zcdp, per_rho),
+        (budget.total.eps_dp, budget.levels * per_eps),
+        (budget.total.rho_zcdp, budget.levels * per_rho),
+    ]:
+        assert value > 0 and is_rounded_up(value, exact)
+
+
+def test_zcdp_conversions_round_up():
+    assert zcdp_of_dp(1e-300) == 5e-324
+    assert zcdp_of_range_bounded(1e-300) == 5e-324
+    assert compose_zcdp([0.1, 0.7]) == 0.8 and 0.1 + 0.7 < 0.8
+    assert zcdp_of_dp(math.inf) == math.inf and compose_zcdp([1.0, math.inf]) == math.inf
 
 
 def test_exact_gumbel_ratios_below_clamped_loss():

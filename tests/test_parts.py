@@ -76,8 +76,8 @@ def split_outputs(beta, x):
     quantile._POWERS.pop(beta, None)
     hist = build_histogram(np.where(x < 0.0, -x, x), beta, 0.0)
     quantile._POWERS.pop(beta, None)
-    (b1, r1), (b2, r2) = _sign_split_totals(x, GeometricGrid(beta, 0.0), CAP)
-    return [hist.buckets, hist.running, b1, r1, b2, r2]
+    (s1, v1), (s2, v2) = _sign_split_totals(x, GeometricGrid(beta, 0.0), CAP)
+    return [hist.buckets, hist.running, s1, v1, s2, v2]
 
 
 def queries(buckets, running, k):
@@ -107,15 +107,17 @@ def test_every_part_count_gives_the_serial_counts_and_sum(case, clip):
     assert runs[1][-1] == np.float64(np.minimum(x, clip).sum()).tobytes()
 
     pos = np.where(x < 0.0, -x, x)
-    hist_b, hist_r, b1, r1, b2, r2 = out
-    sides = [
-        (hist_b, hist_r, pos + 1.0),
-        (b1, r1, x[x >= 0.0] + 1.0),
-        (b2, r2, -x[x <= 0.0] + 1.0),
-    ]
-    for buckets, running, ys in sides:
-        k = int(buckets[-1]) + 2 if buckets.size else 0
-        assert queries(buckets, running, k) == model_queries(ys, beta, k)
+    hist_b, hist_r, s1, v1, s2, v2 = out
+    k = int(hist_b[-1]) + 2
+    assert queries(hist_b, hist_r, k) == model_queries(pos + 1.0, beta, k)
+    # a signed stream's g_0 counts the other sign, and g_i adds this sign's
+    # points below beta^i
+    for starts, values, ys, other in [
+        (s1, v1, x[x >= 0.0] + 1.0, np.count_nonzero(x < 0.0)),
+        (s2, v2, -x[x <= 0.0] + 1.0, np.count_nonzero(x > 0.0)),
+    ]:
+        got = itertools.islice(reference.run_values(starts.tolist(), values.tolist()), k + 1)
+        assert list(got) == [other] + [other + f for f in model_queries(ys, beta, k)]
 
 
 def error_of(fn, *args):

@@ -13,6 +13,7 @@ against repeated multiplication, and the resource bounds the cap and the
 sparse histogram give.
 """
 
+import contextlib
 import gc
 import itertools
 import math
@@ -33,6 +34,7 @@ from uqe.noise import NoiseKind, RandomSource, _noise_of_words
 from uqe.quantile import (
     Dataset,
     GeometricGrid,
+    LogBucketHistogram,
     MultiQuantileResult,
     QuantileRequest,
     build_histogram,
@@ -272,6 +274,16 @@ def test_runner_matches_scalar_where_the_threshold_dwarfs_the_noise(
     cap=20_000,
     seed=0,
 )
+# a head block whose last query, 256, is the first of a run that hits: the
+# block reads that run's value only if the run lookup at offset 255 finds
+# the run that starts there
+@example(
+    kind=NoiseKind.LAPLACE,
+    runs=[(3, -150.0), (252, -40.0), (10, 60.0), (5, -150.0)],
+    length=None,
+    cap=20_000,
+    seed=0,
+)
 def test_runner_on_non_monotone_runs_is_the_model_loop(kind, runs, length, cap, seed):
     # a stream that ends after length queries is the stream capped there
     starts = np.cumsum([0] + [n for n, _ in runs[:-1]])
@@ -307,11 +319,14 @@ HEAD_CASES = {
 
 @pytest.fixture
 def searched_from(monkeypatch):
-    """The offsets the runner searches from for a query within reach."""
+    """The offsets the runner searches from for a query within reach. The
+    search that sizes a block after a skip, for a query that clears the
+    noisy threshold by its value alone, has no reach and is not listed."""
     offsets = []
 
     def first_within(stream, start, reach, level):
-        offsets.append(start)
+        if reach > 0.0:
+            offsets.append(start)
         return _first_within(stream, start, reach, level)
 
     monkeypatch.setattr(sparse_vector, "_first_within", first_within)
@@ -340,6 +355,56 @@ def test_a_head_block_run_is_the_model(case, kind, searched_from):
             ref.gen.integers(0, 10)
             ref.uniform_open(cap + 1)
             assert generator_state(a) == generator_state(ref)
+
+
+# The first block after a skip runs from the first query within reach
+# through the first whose value alone clears the noisy threshold, in 256 to
+# 16,384 queries; with none, blocks double from 256. With eps1 = 10 the
+# noisy threshold of T = 100 lies within 3.8 of it, and with eps2 = 1 the
+# reach is 38: 80 is within reach of it but never clears it by value, and
+# 0 is out of reach. (Gumbel noise, which needs eps1 = eps2, leaves no
+# such value.) The runs: (queries, value), the last open.
+WITHIN = 80.0
+SIZED_CASES = {
+    # name: (runs, cap, the blocks the runner reads)
+    "a block that ends on a run start": (
+        [(1000, 0.0), (400, WITHIN), (1, T + 1e5)], DEFAULT_MAX_QUERIES, [(1000, 1401)]
+    ),
+    "no query that clears by value": (
+        [(1000, 0.0), (1, WITHIN)], 3000, [(1000, 1256), (1256, 1768), (1768, 2792), (2792, 3000)]
+    ),
+    "a query that clears past 16,384 queries": (
+        [(1000, 0.0), (20_000, WITHIN), (1, T + 1e5)],
+        DEFAULT_MAX_QUERIES,
+        [(1000, 17_384), (17_384, 33_768)],
+    ),
+    "a cap inside the block": ([(1000, 0.0), (100, WITHIN), (1, T + 1e5)], 1200, [(1000, 1200)]),
+    # the last query of 256 does not clear, an earlier one does
+    "a non-monotone stream": (
+        [(1000, 0.0), (10, WITHIN), (5, T + 1e5), (1, WITHIN)], DEFAULT_MAX_QUERIES, [(1000, 1256)]
+    ),
+}
+
+
+@pytest.mark.parametrize("case", SIZED_CASES.values(), ids=SIZED_CASES.keys())
+@pytest.mark.parametrize("kind", [NoiseKind.LAPLACE, NoiseKind.EXPONENTIAL])
+def test_a_block_after_a_skip_is_sized_to_the_threshold_as_the_model(case, kind, monkeypatch):
+    runs, cap, want_blocks = case
+    blocks = []
+
+    def window(stream, start, stop):
+        blocks.append((start, stop))
+        return sparse_vector_window(stream, start, stop)
+
+    sparse_vector_window = sparse_vector._window
+    monkeypatch.setattr(sparse_vector, "_window", window)
+    starts = np.cumsum([0] + [n for n, _ in runs[:-1]])
+    stream = QueryStream(starts, [v for _, v in runs], cap)
+    cfg = SvtConfig(10.0, 1.0, kind, T)
+    for seed in range(3):
+        blocks.clear()
+        assert_runs_as_the_model(stream, cfg, seed)
+        assert blocks == want_blocks
 
 
 @PROPERTY
@@ -863,6 +928,89 @@ def test_sorted_and_bincounted_keys_build_the_same_histograms(case, cap, block):
     sorted_once = build(-1, 1 << 16)
     assert build(math.inf, 1 << 16) == sorted_once
     assert build(math.inf, block) == sorted_once
+
+
+@contextlib.contextmanager
+def build_path(spread, block):
+    """Builds that sort every one-block input (spread -1) or bincount it
+    (inf), in blocks of block points."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(quantile, "_SORT_SPREAD", spread)
+        mp.setattr(quantile, "_BUILD_BLOCK", block)
+        yield
+
+
+BUILD_PATHS = {"spread": st.sampled_from([-1, math.inf]), "block": st.sampled_from([1 << 16, 7])}
+
+
+def same_arrays(got, want):
+    return got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@PROPERTY
+@given(case=bounded_cases(), cap=BOUNDED_CAPS, **BUILD_PATHS)
+def test_built_histograms_pass_the_public_checks(case, cap, spread, block):
+    beta, lower, data = case
+    with build_path(spread, block):
+        hist = build_histogram(np.array(data), beta, lower, cap)
+    public = LogBucketHistogram(hist.grid, hist.buckets, hist.running)
+    for name in ("_starts", "_values", "buckets", "running"):
+        assert same_arrays(getattr(hist, name), getattr(public, name))
+    assert hist.n == public.n == len(data)
+    assert dict(hist.counts) == dict(public.counts)
+
+
+def appended_runs(buckets, running, lead=0):
+    """The runs of the non-empty buckets, as the package made them with
+    np.append before the build wrote them: behind a run of lead from offset
+    0 when the first bucket starts later, with float values."""
+    if not (buckets.size and buckets[0] == 0):
+        buckets, running = np.append(0, buckets), np.append(lead, running)
+    return buckets, np.asarray(running, dtype=float)
+
+
+def model_histogram(beta, ys, cap):
+    """The non-empty buckets of ys, capped at cap, and their running counts,
+    by the model's binary search."""
+    if not ys.size:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    buckets, counts = np.unique(reference.bucket(beta, ys, cap), return_counts=True)
+    return buckets, np.cumsum(counts)
+
+
+@PROPERTY
+@given(case=signed_cases(), cap=BOUNDED_CAPS, **BUILD_PATHS)
+# bucket 0 empty, and holding points: the zeros, with and without negatives
+# there, and points below beta - 1 of either sign
+@example(case=(2.0, [5.0, -3.0, 7.0]), cap=DEFAULT_MAX_QUERIES, spread=-1, block=1 << 16)
+@example(case=(2.0, [0.0, 5.0, -3.0]), cap=DEFAULT_MAX_QUERIES, spread=-1, block=1 << 16)
+@example(case=(2.0, [-0.0, -0.5, 5.0]), cap=DEFAULT_MAX_QUERIES, spread=math.inf, block=7)
+@example(case=(2.0, [0.5, 3.0, -9.0]), cap=DEFAULT_MAX_QUERIES, spread=math.inf, block=1 << 16)
+def test_built_runs_are_the_appended_runs(case, cap, spread, block):
+    # the bounded, the sorted and both signed streams, against the runs of
+    # the model's buckets put together by np.append
+    beta, data = case
+    x = np.array(data)
+    pos = np.abs(x)
+    grid = GeometricGrid(beta, 0.0)
+    with build_path(spread, block):
+        hist = build_histogram(pos, beta, 0.0, cap)
+        signed = _sign_split_totals(x, grid, cap)
+    want = model_histogram(beta, pos + 1.0, cap)
+    assert same_arrays(hist.buckets, want[0]) and same_arrays(hist.running, want[1])
+    stream = counting_query_stream(hist, cap)
+    want_runs = appended_runs(*want)
+    assert same_arrays(stream.starts, want_runs[0]) and same_arrays(stream.values, want_runs[1])
+    stream, counts = _sorted_stream(grid, np.sort(pos + 1.0), cap)
+    if counts is None:  # a run per non-empty bucket, not per query
+        assert same_arrays(stream.starts, want_runs[0])
+        assert same_arrays(stream.values, want_runs[1])
+    # the first run counts x >= 0, the second x <= 0; g_0 the other sign
+    for (starts, values), ys in zip(signed, (x[x >= 0.0] + 1.0, -x[x <= 0.0] + 1.0)):
+        buckets, running = model_histogram(beta, ys, cap)
+        lead = x.size - ys.size
+        want_starts, want_values = appended_runs(buckets + 1, lead + running, lead)
+        assert same_arrays(starts, want_starts) and same_arrays(values, want_values)
 
 
 @pytest.mark.parametrize("beta", [1.001, 1.01, 2.0, 1.0 + 1e-6])
