@@ -3,8 +3,8 @@
 All sampling is inverse-CDF from open-interval uniforms, one uniform per
 sample, so the number of PRNG draws per run is deterministic and two runs
 with the same (seed, stream) are bitwise identical. Each uniform is one
-64-bit Philox word, so a generator can also be moved past n uniforms
-without drawing them (RandomSource.skip).
+64-bit Philox word, so a generator can also be put any number of uniforms
+past a state without drawing them (_place).
 """
 
 from __future__ import annotations
@@ -29,8 +29,6 @@ NOISE_REACH = 38.0
 # Philox turns one 256-bit counter into four 64-bit words
 _WORDS_PER_BLOCK = 4
 _WORD_MASK = (1 << 64) - 1
-# below this many words drawing them beats a state round trip (about 10 us)
-_SKIP_BY_COUNTER = 1024
 
 
 class NoiseKind(enum.Enum):
@@ -93,13 +91,10 @@ class RandomSource:
         self.stream = int(stream)
         restart = self._restart
         restart["state"]["key"][1] = self.stream & _WORD_MASK
-        # from a fresh state, skip's last (1 to 4) uniforms are drawn from
-        # the block the counter ends on, as in skip
-        blocks, last = divmod(skip - 1, _WORDS_PER_BLOCK) if skip else (0, -1)
-        restart["state"]["counter"] = _counter_words(blocks)
-        self.gen.bit_generator.state = restart
         if skip:
-            self.gen.bit_generator.random_raw(last + 1)
+            _place(self.gen.bit_generator, restart, skip)
+        else:
+            self.gen.bit_generator.state = restart
 
     def spawn(self, stream: int) -> "RandomSource":
         """Fresh independent stream under the same seed."""
@@ -116,29 +111,10 @@ class RandomSource:
         return _to_uniform(self.gen.bit_generator.random_raw(size) >> 11)
 
     def skip(self, n: int) -> None:
-        """Move past n uniforms without computing them.
-
-        The generator ends in exactly the state uniform_open(n) would leave:
-        counter, buffer, buffer position, and the 32-bit half-word that
-        integer draws keep (which bit_generator.advance would clear). A
-        large n costs O(1): counter arithmetic on the state, then the one
-        to four words that refill the last buffer.
-        """
-        bit_generator = self.gen.bit_generator
-        if n < _SKIP_BY_COUNTER:
-            bit_generator.random_raw(n)
-            return
-        state = bit_generator.state
-        # the first word past the buffer opens a new counter block; the
-        # last (1 to 4) words are drawn from the block the counter ends on
-        fresh = n - (_WORDS_PER_BLOCK - state["buffer_pos"])
-        blocks, last = divmod(fresh - 1, _WORDS_PER_BLOCK)
-        words = state["state"]["counter"].tolist()
-        counter = sum(w << (64 * i) for i, w in enumerate(words)) + blocks
-        state["state"]["counter"] = _counter_words(counter)
-        state["buffer_pos"] = _WORDS_PER_BLOCK
-        bit_generator.state = state
-        bit_generator.random_raw(last + 1)
+        """Move past n uniforms without computing them, in O(1): the
+        generator ends in exactly the state uniform_open(n) would leave."""
+        if n:
+            _place(self.gen.bit_generator, self.gen.bit_generator.state, n)
 
     def __repr__(self) -> str:
         return f"RandomSource(seed={self.seed}, stream={self.stream})"
@@ -152,10 +128,39 @@ def _check_source(rng) -> None:
         raise ValueError(f"a RandomSource is required, got {type(rng).__name__}")
 
 
-def _counter_words(counter: int) -> list[int]:
-    """A Philox counter, taken mod 2**256, as its four 64-bit words, the
-    lowest first."""
-    return [(counter >> shift) & _WORD_MASK for shift in (0, 64, 128, 192)]
+def _place(bit_generator, state: dict, a: int) -> None:
+    """Put a Philox bit generator at word a >= 1 past state (one it
+    returned, or _rekey's of Python ints), exactly as drawing a words from
+    state leaves it, its spare 32-bit half-word included (which
+    bit_generator.advance would clear). O(1) for any a: past state's
+    buffer, the counter of the block that holds word a - 1 is written as
+    Python ints, which numpy reads faster than arrays, and the one to four
+    words that refill that block's buffer are drawn."""
+    pos = state["buffer_pos"] + a
+    if pos <= _WORDS_PER_BLOCK:
+        bit_generator.state = {**state, "buffer_pos": pos}
+        return
+    counter, key = state["state"]["counter"], state["state"]["key"]
+    if isinstance(counter, np.ndarray):
+        counter, key = counter.tolist(), key.tolist()
+    # Philox steps its counter before it fills the buffer, so the block of
+    # counter c holds words 4(c - 1) .. 4c - 1 of the key's stream
+    c = counter[0] | counter[1] << 64 | counter[2] << 128 | counter[3] << 192
+    blocks, last = divmod(_WORDS_PER_BLOCK * (c - 1) + pos - 1, _WORDS_PER_BLOCK)
+    bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {
+            # taken mod 2**256, as Philox wraps it
+            "counter": [blocks & _WORD_MASK, blocks >> 64 & _WORD_MASK,
+                        blocks >> 128 & _WORD_MASK, blocks >> 192 & _WORD_MASK],
+            "key": key,
+        },
+        "buffer": [0] * _WORDS_PER_BLOCK,
+        "buffer_pos": _WORDS_PER_BLOCK,
+        "has_uint32": state["has_uint32"],
+        "uinteger": state["uinteger"],
+    }
+    bit_generator.random_raw(last + 1)
 
 
 def _to_uniform(k):

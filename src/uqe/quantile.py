@@ -717,15 +717,16 @@ class UnboundedEstimate:
 
 def _sign_split_totals(
     values: np.ndarray, grid: GeometricGrid, max_queries: int
-) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+) -> tuple[tuple[np.ndarray, np.ndarray], Callable[[], tuple[np.ndarray, np.ndarray]]]:
     """The runs of both unbounded runs' streams, from one pass over the data.
 
     Each point is bucketed once, at y = |x| + 1 on the grid with lower bound
     0. For x >= 0 that is the float x - 0 + 1 the first run's shift
     computes, and for x <= 0 the float (-x) - 0 + 1 of the second run's, so
     both runs read the buckets they would build on their own. Returns the
-    (starts, values) over x >= 0 (first run) and over x <= 0 (second run),
-    the zeros, +0.0 and -0.0 alike, in bucket 0 of both. g_0 counts the
+    (starts, values) over x >= 0 (first run), and a function that writes
+    those over x <= 0 (second run), which only a first halt at 0 reads. The
+    zeros, +0.0 and -0.0 alike, are in bucket 0 of both. g_0 counts the
     points of the other sign, and g_i, i >= 1, adds those in buckets < i:
     monotonic with sensitivity 1 under swap neighbors. The stream's
     position p is candidate index p - 1.
@@ -748,17 +749,18 @@ def _sign_split_totals(
     nonneg[0] = counts[0] > 0  # key 0 may be only the runs' first start
     signed >>= 1
     signed += 1  # bucket b's run starts at b + 1
-    runs = []
-    # the zeros sit in the second run's bucket 0 as well
-    for side, shared in ((nonneg, 0), (negative, zeros)):
+
+    def runs(side: np.ndarray, shared: int) -> tuple[np.ndarray, np.ndarray]:
         starts, running = signed[side], counts[side].cumsum()
         head = 2 if shared and not (starts.size and starts[0] == 1) else 1
         running += shared
         other = values.size - (running[-1] if running.size else shared)
         running += other
         starts = np.concatenate(((0, 1)[:head], starts))
-        runs.append((starts, np.concatenate(((other, other + shared)[:head], running))))
-    return runs[0], runs[1]
+        return starts, np.concatenate(((other, other + shared)[:head], running))
+
+    # the zeros sit in the second run's bucket 0 as well
+    return runs(nonneg, 0), functools.partial(runs, negative, zeros)
 
 
 def estimate_quantile_unbounded(
@@ -785,7 +787,7 @@ def estimate_quantile_unbounded(
     if k1 > 0:
         return UnboundedEstimate(grid.power(k1) - 1.0, False, k1, None, False)
     t2 = (1.0 - req.q) * data.n
-    second = _scan(QueryStream._built(*nonpos, cap), t2, req, rng)
+    second = _scan(QueryStream._built(*nonpos(), cap), t2, req, rng)
     if second.exhausted:
         return UnboundedEstimate(-(grid.value(cap - 1)), True, 0, None, True)
     k2 = second.index - 1

@@ -10,15 +10,16 @@ reported as an outcome, not an error.
 Every query noise value lies within NOISE_REACH * b of zero (b the query
 noise scale), so a query with f_i + NOISE_REACH * b < noisy threshold
 misses whatever its uniform. Where the data stay out of reach for a long
-head, the runner moves the generator past those queries in O(1)
-(RandomSource.skip) and computes noise from the first query within reach,
-a block at a time, rewinding on a hit to just past the halting query. The
+head, the runner puts the generator past those queries in O(1) and
+computes noise from the first query within reach, a block at a time,
+rewinding on a hit to just past the halting query; each move is written
+from the run's one read of the generator's state (noise._place). The
 first block ends at the first query whose value alone clears the noisy
-threshold, so a run nearly always decides in it. The searches read runs,
-not queries: each costs O(runs) however far the stream reaches. Where the
-last query of the first block is within reach of the lowest noisy
-threshold there is no such head, and the first block starts at query 1
-with the threshold's word drawn with its queries'. Halt indices, and the
+threshold, so a run nearly always decides in it. Each search is one
+binary search over the running maximum of the run values. Where the last
+query of the first block is within reach of the lowest noisy threshold
+there is no such head, and the first block starts at query 1 with the
+threshold's word drawn with its queries'. Halt indices, and the
 generator's state after every run, are bit for bit those of a
 query-by-query loop. The scan's wall time depends on where the data first
 come within reach of the threshold: like the build time, it is debug-only.
@@ -38,12 +39,12 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .noise import NOISE_REACH, NoiseKind, NoiseSpec, RandomSource, _noise_of_words, sample
+from .noise import NOISE_REACH, NoiseKind, NoiseSpec, RandomSource, _noise_of_words, _place, sample
 
 __all__ = [
     "DEFAULT_MAX_QUERIES",
@@ -116,8 +117,9 @@ class QueryStream:
     """Query values in constant runs: f_i = values[j] for starts[j] < i <=
     starts[j+1], capped at max_queries queries.
 
-    starts begins at 0 and increases strictly. The last run is open: it
-    goes on at values[-1] up to the cap. Every stream has sensitivity 1:
+    starts begins at 0 and increases strictly, and no value is NaN. The
+    last run is open: it goes on at values[-1] up to the cap. peak is the
+    running maximum of values. Every stream has sensitivity 1:
     the package builds only counting streams, and swapping one point moves
     a count by at most 1. The first query is index 1; callers that think of
     their candidate grid as starting elsewhere remap the halt index
@@ -127,13 +129,14 @@ class QueryStream:
     max_queries), for streams from outside, checks every rule above.
     QueryStream._built, for the package's streams, whose starts are an
     np.arange or strictly increasing bucket indices from 0, checks only the
-    cap. Both keep int64 starts and float values without a copy, and make
-    them read-only.
+    cap; their values, counts that never fall, are their peak. Both keep
+    int64 starts and float values without a copy, and make them read-only.
     """
 
     starts: np.ndarray
     values: np.ndarray
     max_queries: int = DEFAULT_MAX_QUERIES
+    peak: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         starts = np.asarray(self.starts, dtype=np.int64)
@@ -143,20 +146,23 @@ class QueryStream:
         if starts[0] != 0 or np.count_nonzero(starts[1:] <= starts[:-1]):
             raise ValueError("run starts must begin at 0 and increase strictly")
         check_max_queries(self.max_queries)
-        starts.flags.writeable = False
-        values.flags.writeable = False
-        object.__setattr__(self, "starts", starts)
-        object.__setattr__(self, "values", values)
+        peak = np.maximum.accumulate(values)
+        if peak[-1] != peak[-1]:  # the running maximum carries a NaN on to its end
+            raise ValueError("query values must be numbers, got nan")
+        for name, array in (("starts", starts), ("values", values), ("peak", peak)):
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
 
     @classmethod
     def _built(cls, starts: np.ndarray, values: np.ndarray, max_queries: int) -> "QueryStream":
         """The stream of int64 starts that begin at 0 and increase strictly,
-        and float values of the same length: arrays the package built so."""
+        and nondecreasing float values of the same length: arrays the
+        package built so. Its peak is its values."""
         check_max_queries(max_queries)
         starts.flags.writeable = False
         values.flags.writeable = False
         stream = object.__new__(cls)
-        stream.__dict__.update(starts=starts, values=values, max_queries=max_queries)
+        stream.__dict__.update(starts=starts, values=values, max_queries=max_queries, peak=values)
         return stream
 
 
@@ -226,37 +232,16 @@ def _window(stream: QueryStream, start: int, stop: int) -> np.ndarray:
 
 
 def _first_within(stream: QueryStream, start: int, reach: float, level: float) -> int:
-    """Offset of the first query at or after offset start with
-    f + reach >= level, or the cap if there is none.
-
-    The runs from the one holding start are searched in windows that double
-    from _FIRST_QUERY_BLOCK runs, so a query found d runs on costs O(d),
-    however many queries those runs span; no order of the values is assumed.
-    """
-    starts, values, cap = stream.starts, stream.values, stream.max_queries
-    j, size = _run_at(starts, start), _FIRST_QUERY_BLOCK
-    # the last window read may reach past the cap; a hit there reads as the cap
-    while j < starts.size and starts[j] < cap:
-        near = values[j : j + size] + reach >= level
-        i = int(near.argmax())
-        if near[i]:
-            return min(max(start, int(starts[j + i])), cap)
-        j, size = j + near.size, min(2 * size, _MAX_QUERY_BLOCK)
-    return cap
-
-
-def _first_block(stream: QueryStream, start: int, noisy_t: float) -> int:
-    """The first block's size from offset start: through the first query
-    whose value alone clears noisy_t, in _FIRST_QUERY_BLOCK to
-    _MAX_QUERY_BLOCK queries, or _FIRST_QUERY_BLOCK if none does."""
-    size = _FIRST_QUERY_BLOCK
-    # a block whose last query clears noisy_t holds the first that does
-    if stream.values[_run_at(stream.starts, start + size - 1)] >= noisy_t:
-        return size
-    clears = _first_within(stream, start, 0.0, noisy_t)
-    if clears == stream.max_queries:
-        return size
-    return min(max(clears + 1 - start, size), _MAX_QUERY_BLOCK)
+    """Offset of the first query at or after offset start with f + reach
+    >= level, or the cap if none: one binary search of peak + reach (which
+    rounded addition keeps nondecreasing) from the run holding start. Exact
+    from offset 0 or on a nondecreasing stream; else an earlier peak may
+    give an earlier offset, but none before start or past a query in reach."""
+    j = _run_at(stream.starts, start)
+    run = j + int((stream.peak[j:] + reach).searchsorted(level))
+    if run == stream.starts.size:
+        return stream.max_queries
+    return min(max(start, int(stream.starts[run])), stream.max_queries)
 
 
 def _hits(values: np.ndarray, words: np.ndarray, spec: NoiseSpec, noisy_t) -> np.ndarray:
@@ -272,19 +257,21 @@ def run_above_threshold(
 
     The threshold takes the run's first uniform, and the query at offset o
     (f_(o+1)) uniform 1 + o. Queries with f + NOISE_REACH * b < noisy
-    threshold cannot hit, so the generator skips their uniforms without
-    computing them. From the next query within reach, each block of
-    queries gets its noise from one array of raw words, and argmax finds
-    the first hit. The block after a skip runs through the first query
-    whose value alone clears the noisy threshold (_first_block); later
-    blocks double. A hit rewinds the generator to the block's start and
-    moves it past the uniforms up to and including the hit, so the halt
-    index and the generator's state are those of a query-by-query loop.
+    threshold cannot hit, so the generator is put past their uniforms
+    without computing them. From the next query within reach, each block
+    of queries gets its noise from one array of raw words, and argmax
+    finds the first hit. The block after a skip runs through the first
+    query whose value alone clears the noisy threshold, in 256 to 16,384
+    queries (256 if none does); later blocks double. Each move is written
+    from the run's one state read (noise._place): to the first query in
+    reach, just past a hit, or to the cap. So the halt index and the
+    generator's state are those of a query-by-query loop.
 
     When query min(256, cap) is within reach of the lowest noisy threshold
     the noise allows, there is no head to skip: the first block starts at
     query 1 and carries the threshold's word. Its queries out of reach get
-    noise too, but cannot hit.
+    noise too, but cannot hit. A hit there writes the read state back and
+    draws the words up to and including the hit.
 
     The reach test is written as the hit test is, f + reach >= noisy
     threshold: rounded addition is monotone, so noise <= reach gives
@@ -298,6 +285,8 @@ def run_above_threshold(
     cap = stream.max_queries
     drawn = start = 0
     size = min(_FIRST_QUERY_BLOCK, cap)
+    # the run's one state read; the query at offset o is word 1 + o past it
+    state = bit_generator.state
     # words ahead of the block's queries: the threshold's, in a head block
     head = stream.values[_run_at(stream.starts, size - 1)] + reach
     lead = 1 if head >= cfg.threshold - NOISE_REACH * threshold_spec.scale else 0
@@ -305,11 +294,12 @@ def run_above_threshold(
         noisy_t = cfg.threshold + _noise_of_words(threshold_spec, bit_generator.random_raw())
     while lead or (start := _first_within(stream, drawn, reach, noisy_t)) < cap:
         if start > drawn:
-            rng.skip(start - drawn)
-            size = _first_block(stream, start, noisy_t)
+            _place(bit_generator, state, 1 + start)
+            clears = _first_within(stream, start, 0.0, noisy_t)
+            size = min(max(clears + 1 - start, _FIRST_QUERY_BLOCK), _MAX_QUERY_BLOCK)
+            size = _FIRST_QUERY_BLOCK if clears == cap else size
         stop = min(start + size, cap)
         vals = _window(stream, start, stop)
-        saved = bit_generator.state
         words = bit_generator.random_raw(lead + vals.size)
         if lead:
             noisy_t = cfg.threshold + _noise_of_words(threshold_spec, int(words[0]))
@@ -317,11 +307,15 @@ def run_above_threshold(
         hits = _hits(vals, words, query_spec, noisy_t)
         h = int(hits.argmax())
         if hits[h]:
-            bit_generator.state = saved
-            rng.skip(lead + h + 1)
+            if lead:
+                bit_generator.state = state
+                bit_generator.random_raw(h + 2)
+            else:
+                _place(bit_generator, state, 2 + start + h)
             return SvtOutcome(start + h + 1)
         drawn, size, lead = stop, min(2 * size, _MAX_QUERY_BLOCK), 0
-    rng.skip(cap - drawn)
+    if drawn < cap:
+        _place(bit_generator, state, 1 + cap)
     return SvtOutcome(None, cap)
 
 
@@ -334,8 +328,8 @@ def _first_window_halts(
     source: RandomSource,
     keys,
 ) -> np.ndarray:
-    """The runs of many thresholds on one stream of nondecreasing values,
-    as every counting stream's are, as one batch: run i is
+    """The runs of many thresholds on one counting stream, as one batch
+    (those that go on read _past, whose peak is its values): run i is
     run_above_threshold(stream, SvtConfig(eps1, eps2, noise, thresholds[i]),
     rng) with rng a fresh RandomSource(source.seed, keys[i]).
 
@@ -353,11 +347,9 @@ def _first_window_halts(
     noisy_t = thresholds + _noise_of_words(_noise_spec(noise, 1.0 / eps1), words)
     query_spec = _noise_spec(noise, 1.0 / eps2)
     reach = NOISE_REACH * query_spec.scale
-    # the window starts, _first_within(stream, 0, reach, t) of every t at
-    # once: values + reach is nondecreasing, as rounded addition is
-    # monotone, so its first run at or past t is one binary search away
+    # the window starts, _first_within(stream, 0, reach, t) of every t at once
     cap, size = stream.max_queries, _FIRST_QUERY_BLOCK
-    run = np.searchsorted(stream.values + reach, noisy_t)
+    run = np.searchsorted(stream.peak + reach, noisy_t)
     at = np.minimum(np.append(stream.starts, cap)[run], cap)
     words = np.empty((len(keys), size), dtype=np.uint64)
     for row, key, start in zip(words, keys, at.tolist()):

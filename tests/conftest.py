@@ -62,14 +62,15 @@ def built_streams_pass_the_public_checks():
     """QueryStream._built skips the public constructor's checks for the
     streams the package builds, valid by construction. In the tests each
     such stream passes those checks too, and must come out of both
-    constructors the same, so every property that runs an estimator also
-    checks its streams."""
+    constructors the same, its running maximum included (the values it
+    takes for one), so every property that runs an estimator also checks
+    its streams."""
     built = QueryStream._built
 
     def checked(cls, starts, values, max_queries):
         public = cls(starts, values, max_queries)
         stream = built(starts, values, max_queries)
-        for name in ("starts", "values"):
+        for name in ("starts", "values", "peak"):
             want, got = getattr(public, name), getattr(stream, name)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
             assert not got.flags.writeable

@@ -76,8 +76,8 @@ def split_outputs(beta, x):
     quantile._POWERS.pop(beta, None)
     hist = build_histogram(np.where(x < 0.0, -x, x), beta, 0.0)
     quantile._POWERS.pop(beta, None)
-    (s1, v1), (s2, v2) = _sign_split_totals(x, GeometricGrid(beta, 0.0), CAP)
-    return [hist.buckets, hist.running, s1, v1, s2, v2]
+    (s1, v1), second = _sign_split_totals(x, GeometricGrid(beta, 0.0), CAP)
+    return [hist.buckets, hist.running, s1, v1, *second()]
 
 
 def queries(buckets, running, k):

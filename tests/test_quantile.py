@@ -534,6 +534,23 @@ class TestUnbounded:
         assert est.second_halt == 8
         assert est.value == -(reference.power(1.1, 8) - 1.0)
 
+    def test_second_stream_is_written_only_for_the_second_run(self, noiseless, monkeypatch):
+        # the sign split counts both signs in one pass, but writes the x <= 0
+        # stream only once the first run halts at 0
+        written = []
+        split = quantile._sign_split_totals
+
+        def counted(*args):
+            first, second = split(*args)
+            return first, lambda: written.append(second()) or written[-1]
+
+        monkeypatch.setattr(quantile, "_sign_split_totals", counted)
+        req = QuantileRequest(q=0.9, eps1=1, eps2=1, beta=1.1)
+        est = estimate_quantile_unbounded(Dataset(np.arange(1, 11.0)), req, noiseless)
+        assert est.first_halt > 0 and not est.second_ran and written == []
+        est = estimate_quantile_unbounded(Dataset(-np.arange(1, 11.0)), req, noiseless)
+        assert est.first_halt == 0 and est.second_ran and len(written) == 1
+
     def test_output_sign_cases(self, noiseless):
         # positive side, zero, negative side all reachable
         req = QuantileRequest(q=0.5, eps1=1, eps2=1)

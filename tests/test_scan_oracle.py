@@ -61,6 +61,7 @@ from uqe.sparse_vector import (
 
 import reference
 from conftest import head_stream, release_without_noise
+from test_noise import skip_starts
 
 PROPERTY = settings(
     max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -284,6 +285,19 @@ def test_runner_matches_scalar_where_the_threshold_dwarfs_the_noise(
     cap=20_000,
     seed=0,
 )
+# the search's running maximum: the -40s are in reach but never hit, and
+# the 60s are more than 16,384 queries on, so the first block misses; the
+# next search starts among the -150s, where the peak of -40 is still in
+# reach, and returns its start itself. A search of the values instead
+# would not find the -40s: its binary search, on values out of order,
+# finds no run in reach and exhausts the run
+@example(
+    kind=NoiseKind.LAPLACE,
+    runs=[(10, -150.0), (5, -40.0), (20_000, -150.0), (5, 60.0), (5, -150.0)],
+    length=None,
+    cap=200_000,
+    seed=0,
+)
 def test_runner_on_non_monotone_runs_is_the_model_loop(kind, runs, length, cap, seed):
     # a stream that ends after length queries is the stream capped there
     starts = np.cumsum([0] + [n for n, _ in runs[:-1]])
@@ -355,6 +369,42 @@ def test_a_head_block_run_is_the_model(case, kind, searched_from):
             ref.gen.integers(0, 10)
             ref.uniform_open(cap + 1)
             assert generator_state(a) == generator_state(ref)
+
+
+# Runs on both paths, each to a hit and to exhaustion, from the generator
+# states test_noise.skip_starts() gives: every buffer position, a spare
+# 32-bit half-word, and counters at each 64-bit carry and at the 2**256
+# wrap. The runner writes every move from the state it read once.
+EDGE_CASES = {
+    # name: (head, tail, cap, halt, whether the run takes the head block)
+    "a head block hit": ([T + FAR] * 255, T + 1e5, DEFAULT_MAX_QUERIES, 256, True),
+    "a head block that exhausts": ([], T - 75.0, 100, None, True),
+    "a head block miss, then a hit": ([T - 75.0] * 299, T + 1e5, DEFAULT_MAX_QUERIES, 300, True),
+    "a hit after a skip": ([T + FAR] * 2000, T + 1e5, DEFAULT_MAX_QUERIES, 2001, False),
+    # moves of two and three words: within the buffer of the read state
+    "a hit after a skip of one query": ([T + FAR, T + 1e5], T + FAR, 1000, 2, False),
+    "blocks after a skip that exhaust": ([T + FAR] * 1000, T - 75.0, 1500, None, False),
+    "no query in reach": ([], T + FAR, 1500, None, False),
+}
+
+
+@pytest.mark.parametrize("case", EDGE_CASES.values(), ids=EDGE_CASES.keys())
+@pytest.mark.parametrize("kind", list(NoiseKind))
+def test_runner_from_edge_generator_states_is_the_model(case, kind, searched_from):
+    head, tail, cap, halt, takes_head = case
+    stream = head_stream(head, tail, max_queries=cap)
+    cfg = SvtConfig(1.0, 1.0, kind, T)
+    for label, start in skip_starts():
+        a, b = start(), start()
+        want = reference.above_threshold(model_queries(stream), cap, cfg, b)
+        assert want == (SvtOutcome(None, cap) if halt is None else SvtOutcome(halt)), label
+        searched_from.clear()
+        assert run_above_threshold(stream, cfg, a) == want, label
+        assert (0 not in searched_from) == takes_head, label
+        assert generator_state(a) == generator_state(b), label
+        # the next draws agree too, the spare 32-bit half included
+        assert a.gen.integers(0, 10, 3).tolist() == b.gen.integers(0, 10, 3).tolist(), label
+        assert a.uniform_open(9).tobytes() == b.uniform_open(9).tobytes(), label
 
 
 # The first block after a skip runs from the first query within reach
@@ -494,6 +544,24 @@ def test_past_makes_only_the_first_offset_queries_minus_inf(offset):
     past = _past(stream, offset)
     assert past.max_queries == 12
     assert stream_prefix(past, 14).tolist() == want.tolist()
+
+
+@pytest.mark.parametrize(
+    "values, halt",
+    [
+        # a maximum below the threshold ahead of the first crossing
+        ([0.0, 40.0, 0.0, 0.0, 60.0, 0.0], 21),
+        # a value that equals the threshold crosses it
+        ([0.0, 40.0, 0.0, 50.0, 0.0], 16),
+        ([0.0, 40.0, 0.0, 0.0], None),
+    ],
+)
+def test_noiseless_runner_halts_at_the_first_crossing_of_any_stream(values, halt):
+    # runs of 5 queries each, the last open
+    stream = QueryStream(np.arange(0, 5 * len(values), 5), values, 1000)
+    want = reference.first_crossing(model_queries(stream), 1000, 50.0)
+    assert want == (SvtOutcome(None, 1000) if halt is None else SvtOutcome(halt))
+    assert run_above_threshold_noiseless(stream, 50.0) == want
 
 
 def test_reach_test_rounds_as_the_hit_test_does():
@@ -914,7 +982,8 @@ def test_sorted_and_bincounted_keys_build_the_same_histograms(case, cap, block):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(quantile, "_SORT_SPREAD", spread)
             mp.setattr(quantile, "_BUILD_BLOCK", block_size)
-            split = _sign_split_totals(x, GeometricGrid(beta, 0.0), cap)
+            first, second = _sign_split_totals(x, GeometricGrid(beta, 0.0), cap)
+            split = [first, second()]
             if overflows:
                 with pytest.raises(ValueError) as exc:
                     build_histogram(x, beta, lower, cap)
@@ -995,7 +1064,8 @@ def test_built_runs_are_the_appended_runs(case, cap, spread, block):
     grid = GeometricGrid(beta, 0.0)
     with build_path(spread, block):
         hist = build_histogram(pos, beta, 0.0, cap)
-        signed = _sign_split_totals(x, grid, cap)
+        first, second = _sign_split_totals(x, grid, cap)
+        signed = [first, second()]
     want = model_histogram(beta, pos + 1.0, cap)
     assert same_arrays(hist.buckets, want[0]) and same_arrays(hist.running, want[1])
     stream = counting_query_stream(hist, cap)

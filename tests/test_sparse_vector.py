@@ -239,3 +239,15 @@ def test_stream_validation():
     ):
         with pytest.raises(ValueError):
             QueryStream(starts, values)
+
+
+def test_a_nan_query_value_is_a_value_error():
+    # the running maximum the searches read would carry a NaN on to the
+    # stream's end, and the first stream would halt at 6 without noise, not
+    # at 11
+    for values in ([0.0, np.nan, 100.0], [np.nan], [0.0, 5.0, np.nan]):
+        with pytest.raises(ValueError, match="nan"):
+            QueryStream(np.arange(0, 5 * len(values), 5), values, 1000)
+    stream = QueryStream([0, 5, 10], [0.0, -np.inf, 100.0], 1000)
+    assert stream.peak.tolist() == [0.0, 0.0, 100.0] and not stream.peak.flags.writeable
+    assert run_above_threshold_noiseless(stream, 50.0) == SvtOutcome(11)
