@@ -10,6 +10,7 @@ past a state without drawing them (_place).
 from __future__ import annotations
 
 import enum
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +46,8 @@ class NoiseSpec:
     scale: float
 
     def __post_init__(self) -> None:
+        if not isinstance(self.kind, NoiseKind):
+            raise ValueError(f"unknown noise kind: {self.kind!r}")
         if not self.scale > 0:
             raise ValueError(f"noise scale must be positive, got {self.scale}")
 
@@ -111,10 +114,12 @@ class RandomSource:
         return _to_uniform(self.gen.bit_generator.random_raw(size) >> 11)
 
     def skip(self, n: int) -> None:
-        """Move past n uniforms without computing them, in O(1): the
-        generator ends in exactly the state uniform_open(n) would leave."""
+        """Move past n >= 0 uniforms (any other n is a ValueError) without
+        computing them, in O(1): the state uniform_open(n) would leave."""
+        if not isinstance(n, numbers.Integral) or n < 0:
+            raise ValueError(f"skip needs an integer count >= 0, got {n!r}")
         if n:
-            _place(self.gen.bit_generator, self.gen.bit_generator.state, n)
+            _place(self.gen.bit_generator, _int_state(self.gen.bit_generator.state), n)
 
     def __repr__(self) -> str:
         return f"RandomSource(seed={self.seed}, stream={self.stream})"
@@ -128,10 +133,17 @@ def _check_source(rng) -> None:
         raise ValueError(f"a RandomSource is required, got {type(rng).__name__}")
 
 
+def _int_state(state: dict) -> dict:
+    """A Philox state read, its counter and key made Python ints in place."""
+    words = state["state"]
+    words["counter"], words["key"] = words["counter"].tolist(), words["key"].tolist()
+    return state
+
+
 def _place(bit_generator, state: dict, a: int) -> None:
-    """Put a Philox bit generator at word a >= 1 past state (one it
-    returned, or _rekey's of Python ints), exactly as drawing a words from
-    state leaves it, its spare 32-bit half-word included (which
+    """Put a Philox bit generator at word a >= 1 past state (one of Python
+    ints, as _int_state or _rekey gives it), exactly as drawing a words
+    from state leaves it, its spare 32-bit half-word included (which
     bit_generator.advance would clear). O(1) for any a: past state's
     buffer, the counter of the block that holds word a - 1 is written as
     Python ints, which numpy reads faster than arrays, and the one to four
@@ -141,8 +153,6 @@ def _place(bit_generator, state: dict, a: int) -> None:
         bit_generator.state = {**state, "buffer_pos": pos}
         return
     counter, key = state["state"]["counter"], state["state"]["key"]
-    if isinstance(counter, np.ndarray):
-        counter, key = counter.tolist(), key.tolist()
     # Philox steps its counter before it fills the buffer, so the block of
     # counter c holds words 4(c - 1) .. 4c - 1 of the key's stream
     c = counter[0] | counter[1] << 64 | counter[2] << 128 | counter[3] << 192
@@ -180,18 +190,27 @@ def _noise_of_words(spec: NoiseSpec, words):
     at each word's uniform, as uniform_open maps it (its top 53 bits).
     sample() and the AboveThreshold runners compute every value here.
 
-    Returns a scalar for an int word, else an ndarray of the words' shape.
+    Returns a scalar for an int word, else an ndarray of the words' shape,
+    computed in place. As -b * x is exact in b's sign and rounds as b * x
+    does, b times the noise at scale 1 is the noise at scale b, bit for bit.
     """
     b = spec.scale
     u = _to_uniform(words >> 11)
+    if not isinstance(u, np.ndarray):  # one word, where out= costs more than it saves
+        if spec.kind is NoiseKind.LAPLACE:
+            v = 2.0 * u - 1.0
+            return -b * np.sign(v) * np.log1p(-abs(v))
+        return -b * np.log(-np.log(u) if spec.kind is NoiseKind.GUMBEL else u)
     if spec.kind is NoiseKind.LAPLACE:
-        v = 2.0 * u - 1.0
-        return -b * np.sign(v) * np.log1p(-np.abs(v))
+        u *= 2.0
+        u -= 1.0
+        noise = np.sign(u)
+        np.negative(np.abs(u, out=u), out=u)
+        noise *= -b
+        return np.multiply(noise, np.log1p(u, out=u), out=noise)
     if spec.kind is NoiseKind.GUMBEL:
-        return -b * np.log(-np.log(u))
-    if spec.kind is NoiseKind.EXPONENTIAL:
-        return -b * np.log(u)
-    raise ValueError(f"unknown noise kind: {spec.kind}")
+        np.negative(np.log(u, out=u), out=u)
+    return np.multiply(np.log(u, out=u), -b, out=u)
 
 
 def sample(spec: NoiseSpec, rng: RandomSource, size=None):
@@ -210,10 +229,8 @@ def pdf(spec: NoiseSpec, z):
         out = np.exp(-np.abs(z) / b) / (2.0 * b)
     elif spec.kind is NoiseKind.GUMBEL:
         out = np.exp(-(z / b + np.exp(-z / b))) / b
-    elif spec.kind is NoiseKind.EXPONENTIAL:
-        out = np.where(z >= 0, np.exp(-np.where(z >= 0, z, 0.0) / b) / b, 0.0)
     else:
-        raise ValueError(f"unknown noise kind: {spec.kind}")
+        out = np.where(z >= 0, np.exp(-np.where(z >= 0, z, 0.0) / b) / b, 0.0)
     if out.ndim == 0:
         return float(out)
     return out

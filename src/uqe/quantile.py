@@ -51,6 +51,7 @@ from .sparse_vector import (
     QueryStream,
     SvtConfig,
     SvtOutcome,
+    _Words,
     check_max_queries,
     check_split,
     check_threshold,
@@ -644,7 +645,7 @@ def _finish(grid: GeometricGrid, outcome: SvtOutcome) -> QuantileEstimate:
     return QuantileEstimate(grid.value(outcome.index), outcome.index, False)
 
 
-def _scan(stream: QueryStream, t: float, req: QuantileRequest, rng: RandomSource) -> SvtOutcome:
+def _scan(stream: QueryStream, t: float, req: QuantileRequest, rng: RandomSource | _Words) -> SvtOutcome:
     """AboveThreshold with threshold t under the request's budget and noise,
     its config built unchecked (SvtConfig._built): the request checked its
     split, and t is q * n or a threshold _release checked."""
@@ -776,18 +777,18 @@ def estimate_quantile_unbounded(
     -(beta^k - 1). If that run also halts at 0, the estimate is 0. Each run
     pays the request's (eps1, eps2); the two compose.
     """
-    _check_source(rng)
+    words = _Words(rng, req)  # checks rng before the pass over the data
     grid = GeometricGrid(req.beta, 0.0)
     cap = req.max_queries
     nonneg, nonpos = _sign_split_totals(data.values, grid, cap)
-    first = _scan(QueryStream._built(*nonneg, cap), req.q * data.n, req, rng)
+    first = _scan(QueryStream._built(*nonneg, cap), req.q * data.n, req, words)
     if first.exhausted:
         return UnboundedEstimate(grid.value(cap - 1), True, None, None, False)
     k1 = first.index - 1
     if k1 > 0:
         return UnboundedEstimate(grid.power(k1) - 1.0, False, k1, None, False)
     t2 = (1.0 - req.q) * data.n
-    second = _scan(QueryStream._built(*nonpos(), cap), t2, req, rng)
+    second = _scan(QueryStream._built(*nonpos(), cap), t2, req, words)
     if second.exhausted:
         return UnboundedEstimate(-(grid.value(cap - 1)), True, 0, None, True)
     k2 = second.index - 1
@@ -850,7 +851,7 @@ def _sorted_stream(
     if top < y.size:
         cumulative = np.empty(top + 1)
         if above is None:
-            cumulative[:top] = np.searchsorted(y, grid.powers(top + 1)[1:], side="left")
+            cumulative[:top] = y.searchsorted(grid.powers(top + 1)[1:], "left")
         else:
             cumulative[:top] = above[:top]
         cumulative[top] = y.size
@@ -887,7 +888,7 @@ def estimate_multiple_quantiles(
     neighbors: the thresholds rest on the public n. Under add-subtract
     neighbors n is private, so that request is a ValueError.
     """
-    _check_source(rng)
+    words = _Words(rng, req)  # one cursor for every node's run
     _check_multi_quantile_neighbor(req.neighbor)
     if data.lower_bound is None:
         raise ValueError("multi-quantile estimation needs a declared lower bound")
@@ -929,10 +930,10 @@ def estimate_multiple_quantiles(
             y = grid.shift(xs[a:b])
         stream, counts = _sorted_stream(grid, y, cap, above)
         t = float((q_arr[mid] - mass_lo) * n_total)
-        est = _finish(grid, _scan(stream, t, req, rng))
+        est = _finish(grid, _scan(stream, t, req, words))
         estimates[mid] = est.value
         exhausted[mid] = est.exhausted
-        split = a + int(np.searchsorted(xs[a:b], est.value, side="right"))
+        split = a + int(xs[a:b].searchsorted(est.value, "right"))
         # the left child is pushed last, so it runs next
         todo.append((split, b, mid + 1, hi, est.value, upper, q_arr[mid], est.value, None, None))
         left = y[: split - a]

@@ -13,7 +13,7 @@ misses whatever its uniform. Where the data stay out of reach for a long
 head, the runner puts the generator past those queries in O(1) and
 computes noise from the first query within reach, a block at a time,
 rewinding on a hit to just past the halting query; each move is written
-from the run's one read of the generator's state (noise._place). The
+from one state read, which an estimator's runs share (_Words). The
 first block ends at the first query whose value alone clears the noisy
 threshold, so a run nearly always decides in it. Each search is one
 binary search over the running maximum of the run values. Where the last
@@ -44,7 +44,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .noise import NOISE_REACH, NoiseKind, NoiseSpec, RandomSource, _noise_of_words, _place, sample
+from .noise import NOISE_REACH, NoiseKind, NoiseSpec, RandomSource, sample
+from .noise import _check_source, _int_state, _noise_of_words, _place
 
 __all__ = [
     "DEFAULT_MAX_QUERIES",
@@ -223,7 +224,8 @@ def _window(stream: QueryStream, start: int, stop: int) -> np.ndarray:
     """Query values f_{start+1} .. f_stop: each run's value repeated over
     its part of the window."""
     starts = stream.starts
-    j, k = _run_at(starts, start), _run_at(starts, stop - 1) + 1
+    j, k = starts.searchsorted((start, stop - 1), "right").tolist()
+    j -= 1
     if k - j == stop - start:  # one query per run
         return stream.values[j:k]
     edges = np.empty(k - j + 1, dtype=np.int64)
@@ -238,84 +240,124 @@ def _first_within(stream: QueryStream, start: int, reach: float, level: float) -
     from offset 0 or on a nondecreasing stream; else an earlier peak may
     give an earlier offset, but none before start or past a query in reach."""
     j = _run_at(stream.starts, start)
-    run = j + int((stream.peak[j:] + reach).searchsorted(level))
+    run = j + int((stream.peak[j:] + reach if reach else stream.peak[j:]).searchsorted(level))
     if run == stream.starts.size:
         return stream.max_queries
     return min(max(start, int(stream.starts[run])), stream.max_queries)
 
 
-def _hits(values: np.ndarray, words: np.ndarray, spec: NoiseSpec, noisy_t) -> np.ndarray:
-    """The block hit test: which queries clear the noisy threshold, each
-    noised by one raw word. values, words and noisy_t broadcast together."""
-    return values + _noise_of_words(spec, words) >= noisy_t
+# the words drawn past a block that begins inside words drawn before it (not after a skip)
+_DRAW_AHEAD = 1024
+_NONE_HELD = np.empty(0)
 
 
-def run_above_threshold(
-    stream: QueryStream, cfg: SvtConfig, rng: RandomSource
-) -> SvtOutcome:
+class _Words:
+    """A cursor over one generator's words for the consecutive runs of one
+    split (an SvtConfig's or QuantileRequest's eps1, eps2 and noise): word
+    a is the a-th past its one state read. It holds the noise of the words
+    drawn from base on, at the scale of both noise specs when eps1 == eps2,
+    else at scale 1, which b times gives scale b bit for bit."""
+
+    __slots__ = ("gen", "start", "_state", "_spec", "_noise", "_base", "_at")
+
+    def __init__(self, rng: RandomSource, split) -> None:
+        _check_source(rng)
+        self.gen = rng.gen
+        self._state = _int_state(rng.gen.bit_generator.state)
+        self._spec = _noise_spec(split.noise, 1.0 / split.eps2 if split.eps1 == split.eps2 else 1.0)
+        self._noise = _NONE_HELD
+        self.start = self._base = self._at = 0
+
+    def threshold(self, scale: float):
+        """The noise at scale of the run's threshold, word start: held, or
+        drawn alone where finish (or the state read) left the generator."""
+        if self.start < self._base + self._noise.size:
+            noise = self._noise[self.start - self._base]
+        else:
+            self._at += 1
+            noise = _noise_of_words(self._spec, self.gen.bit_generator.random_raw())
+        return noise if scale == self._spec.scale else scale * noise
+
+    def noise(self, lo: int, hi: int, ahead: bool, scale: float) -> np.ndarray:
+        """The noise at scale of words lo .. hi - 1, drawing those not held:
+        _DRAW_AHEAD more if the block begins inside them and asks to."""
+        base, held = self._base, self._noise
+        end = base + held.size
+        if hi > end:
+            first = end if lo < end else lo
+            if self._at != first:
+                _place(self.gen.bit_generator, self._state, first)
+            count = hi - first + (_DRAW_AHEAD if ahead and lo < end else 0)
+            noise = _noise_of_words(self._spec, self.gen.bit_generator.random_raw(count))
+            if lo < end:
+                noise = np.concatenate((held[lo - base :], noise))
+            self._noise, self._base, self._at = noise, lo, first + count
+        noise = self._noise[lo - self._base : hi - self._base]
+        return noise if scale == self._spec.scale else scale * noise
+
+    def finish(self, a: int) -> None:
+        """End a run: the generator at word a, the next run's start."""
+        _place(self.gen.bit_generator, self._state, a)
+        self.start = self._at = a
+
+
+def run_above_threshold(stream: QueryStream, cfg: SvtConfig, rng: RandomSource | _Words) -> SvtOutcome:
     """Noisy threshold, then one noisy comparison per query until a hit.
 
     The threshold takes the run's first uniform, and the query at offset o
     (f_(o+1)) uniform 1 + o. Queries with f + NOISE_REACH * b < noisy
-    threshold cannot hit, so the generator is put past their uniforms
-    without computing them. From the next query within reach, each block
-    of queries gets its noise from one array of raw words, and argmax
-    finds the first hit. The block after a skip runs through the first
-    query whose value alone clears the noisy threshold, in 256 to 16,384
-    queries (256 if none does); later blocks double. Each move is written
-    from the run's one state read (noise._place): to the first query in
-    reach, just past a hit, or to the cap. So the halt index and the
-    generator's state are those of a query-by-query loop.
+    threshold cannot hit, so their uniforms are skipped without computing
+    them. From the next query within reach, each block of queries gets its
+    noise from one array of raw words, and argmax finds the first hit. The
+    block after a skip runs through the first query whose value alone
+    clears the noisy threshold, in 256 to 16,384 queries (256 if none
+    does); later blocks double. rng is a RandomSource, or the cursor
+    (_Words) an estimator passes each of its runs. Every move of the
+    generator is written from the cursor's one state read (noise._place),
+    and the run ends with one, just past a hit or past the cap. So the
+    halt index and the generator's state are those of a query-by-query loop.
 
     When query min(256, cap) is within reach of the lowest noisy threshold
     the noise allows, there is no head to skip: the first block starts at
     query 1 and carries the threshold's word. Its queries out of reach get
-    noise too, but cannot hit. A hit there writes the read state back and
-    draws the words up to and including the hit.
+    noise too, but cannot hit.
 
     The reach test is written as the hit test is, f + reach >= noisy
     threshold: rounded addition is monotone, so noise <= reach gives
     f + noise <= f + reach in floating point too, where f >= noisy
     threshold - reach would round the subtraction and skip hits.
     """
-    bit_generator = rng.gen.bit_generator
-    threshold_spec = _noise_spec(cfg.noise, 1.0 / cfg.eps1)
-    query_spec = _noise_spec(cfg.noise, 1.0 / cfg.eps2)
-    reach = NOISE_REACH * query_spec.scale
+    rng = rng if isinstance(rng, _Words) else _Words(rng, cfg)
+    threshold_scale, query_scale = 1.0 / cfg.eps1, 1.0 / cfg.eps2
+    reach = NOISE_REACH * query_scale
     cap = stream.max_queries
+    # the threshold's word; the query at offset o is word first + 1 + o
+    first = rng.start
     drawn = start = 0
     size = min(_FIRST_QUERY_BLOCK, cap)
-    # the run's one state read; the query at offset o is word 1 + o past it
-    state = bit_generator.state
     # words ahead of the block's queries: the threshold's, in a head block
     head = stream.values[_run_at(stream.starts, size - 1)] + reach
-    lead = 1 if head >= cfg.threshold - NOISE_REACH * threshold_spec.scale else 0
+    lead = 1 if head >= cfg.threshold - NOISE_REACH * threshold_scale else 0
     if not lead:
-        noisy_t = cfg.threshold + _noise_of_words(threshold_spec, bit_generator.random_raw())
+        noisy_t = cfg.threshold + rng.threshold(threshold_scale)
     while lead or (start := _first_within(stream, drawn, reach, noisy_t)) < cap:
         if start > drawn:
-            _place(bit_generator, state, 1 + start)
             clears = _first_within(stream, start, 0.0, noisy_t)
             size = min(max(clears + 1 - start, _FIRST_QUERY_BLOCK), _MAX_QUERY_BLOCK)
             size = _FIRST_QUERY_BLOCK if clears == cap else size
         stop = min(start + size, cap)
         vals = _window(stream, start, stop)
-        words = bit_generator.random_raw(lead + vals.size)
+        noise = rng.noise(first + 1 - lead + start, first + 1 + stop, start == drawn, query_scale)
         if lead:
-            noisy_t = cfg.threshold + _noise_of_words(threshold_spec, int(words[0]))
-            words = words[1:]
-        hits = _hits(vals, words, query_spec, noisy_t)
+            noisy_t = cfg.threshold + rng.threshold(threshold_scale)
+            noise = noise[1:]
+        hits = vals + noise >= noisy_t
         h = int(hits.argmax())
         if hits[h]:
-            if lead:
-                bit_generator.state = state
-                bit_generator.random_raw(h + 2)
-            else:
-                _place(bit_generator, state, 2 + start + h)
+            rng.finish(first + 2 + start + h)
             return SvtOutcome(start + h + 1)
         drawn, size, lead = stop, min(2 * size, _MAX_QUERY_BLOCK), 0
-    if drawn < cap:
-        _place(bit_generator, state, 1 + cap)
+    rng.finish(first + 1 + cap)
     return SvtOutcome(None, cap)
 
 
@@ -357,7 +399,7 @@ def _first_window_halts(
         row[...] = raw(size)
     offsets = at[:, None] + np.arange(size)
     vals = stream.values[stream.starts.searchsorted(offsets, "right") - 1]
-    hits = _hits(vals, words, query_spec, noisy_t[:, None]) & (offsets < cap)
+    hits = (vals + _noise_of_words(query_spec, words) >= noisy_t[:, None]) & (offsets < cap)
     h = hits.argmax(axis=1)
     hit = hits[np.arange(len(keys)), h]
     # a halt where the window hit, else the offset the run goes on from

@@ -158,6 +158,14 @@ def test_invalid_scale_rejected():
         NoiseSpec(NoiseKind.GUMBEL, -1.0)
 
 
+def test_a_kind_that_is_not_a_noise_kind_is_rejected_where_the_spec_is_made():
+    # the noise and density formulas pick their branch by kind, and would
+    # take the last for any other value
+    for kind in ("laplace", None, 1):
+        with pytest.raises(ValueError, match="unknown noise kind"):
+            NoiseSpec(kind, 1.0)
+
+
 def test_noise_kind_parse():
     # the CLI converts its --noise values with the enum constructor
     assert NoiseKind("expo") is NoiseKind.EXPONENTIAL
@@ -200,6 +208,43 @@ def test_uniform_map_stays_inside_the_open_interval(k, want):
 def test_noise_reach_is_within_one_scale_of_the_largest_value():
     top = _noise_of_words(NoiseSpec(NoiseKind.EXPONENTIAL, 1.0), 0)
     assert NOISE_REACH - 1.0 < top <= NOISE_REACH
+
+
+def allocating_noise(spec, words):
+    """The noise of raw words with a new array at every step: the formula
+    the in-place computation must reproduce bit for bit."""
+    b = spec.scale
+    u = np.minimum(((words >> 11) + 0.5) / U53, np.nextafter(1.0, 0.0))
+    if spec.kind is NoiseKind.LAPLACE:
+        v = 2.0 * u - 1.0
+        return -b * np.sign(v) * np.log1p(-np.abs(v))
+    if spec.kind is NoiseKind.GUMBEL:
+        return -b * np.log(-np.log(u))
+    return -b * np.log(u)
+
+
+# 0 and the top word (the uniforms 2**-54 and 1 - 2**-53), 2**63, whose
+# uniform is 0.5 (Laplace v = 0, of sign 0), and the words around it
+EDGE_WORDS = [0, 2**64 - 1, 2**63, 2**63 - 2**11, 2**63 + 2**11, 2**63 - 1, 2**63 + 1]
+SCALES = [5e-324, 1e-300, 1e-3, 0.5, 1.0, 7.5, 1e300, 1.7e308]
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_in_place_noise_is_the_allocating_formula(kind):
+    drawn = RandomSource(12).gen.bit_generator.random_raw(20_000)
+    words = np.concatenate([np.array(EDGE_WORDS, dtype=np.uint64), drawn])
+    unit = _noise_of_words(NoiseSpec(kind, 1.0), words)
+    with np.errstate(over="ignore"):
+        for b in SCALES:
+            spec = NoiseSpec(kind, b)
+            got = _noise_of_words(spec, words)
+            assert got.tobytes() == allocating_noise(spec, words).tobytes(), b
+            # the value at scale b is b times the value at scale 1
+            assert (b * unit).tobytes() == got.tobytes(), b
+            # and one word, as an int, takes the scalar path to the same bits
+            for word in EDGE_WORDS:
+                want = allocating_noise(spec, np.uint64(word))
+                assert np.float64(_noise_of_words(spec, word)).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -265,6 +310,18 @@ def test_skip_leaves_the_state_of_drawing(n):
         # the next draws agree too, the spare 32-bit half included
         assert skipped.gen.integers(0, 10, 3).tolist() == drawn.gen.integers(0, 10, 3).tolist()
         assert skipped.uniform_open(9).tobytes() == drawn.uniform_open(9).tobytes(), label
+
+
+@pytest.mark.parametrize("n", [-1, -5, -100, 2.5, np.float64(3.0), "3", None])
+def test_skip_takes_only_a_count_of_uniforms_and_moves_nothing_else(n):
+    # a negative count would move the buffer position before the buffer
+    # numpy's Philox reads, and a float would fail deep in the placement
+    for label, start in skip_starts():
+        rng = start()
+        before = philox_state(rng)
+        with pytest.raises(ValueError, match="skip needs"):
+            rng.skip(n)
+        assert philox_state(rng) == before, label
 
 
 def bounded_uniforms(rng, size):

@@ -5,7 +5,8 @@ model's bytes, halt indices and flags and leave the Philox generator in the
 model's state. The runner, which skips the uniforms of queries that cannot
 reach the noisy threshold and draws the rest a block at a time, must halt
 where the model's query-by-query loop halts and leave its state, on streams
-built to stress the skips, the block edges and rounding. Also here: the two
+built to stress the skips, the block edges and rounding, and so must runs
+made one after another on one cursor, after every run. Also here: the two
 live paths the code picks between, checked against each other (a multi-
 quantile node's sorted counts, and a prefix's taken from them, against the
 capped build; sorted against bincounted bucket keys), the power cache
@@ -407,6 +408,113 @@ def test_runner_from_edge_generator_states_is_the_model(case, kind, searched_fro
         assert a.uniform_open(9).tobytes() == b.uniform_open(9).tobytes(), label
 
 
+# Consecutive runs on one cursor, as an estimator makes them: each run
+# takes its words from where the last one halted, and their noise from the
+# words the last runs drew. near(cfg) is within reach of the lowest noisy
+# threshold the noise allows, so a run on it takes the head block, but out
+# of reach of every noisy threshold the noise gives: it never hits. Each
+# run is (head, tail, cap), at threshold T; the comments give the words it
+# takes, counted from the state the cursor read.
+def near(cfg):
+    return T - 37.7 * (1.0 / cfg.eps1 + 1.0 / cfg.eps2)
+
+
+def consecutive_runs(near):
+    hit = T + 1e5
+    return [
+        # a head block on a fresh cursor, 0 .. 256, drawn exactly; halts at 10
+        ([FAR] * 9, hit, DEFAULT_MAX_QUERIES),
+        # a head block inside those words, 11 .. 267: it draws 1,024 words
+        # past its end, 257 .. 1291
+        ([FAR] * 9, hit, DEFAULT_MAX_QUERIES),
+        # a threshold's word held, and a skip inside the held words to a
+        # block that straddles their end, 1223 .. 1478: drawn exactly
+        ([FAR] * 1200, hit, DEFAULT_MAX_QUERIES),
+        # a head block that straddles, 1224 .. 1480, and draws ahead; it
+        # misses, and a skip finds the block of query 300 held
+        ([near] * 299, hit, DEFAULT_MAX_QUERIES),
+        # a cap under 256 that exhausts in a held head block
+        ([], near, 100),
+        # no query in reach: exhaustion past the held words, at 3127
+        ([], FAR, 1500),
+        # a head block past them, 3127 .. 3383, drawn exactly; halts on its last word
+        ([FAR] * 255, hit, DEFAULT_MAX_QUERIES),
+        # a head block that begins where the held words end, drawn exactly
+        ([hit], hit, DEFAULT_MAX_QUERIES),
+        # a skip past the held words
+        ([FAR] * 2000, hit, DEFAULT_MAX_QUERIES),
+        # a skip of one query, inside the held words, to a straddling block
+        ([FAR, hit], FAR, 1000),
+        # a head block that straddles, and draws ahead
+        ([FAR] * 9, hit, DEFAULT_MAX_QUERIES),
+        # a ramp across the threshold, in a held head block: where it halts
+        # turns on the threshold's noise
+        ([T - 40.0 + i for i in range(80)], hit, DEFAULT_MAX_QUERIES),
+    ]
+
+
+# the words the runs above noise: each once, and only the head blocks that
+# begin inside the held words draw ahead (runs 2, 4 and 11)
+CONSECUTIVE_NOISED = 257 + 1035 + 187 + 1026 + 257 + 257 + 256 + 3 + 1026
+
+
+@pytest.mark.parametrize("split", [(1.0, 1.0), (2.0, 0.5)], ids=["eps1=eps2", "eps1!=eps2"])
+@pytest.mark.parametrize("kind", list(NoiseKind))
+def test_consecutive_runs_on_one_generator_are_the_model(kind, split, monkeypatch):
+    cfg = config(kind, *split, T)
+    runs = [head_stream(h, tail, max_queries=cap) for h, tail, cap in consecutive_runs(near(cfg))]
+    noised = []
+    noise_of_words = sparse_vector._noise_of_words
+
+    def counted_noise(spec, words):
+        noised.append(np.size(words))
+        return noise_of_words(spec, words)
+
+    monkeypatch.setattr(sparse_vector, "_noise_of_words", counted_noise)
+    for label, start in skip_starts():
+        a, b = start(), start()
+        words = sparse_vector._Words(a, cfg)
+        noised.clear()
+        for i, stream in enumerate(runs):
+            want = reference.above_threshold(model_queries(stream), stream.max_queries, cfg, b)
+            assert run_above_threshold(stream, cfg, words) == want, (label, i)
+            assert generator_state(a) == generator_state(b), (label, i)
+        assert sum(noised) == CONSECUTIVE_NOISED, (label, noised)
+        assert a.uniform_open(9).tobytes() == b.uniform_open(9).tobytes(), label
+
+
+STARTS = list(skip_starts())
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    kind=KINDS,
+    eps1=st.floats(0.05, 5.0),
+    eps2=st.floats(0.05, 5.0),
+    runs=st.lists(
+        st.tuples(
+            st.lists(st.integers(0, 40), max_size=400),
+            st.integers(0, 1000),
+            st.floats(-20.0, 2000.0),
+            CAPS,
+        ),
+        min_size=1,
+        max_size=12,
+    ),
+    start=st.sampled_from(range(len(STARTS))),
+)
+def test_random_consecutive_runs_on_one_generator_are_the_model(kind, eps1, eps2, runs, start):
+    a, b = STARTS[start][1](), STARTS[start][1]()
+    words = None
+    for head, tail, threshold, cap in runs:
+        cfg = config(kind, eps1, eps2, threshold)
+        words = words or sparse_vector._Words(a, cfg)
+        stream = head_stream(np.cumsum(head, dtype=float), tail, max_queries=cap)
+        want = reference.above_threshold(model_queries(stream), cap, cfg, b)
+        assert run_above_threshold(stream, cfg, words) == want
+        assert generator_state(a) == generator_state(b)
+
+
 # The first block after a skip runs from the first query within reach
 # through the first whose value alone clears the noisy threshold, in 256 to
 # 16,384 queries; with none, blocks double from 256. With eps1 = 10 the
@@ -637,6 +745,38 @@ def test_a_run_takes_the_head_block_where_its_data_come_near_the_threshold_early
             assert searched_from == []
         else:
             assert searched_from[0] == 0 and len(searched_from) == len(qs)
+
+
+def test_a_multi_quantile_call_reads_the_state_once_and_noises_three_arrays(monkeypatch):
+    # inputs like perfbench's multi-split: nine runs on head blocks, which
+    # share one cursor; the first run noises its block, and two later ones
+    # draw ahead the words of the runs after them
+    opened, noised = [], []
+    noise_of_words = sparse_vector._noise_of_words
+
+    class Counted(sparse_vector._Words):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            opened.append(args)
+            super().__init__(*args)
+
+    def counted_noise(spec, words):
+        noised.append(np.size(words))
+        return noise_of_words(spec, words)
+
+    monkeypatch.setattr(sparse_vector, "_Words", Counted)
+    monkeypatch.setattr(quantile, "_Words", Counted)
+    monkeypatch.setattr(sparse_vector, "_noise_of_words", counted_noise)
+    x = RandomSource(50).gen.lognormal(math.log(10.0), 0.8, 5000)
+    req = QuantileRequest.even_split(0.5, 1.0, beta=1.01)
+    qs = [0.1 * j for j in range(1, 10)]
+    for seed in range(10):
+        opened.clear()
+        noised.clear()
+        estimate_multiple_quantiles(Dataset(x, 0.0), qs, req, RandomSource(51, seed))
+        assert len(opened) == 1
+        assert len(noised) <= 3
 
 
 def test_array_stream_is_freed_without_garbage_collection():

@@ -165,6 +165,14 @@ def test_gumbel_requires_equal_split():
             SvtConfig(eps, 0.5, NoiseKind.LAPLACE, 0.0)
 
 
+@pytest.mark.parametrize("rng", [None, np.random.default_rng(0), 7], ids=["None", "Generator", "7"])
+def test_the_runner_draws_only_from_a_random_source(rng):
+    # a ValueError before any draw, not an AttributeError at the first one
+    cfg = SvtConfig(1.0, 1.0, NoiseKind.LAPLACE, 0.0)
+    with pytest.raises(ValueError, match="RandomSource"):
+        run_above_threshold(head_stream([1.0, 2.0]), cfg, rng)
+
+
 def test_a_nan_threshold_is_a_value_error_on_both_release_paths():
     # no query clears NaN, so every run used to end exhausted
     stream = head_stream([1.0, 2.0])
