@@ -423,7 +423,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--curves", default=None, help="also write normalized-error CSV here")
     p.set_defaults(handler=cmd_bench)
 
-    p = sub.add_parser("verify", help="statistical and oracle self-checks")
+    p = sub.add_parser("verify", help="statistical self-checks")
     p.add_argument("--suite", default="all", choices=["all", *SUITE_NAMES])
     p.add_argument(
         "--trials",

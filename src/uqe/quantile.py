@@ -239,16 +239,18 @@ class GeometricGrid:
             raise ValueError("value below the grid lower bound, or NaN")
         return y
 
-    def bucket_indices(self, y: np.ndarray, limit: int | None = None) -> np.ndarray:
+    def bucket_indices(self, y: np.ndarray, limit: int = DEFAULT_MAX_QUERIES) -> np.ndarray:
         """Bucket b with beta^b <= y < beta^(b+1), vectorized over y >= 1.
 
         A log guess is checked against the cached powers wherever it could
         be wrong, so boundary points land exactly where the strict
-        inequality of the counting queries expects them. With a limit, every
+        inequality of the counting queries expects them. Every
         y >= beta^limit goes to the one bucket `limit`, and the cache stops
-        at beta^(limit+1). NaN, inf and y < 1 have no bucket and raise
-        ValueError before any of them reaches the integer cast.
+        at beta^(limit+1); the limit follows the query cap's rule. NaN, inf
+        and y < 1 have no bucket and raise ValueError before any of them
+        reaches the integer cast.
         """
+        check_max_queries(limit)
         y = np.asarray(y, dtype=float)
         if y.size == 0:
             return np.zeros(0, dtype=np.int64)
@@ -264,7 +266,7 @@ class GeometricGrid:
     def _bucket_into(
         self,
         y: np.ndarray,
-        limit: int | None,
+        limit: int,
         idx: np.ndarray,
         work: np.ndarray,
         mask: np.ndarray,
@@ -300,7 +302,7 @@ class GeometricGrid:
         top = float(work.max())
         if not top < math.inf:
             raise ValueError("the bucket domain is the finite numbers >= 1")
-        k = int(top) + 2 if limit is None else min(limit, int(top) + 2)
+        k = min(limit, int(top) + 2)
         delta = max(2.0**-20, 4.0 * (k * 2.0**-52 / self._log_beta + 2.0**-40 * top))
         if delta >= 0.125:
             k = self._bucket(float(y.max()), limit)
@@ -312,7 +314,7 @@ class GeometricGrid:
         work += delta
         np.copyto(idx, work, casting="unsafe")
         work -= idx
-        if limit is not None and top > limit:
+        if top > limit:
             np.minimum(idx, limit, out=idx)
         if np.less(work, 2.0 * delta, out=mask).any():
             idx[mask] = np.searchsorted(self.powers(k + 1)[1:], y[mask], "right")
@@ -384,7 +386,6 @@ class LogBucketHistogram:
         self.n = int(values[-1])
         # a first value of 0 is the zeros' run, ahead of bucket 1 or later
         self.buckets = starts[int(values[0] == 0) :]
-        self._streams: dict[int, QueryStream] = {}
 
     @functools.cached_property
     def running(self) -> np.ndarray:
@@ -553,18 +554,20 @@ def _key_counts(x: np.ndarray, keys: Callable) -> tuple[np.ndarray, np.ndarray, 
 
 
 def build_histogram(
-    values, beta: float, lower_bound: float, max_queries: int | None = None
+    values, beta: float, lower_bound: float, max_queries: int = DEFAULT_MAX_QUERIES
 ) -> LogBucketHistogram:
     """Shift, bucket and count the data in blocks. O(n) arithmetic.
 
     The counts are written once, as the counting stream's runs with its
     zeros ahead of the first point in place, and the histogram keeps them
     unchecked (LogBucketHistogram._built). A run capped at max_queries
-    reads no bucket past max_queries - 1, so with a cap every larger index
-    goes to the one bucket max_queries and the grid's powers stop at
-    beta^(max_queries+1): the work is bounded by the cap, not by how many
-    buckets the data spans.
+    reads no bucket past max_queries - 1, so every larger index goes to the
+    one bucket max_queries and the grid's powers stop at
+    beta^(max_queries+1): time and memory are bounded by the cap, not by
+    how many buckets the data span. The cap follows the runner's rule, an
+    integer >= 1, and defaults to the runner's.
     """
+    check_max_queries(max_queries)
     grid = GeometricGrid(beta, lower_bound)
     x = np.asarray(values, dtype=float)
     if x.size == 0:
@@ -582,17 +585,12 @@ def counting_query_stream(
 ) -> QueryStream:
     """f_i = prefix count through bucket i-1: one run per non-empty bucket,
     behind a run of zeros up to the first: the runs the build wrote, read
-    without a copy. The histogram keeps the stream of each cap, which a
-    lookup finds faster than a new one is made.
+    without a copy, capped at max_queries.
 
     Monotonic with sensitivity 1 under swap neighbors: swapping one point
     moves every prefix count by at most 1, in the same direction.
     """
-    stream = hist._streams.get(max_queries)
-    if stream is None:
-        stream = QueryStream._built(hist._starts, hist._values, max_queries)
-        hist._streams[max_queries] = stream
-    return stream
+    return QueryStream._built(hist._starts, hist._values, max_queries)
 
 
 @dataclass(frozen=True)
@@ -665,7 +663,8 @@ def estimate_quantile(
     threshold overrides q*n (used by the sum procedure's bias-variance
     knob). noiseless releases the deterministic first crossing instead of
     running the private mechanism: the package's one deterministic entry
-    point, for oracle checks, with no privacy guarantee.
+    point, with no privacy guarantee. The tests and the benchmark's oracle
+    check use it; no part of the package does.
     """
     if data.lower_bound is None:
         raise ValueError("estimate_quantile needs a declared lower bound")

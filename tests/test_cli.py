@@ -256,10 +256,10 @@ class TestSum:
 
 class TestVerify:
     def test_single_suite(self, capsys):
-        code, payload = run_cli(capsys, "verify", "--suite", "histogram-oracle")
+        code, payload = run_cli(capsys, "verify", "--suite", "em-equivalence", "--trials", "20000")
         assert code == 0
         assert payload["passed"] is True
-        assert payload["suites"][0]["suite"] == "histogram-oracle"
+        assert payload["suites"][0]["suite"] == "em-equivalence"
 
 
 class TestBench:

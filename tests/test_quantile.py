@@ -37,7 +37,7 @@ from uqe.quantile import (
     request_guarantee,
 )
 from uqe.aggregates import SumConfig, dp_sum
-from uqe.sparse_vector import SvtConfig, stream_prefix
+from uqe.sparse_vector import DEFAULT_MAX_QUERIES, SvtConfig, stream_prefix
 
 import reference
 
@@ -72,17 +72,17 @@ def edge_neighbourhood(edges):
     return pts[pts >= 1.0]
 
 
-# beta from 1 + 2^-40 to 1e10, data magnitude, and limit. A limit of None
-# only where the cache stays under a million powers. At 1 + 2^-40, and at
-# 1 + 1e-9 with the 200,000 limit or near 1e300, the bound is too wide to
-# trust any guess (delta >= 1/8) in some blocks or all, and their points
-# are bucketed by binary search alone.
+# beta from 1 + 2^-40 to 1e10, data magnitude, and limit. A limit of a
+# million, which no point here reaches, only where the cache stays under a
+# million powers. At 1 + 2^-40, and at 1 + 1e-9 with the 200,000 limit or
+# near 1e300, the bound is too wide to trust any guess (delta >= 1/8) in
+# some blocks or all, and their points are bucketed by binary search alone.
 EDGE_CASES = [
     (beta, magnitude, limit)
     for beta in [1 + 2.0**-40, 1 + 1e-9, 1.0001, 1.001, 1.01, 2.0, 1e10]
     for magnitude in [10.0, 1e6, 1e300]
-    for limit in [None, 50, 200_000]
-    if limit is not None or math.log(magnitude) / math.log(beta) < 1e6
+    for limit in [1_000_000, 50, 200_000]
+    if limit != 1_000_000 or math.log(magnitude) / math.log(beta) < 1e6
 ]
 
 
@@ -90,7 +90,7 @@ EDGE_CASES = [
 def test_bucketing_is_exact_at_every_cached_edge(beta, magnitude, limit):
     grid = GeometricGrid(beta, 0.0)
     top = math.log(magnitude) / math.log(beta)
-    last = int(top) + 2 if limit is None else min(int(top) + 2, limit + 1)
+    last = min(int(top) + 2, limit + 1)
     rng = np.random.default_rng(24)
     y = np.concatenate(
         [
@@ -160,7 +160,7 @@ POINTS = st.lists(
         st.floats(1 + 2.0**-40, 1e10),
     ),
     points=POINTS,
-    limit=st.one_of(st.none(), st.integers(1, 200_000)),
+    limit=st.one_of(st.just(1_000_000), st.integers(1, 200_000)),
 )
 def test_bucketing_matches_the_model(beta, points, limit):
     # a point is a double >= 1, or cached edge k moved by j ulps
@@ -178,7 +178,7 @@ def test_bucketing_matches_the_model(beta, points, limit):
     if not y:
         y = [1.0]
     y = np.array(y)
-    if limit is None and math.log(y.max()) / math.log(beta) > 1e6:
+    if limit == 1_000_000 and math.log(y.max()) / math.log(beta) > 1e6:
         limit = 200_000
     assert np.array_equal(grid.bucket_indices(y, limit), reference.bucket(beta, y, limit))
 
@@ -472,7 +472,7 @@ def test_nan_data_is_rejected_by_the_build_without_a_warning():
         for lower in (0.0, -3.0):
             with pytest.raises(ValueError):
                 GeometricGrid(1.01, lower).shift(np.array([2.0, np.nan]))
-            for cap in (None, 50):
+            for cap in (DEFAULT_MAX_QUERIES, 50):
                 with pytest.raises(ValueError):
                     build_histogram(np.array([np.nan, 2.0, 7.0]), 1.01, lower, cap)
 

@@ -54,6 +54,7 @@ from uqe.sparse_vector import (
     _first_window_halts,
     _first_within,
     _past,
+    _window,
     gumbel_halt_log_pmf,
     run_above_threshold,
     run_above_threshold_noiseless,
@@ -376,32 +377,52 @@ def test_a_head_block_run_is_the_model(case, kind, searched_from):
 # states test_noise.skip_starts() gives: every buffer position, a spare
 # 32-bit half-word, and counters at each 64-bit carry and at the 2**256
 # wrap. The runner writes every move from the state it read once.
+EVEN = (1.0, 1.0)
 EDGE_CASES = {
-    # name: (head, tail, cap, halt, whether the run takes the head block)
-    "a head block hit": ([T + FAR] * 255, T + 1e5, DEFAULT_MAX_QUERIES, 256, True),
-    "a head block that exhausts": ([], T - 75.0, 100, None, True),
-    "a head block miss, then a hit": ([T - 75.0] * 299, T + 1e5, DEFAULT_MAX_QUERIES, 300, True),
-    "a hit after a skip": ([T + FAR] * 2000, T + 1e5, DEFAULT_MAX_QUERIES, 2001, False),
+    # name: (head, tail, cap, halt, whether the run takes the head block,
+    #        (eps1, eps2), with eps2 = eps1 under Gumbel noise)
+    "a head block hit": ([T + FAR] * 255, T + 1e5, DEFAULT_MAX_QUERIES, 256, True, EVEN),
+    "a head block that exhausts": ([], T - 75.0, 100, None, True, EVEN),
+    "a head block miss, then a hit": (
+        [T - 75.0] * 299, T + 1e5, DEFAULT_MAX_QUERIES, 300, True, EVEN
+    ),
+    "a hit after a skip": ([T + FAR] * 2000, T + 1e5, DEFAULT_MAX_QUERIES, 2001, False, EVEN),
     # moves of two and three words: within the buffer of the read state
-    "a hit after a skip of one query": ([T + FAR, T + 1e5], T + FAR, 1000, 2, False),
-    "blocks after a skip that exhaust": ([T + FAR] * 1000, T - 75.0, 1500, None, False),
-    "no query in reach": ([], T + FAR, 1500, None, False),
+    "a hit after a skip of one query": ([T + FAR, T + 1e5], T + FAR, 1000, 2, False, EVEN),
+    # a tail within reach of every noisy threshold that clears none: blocks
+    # after the skip read to the cap. That needs threshold noise narrow
+    # against the queries' reach, as eps1 > eps2 gives it; with eps1 = eps2,
+    # which Gumbel noise needs, no tail does both, and the run skips to the cap
+    "blocks after a skip that exhaust": (
+        [T + FAR] * 1000, T - 75.4, 1500, None, False, (100.0, 0.5)
+    ),
+    "no query in reach": ([], T + FAR, 1500, None, False, EVEN),
 }
 
 
 @pytest.mark.parametrize("case", EDGE_CASES.values(), ids=EDGE_CASES.keys())
 @pytest.mark.parametrize("kind", list(NoiseKind))
-def test_runner_from_edge_generator_states_is_the_model(case, kind, searched_from):
-    head, tail, cap, halt, takes_head = case
+def test_runner_from_edge_generator_states_is_the_model(case, kind, searched_from, monkeypatch):
+    head, tail, cap, halt, takes_head, split = case
     stream = head_stream(head, tail, max_queries=cap)
-    cfg = SvtConfig(1.0, 1.0, kind, T)
+    cfg = config(kind, *split, T)
+    windows = []
+
+    def window(stream, start, stop):
+        windows.append(start)
+        return _window(stream, start, stop)
+
+    monkeypatch.setattr(sparse_vector, "_window", window)
     for label, start in skip_starts():
         a, b = start(), start()
         want = reference.above_threshold(model_queries(stream), cap, cfg, b)
         assert want == (SvtOutcome(None, cap) if halt is None else SvtOutcome(halt)), label
         searched_from.clear()
+        windows.clear()
         assert run_above_threshold(stream, cfg, a) == want, label
         assert (0 not in searched_from) == takes_head, label
+        # an uneven split is there to make the run read blocks
+        assert windows or cfg.eps1 == cfg.eps2, label
         assert generator_state(a) == generator_state(b), label
         # the next draws agree too, the spare 32-bit half included
         assert a.gen.integers(0, 10, 3).tolist() == b.gen.integers(0, 10, 3).tolist(), label
@@ -1093,11 +1114,11 @@ def test_sorted_counts_are_the_capped_build(case, cap, cut):
     # a prefix of the sorted data counts from the whole's counts, as a
     # multi-quantile left child does from its parent's
     size = 1 + int(cut * (x.size - 1))
-    for limit, build_cap in ((cap, cap), (DEFAULT_MAX_QUERIES, None)):
+    for limit in (cap, DEFAULT_MAX_QUERIES):
         whole, above = _sorted_stream(grid, y, limit)
         prefix, _ = _sorted_stream(grid, y[:size], limit, above)
         for stream, part in ((whole, x), (prefix, x[:size])):
-            hist = build_histogram(part, beta, lower, build_cap)
+            hist = build_histogram(part, beta, lower, limit)
             # one query past the last bucket reads n, as every later one does
             k = int(hist.buckets[-1]) + 2
             want = stream_prefix(counting_query_stream(hist, limit), k)
@@ -1343,6 +1364,24 @@ def test_grid_work_is_bounded_by_max_queries():
     assert est.exhausted and est.value == reference.power(1.0 + 1e-6, 100) - 1.0
     assert unb.exhausted and unb.value == reference.power(1.0 + 1e-6, 99) - 1.0
     assert multi.estimates[1] == reference.power(1.0 + 1e-6, 100) - 1.0
+
+
+def test_a_build_given_no_cap_takes_the_default():
+    # 2 and 5 lie in buckets near 6.9e6 and 1.6e7 at beta = 1 + 1e-7; a build
+    # given no cap stops at the runner's default; None is rejected, not
+    # read as uncapped
+    tracemalloc.start()
+    try:
+        hist = build_histogram(np.array([1.0, 4.0]), 1.0 + 1e-7, 0.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e5
+    assert hist.buckets.tolist() == [DEFAULT_MAX_QUERIES] and hist.n == 2
+    with pytest.raises(ValueError, match="max_queries must be an integer"):
+        build_histogram(np.array([1.0, 4.0]), 1.0 + 1e-7, 0.0, None)
+    with pytest.raises(ValueError, match="max_queries must be an integer"):
+        GeometricGrid(1.0 + 1e-7, 0.0).bucket_indices(np.array([5.0]), None)
 
 
 def test_a_warm_call_on_data_near_1e300_allocates_under_a_megabyte():
