@@ -12,9 +12,10 @@ the per-run loss is
 for queries of sensitivity 1, the counting queries of every estimator in
 the package. This clamped form upper-bounds ln(P_x(k)/P_x'(k)) for every
 halting outcome k under all three noise families. Everything returned by
-guarantee_for is derived from it. Each guarantee and zCDP conversion here
-is its formula's exact value on the input doubles, rounded up (_round_up):
-a printed claim never falls below the true cost, nor to 0 from above.
+guarantee_for is derived from it. Each guarantee, zCDP conversion and
+composition here is its formula's exact value on the input doubles,
+rounded up (_round_up): a printed claim never falls below the true cost,
+nor to 0 from above.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .noise import NoiseKind, RandomSource
-from .sparse_vector import check_eps, check_split, gumbel_halt_log_pmf
+from .sparse_vector import check_eps, check_split
 
 __all__ = [
     "NeighborModel",
@@ -39,11 +40,10 @@ __all__ = [
     "one_sided_loss",
     "guarantee_for",
     "zcdp_of_dp",
-    "zcdp_of_range_bounded",
     "compose_zcdp",
+    "compose_dp",
     "multi_quantile_levels",
     "multi_quantile_guarantee",
-    "gumbel_exact_max_log_ratio",
     "EmpiricalDpReport",
     "empirical_dp_check",
 ]
@@ -85,19 +85,22 @@ def zcdp_of_dp(eps: float) -> float:
     return math.inf if eps == math.inf else _round_up(Fraction(eps) ** 2 / 2)
 
 
-def zcdp_of_range_bounded(gamma: float) -> float:
-    """gamma-range-bounded implies (gamma^2/8)-zCDP."""
-    if gamma < 0:
-        raise ValueError("gamma must be nonnegative")
-    return math.inf if gamma == math.inf else _round_up(Fraction(gamma) ** 2 / 8)
+def _compose(costs, name: str) -> float:
+    """The exact sum of nonnegative costs that compose additively, rounded up once."""
+    costs = list(costs)
+    if any(c < 0 for c in costs):
+        raise ValueError(f"{name} values must be nonnegative")
+    return math.inf if math.inf in costs else _round_up(sum(map(Fraction, costs)))
 
 
 def compose_zcdp(rhos) -> float:
     """zCDP composes additively."""
-    rhos = list(rhos)
-    if any(r < 0 for r in rhos):
-        raise ValueError("rho values must be nonnegative")
-    return math.inf if math.inf in rhos else _round_up(sum(map(Fraction, rhos)))
+    return _compose(rhos, "rho")
+
+
+def compose_dp(epsilons) -> float:
+    """Pure DP composes additively."""
+    return _compose(epsilons, "eps")
 
 
 def one_sided_loss(f_x, f_xprime, eps1: float, eps2: float) -> float:
@@ -223,13 +226,6 @@ def _check_multi_quantile_neighbor(neighbor: NeighborModel) -> None:
             "the multi-quantile budget is derived for swap neighbors only, "
             f"not {neighbor.value}"
         )
-
-
-def gumbel_exact_max_log_ratio(f_x, f_xprime, threshold: float, eps: float) -> float:
-    """Exact max_k ln(pmf_x(k)/pmf_x'(k)) over halting outcomes, Gumbel noise."""
-    lx = gumbel_halt_log_pmf(f_x, threshold, eps)
-    lxp = gumbel_halt_log_pmf(f_xprime, threshold, eps)
-    return float((lx - lxp).max())
 
 
 # z-score of both Wilson bounds: a violation needs outcome frequencies

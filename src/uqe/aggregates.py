@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .emq import BoundedRange, emq_estimate
-from .noise import NoiseKind, NoiseSpec, RandomSource, _check_source, sample
+from .noise import NOISE_REACH, NoiseKind, NoiseSpec, RandomSource, _check_source, sample
 from .quantile import (
     _BUILD_BLOCK,
     QuantileRequest,
@@ -26,7 +27,7 @@ from .quantile import (
     build_histogram,
     check_beta,
 )
-from .sparse_vector import check_eps
+from .sparse_vector import check_eps, check_noise_eps
 
 __all__ = [
     "THRESHOLD_MODES",
@@ -66,6 +67,8 @@ class SumConfig:
 
     def __post_init__(self) -> None:
         check_eps(self.eps)
+        if self.method is ClipMethod.UQE:  # its run takes the even split
+            check_noise_eps(self.eps / 2.0, "eps1")
         if not 0.0 < self.q <= 1.0:
             raise ValueError("q must lie in (0, 1]")
         if (self.emq_range is None) == (self.method is ClipMethod.EMQ):
@@ -118,6 +121,18 @@ def _clip_floor(declared: BoundedRange) -> float:
     return declared.width * 1e-9
 
 
+def _laplace(clip: float, eps: float) -> NoiseSpec:
+    """The sum release's noise, Laplace of scale clip / eps. A scale whose
+    noise, within NOISE_REACH scales of 0, can overflow a float is a
+    ValueError."""
+    scale = float(clip) / eps
+    if not NOISE_REACH * scale <= sys.float_info.max:
+        raise ValueError(
+            f"the Laplace scale clip / eps = {scale!r} lets the sum's noise overflow a float"
+        )
+    return NoiseSpec(NoiseKind.LAPLACE, scale)
+
+
 def _choose_clip(values: np.ndarray, cfg: SumConfig, rng: RandomSource) -> tuple[float, bool]:
     """Returns (clip, exhausted flag) before the positivity clamp."""
     if cfg.method is ClipMethod.UQE:
@@ -143,7 +158,9 @@ def dp_sum(data, cfg: SumConfig, rng: RandomSource) -> SumResult:
 
     The data are read once before the clip stage: values that are not all
     finite, then negative ones, are a ValueError. A clip at or below 0 is
-    clamped to a small positive floor and flagged.
+    clamped to a small positive floor and flagged. A clip so large against
+    eps that the Laplace noise can overflow a float is a ValueError that
+    names the scale.
     """
     _check_source(rng)
     values = np.asarray(data, dtype=float)
@@ -158,7 +175,7 @@ def dp_sum(data, cfg: SumConfig, rng: RandomSource) -> SumResult:
         clip = _clip_floor(cfg.emq_range)
         clamped = True
 
-    total = clipped_sum(values, clip) + sample(NoiseSpec(NoiseKind.LAPLACE, clip / cfg.eps), rng)
+    total = clipped_sum(values, clip) + sample(_laplace(clip, cfg.eps), rng)
     return SumResult(
         estimate=float(total),
         clip=float(clip),

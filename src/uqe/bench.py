@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .aggregates import _clip_floor, clipped_sum
+from .aggregates import _clip_floor, _laplace, clipped_sum
 from .datasets import check_perturb_scale, perturb, true_quantile
 from .emq import (
     BoundedRange,
@@ -32,7 +32,7 @@ from .emq import (
     emq_pdf_curve,
     uqe_pdf_curve,
 )
-from .noise import NoiseKind, NoiseSpec, RandomSource, sample
+from .noise import NoiseKind, RandomSource, sample
 from .quantile import (
     GeometricGrid,
     LogBucketHistogram,
@@ -40,7 +40,7 @@ from .quantile import (
     check_beta,
     counting_query_stream,
 )
-from .sparse_vector import DEFAULT_MAX_QUERIES, _first_window_halts, check_eps
+from .sparse_vector import DEFAULT_MAX_QUERIES, _first_window_halts, check_eps, check_noise_eps
 
 __all__ = [
     "DEFAULT_QUANTILE_GRID",
@@ -105,7 +105,7 @@ class ExperimentSpec:
         for eps in self.eps_grid:
             check_eps(eps)
             if "uqe" in self.methods:  # its runs take the even split
-                check_eps(eps / 2.0, "eps1")
+                check_noise_eps(eps / 2.0, "eps1")
         check_perturb_scale(self.perturb_scale)
         check_beta(self.beta)
         check_beta(self.sum_beta, "sum_beta")
@@ -288,9 +288,7 @@ def run_sum_experiment(spec: ExperimentSpec) -> list[ResultRecord]:
                 if clip <= 0.0:
                     clip = _clip_floor(rr)
                 source._rekey(_MECH_BASE + stream + 1)
-                lap = sample(
-                    NoiseSpec(NoiseKind.LAPLACE, clip / eps), source, size=spec.inner_trials
-                )
+                lap = sample(_laplace(clip, eps), source, size=spec.inner_trials)
                 per_outer[r, t] = np.abs(clipped_sum(noisy, clip) + lap - total).mean()
                 r += 1
             runtime[b] += time.perf_counter() - start

@@ -22,6 +22,7 @@ from .accounting import (
     NeighborModel,
     QueryClass,
     _check_multi_quantile_neighbor,
+    compose_dp,
     guarantee_for,
     multi_quantile_guarantee,
 )
@@ -145,7 +146,7 @@ def cmd_quantile(args) -> tuple[dict, int]:
             "second_halt": est.second_halt,
             "second_ran": est.second_ran,
             "guarantee_per_run": asdict(g1),
-            "epsilon_total_worst_case": g1.eps_dp + g2.eps_dp,
+            "epsilon_total_worst_case": compose_dp((g1.eps_dp, g2.eps_dp)),
             **common,
         }
         return payload, 0

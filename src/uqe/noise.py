@@ -10,12 +10,11 @@ past a state without drawing them (_place).
 from __future__ import annotations
 
 import enum
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["NOISE_REACH", "NoiseKind", "NoiseSpec", "RandomSource", "sample", "pdf"]
+__all__ = ["NOISE_REACH", "NoiseKind", "NoiseSpec", "RandomSource", "sample"]
 
 _U53 = 1 << 53
 # the largest uniform: k = 2**53 - 1 maps here, not to (k + 0.5) / 2**53,
@@ -82,9 +81,9 @@ class RandomSource:
 
     def _rekey(self, stream: int, skip: int = 0) -> None:
         """Restart as RandomSource(self.seed, stream) starts, then moved
-        past skip uniforms as self.skip(skip) moves it: Philox keyed by
-        (seed, stream), its counter on the block that holds uniform skip,
-        and no spare 32-bit half-word. The state is set once, in under a
+        past skip uniforms as drawing them moves it (_place): Philox keyed
+        by (seed, stream), its counter on the block that holds uniform
+        skip, and no spare 32-bit half-word. The state is set once, in under a
         us; a new source costs about 20, as numpy seeds its Philox from OS
         entropy before the key replaces it.
 
@@ -112,14 +111,6 @@ class RandomSource:
         never rejects a word, without that routine's per-call cost.
         """
         return _to_uniform(self.gen.bit_generator.random_raw(size) >> 11)
-
-    def skip(self, n: int) -> None:
-        """Move past n >= 0 uniforms (any other n is a ValueError) without
-        computing them, in O(1): the state uniform_open(n) would leave."""
-        if not isinstance(n, numbers.Integral) or n < 0:
-            raise ValueError(f"skip needs an integer count >= 0, got {n!r}")
-        if n:
-            _place(self.gen.bit_generator, _int_state(self.gen.bit_generator.state), n)
 
     def __repr__(self) -> str:
         return f"RandomSource(seed={self.seed}, stream={self.stream})"
@@ -220,17 +211,3 @@ def sample(spec: NoiseSpec, rng: RandomSource, size=None):
     """
     return _noise_of_words(spec, rng.gen.bit_generator.random_raw(size))
 
-
-def pdf(spec: NoiseSpec, z):
-    """Density of the noise distribution at z (vectorized)."""
-    b = spec.scale
-    z = np.asarray(z, dtype=float)
-    if spec.kind is NoiseKind.LAPLACE:
-        out = np.exp(-np.abs(z) / b) / (2.0 * b)
-    elif spec.kind is NoiseKind.GUMBEL:
-        out = np.exp(-(z / b + np.exp(-z / b))) / b
-    else:
-        out = np.where(z >= 0, np.exp(-np.where(z >= 0, z, 0.0) / b) / b, 0.0)
-    if out.ndim == 0:
-        return float(out)
-    return out

@@ -53,6 +53,7 @@ from .sparse_vector import (
     SvtOutcome,
     _Words,
     check_max_queries,
+    check_noise_eps,
     check_split,
     check_threshold,
     run_above_threshold,
@@ -399,10 +400,6 @@ class LogBucketHistogram:
         counts = np.diff(self.running, prepend=0)
         return MappingProxyType(dict(zip(self.buckets.tolist(), counts.tolist())))
 
-    def prefix_count(self, i: int) -> int:
-        """|{x_j : x_j - ell + 1 < beta^i}|, i.e. everything in buckets < i."""
-        return int(self._values[self._starts.searchsorted(i, "left") - 1]) if i > 0 else 0
-
 
 # sized so a block's shift/log/index buffers stay cache-resident, keeping
 # the per-element build cost flat from small n to millions
@@ -607,7 +604,7 @@ class QuantileRequest:
 
     def __post_init__(self) -> None:
         _check_q(self.q)
-        check_split(self.eps1, self.eps2, self.noise)
+        check_split(self.eps1, self.eps2, self.noise, check_noise_eps)
         check_beta(self.beta)
         check_max_queries(self.max_queries)
 
@@ -656,22 +653,20 @@ def estimate_quantile(
     rng: RandomSource | None = None,
     *,
     noiseless: bool = False,
-    threshold: float | None = None,
 ) -> QuantileEstimate:
     """AboveThreshold with T = q*n over the counting stream; output the halt candidate.
 
-    threshold overrides q*n (used by the sum procedure's bias-variance
-    knob). noiseless releases the deterministic first crossing instead of
-    running the private mechanism: the package's one deterministic entry
-    point, with no privacy guarantee. The tests and the benchmark's oracle
-    check use it; no part of the package does.
+    noiseless releases the deterministic first crossing instead of running
+    the private mechanism: the package's one deterministic entry point,
+    with no privacy guarantee. The tests and the benchmark's oracle check
+    use it; no part of the package does.
     """
     if data.lower_bound is None:
         raise ValueError("estimate_quantile needs a declared lower bound")
     if not noiseless:
         _check_source(rng)
     hist = build_histogram(data.values, req.beta, data.lower_bound, req.max_queries)
-    return _release(hist, req, rng, noiseless=noiseless, threshold=threshold)
+    return _release(hist, req, rng, noiseless=noiseless)
 
 
 def _release(
@@ -687,6 +682,8 @@ def _release(
     The histogram must come from build_histogram with the request's beta
     and max_queries. It draws no randomness, so one build can serve every
     (q, eps) release on the same data, each drawing only its own scan noise.
+    threshold, if given, replaces q*n: the sum's threshold modes set it
+    (uqe.aggregates).
     """
     if threshold is None:
         t = req.q * hist.n

@@ -39,6 +39,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import sys
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -49,9 +50,11 @@ from .noise import _check_source, _int_state, _noise_of_words, _place
 
 __all__ = [
     "DEFAULT_MAX_QUERIES",
+    "MIN_NOISE_EPS",
     "QueryStream",
     "check_max_queries",
     "check_eps",
+    "check_noise_eps",
     "check_split",
     "check_threshold",
     "SvtConfig",
@@ -104,11 +107,28 @@ def check_threshold(threshold: float) -> None:
         raise ValueError("the threshold must be a number, got nan")
 
 
-def check_split(eps1: float, eps2: float, noise: NoiseKind) -> None:
-    """The budget split of one run: eps1 and eps2 obey check_eps, and
-    Gumbel noise needs eps1 == eps2."""
-    check_eps(eps1, "eps1")
-    check_eps(eps2, "eps2")
+# the least budget whose noise scale 1 / eps keeps every noise value, which
+# lies within NOISE_REACH scales of 0, a finite float: about 2.11e-307
+MIN_NOISE_EPS = NOISE_REACH / sys.float_info.max
+
+
+def check_noise_eps(eps: float, name: str = "eps") -> None:
+    """The rule of a budget that scales drawn noise: check_eps, and at least
+    MIN_NOISE_EPS. The accounting takes any budget check_eps does."""
+    check_eps(eps, name)
+    if eps < MIN_NOISE_EPS:
+        raise ValueError(
+            f"{name} must be at least {MIN_NOISE_EPS!r}, below which its noise "
+            f"overflows a float, got {eps!r}"
+        )
+
+
+def check_split(eps1: float, eps2: float, noise: NoiseKind, check=check_eps) -> None:
+    """The budget split of one run: eps1 and eps2 obey check (check_eps, or
+    check_noise_eps where the run draws noise), and Gumbel noise needs
+    eps1 == eps2."""
+    check(eps1, "eps1")
+    check(eps2, "eps2")
     if noise is NoiseKind.GUMBEL and eps1 != eps2:
         raise ValueError("Gumbel noise requires eps1 == eps2")
 
@@ -172,7 +192,8 @@ class SvtConfig:
     """Budget split, noise family and threshold for one AboveThreshold run.
 
     Two constructors build a config, as for QueryStream. SvtConfig(...)
-    checks the split (check_split) and the threshold (check_threshold).
+    checks the split (check_split with check_noise_eps) and the threshold
+    (check_threshold).
     SvtConfig._built, for the estimators' configs, checks nothing: a
     QuantileRequest checked their split, and they checked their threshold.
     """
@@ -183,7 +204,7 @@ class SvtConfig:
     threshold: float
 
     def __post_init__(self) -> None:
-        check_split(self.eps1, self.eps2, self.noise)
+        check_split(self.eps1, self.eps2, self.noise, check_noise_eps)
         check_threshold(self.threshold)
 
     @classmethod

@@ -1,7 +1,7 @@
 """Tests for loss accounting, closed-form guarantees and the empirical checker."""
 
 import math
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from fractions import Fraction
 
 import numpy as np
@@ -15,18 +15,23 @@ from uqe.accounting import (
     NeighborModel,
     PrivacyGuarantee,
     QueryClass,
+    compose_dp,
     compose_zcdp,
     empirical_dp_check,
     guarantee_for,
-    gumbel_exact_max_log_ratio,
     multi_quantile_guarantee,
     multi_quantile_levels,
     one_sided_loss,
     zcdp_of_dp,
-    zcdp_of_range_bounded,
 )
 from uqe.noise import NoiseKind, RandomSource
-from uqe.sparse_vector import SvtConfig, simulate_halt_indices
+from uqe.quantile import QuantileRequest, request_guarantee
+from uqe.sparse_vector import (
+    MIN_NOISE_EPS,
+    SvtConfig,
+    gumbel_halt_log_pmf,
+    simulate_halt_indices,
+)
 
 
 def one_sided_brute(fx, fxp, e1, e2, relaxed=False):
@@ -198,7 +203,6 @@ def test_guarantee_for_validation():
 
 def test_zcdp_conversions_and_composition():
     assert zcdp_of_dp(1.0) == 0.5
-    assert zcdp_of_range_bounded(2.0) == 0.5
     assert compose_zcdp([0.1, 0.2, 0.3]) == pytest.approx(0.6)
     with pytest.raises(ValueError):
         compose_zcdp([0.1, -0.2])
@@ -277,9 +281,44 @@ def test_claims_are_their_exact_formulas_rounded_up(eps1, eps2, q):
 
 def test_zcdp_conversions_round_up():
     assert zcdp_of_dp(1e-300) == 5e-324
-    assert zcdp_of_range_bounded(1e-300) == 5e-324
     assert compose_zcdp([0.1, 0.7]) == 0.8 and 0.1 + 0.7 < 0.8
     assert zcdp_of_dp(math.inf) == math.inf and compose_zcdp([1.0, math.inf]) == math.inf
+    assert compose_dp([0.1, 0.7]) == 0.8 and compose_dp([1.0, math.inf]) == math.inf
+    with pytest.raises(ValueError, match="eps values"):
+        compose_dp([0.1, -0.2])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    eps1=st.floats(min_value=MIN_NOISE_EPS, max_value=1e308),
+    eps2=st.floats(min_value=MIN_NOISE_EPS, max_value=1e308),
+    # q and 1 - q in (0, 1), as an add-subtract claim needs
+    q=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True).filter(lambda q: 1.0 - q < 1.0),
+    neighbor=st.sampled_from(list(NeighborModel)),
+)
+# the float sum of these two claims, 7.062238730135482, is below their exact sum
+@example(
+    eps1=2.942697662940928,
+    eps2=2.059770533597277,
+    q=0.64745009074246,
+    neighbor=NeighborModel.ADD_SUBTRACT,
+)
+def test_the_unbounded_total_is_at_least_the_exact_cost_of_both_runs(eps1, eps2, q, neighbor):
+    # the total `uqe quantile` prints without bounds: the composed claims of
+    # the run at q and the run at 1 - q
+    req = QuantileRequest(q, eps1, eps2, neighbor=neighbor)
+    runs = [req, replace(req, q=1.0 - req.q)]
+    claims = [request_guarantee(r).eps_dp for r in runs]
+    total = compose_dp(claims)
+    if math.inf in claims:  # a claim past the float range, and so the total
+        assert total == math.inf
+    else:
+        assert is_rounded_up(total, sum(map(Fraction, claims)))
+    query_class = (
+        QueryClass.MONOTONIC if neighbor is NeighborModel.SWAP else QueryClass.COUNT_MINUS_QN
+    )
+    e1, e2 = Fraction(eps1), Fraction(eps2)
+    assert total >= sum(exact_costs(query_class, e1, e2, Fraction(r.q))[0] for r in runs)
 
 
 def test_exact_gumbel_ratios_below_clamped_loss():
@@ -290,7 +329,8 @@ def test_exact_gumbel_ratios_below_clamped_loss():
         fxp = fx + rng.uniform(-1, 1, k)
         t = float(rng.uniform(-3, 3))
         eps = float(rng.uniform(0.2, 2.0))
-        exact = gumbel_exact_max_log_ratio(fx, fxp, t, eps)
+        # the exact max over the halts of ln(P_x(k) / P_x'(k))
+        exact = (gumbel_halt_log_pmf(fx, t, eps) - gumbel_halt_log_pmf(fxp, t, eps)).max()
         assert exact <= one_sided_loss(fx, fxp, eps, eps) + 1e-9
 
 
@@ -298,7 +338,7 @@ def test_relaxed_gap_is_not_a_pointwise_bound():
     # regression: the relaxed variant can undershoot the exact ratio, the
     # clamped default cannot (see the decisions ledger for the derivation)
     fx, fxp, t = [0.1, 1.0], [0.0, 0.0], 10.0
-    exact = gumbel_exact_max_log_ratio(fx, fxp, t, 1.0)
+    exact = (gumbel_halt_log_pmf(fx, t, 1.0) - gumbel_halt_log_pmf(fxp, t, 1.0)).max()
     relaxed = relaxed_one_sided_loss(fx, fxp, 1.0, 1.0)
     clamped = one_sided_loss(fx, fxp, 1.0, 1.0)
     assert relaxed == pytest.approx(0.8)

@@ -1,11 +1,13 @@
 """Tests for the private clipped-sum and mean procedures."""
 
 import math
-from dataclasses import asdict
+import warnings
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
+from uqe import aggregates
 from uqe.aggregates import (
     THRESHOLD_MODES,
     ClipMethod,
@@ -142,10 +144,28 @@ def test_threshold_modes_raise_the_clip(noiseless):
     data = np.arange(1.0, 101.0)
     base = dp_sum(data, SumConfig(eps=0.5, q=0.5), noiseless)
     at_n = dp_sum(data, SumConfig(eps=0.5, q=0.5, threshold_mode="n"), noiseless)
-    padded = dp_sum(data, SumConfig(eps=0.5, q=0.5, threshold_mode="n-plus-inv-eps"), noiseless)
-    assert base.clip < at_n.clip <= padded.clip
+    padded_cfg = SumConfig(eps=0.5, q=0.5, threshold_mode="n-plus-inv-eps")
+    # no count reaches n + 1/eps without noise: the clip is the cap's
+    # candidate, past the float range
+    padded_clip, exhausted = aggregates._choose_clip(data, padded_cfg, noiseless)
+    assert base.clip < at_n.clip <= padded_clip == math.inf and exhausted
     assert at_n.clip >= data.max()
-    assert padded.estimate == 5050.0
+    # whose Laplace noise has no finite scale (this released 5050.0, the
+    # unclipped sum, as the fixture draws no noise)
+    with pytest.raises(ValueError, match="the Laplace scale clip / eps = inf"):
+        dp_sum(data, padded_cfg, noiseless)
+
+
+def test_a_laplace_scale_whose_noise_overflows_a_float_is_a_value_error():
+    # an EMQ clip of a few units at this eps makes clip / eps about 5e307:
+    # the release was a noise value past the float range
+    cfg = SumConfig(eps=1e-307, method=ClipMethod.EMQ, emq_range=BoundedRange(0.0, 10.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"the Laplace scale clip / eps = \S+e\+30[78] "):
+            dp_sum(np.arange(1, 11.0), cfg, RandomSource(1))
+        result = dp_sum(np.arange(1, 11.0), replace(cfg, eps=1e-300), RandomSource(1))
+    assert math.isfinite(result.estimate)
 
 
 def test_emq_clip_method_runs():

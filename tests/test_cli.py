@@ -11,12 +11,16 @@ import hashlib
 import json
 import subprocess
 import sys
+from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
 import pytest
 
+from uqe.accounting import NeighborModel, QueryClass, guarantee_for
 from uqe.cli import main
+from uqe.noise import NoiseKind
+from uqe.sparse_vector import MIN_NOISE_EPS
 
 SMOKE = str(resources.files("uqe") / "data" / "smoke.csv")
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
@@ -127,6 +131,25 @@ class TestQuantile:
         assert payload["mode"] == "unbounded"
         assert payload["epsilon_total_worst_case"] == 2.0
         assert "first_halt" in payload and "second_ran" in payload
+
+    def test_unbounded_total_is_at_least_the_exact_sum_of_its_claims(self, capsys):
+        # it printed the float sum of the two claims, 7.062238730135482,
+        # which is below their exact sum
+        eps1, eps2, q = 2.942697662940928, 2.059770533597277, 0.64745009074246
+        code, payload = run_cli(
+            capsys, "quantile", "--input", SMOKE, "--column", "value",
+            "--neighbor", "add-subtract", "--eps1", str(eps1), "--eps2", str(eps2), "--q", str(q),
+        )  # fmt: skip
+        assert code == 0 and payload["mode"] == "unbounded"
+        second = guarantee_for(
+            QueryClass.COUNT_MINUS_QN, NeighborModel.ADD_SUBTRACT, NoiseKind.EXPONENTIAL,
+            eps1, eps2, q=1.0 - q,
+        )  # fmt: skip
+        claims = [payload["guarantee_per_run"]["eps_dp"], second.eps_dp]
+        assert claims == [3.965020402496006, 3.0972183276394762]
+        total = payload["epsilon_total_worst_case"]
+        assert Fraction(total) >= Fraction(claims[0]) + Fraction(claims[1]) > sum(claims)
+        assert total == 7.0622387301354825
 
     def test_lower_and_upper_conflict(self, capsys):
         code = main(
@@ -612,6 +635,24 @@ class TestExitCodes:
         )
         assert bad_input.returncode == 1, bad_input.stderr
         assert "error:" in bad_input.stderr
+
+    @pytest.mark.parametrize(
+        "argv, eps1",
+        [(["quantile", "--lower", "0", "--epsilon", "2e-308"], 1e-308), (["sum", "--epsilon", "1e-320"], 5e-321)],
+    )  # fmt: skip
+    def test_a_budget_whose_noise_overflows_a_float_exits_1_with_the_error_alone(self, argv, eps1):
+        # the quantile warned of an overflow, then released a value drawn
+        # from infinite noise; the sum blamed the data for its noise
+        res = subprocess.run(
+            [sys.executable, "-m", "uqe.cli", *argv, "--input", SMOKE, "--column", "value", "--q", "0.5"],
+            capture_output=True,
+            text=True,
+        )  # fmt: skip
+        assert res.returncode == 1 and res.stdout == ""
+        assert res.stderr == (
+            f"error: eps1 must be at least {MIN_NOISE_EPS!r}, below which its noise "
+            f"overflows a float, got {eps1!r}\n"
+        )
 
     def test_module_invocation(self):
         res = subprocess.run(

@@ -455,6 +455,20 @@ class TestSumExperiment:
         assert records_to_json(records) == records_to_json(again)
 
 
+    def test_a_laplace_scale_whose_noise_overflows_a_float_is_a_value_error(self):
+        # as dp_sum's: an EMQ clip of a few units at this eps
+        def spec(eps):
+            return small_spec(
+                declared_range=BoundedRange(0.0, 10.0), methods=("emq",), eps_grid=(eps,)
+            )
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="the Laplace scale clip / eps = "):
+                run_sum_experiment(spec(1e-307))
+            run_sum_experiment(spec(1e-100))
+
+
 def oracle_sample(spec, trial):
     base = RandomSource(spec.seed)
     picker = base.spawn(1_000_000 + trial)

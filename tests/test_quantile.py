@@ -37,7 +37,16 @@ from uqe.quantile import (
     request_guarantee,
 )
 from uqe.aggregates import SumConfig, dp_sum
-from uqe.sparse_vector import DEFAULT_MAX_QUERIES, SvtConfig, stream_prefix
+from uqe.bench import ExperimentSpec, run_quantile_experiment
+from uqe.emq import BoundedRange
+from uqe.sparse_vector import (
+    DEFAULT_MAX_QUERIES,
+    MIN_NOISE_EPS,
+    QueryStream,
+    SvtConfig,
+    run_above_threshold,
+    stream_prefix,
+)
 
 import reference
 
@@ -248,7 +257,8 @@ def test_histogram_holds_increasing_non_empty_buckets():
     grid = GeometricGrid(1.1, 0.0)
     hist = LogBucketHistogram(grid, [2, 5], [3, 4])
     assert dict(hist.counts) == {2: 3, 5: 1} and hist.n == 4
-    assert [hist.prefix_count(i) for i in range(-1, 8)] == [0, 0, 0, 0, 3, 3, 3, 4, 4]
+    # f_i, the points in buckets < i, for i = 1 .. 8
+    assert stream_prefix(counting_query_stream(hist), 8).tolist() == [0, 0, 3, 3, 3, 4, 4, 4]
     bad = (([], []), ([-1], [1]), ([2, 2], [1, 2]), ([2, 5], [3, 3]), ([2], [0]))
     for buckets, running in bad:
         with pytest.raises(ValueError):
@@ -265,9 +275,11 @@ def test_histogram_prefix_counts_match_direct_scan():
         assert hist.n == 500
         assert sum(hist.counts.values()) == 500
         y = data - ell + 1
-        for i in rng.integers(0, 2500, 25):
+        # f_i, i = 1 .. 2500, of the stream the runner scans
+        counts = stream_prefix(counting_query_stream(hist), 2500)
+        for i in rng.integers(1, 2501, 25):
             i = int(i)
-            assert hist.prefix_count(i) == int((y < hist.grid.power(i)).sum())
+            assert counts[i - 1] == int((y < hist.grid.power(i)).sum())
 
 
 def test_counting_stream_first_query_and_saturation():
@@ -355,12 +367,12 @@ def test_estimate_requires_lower_bound_and_rng():
 
 def test_estimate_with_a_nan_threshold_is_a_value_error():
     # it used to release the cap candidate as exhausted, on either path
-    data = Dataset(np.arange(1, 11.0), lower_bound=0.0)
     req = QuantileRequest.even_split(0.5, 1.0)
+    hist = build_histogram(np.arange(1, 11.0), req.beta, 0.0, req.max_queries)
     with pytest.raises(ValueError, match="threshold"):
-        estimate_quantile(data, req, RandomSource(9), threshold=np.nan)
+        quantile._release(hist, req, RandomSource(9), threshold=np.nan)
     with pytest.raises(ValueError, match="threshold"):
-        estimate_quantile(data, req, noiseless=True, threshold=np.nan)
+        quantile._release(hist, req, None, noiseless=True, threshold=np.nan)
 
 
 def test_every_estimator_run_builds_its_config_through_the_trusted_constructor(monkeypatch):
@@ -378,7 +390,8 @@ def test_every_estimator_run_builds_its_config_through_the_trusted_constructor(m
     req = QuantileRequest(q=0.3, eps1=0.4, eps2=0.6, noise=NoiseKind.LAPLACE)
     split = (0.4, 0.6, NoiseKind.LAPLACE)
     estimate_quantile(data, req, RandomSource(1))
-    estimate_quantile(data, req, RandomSource(1), threshold=7.5)
+    hist = build_histogram(data.values, req.beta, 0.0, req.max_queries)
+    quantile._release(hist, req, RandomSource(1), threshold=7.5)
     estimate_small_quantile_inverted(data, 20.0, req, RandomSource(1))
     assert runs == [(*split, 3.0), (*split, 7.5), (*split, 7.0)]
     runs.clear()
@@ -395,6 +408,39 @@ def test_every_estimator_run_builds_its_config_through_the_trusted_constructor(m
     runs.clear()
     dp_sum(np.arange(1, 11.0), SumConfig(eps=1.0, threshold_mode="n"), RandomSource(1))
     assert runs == [(0.5, 0.5, NoiseKind.EXPONENTIAL, 10.0)]
+
+
+# one call of each entry that takes a run's budget, at eps per run (the
+# even split of a UQE sum's or bench's eps gives each run eps / 2)
+BUDGET_ENTRIES = {
+    "QuantileRequest": lambda eps: estimate_quantile(
+        Dataset(np.arange(1, 11.0), 0.0), QuantileRequest(0.5, eps, eps), RandomSource(1)
+    ),
+    "SvtConfig": lambda eps: run_above_threshold(
+        QueryStream([0], [0.0], 100), SvtConfig(eps, eps, NoiseKind.LAPLACE, 5.0), RandomSource(1)
+    ),
+    "SumConfig": lambda eps: dp_sum(
+        np.arange(1, 11.0) / 100, SumConfig(eps=2 * eps), RandomSource(1)
+    ),
+    "ExperimentSpec": lambda eps: run_quantile_experiment(
+        ExperimentSpec(
+            np.arange(1, 101.0) / 1000, "tiny", BoundedRange(0.0, 1.0),
+            sample_size=10, outer_trials=2, inner_trials=2, eps_grid=(2 * eps,),
+        )  # fmt: skip
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", list(BUDGET_ENTRIES))
+def test_a_budget_whose_noise_overflows_a_float_is_a_value_error(entry):
+    # below NOISE_REACH / DBL_MAX a noise value can pass the float range:
+    # the quantile warned of an overflow and released from infinite noise
+    assert 2.1e-307 < MIN_NOISE_EPS < 2.2e-307
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="below which its noise overflows a float"):
+            BUDGET_ENTRIES[entry](1e-308)
+        BUDGET_ENTRIES[entry](2.2e-307)
 
 
 def test_request_validation_and_split():

@@ -904,18 +904,18 @@ def released(result):
     return result, np.float64(result.value).tobytes()
 
 
-def assert_is_the_model(name, args, model_args, seed, **kwargs):
-    """uqe.quantile.<name>(*args, rng) and reference.<name>(*model_args,
-    rng) release alike and leave the generator alike; and so they do
-    without noise: the package's noise patched away, which must then draw
-    nothing, against the model's noiseless twin. Returns the package's
-    noisy release."""
+def assert_is_the_model(name, args, model_args, seed, model_name=None, **kwargs):
+    """uqe.quantile.<name>(*args, rng) and reference.<model_name>(*model_args,
+    rng), model_name name unless given, release alike and leave the
+    generator alike; and so they do without noise: the package's noise
+    patched away, which must then draw nothing, against the model's
+    noiseless twin. Returns the package's noisy release."""
 
     def release(rng):
         return getattr(quantile, name)(*args, rng, **kwargs)
 
     def model(rng):
-        return getattr(reference, name)(*model_args, rng, **kwargs)
+        return getattr(reference, model_name or name)(*model_args, rng, **kwargs)
 
     a, b = RandomSource(seed, 3), RandomSource(seed, 3)
     result = release(a)
@@ -943,11 +943,19 @@ def test_estimate_quantile_is_the_model(case, kind, q, eps, cap, threshold, seed
     beta, lower, data = case
     req = QuantileRequest.even_split(q, eps, beta=beta, noise=kind, max_queries=cap)
     x = Dataset(np.array(data), lower_bound=lower)
-    assert_is_the_model(
-        "estimate_quantile", (x, req), (data, lower, req), seed, threshold=threshold
-    )
-    # the switch that uqe verify and the benchmark's oracle check use
-    assert released(estimate_quantile(x, req, noiseless=True, threshold=threshold)) == released(
+    if threshold is None:
+        assert_is_the_model("estimate_quantile", (x, req), (data, lower, req), seed)
+        # the switch that the benchmark's oracle check uses
+        noiseless = estimate_quantile(x, req, noiseless=True)
+    else:
+        # a threshold off q * n, as the sum's threshold modes set one
+        hist = build_histogram(x.values, beta, lower, cap)
+        assert_is_the_model(
+            "_release", (hist, req), (data, lower, req), seed, "estimate_quantile",
+            threshold=threshold,
+        )
+        noiseless = quantile._release(hist, req, None, noiseless=True, threshold=threshold)
+    assert released(noiseless) == released(
         reference.estimate_quantile(data, lower, req, None, threshold)
     )
 
