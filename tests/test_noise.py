@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from uqe.noise import (
     NOISE_REACH,
@@ -136,7 +137,7 @@ def test_invalid_scale_rejected():
 
 
 def test_a_kind_that_is_not_a_noise_kind_is_rejected_where_the_spec_is_made():
-    # the noise and density formulas pick their branch by kind, and would
+    # the noise formulas pick their branch by kind, and would
     # take the last for any other value
     for kind in ("laplace", None, 1):
         with pytest.raises(ValueError, match="unknown noise kind"):
@@ -185,6 +186,61 @@ def test_uniform_map_stays_inside_the_open_interval(k, want):
 def test_noise_reach_is_within_one_scale_of_the_largest_value():
     top = _noise_of_words(NoiseSpec(NoiseKind.EXPONENTIAL, 1.0), 0)
     assert NOISE_REACH - 1.0 < top <= NOISE_REACH
+
+
+# the top-53-bit integers k of the two ends of (0, 1), of 1/2 and of the
+# points next to them, and a spread of random ones
+K_GRID = np.concatenate(
+    [
+        np.array([0, 1, 2, 2**20, 2**52 - 1, 2**52, 2**52 + 1, U53 - 2**20, U53 - 2, U53 - 1]),
+        np.random.default_rng(2024).integers(0, U53, 200),
+    ]
+).astype(np.uint64)
+
+# the distribution each kind draws, as scipy states it independently of the
+# package, and whether the noise falls as its uniform grows: Laplace noise
+# (b log 2u below 1/2, -b log(2 - 2u) above) and Gumbel noise
+# -b log(-log u) have CDF u, exponential noise -b log u has survival
+# function u
+REFERENCE = {
+    NoiseKind.LAPLACE: (stats.laplace, False),
+    NoiseKind.GUMBEL: (stats.gumbel_r, False),
+    NoiseKind.EXPONENTIAL: (stats.expon, True),
+}
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@pytest.mark.parametrize("scale", [0.25, 1.0, 3.0])
+def test_noise_is_the_inverse_cdf_of_its_distribution(kind, scale):
+    # the mechanisms' privacy analysis assumes these densities; the noise
+    # of a word must be the point where the distribution's tail at the
+    # word's uniform ends, in both tails, to float accuracy
+    dist, falling = REFERENCE[kind]
+    spec = NoiseSpec(kind, scale)
+    u = _to_uniform(K_GRID.astype(np.int64))
+    words = K_GRID << np.uint64(11) | np.uint64(0x5A5)  # low bits play no part
+    noise = _noise_of_words(spec, words)
+    # one word as an int takes the scalar path to the same values
+    assert noise.tolist() == [_noise_of_words(spec, int(w)) for w in words]
+    below, above = dist.cdf(noise, scale=scale), dist.sf(noise, scale=scale)
+    if falling:
+        below, above = above, below
+    # 1 - u is exact for u in [1/2, 1), and within one ulp of 1 below it
+    np.testing.assert_allclose(below, u, rtol=1e-12)
+    np.testing.assert_allclose(above, 1.0 - u, rtol=1e-12)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_noise_is_monotone_in_its_uniform(kind):
+    # NOISE_REACH bounds every value by the noise at the two end uniforms,
+    # which holds only if no word between them reaches further
+    _, falling = REFERENCE[kind]
+    ends = [np.arange(0, 4096), np.arange(2**52 - 2048, 2**52 + 2048), np.arange(U53 - 4096, U53)]
+    k = np.sort(np.concatenate([*ends, K_GRID.astype(np.int64)]))
+    noise = _noise_of_words(NoiseSpec(kind, 1.0), k.astype(np.uint64) << np.uint64(11))
+    steps = np.diff(noise)
+    assert np.all(steps <= 0.0) if falling else np.all(steps >= 0.0)
+    assert max(abs(noise[0]), abs(noise[-1])) <= NOISE_REACH
 
 
 def allocating_noise(spec, words):
