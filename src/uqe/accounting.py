@@ -29,8 +29,8 @@ from typing import Callable
 
 import numpy as np
 
+from ._checks import check_eps, check_open_q, check_split
 from .noise import NoiseKind, RandomSource
-from .sparse_vector import check_eps, check_split
 
 __all__ = [
     "NeighborModel",
@@ -146,7 +146,7 @@ def guarantee_for(
 
     rho_zcdp is the better of gamma^2/8 and eps^2/2.
     """
-    check_split(eps1, eps2, noise)
+    check_split(eps1, eps2, noise, check_eps)
     return PrivacyGuarantee(*map(_round_up, _exact_costs(query_class, neighbor, eps1, eps2, q)))
 
 
@@ -162,8 +162,7 @@ def _exact_costs(
     elif query_class is QueryClass.COUNT_MINUS_QN:
         if neighbor is not NeighborModel.ADD_SUBTRACT:
             raise ValueError("count-minus-qn accounting assumes add-subtract neighbors")
-        if q is None or not 0 < q < 1:
-            raise ValueError("count-minus-qn accounting needs a quantile q in (0, 1)")
+        check_open_q(q)
         q = Fraction(float(q))
         eps = max((1 - q) * e1, q * e1 + e2)
         gamma = (q * e1 + e2) + max((1 - q) * e1, q * e2)
@@ -206,7 +205,7 @@ def multi_quantile_guarantee(
     levels compose.
     """
     levels = multi_quantile_levels(m)
-    check_split(eps1, eps2, noise)
+    check_split(eps1, eps2, noise, check_eps)
     mono = _exact_costs(QueryClass.MONOTONIC, NeighborModel.SWAP, eps1, eps2)
     fixed = _exact_costs(QueryClass.FIXED_THRESHOLD_COUNT, NeighborModel.ADD_SUBTRACT, eps1, eps2)
     per_eps, per_rho = max(mono[0], 2 * fixed[0]), max(mono[1], 2 * fixed[1])
@@ -215,17 +214,6 @@ def multi_quantile_guarantee(
     return MultiQuantileBudget(
         m=m, levels=levels, log_base=2, per_level=per_level, total=total
     )
-
-
-def _check_multi_quantile_neighbor(neighbor: NeighborModel) -> None:
-    """The neighbor rule of multi_quantile_guarantee: swap only. Its node
-    thresholds (q - mass_lo) * n rest on a public n, which add-subtract
-    neighbors do not have, so no budget is derived for them."""
-    if neighbor is not NeighborModel.SWAP:
-        raise ValueError(
-            "the multi-quantile budget is derived for swap neighbors only, "
-            f"not {neighbor.value}"
-        )
 
 
 # z-score of both Wilson bounds: a violation needs outcome frequencies

@@ -15,8 +15,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._checks import check_beta, check_data, check_even_split, check_source
 from .emq import BoundedRange, emq_estimate
-from .noise import NOISE_REACH, NoiseKind, NoiseSpec, RandomSource, _check_source, sample
+from .noise import NOISE_REACH, NoiseKind, NoiseSpec, RandomSource, sample
 from .quantile import (
     _BUILD_BLOCK,
     QuantileRequest,
@@ -25,9 +26,7 @@ from .quantile import (
     _part_cuts,
     _release,
     build_histogram,
-    check_beta,
 )
-from .sparse_vector import check_eps, check_noise_eps
 
 __all__ = [
     "THRESHOLD_MODES",
@@ -66,9 +65,7 @@ class SumConfig:
     threshold_mode: str | None = None
 
     def __post_init__(self) -> None:
-        check_eps(self.eps)
-        if self.method is ClipMethod.UQE:  # its run takes the even split
-            check_noise_eps(self.eps / 2.0, "eps1")
+        check_even_split(self.eps, self.method is ClipMethod.UQE)
         if not 0.0 < self.q <= 1.0:
             raise ValueError("q must lie in (0, 1]")
         if (self.emq_range is None) == (self.method is ClipMethod.EMQ):
@@ -142,9 +139,7 @@ def _choose_clip(values: np.ndarray, cfg: SumConfig, rng: RandomSource) -> tuple
             threshold = float(n)
         elif cfg.threshold_mode == "n-plus-inv-eps":
             threshold = float(n) + 1.0 / cfg.eps
-        req = QuantileRequest(
-            q=cfg.q, eps1=cfg.eps / 2.0, eps2=cfg.eps / 2.0, beta=cfg.beta
-        )
+        req = QuantileRequest.even_split(cfg.q, cfg.eps, beta=cfg.beta)
         # dp_sum has checked the data: estimate_quantile on them, with no
         # second pass to check them again
         hist = build_histogram(values, req.beta, 0.0, req.max_queries)
@@ -162,10 +157,8 @@ def dp_sum(data, cfg: SumConfig, rng: RandomSource) -> SumResult:
     eps that the Laplace noise can overflow a float is a ValueError that
     names the scale.
     """
-    _check_source(rng)
-    values = np.asarray(data, dtype=float)
-    if values.ndim != 1 or values.size == 0:
-        raise ValueError("data must be a non-empty 1-d sequence")
+    check_source(rng)
+    values = check_data(data)
     if _finite_min(values) < 0:
         raise ValueError("the sum procedure assumes nonnegative data")
 

@@ -22,8 +22,9 @@ from pathlib import Path
 
 import numpy as np
 
+from ._checks import check_beta, check_data, check_even_split, check_int, check_perturb_scale
 from .aggregates import _clip_floor, _laplace, clipped_sum
-from .datasets import check_perturb_scale, perturb, true_quantile
+from .datasets import perturb, true_quantile
 from .emq import (
     BoundedRange,
     _draw_from_edges,
@@ -33,14 +34,8 @@ from .emq import (
     uqe_pdf_curve,
 )
 from .noise import NoiseKind, RandomSource, sample
-from .quantile import (
-    GeometricGrid,
-    LogBucketHistogram,
-    build_histogram,
-    check_beta,
-    counting_query_stream,
-)
-from .sparse_vector import DEFAULT_MAX_QUERIES, _first_window_halts, check_eps, check_noise_eps
+from .quantile import GeometricGrid, LogBucketHistogram, build_histogram, counting_query_stream
+from .sparse_vector import DEFAULT_MAX_QUERIES, _first_window_halts
 
 __all__ = [
     "DEFAULT_QUANTILE_GRID",
@@ -88,9 +83,9 @@ class ExperimentSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        data = np.asarray(self.data, dtype=float)
-        if data.ndim != 1 or data.size == 0:
-            raise ValueError("data must be a non-empty 1-d array")
+        data = check_data(self.data)
+        for name in ("sample_size", "outer_trials", "inner_trials", "seed"):
+            check_int(getattr(self, name), name)
         if not 1 <= self.sample_size <= data.size:
             raise ValueError("sample size must be between 1 and the dataset size")
         if self.outer_trials < 1 or self.inner_trials < 1:
@@ -103,9 +98,7 @@ class ExperimentSpec:
         if levels.ndim != 1 or levels.size == 0 or not ((levels >= 0) & (levels <= 1)).all():
             raise ValueError("the quantile grid must be non-empty with levels in [0, 1]")
         for eps in self.eps_grid:
-            check_eps(eps)
-            if "uqe" in self.methods:  # its runs take the even split
-                check_noise_eps(eps / 2.0, "eps1")
+            check_even_split(eps, "uqe" in self.methods)
         check_perturb_scale(self.perturb_scale)
         check_beta(self.beta)
         check_beta(self.sum_beta, "sum_beta")
@@ -202,6 +195,17 @@ def _emq_block(
 _BLOCKS = {"uqe": _uqe_block, "emq": _emq_block}
 
 
+def _std(errs: np.ndarray) -> np.ndarray:
+    """Each row's std: numpy's, or where squaring the finite errors overflows,
+    that of the row divided by its largest magnitude, scaled back."""
+    with np.errstate(over="ignore"):
+        std = errs.std(axis=1)
+    for r in np.flatnonzero(~np.isfinite(std)).tolist():
+        top = np.abs(errs[r]).max()
+        std[r] = (errs[r] / top).std() * top
+    return std
+
+
 def run_quantile_experiment(spec: ExperimentSpec) -> list[ResultRecord]:
     """Mean absolute error per (method, eps, q) over the resampling protocol.
 
@@ -234,7 +238,7 @@ def run_quantile_experiment(spec: ExperimentSpec) -> list[ResultRecord]:
             if spec.round_outputs:
                 np.rint(est, out=est)
             errs[first : first + m, t] = np.abs(est - refs)
-    mae, std = errs.mean(axis=1), errs.std(axis=1)
+    mae, std = errs.mean(axis=1), _std(errs)
     return [
         ResultRecord(
             dataset=spec.name,
@@ -292,7 +296,7 @@ def run_sum_experiment(spec: ExperimentSpec) -> list[ResultRecord]:
                 per_outer[r, t] = np.abs(clipped_sum(noisy, clip) + lap - total).mean()
                 r += 1
             runtime[b] += time.perf_counter() - start
-    mae, std = per_outer.mean(axis=1), per_outer.std(axis=1)
+    mae, std = per_outer.mean(axis=1), _std(per_outer)
     records = []
     r = 0
     for b, (eps, method, qs) in enumerate(blocks):

@@ -18,10 +18,10 @@ import sys
 from dataclasses import asdict, replace
 from pathlib import Path
 
+from ._checks import check_multi_quantile_neighbor, check_q
 from .accounting import (
     NeighborModel,
     QueryClass,
-    _check_multi_quantile_neighbor,
     compose_dp,
     guarantee_for,
     multi_quantile_guarantee,
@@ -47,7 +47,6 @@ from .quantile import (
     estimate_quantile_unbounded,
     estimate_small_quantile_inverted,
     request_guarantee,
-    _check_q,
 )
 from .sparse_vector import DEFAULT_MAX_QUERIES
 from .verify import DP_RATIO_MIN_TRIALS, SUITE_NAMES, run_verification_suite
@@ -216,11 +215,11 @@ def cmd_sum(args) -> tuple[dict, int]:
 def cmd_account(args) -> tuple[dict, int]:
     noise = NoiseKind(args.noise)
     if args.q is not None:
-        _check_q(args.q)
+        check_q(args.q)
     if args.num_quantiles is not None:
         if args.query_class is not None or args.q is not None:
             raise ValueError("--num-quantiles gives the joint budget: drop --query-class and --q")
-        _check_multi_quantile_neighbor(NeighborModel(args.neighbor))
+        check_multi_quantile_neighbor(NeighborModel(args.neighbor))
         budget = multi_quantile_guarantee(args.num_quantiles, args.eps1, args.eps2, noise)
         return {"multi_quantile": asdict(budget)}, 0
     if args.query_class is None:

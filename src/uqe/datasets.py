@@ -4,15 +4,14 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 from pathlib import Path
 
 import numpy as np
 
+from ._checks import check_perturb_scale, check_q
 from .noise import RandomSource
 
 __all__ = [
-    "check_perturb_scale",
     "generate_synthetic",
     "load_csv",
     "perturb",
@@ -131,12 +130,6 @@ def _csv_error(path: Path, line: int, exc: csv.Error) -> ValueError:
     return ValueError(f"{path}, line {line}: {exc}")
 
 
-def check_perturb_scale(scale: float) -> None:
-    """The jitter rule: the scale is finite and >= 0."""
-    if not 0.0 <= scale < math.inf:
-        raise ValueError(f"perturb_scale must be finite and >= 0, got {scale!r}")
-
-
 def perturb(values, scale: float, rng: RandomSource) -> np.ndarray:
     """Gaussian jitter used to break ties for the interval-based baseline."""
     vals = np.asarray(values, dtype=float)
@@ -155,8 +148,6 @@ def true_quantile(values, q):
     -0.0 can come back with either sign.
     """
     levels = np.asarray(q, dtype=float)
-    # NaN fails both comparisons, so it is rejected with the rest
-    if levels.ndim > 1 or not ((levels >= 0.0) & (levels <= 1.0)).all():
-        raise ValueError("q must lie in [0, 1]")
+    check_q(levels)
     out = np.quantile(np.asarray(values, dtype=float), levels)
     return float(out) if levels.ndim == 0 else out

@@ -17,11 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .noise import RandomSource, _check_source
-from .quantile import _check_q, build_histogram, counting_query_stream
+from ._checks import check_data, check_eps, check_q, check_source
+from .noise import RandomSource
+from .quantile import build_histogram, counting_query_stream
 from .sparse_vector import (
     DEFAULT_MAX_QUERIES,
-    check_eps,
     gumbel_halt_log_pmf,
     gumbel_no_halt_prob,
     stream_prefix,
@@ -67,9 +67,7 @@ class BoundedRange:
 
 
 def _interval_edges(data, rng_range: BoundedRange) -> np.ndarray:
-    vals = np.sort(np.asarray(data, dtype=float))
-    if vals.size == 0:
-        raise ValueError("data must be non-empty")
+    vals = np.sort(check_data(data))
     # NaN sorts last and fails the comparison, so it is rejected too
     if not (vals[0] >= rng_range.a and vals[-1] <= rng_range.b):
         raise ValueError("data outside the declared range")
@@ -86,8 +84,6 @@ def _interval_logs(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _log_weights(edges: np.ndarray, q: float, eps: float) -> np.ndarray:
-    check_eps(eps)
-    _check_q(q)
     n = edges.size - 2
     ranks, log_gaps = _interval_logs(edges)
     return -eps * np.abs(ranks - q * n) / 2.0 + log_gaps
@@ -95,6 +91,8 @@ def _log_weights(edges: np.ndarray, q: float, eps: float) -> np.ndarray:
 
 def emq_interval_pmf(data, rng_range: BoundedRange, q: float, eps: float) -> np.ndarray:
     """Normalized selection probabilities over intervals j = 0..n."""
+    check_eps(eps)
+    check_q(q)
     return _pmf_from_edges(_interval_edges(data, rng_range), q, eps)
 
 
@@ -110,10 +108,10 @@ def emq_estimate(
     data, rng_range: BoundedRange, q: float, eps: float, rng: RandomSource
 ) -> float:
     """One eps-DP draw: Gumbel-max interval choice, then uniform inside it."""
-    _check_source(rng)
-    edges = _interval_edges(data, rng_range)
+    check_source(rng)
     check_eps(eps)
-    _check_q(q)
+    check_q(q)
+    edges = _interval_edges(data, rng_range)
     uniforms = rng.uniform_open((1, edges.size))
     return float(_draw_from_edges(edges, *_interval_logs(edges), [q], eps, uniforms)[0])
 
@@ -165,6 +163,8 @@ def emq_pdf_curve(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Step density (interval probability / interval length) on a plot grid
     of _PDF_GRID_POINTS evenly spaced points across the declared range."""
+    check_eps(eps)
+    check_q(q)
     edges = _interval_edges(data, rng_range)
     probs = _pmf_from_edges(edges, q, eps)
     gaps = np.diff(edges)
@@ -204,7 +204,7 @@ def uqe_pdf_curve(
     memory are bounded by that cap, not by the magnitude of the data.
     """
     check_eps(eps)
-    _check_q(q)
+    check_q(q)
     hist = build_histogram(data, beta, lower_bound, DEFAULT_MAX_QUERIES)
     grid = hist.grid
     n = hist.n

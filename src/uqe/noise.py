@@ -116,14 +116,6 @@ class RandomSource:
         return f"RandomSource(seed={self.seed}, stream={self.stream})"
 
 
-def _check_source(rng) -> None:
-    """The rule of every mechanism that draws noise: rng is a RandomSource.
-    Checked before any pass over the data, so None is a ValueError, not an
-    AttributeError once the first draw is due."""
-    if not isinstance(rng, RandomSource):
-        raise ValueError(f"a RandomSource is required, got {type(rng).__name__}")
-
-
 def _int_state(state: dict) -> dict:
     """A Philox state read, its counter and key made Python ints in place."""
     words = state["state"]

@@ -36,26 +36,32 @@ from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 import numpy as np
 
+from ._checks import (
+    check_beta,
+    check_data,
+    check_finite,
+    check_max_queries,
+    check_multi_quantile_neighbor,
+    check_open_q,
+    check_q,
+    check_source,
+    check_split,
+)
 from .accounting import (
     MultiQuantileBudget,
     NeighborModel,
     PrivacyGuarantee,
     QueryClass,
-    _check_multi_quantile_neighbor,
     guarantee_for,
     multi_quantile_guarantee,
 )
-from .noise import NoiseKind, RandomSource, _check_source
+from .noise import NoiseKind, RandomSource
 from .sparse_vector import (
     DEFAULT_MAX_QUERIES,
     QueryStream,
     SvtConfig,
     SvtOutcome,
     _Words,
-    check_max_queries,
-    check_noise_eps,
-    check_split,
-    check_threshold,
     run_above_threshold,
     run_above_threshold_noiseless,
 )
@@ -65,7 +71,6 @@ if TYPE_CHECKING:
 
 __all__ = [
     "Dataset",
-    "check_beta",
     "GeometricGrid",
     "LogBucketHistogram",
     "build_histogram",
@@ -90,15 +95,12 @@ class Dataset:
     lower_bound: float | None = None
 
     def __post_init__(self) -> None:
-        vals = np.asarray(self.values, dtype=float)
-        if vals.ndim != 1 or vals.size == 0:
-            raise ValueError("values must be a non-empty 1-d sequence")
-        lo = _finite_min(vals)
+        vals = check_data(self.values)
         if self.lower_bound is not None:
-            if not math.isfinite(self.lower_bound):
-                raise ValueError("the lower bound must be finite")
-            if lo < self.lower_bound:
-                raise ValueError("all values must be >= the declared lower bound")
+            check_finite(self.lower_bound, "the lower bound")
+        lo = _finite_min(vals)
+        if self.lower_bound is not None and lo < self.lower_bound:
+            raise ValueError("all values must be >= the declared lower bound")
         object.__setattr__(self, "values", vals)
 
     @property
@@ -120,18 +122,6 @@ def _finite_min(vals: np.ndarray) -> float:
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError("values must be finite")
     return float(lo)
-
-
-def check_beta(beta: float, name: str = "beta") -> None:
-    """The grid ratio rule: beta is finite and > 1."""
-    if not (beta > 1.0 and math.isfinite(beta)):
-        raise ValueError(f"{name} must be finite and > 1, got {beta!r}")
-
-
-def _check_q(q: float) -> None:
-    """The quantile level rule: q lies in [0, 1]; NaN fails it."""
-    if not 0.0 <= q <= 1.0:
-        raise ValueError("q must lie in [0, 1]")
 
 
 # Powers of each beta, shared by every grid of that beta in the process,
@@ -188,6 +178,7 @@ class GeometricGrid:
 
     def __init__(self, beta: float, lower_bound: float) -> None:
         check_beta(beta)
+        check_finite(lower_bound, "the lower bound")
         self.beta = float(beta)
         self.lower_bound = float(lower_bound)
         self._log_beta = math.log(self.beta)
@@ -218,8 +209,8 @@ class GeometricGrid:
         """Map data to y = x - ell + 1 >= 1, the domain the buckets live on.
 
         A y that is not finite has no bucket, so it is rejected. With finite
-        data only a negative ell (whose shift can overflow) or a NaN ell
-        gives one, so only then is y checked, with overflow warnings off.
+        data only a negative ell, whose shift can overflow, gives one, so
+        only then is y checked, with overflow warnings off.
         out, if given, is a float array of the data's size that receives y.
         """
         x = np.asarray(values, dtype=float)
@@ -354,33 +345,10 @@ class LogBucketHistogram:
     memory in the number of non-empty buckets, at most min(n, cap + 1),
     never in the largest bucket index.
 
-    It holds them as its counting stream's runs (see _key_counts). The
-    public constructor checks buckets and running and writes the runs;
-    LogBucketHistogram._built keeps the runs a build wrote, unchecked.
+    It holds the counting stream's runs that a build wrote (_key_counts), unchecked.
     """
 
-    def __init__(self, grid: GeometricGrid, buckets, running) -> None:
-        buckets = np.asarray(buckets, dtype=np.int64)
-        running = np.asarray(running, dtype=np.int64)
-        if buckets.ndim != 1 or running.shape != buckets.shape or not buckets.size:
-            raise ValueError("buckets and running counts must be 1-d, of one length >= 1")
-        if not (buckets[0] >= 0 and running[0] > 0):
-            raise ValueError("buckets must be >= 0 and each must hold a point")
-        if not ((buckets[1:] > buckets[:-1]).all() and (running[1:] > running[:-1]).all()):
-            raise ValueError("buckets and running counts must increase strictly")
-        lead = int(buckets[0] != 0)
-        starts, values = np.zeros(lead + buckets.size, np.int64), np.zeros(lead + buckets.size)
-        starts[lead:], values[lead:] = buckets, running
-        self._hold(grid, starts, values)
-
-    @classmethod
-    def _built(cls, grid: GeometricGrid, starts: np.ndarray, values: np.ndarray):
-        """The histogram of runs a build wrote, valid by construction."""
-        hist = object.__new__(cls)
-        hist._hold(grid, starts, values)
-        return hist
-
-    def _hold(self, grid: GeometricGrid, starts: np.ndarray, values: np.ndarray) -> None:
+    def __init__(self, grid: GeometricGrid, starts: np.ndarray, values: np.ndarray) -> None:
         starts.flags.writeable = False
         values.flags.writeable = False
         self.grid, self._starts, self._values = grid, starts, values
@@ -557,7 +525,7 @@ def build_histogram(
 
     The counts are written once, as the counting stream's runs with its
     zeros ahead of the first point in place, and the histogram keeps them
-    unchecked (LogBucketHistogram._built). A run capped at max_queries
+    unchecked. A run capped at max_queries
     reads no bucket past max_queries - 1, so every larger index goes to the
     one bucket max_queries and the grid's powers stop at
     beta^(max_queries+1): time and memory are bounded by the cap, not by
@@ -566,15 +534,12 @@ def build_histogram(
     """
     check_max_queries(max_queries)
     grid = GeometricGrid(beta, lower_bound)
-    x = np.asarray(values, dtype=float)
-    if x.size == 0:
-        raise ValueError("cannot build a histogram from empty data")
+    x = check_data(values)
 
     def keys(block, y, idx, work, mask):
         return grid._bucket_into(grid.shift(block, out=y), max_queries, idx, work, mask), 0
 
-    starts, values, _ = _key_counts(x, keys)
-    return LogBucketHistogram._built(grid, starts, values)
+    return LogBucketHistogram(grid, *_key_counts(x, keys)[:2])
 
 
 def counting_query_stream(
@@ -603,8 +568,10 @@ class QuantileRequest:
     max_queries: int = DEFAULT_MAX_QUERIES
 
     def __post_init__(self) -> None:
-        _check_q(self.q)
-        check_split(self.eps1, self.eps2, self.noise, check_noise_eps)
+        check_q(self.q)
+        if self.neighbor is NeighborModel.ADD_SUBTRACT:  # its claim's rule
+            check_open_q(self.q)
+        check_split(self.eps1, self.eps2, self.noise)
         check_beta(self.beta)
         check_max_queries(self.max_queries)
 
@@ -641,10 +608,8 @@ def _finish(grid: GeometricGrid, outcome: SvtOutcome) -> QuantileEstimate:
 
 
 def _scan(stream: QueryStream, t: float, req: QuantileRequest, rng: RandomSource | _Words) -> SvtOutcome:
-    """AboveThreshold with threshold t under the request's budget and noise,
-    its config built unchecked (SvtConfig._built): the request checked its
-    split, and t is q * n or a threshold _release checked."""
-    return run_above_threshold(stream, SvtConfig._built(req.eps1, req.eps2, req.noise, t), rng)
+    """AboveThreshold with threshold t under the request's budget and noise."""
+    return run_above_threshold(stream, SvtConfig(req.eps1, req.eps2, req.noise, t), rng)
 
 
 def estimate_quantile(
@@ -664,7 +629,7 @@ def estimate_quantile(
     if data.lower_bound is None:
         raise ValueError("estimate_quantile needs a declared lower bound")
     if not noiseless:
-        _check_source(rng)
+        check_source(rng)
     hist = build_histogram(data.values, req.beta, data.lower_bound, req.max_queries)
     return _release(hist, req, rng, noiseless=noiseless)
 
@@ -683,13 +648,9 @@ def _release(
     and max_queries. It draws no randomness, so one build can serve every
     (q, eps) release on the same data, each drawing only its own scan noise.
     threshold, if given, replaces q*n: the sum's threshold modes set it
-    (uqe.aggregates).
+    (uqe.aggregates). Either runner checks it.
     """
-    if threshold is None:
-        t = req.q * hist.n
-    else:
-        t = float(threshold)
-        check_threshold(t)
+    t = req.q * hist.n if threshold is None else float(threshold)
     stream = counting_query_stream(hist, max_queries=req.max_queries)
     if noiseless:
         return _finish(hist.grid, run_above_threshold_noiseless(stream, t))
@@ -774,6 +735,7 @@ def estimate_quantile_unbounded(
     pays the request's (eps1, eps2); the two compose.
     """
     words = _Words(rng, req)  # checks rng before the pass over the data
+    second = _complement(req)
     grid = GeometricGrid(req.beta, 0.0)
     cap = req.max_queries
     nonneg, nonpos = _sign_split_totals(data.values, grid, cap)
@@ -783,11 +745,10 @@ def estimate_quantile_unbounded(
     k1 = first.index - 1
     if k1 > 0:
         return UnboundedEstimate(grid.power(k1) - 1.0, False, k1, None, False)
-    t2 = (1.0 - req.q) * data.n
-    second = _scan(QueryStream._built(*nonpos(), cap), t2, req, words)
-    if second.exhausted:
+    out = _scan(QueryStream._built(*nonpos(), cap), second.q * data.n, req, words)
+    if out.exhausted:
         return UnboundedEstimate(-(grid.value(cap - 1)), True, 0, None, True)
-    k2 = second.index - 1
+    k2 = out.index - 1
     if k2 > 0:
         return UnboundedEstimate(-(grid.power(k2) - 1.0), False, 0, k2, True)
     return UnboundedEstimate(0.0, False, 0, 0, True)
@@ -797,14 +758,23 @@ def estimate_small_quantile_inverted(
     data: Dataset, upper_bound: float, req: QuantileRequest, rng: RandomSource
 ) -> QuantileEstimate:
     """Small quantiles of upper-bounded data: negate, estimate 1-q, negate back."""
-    _check_source(rng)
-    if not math.isfinite(upper_bound):
-        raise ValueError("the upper bound must be finite")
+    check_source(rng)
+    check_finite(upper_bound, "the upper bound")
+    complement = _complement(req)
     if data.values.max() > upper_bound:
         raise ValueError("all values must be <= the declared upper bound")
-    negated = Dataset(-data.values, lower_bound=-float(upper_bound))
-    est = estimate_quantile(negated, replace(req, q=1.0 - req.q), rng)
+    hist = build_histogram(-data.values, req.beta, -float(upper_bound), req.max_queries)
+    est = _release(hist, complement, rng)
     return QuantileEstimate(-est.value, est.halt_index, est.exhausted)
+
+
+def _complement(req: QuantileRequest) -> QuantileRequest:
+    """The request of the run at level 1 - q, made before any pass over the
+    data: the inverted estimator's run and the unbounded one's second."""
+    try:
+        return replace(req, q=1.0 - req.q)
+    except ValueError as e:
+        raise ValueError(f"the run at level 1 - q = {1.0 - req.q!r}: {e}") from None
 
 
 # the budget depends on the public (m, eps1, eps2, noise) alone; typed, so
@@ -885,12 +855,10 @@ def estimate_multiple_quantiles(
     neighbors n is private, so that request is a ValueError.
     """
     words = _Words(rng, req)  # one cursor for every node's run
-    _check_multi_quantile_neighbor(req.neighbor)
+    check_multi_quantile_neighbor(req.neighbor)
     if data.lower_bound is None:
         raise ValueError("multi-quantile estimation needs a declared lower bound")
-    q_arr = np.asarray(qs, dtype=float)
-    if q_arr.ndim != 1 or q_arr.size == 0:
-        raise ValueError("qs must be a non-empty 1-d sequence")
+    q_arr = check_data(qs, "qs")
     # NaN fails every comparison, so these reject it too
     if not (np.diff(q_arr) > 0).all():
         raise ValueError("qs must be sorted and distinct")

@@ -37,26 +37,18 @@ identical to the Gumbel run.
 from __future__ import annotations
 
 import functools
-import math
-import operator
-import sys
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
+from ._checks import check_max_queries, check_source, check_split, check_threshold
 from .noise import NOISE_REACH, NoiseKind, NoiseSpec, RandomSource, sample
-from .noise import _check_source, _int_state, _noise_of_words, _place
+from .noise import _int_state, _noise_of_words, _place
 
 __all__ = [
     "DEFAULT_MAX_QUERIES",
-    "MIN_NOISE_EPS",
     "QueryStream",
-    "check_max_queries",
-    "check_eps",
-    "check_noise_eps",
-    "check_split",
-    "check_threshold",
     "SvtConfig",
     "SvtOutcome",
     "run_above_threshold",
@@ -81,56 +73,6 @@ _MAX_QUERY_BLOCK = 1 << 14
 
 # a runner's two noise specs depend on the public (kind, scale) alone
 _noise_spec = functools.lru_cache(maxsize=64)(NoiseSpec)
-
-
-def check_max_queries(max_queries) -> None:
-    """The query cap rule: an integer >= 1."""
-    try:
-        operator.index(max_queries)
-    except TypeError:
-        raise ValueError("max_queries must be an integer") from None
-    if max_queries < 1:
-        raise ValueError("max_queries must be at least 1")
-
-
-def check_eps(eps: float, name: str = "eps") -> None:
-    """The budget rule: eps is a finite number > 0."""
-    if not 0 < eps < math.inf:
-        raise ValueError(f"{name} must be finite and > 0, got {eps!r}")
-
-
-def check_threshold(threshold: float) -> None:
-    """The threshold rule: any number but NaN, which no query can clear, so
-    a run would end exhausted however the data lie. +-inf stay valid: every
-    query clears -inf, and none clears +inf."""
-    if threshold != threshold:
-        raise ValueError("the threshold must be a number, got nan")
-
-
-# the least budget whose noise scale 1 / eps keeps every noise value, which
-# lies within NOISE_REACH scales of 0, a finite float: about 2.11e-307
-MIN_NOISE_EPS = NOISE_REACH / sys.float_info.max
-
-
-def check_noise_eps(eps: float, name: str = "eps") -> None:
-    """The rule of a budget that scales drawn noise: check_eps, and at least
-    MIN_NOISE_EPS. The accounting takes any budget check_eps does."""
-    check_eps(eps, name)
-    if eps < MIN_NOISE_EPS:
-        raise ValueError(
-            f"{name} must be at least {MIN_NOISE_EPS!r}, below which its noise "
-            f"overflows a float, got {eps!r}"
-        )
-
-
-def check_split(eps1: float, eps2: float, noise: NoiseKind, check=check_eps) -> None:
-    """The budget split of one run: eps1 and eps2 obey check (check_eps, or
-    check_noise_eps where the run draws noise), and Gumbel noise needs
-    eps1 == eps2."""
-    check(eps1, "eps1")
-    check(eps2, "eps2")
-    if noise is NoiseKind.GUMBEL and eps1 != eps2:
-        raise ValueError("Gumbel noise requires eps1 == eps2")
 
 
 @dataclass(frozen=True)
@@ -187,32 +129,21 @@ class QueryStream:
         return stream
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SvtConfig:
-    """Budget split, noise family and threshold for one AboveThreshold run.
-
-    Two constructors build a config, as for QueryStream. SvtConfig(...)
-    checks the split (check_split with check_noise_eps) and the threshold
-    (check_threshold).
-    SvtConfig._built, for the estimators' configs, checks nothing: a
-    QuantileRequest checked their split, and they checked their threshold.
-    """
+    """Budget split, noise family and threshold for one AboveThreshold run."""
 
     eps1: float
     eps2: float
     noise: NoiseKind
     threshold: float
 
-    def __post_init__(self) -> None:
-        check_split(self.eps1, self.eps2, self.noise, check_noise_eps)
-        check_threshold(self.threshold)
-
-    @classmethod
-    def _built(cls, eps1: float, eps2: float, noise: NoiseKind, threshold: float) -> "SvtConfig":
-        """The config of a checked split and threshold."""
-        cfg = object.__new__(cls)
-        cfg.__dict__.update(eps1=eps1, eps2=eps2, noise=noise, threshold=threshold)
-        return cfg
+    def __init__(self, eps1: float, eps2: float, noise: NoiseKind, threshold: float) -> None:
+        check_split(eps1, eps2, noise)
+        check_threshold(threshold)
+        # the fields go in __dict__: a frozen __init__'s object.__setattr__ costs more
+        d = self.__dict__
+        d["eps1"], d["eps2"], d["noise"], d["threshold"] = eps1, eps2, noise, threshold
 
 
 @dataclass(frozen=True)
@@ -282,7 +213,7 @@ class _Words:
     __slots__ = ("gen", "start", "_state", "_spec", "_noise", "_base", "_at")
 
     def __init__(self, rng: RandomSource, split) -> None:
-        _check_source(rng)
+        check_source(rng)
         self.gen = rng.gen
         self._state = _int_state(rng.gen.bit_generator.state)
         self._spec = _noise_spec(split.noise, 1.0 / split.eps2 if split.eps1 == split.eps2 else 1.0)

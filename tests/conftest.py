@@ -1,10 +1,10 @@
 """The deterministic release the oracle tests compare against, a stream
 builder for runner tests, the one-level EMQ draw the batched draw is
 checked against, and the EMQ interval choices the Monte Carlo tests count.
-Every test also runs the histograms, the streams and the run configs the
-package builds through the public LogBucketHistogram, QueryStream and
-SvtConfig checks (built_histograms_pass_the_public_checks,
-built_streams_pass_the_public_checks, built_configs_pass_the_public_checks).
+Every test also runs the histograms and the streams the package builds
+through the checks of reference.histogram_runs and of the public
+QueryStream constructor (built_histograms_pass_the_reference_checks,
+built_streams_pass_the_public_checks).
 A hypothesis profile, "derandomized", draws the same examples on every run
 and keeps no example database, so what a run catches rests on the
 committed examples and the fixed draws alone.
@@ -23,37 +23,31 @@ from uqe import aggregates, quantile
 from uqe.emq import _interval_edges, _log_weights
 from uqe.noise import RandomSource
 from uqe.quantile import LogBucketHistogram
-from uqe.sparse_vector import (
-    DEFAULT_MAX_QUERIES,
-    QueryStream,
-    SvtConfig,
-    run_above_threshold_noiseless,
-)
+from uqe.sparse_vector import DEFAULT_MAX_QUERIES, QueryStream, run_above_threshold_noiseless
+
+import reference
 
 
 settings.register_profile("derandomized", derandomize=True, database=None)
 
 
 @pytest.fixture(autouse=True, scope="session")
-def built_histograms_pass_the_public_checks():
-    """LogBucketHistogram._built keeps the runs a build wrote unchecked. In
-    the tests each such histogram's buckets and running counts pass the
-    public constructor's checks too, and it writes the same runs from
-    them."""
-    built = LogBucketHistogram._built
+def built_histograms_pass_the_reference_checks():
+    """LogBucketHistogram keeps the runs a build wrote unchecked. In the
+    tests each histogram's buckets and running counts pass the checks of
+    reference.histogram_runs too, which writes the same runs from them."""
+    init = LogBucketHistogram.__init__
 
-    def checked(cls, grid, starts, values):
-        hist = built(grid, starts, values)
-        public = cls(grid, hist.buckets, hist.running)
-        for name in ("_starts", "_values", "buckets", "running"):
-            want, got = getattr(public, name), getattr(hist, name)
+    def checked(hist, grid, starts, values):
+        init(hist, grid, starts, values)
+        starts, values = reference.histogram_runs(hist.buckets, hist.running)
+        for got, want in ((hist._starts, starts), (hist._values, values)):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
             assert not got.flags.writeable
-        assert hist.n == public.n
-        return hist
+        assert hist.n == values[-1]
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(LogBucketHistogram, "_built", classmethod(checked))
+        mp.setattr(LogBucketHistogram, "__init__", checked)
         yield
 
 
@@ -79,29 +73,6 @@ def built_streams_pass_the_public_checks():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(QueryStream, "_built", classmethod(checked))
-        yield
-
-
-@pytest.fixture(autouse=True, scope="session")
-def built_configs_pass_the_public_checks():
-    """SvtConfig._built skips the public constructor's checks for the
-    configs the estimators build from a checked request and a threshold
-    they computed or checked. In the tests each such config passes those
-    checks too, and equals the config SvtConfig(...) builds. A config that
-    fails them fails the test, not as the ValueError a test may expect."""
-    built = SvtConfig._built
-
-    def checked(cls, eps1, eps2, noise, threshold):
-        try:
-            public = cls(eps1, eps2, noise, threshold)
-        except ValueError as e:
-            pytest.fail(f"a built config fails SvtConfig's checks: {e}")
-        cfg = built(eps1, eps2, noise, threshold)
-        assert cfg == public
-        return cfg
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(SvtConfig, "_built", classmethod(checked))
         yield
 
 

@@ -14,6 +14,10 @@ code, and shares no grid, histogram, stream or runner with it:
 Only the noise sampler and the request and result types come from uqe, so
 a model release equals the package's bit for bit, and the generator ends
 in the same state, exactly when the package implements the definitions.
+
+It also holds the checked constructor of a histogram from its non-empty
+buckets and running counts (histogram, histogram_runs), which the tests
+build histograms with and compare every built histogram against.
 """
 
 import bisect
@@ -24,7 +28,12 @@ from dataclasses import replace
 import numpy as np
 
 from uqe.noise import NoiseSpec, sample
-from uqe.quantile import MultiQuantileResult, QuantileEstimate, UnboundedEstimate
+from uqe.quantile import (
+    LogBucketHistogram,
+    MultiQuantileResult,
+    QuantileEstimate,
+    UnboundedEstimate,
+)
 from uqe.sparse_vector import SvtConfig, SvtOutcome
 
 
@@ -196,3 +205,28 @@ def estimate_multiple_quantiles(values, lower, qs, req, rng):
     node([float(x) for x in values], 0, m, lower, math.inf, 0.0, lower)
     quantiles = tuple(float(q) for q in qs)
     return MultiQuantileResult(quantiles, tuple(estimates), tuple(exhausted), tuple(empty), None)
+
+
+def histogram_runs(buckets, running):
+    """The counting stream's runs of a histogram, as LogBucketHistogram holds
+    them, from its non-empty buckets and their running counts: int64 starts
+    and float values, behind a run of 0 from offset 0 when bucket 0 is
+    empty. Buckets and counts that no data can give are a ValueError."""
+    buckets = np.asarray(buckets, dtype=np.int64)
+    running = np.asarray(running, dtype=np.int64)
+    if buckets.ndim != 1 or running.shape != buckets.shape or not buckets.size:
+        raise ValueError("buckets and running counts must be 1-d, of one length >= 1")
+    if not (buckets[0] >= 0 and running[0] > 0):
+        raise ValueError("buckets must be >= 0 and each must hold a point")
+    if not ((buckets[1:] > buckets[:-1]).all() and (running[1:] > running[:-1]).all()):
+        raise ValueError("buckets and running counts must increase strictly")
+    lead = int(buckets[0] != 0)
+    starts, values = np.zeros(lead + buckets.size, np.int64), np.zeros(lead + buckets.size)
+    starts[lead:], values[lead:] = buckets, running
+    return starts, values
+
+
+def histogram(grid, buckets, running):
+    """The histogram of the non-empty buckets and running counts given, on
+    grid, checked as histogram_runs checks them."""
+    return LogBucketHistogram(grid, *histogram_runs(buckets, running))

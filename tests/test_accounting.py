@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from uqe._checks import MIN_NOISE_EPS
 from uqe.accounting import (
     EmpiricalDpReport,
     MultiQuantileBudget,
@@ -27,7 +28,6 @@ from uqe.accounting import (
 from uqe.noise import NoiseKind, RandomSource
 from uqe.quantile import QuantileRequest, request_guarantee
 from uqe.sparse_vector import (
-    MIN_NOISE_EPS,
     SvtConfig,
     gumbel_halt_log_pmf,
     simulate_halt_indices,

@@ -9,6 +9,7 @@ ratings-style values in [0, 10]) is the shared input fixture.
 
 import hashlib
 import json
+import math
 import subprocess
 import sys
 from fractions import Fraction
@@ -17,10 +18,10 @@ from pathlib import Path
 
 import pytest
 
+from uqe._checks import MIN_NOISE_EPS
 from uqe.accounting import NeighborModel, QueryClass, guarantee_for
 from uqe.cli import main
 from uqe.noise import NoiseKind
-from uqe.sparse_vector import MIN_NOISE_EPS
 
 SMOKE = str(resources.files("uqe") / "data" / "smoke.csv")
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
@@ -371,6 +372,19 @@ class TestBench:
         assert code == 0
         assert rows[0]["experiment"] == "sum"
         assert rows[0]["q"] == 0.99
+
+    @pytest.mark.filterwarnings("error")
+    def test_errors_whose_squares_overflow_have_a_finite_std(self, capsys):
+        # it warned "overflow encountered in square", then exited 1 as JSON
+        # has no inf, although every error was finite
+        code, rows = run_cli(
+            capsys, "bench", "--input", SMOKE, "--column", "value", "--range", "0", "10",
+            "--sample-size", "100", "--outer", "2", "--experiment", "sum", "--eps", "1e-300",
+            "--methods", "emq",
+        )  # fmt: skip
+        assert code == 0
+        # of two errors mae +- std, both >= 0
+        assert all(1e299 < row["std"] <= row["mae"] < math.inf for row in rows)
 
     @pytest.mark.parametrize(
         "flag, value",

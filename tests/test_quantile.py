@@ -21,12 +21,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uqe import quantile
+from uqe._checks import MIN_NOISE_EPS
 from uqe.accounting import NeighborModel
 from uqe.noise import NoiseKind, RandomSource
 from uqe.quantile import (
     Dataset,
     GeometricGrid,
-    LogBucketHistogram,
     QuantileRequest,
     build_histogram,
     counting_query_stream,
@@ -41,7 +41,6 @@ from uqe.bench import ExperimentSpec, run_quantile_experiment
 from uqe.emq import BoundedRange
 from uqe.sparse_vector import (
     DEFAULT_MAX_QUERIES,
-    MIN_NOISE_EPS,
     QueryStream,
     SvtConfig,
     run_above_threshold,
@@ -255,14 +254,14 @@ def test_lookups_in_increasing_order_copy_the_power_cache_log_times():
 
 def test_histogram_holds_increasing_non_empty_buckets():
     grid = GeometricGrid(1.1, 0.0)
-    hist = LogBucketHistogram(grid, [2, 5], [3, 4])
+    hist = reference.histogram(grid, [2, 5], [3, 4])
     assert dict(hist.counts) == {2: 3, 5: 1} and hist.n == 4
     # f_i, the points in buckets < i, for i = 1 .. 8
     assert stream_prefix(counting_query_stream(hist), 8).tolist() == [0, 0, 3, 3, 3, 4, 4, 4]
     bad = (([], []), ([-1], [1]), ([2, 2], [1, 2]), ([2, 5], [3, 3]), ([2], [0]))
     for buckets, running in bad:
         with pytest.raises(ValueError):
-            LogBucketHistogram(grid, buckets, running)
+            reference.histogram(grid, buckets, running)
 
 
 def test_histogram_prefix_counts_match_direct_scan():
@@ -375,17 +374,15 @@ def test_estimate_with_a_nan_threshold_is_a_value_error():
         quantile._release(hist, req, None, noiseless=True, threshold=np.nan)
 
 
-def test_every_estimator_run_builds_its_config_through_the_trusted_constructor(monkeypatch):
-    # SvtConfig._built checks nothing; conftest runs each config it builds
-    # through SvtConfig(...) too, so every run here passes the public checks
+def test_every_estimator_run_builds_one_checked_config(monkeypatch):
+    # each run's SvtConfig is built through its checking constructor, once
     runs = []
-    built = SvtConfig._built
 
-    def counted(cls, eps1, eps2, noise, threshold):
+    def counted(eps1, eps2, noise, threshold):
         runs.append((eps1, eps2, noise, threshold))
-        return built(eps1, eps2, noise, threshold)
+        return SvtConfig(eps1, eps2, noise, threshold)
 
-    monkeypatch.setattr(SvtConfig, "_built", classmethod(counted))
+    monkeypatch.setattr(quantile, "SvtConfig", counted)
     data = Dataset(np.arange(1, 11.0), lower_bound=0.0)
     req = QuantileRequest(q=0.3, eps1=0.4, eps2=0.6, noise=NoiseKind.LAPLACE)
     split = (0.4, 0.6, NoiseKind.LAPLACE)
@@ -473,11 +470,13 @@ def test_request_guarantee_by_neighbor_model():
 def test_dataset_validation():
     with pytest.raises(ValueError):
         Dataset(np.array([]))
-    # non-finite values are named before any lower-bound check
+    # the lower bound is checked before the pass that finds non-finite values
     for bad in (np.nan, np.inf, -np.inf):
-        for lower in (None, 0.0, np.nan):
+        for lower in (None, 0.0):
             with pytest.raises(ValueError, match="values must be finite"):
                 Dataset(np.array([1.0, bad]), lower_bound=lower)
+        with pytest.raises(ValueError, match="the lower bound must be finite"):
+            Dataset(np.array([1.0, bad]), lower_bound=np.nan)
     with pytest.raises(ValueError):
         Dataset(np.array([1.0, -2.0]), lower_bound=0.0)
     assert Dataset(np.array([3.0, 4.0]), 3.0).n == 2

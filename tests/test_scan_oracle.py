@@ -35,7 +35,6 @@ from uqe.noise import NoiseKind, RandomSource, _noise_of_words
 from uqe.quantile import (
     Dataset,
     GeometricGrid,
-    LogBucketHistogram,
     MultiQuantileResult,
     QuantileRequest,
     build_histogram,
@@ -1191,7 +1190,7 @@ def test_built_histograms_pass_the_public_checks(case, cap, spread, block):
     beta, lower, data = case
     with build_path(spread, block):
         hist = build_histogram(np.array(data), beta, lower, cap)
-    public = LogBucketHistogram(hist.grid, hist.buckets, hist.running)
+    public = reference.histogram(hist.grid, hist.buckets, hist.running)
     for name in ("_starts", "_values", "buckets", "running"):
         assert same_arrays(getattr(hist, name), getattr(public, name))
     assert hist.n == public.n == len(data)
