@@ -50,7 +50,6 @@ from .quantile import (
 from .sparse_vector import (
     DEFAULT_MAX_QUERIES,
     SvtConfig,
-    SvtOutcome,
     gumbel_halt_log_pmf,
     gumbel_no_halt_prob,
 )
@@ -77,7 +76,6 @@ __all__ = [
     "SumConfig",
     "SumResult",
     "SvtConfig",
-    "SvtOutcome",
     "UnboundedEstimate",
     "compose_zcdp",
     "dp_mean",

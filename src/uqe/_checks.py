@@ -131,3 +131,15 @@ def check_data(values, name: str = "data") -> np.ndarray:
     if values.ndim != 1 or values.size == 0:
         raise ValueError(f"{name} must be a non-empty 1-d sequence")
     return values
+
+
+def check_levels(qs) -> np.ndarray:
+    """The rule of a multi-quantile list: check_data, with levels strictly
+    inside (0, 1), sorted and distinct. Returns it as a float array."""
+    q_arr = check_data(qs, "qs")
+    # NaN fails every comparison, so these reject it too
+    if not (np.diff(q_arr) > 0).all():
+        raise ValueError("qs must be sorted and distinct")
+    if not (q_arr[0] > 0.0 and q_arr[-1] < 1.0):
+        raise ValueError("quantiles must lie strictly inside (0, 1)")
+    return q_arr

@@ -29,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._checks import check_eps, check_open_q, check_split
+from ._checks import check_eps, check_int, check_open_q, check_split
 from .noise import NoiseKind, RandomSource
 
 __all__ = [
@@ -177,6 +177,7 @@ def _exact_costs(
 
 def multi_quantile_levels(m: int) -> int:
     """Recursion depth for m quantiles: ceil(log2(m + 1)), in exact arithmetic."""
+    check_int(m, "m")
     if m < 1:
         raise ValueError("m must be at least 1")
     return int(m).bit_length()

@@ -35,7 +35,7 @@ from .emq import (
 )
 from .noise import NoiseKind, RandomSource, sample
 from .quantile import GeometricGrid, LogBucketHistogram, build_histogram, counting_query_stream
-from .sparse_vector import DEFAULT_MAX_QUERIES, _first_window_halts
+from .sparse_vector import _first_window_halts
 
 __all__ = [
     "DEFAULT_QUANTILE_GRID",
@@ -138,7 +138,7 @@ def _prepare(spec: ExperimentSpec, noisy: np.ndarray, lower: float, beta: float)
     randomness."""
     prepared = {}
     if "uqe" in spec.methods:
-        prepared["uqe"] = build_histogram(noisy, beta, lower, DEFAULT_MAX_QUERIES)
+        prepared["uqe"] = build_histogram(noisy, beta, lower)
     if "emq" in spec.methods:
         edges = _interval_edges(noisy, spec.declared_range)
         prepared["emq"] = (edges, *_interval_logs(edges))
@@ -166,9 +166,9 @@ def _uqe_block(
     """The uqe releases at the levels qs, level i from mechanism stream
     streams[i]: the grid values of one batch of AboveThreshold runs
     (sparse_vector._first_window_halts) at thresholds q * n, with the even
-    split eps / 2, exponential noise and the bench's query cap. A value
+    split eps / 2, exponential noise and the build's query cap. A value
     that overflows a float is a ValueError, before it is scored."""
-    stream = counting_query_stream(hist, DEFAULT_MAX_QUERIES)
+    stream = counting_query_stream(hist)
     thresholds = np.asarray(qs, dtype=float) * hist.n
     keys = [_MECH_BASE + s for s in streams]
     halts = _first_window_halts(
@@ -195,15 +195,17 @@ def _emq_block(
 _BLOCKS = {"uqe": _uqe_block, "emq": _emq_block}
 
 
-def _std(errs: np.ndarray) -> np.ndarray:
-    """Each row's std: numpy's, or where squaring the finite errors overflows,
+def _by_row(stat, errs: np.ndarray) -> np.ndarray:
+    """stat (np.mean or np.std) of each row of errs, a 1-d errs being one
+    row: numpy's, or where summing or squaring the finite errors overflows,
     that of the row divided by its largest magnitude, scaled back."""
+    rows = np.atleast_2d(errs)
     with np.errstate(over="ignore"):
-        std = errs.std(axis=1)
-    for r in np.flatnonzero(~np.isfinite(std)).tolist():
-        top = np.abs(errs[r]).max()
-        std[r] = (errs[r] / top).std() * top
-    return std
+        out = stat(rows, axis=1)
+    for r in np.flatnonzero(~np.isfinite(out)).tolist():
+        top = np.abs(rows[r]).max()
+        out[r] = stat(rows[r] / top) * top
+    return out
 
 
 def run_quantile_experiment(spec: ExperimentSpec) -> list[ResultRecord]:
@@ -238,7 +240,7 @@ def run_quantile_experiment(spec: ExperimentSpec) -> list[ResultRecord]:
             if spec.round_outputs:
                 np.rint(est, out=est)
             errs[first : first + m, t] = np.abs(est - refs)
-    mae, std = errs.mean(axis=1), _std(errs)
+    mae, std = _by_row(np.mean, errs), _by_row(np.std, errs)
     return [
         ResultRecord(
             dataset=spec.name,
@@ -293,10 +295,11 @@ def run_sum_experiment(spec: ExperimentSpec) -> list[ResultRecord]:
                     clip = _clip_floor(rr)
                 source._rekey(_MECH_BASE + stream + 1)
                 lap = sample(_laplace(clip, eps), source, size=spec.inner_trials)
-                per_outer[r, t] = np.abs(clipped_sum(noisy, clip) + lap - total).mean()
+                err = np.abs(clipped_sum(noisy, clip) + lap - total)
+                per_outer[r, t] = _by_row(np.mean, err)[0]
                 r += 1
             runtime[b] += time.perf_counter() - start
-    mae, std = per_outer.mean(axis=1), _std(per_outer)
+    mae, std = _by_row(np.mean, per_outer), _by_row(np.std, per_outer)
     records = []
     r = 0
     for b, (eps, method, qs) in enumerate(blocks):

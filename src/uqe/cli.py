@@ -18,7 +18,7 @@ import sys
 from dataclasses import asdict, replace
 from pathlib import Path
 
-from ._checks import check_multi_quantile_neighbor, check_q
+from ._checks import check_levels, check_multi_quantile_neighbor, check_q
 from .accounting import (
     NeighborModel,
     QueryClass,
@@ -42,6 +42,7 @@ from .noise import NoiseKind, RandomSource
 from .quantile import (
     Dataset,
     QuantileRequest,
+    _complement,
     estimate_multiple_quantiles,
     estimate_quantile,
     estimate_quantile_unbounded,
@@ -117,10 +118,14 @@ def _request(args, q: float, eps1: float, eps2: float) -> QuantileRequest:
 
 
 def cmd_quantile(args) -> tuple[dict, int]:
-    values = _load_values(args)
     eps1, eps2 = _split_eps(args)
     req = _request(args, args.q, eps1, eps2)
     rng = RandomSource(_resolve_seed(args))
+    if args.lower is not None and args.upper is not None:
+        raise ValueError("give at most one of --lower / --upper")
+    if args.lower is None:  # the unbounded and inverted estimators run at level 1 - q
+        _complement(req)
+    values = _load_values(args)
     common = {
         "q": req.q,
         "n": int(values.size),
@@ -130,8 +135,6 @@ def cmd_quantile(args) -> tuple[dict, int]:
         "noise": req.noise.value,
         "neighbor": req.neighbor.value,
     }
-    if args.lower is not None and args.upper is not None:
-        raise ValueError("give at most one of --lower / --upper")
     if args.lower is None and args.upper is None:
         est = estimate_quantile_unbounded(Dataset(values), req, rng)
         _check_finite([est.value], req.beta)
@@ -168,11 +171,13 @@ def cmd_quantile(args) -> tuple[dict, int]:
 
 
 def cmd_quantiles(args) -> tuple[dict, int]:
-    values = _load_values(args)
     eps1, eps2 = _split_eps(args)
     qs = _float_list(args.qs)
     req = _request(args, qs[0], eps1, eps2)
     rng = RandomSource(_resolve_seed(args))
+    check_multi_quantile_neighbor(req.neighbor)
+    check_levels(qs)
+    values = _load_values(args)
     result = estimate_multiple_quantiles(
         Dataset(values, lower_bound=args.lower), qs, req, rng
     )
@@ -189,7 +194,6 @@ def cmd_quantiles(args) -> tuple[dict, int]:
 
 
 def cmd_sum(args) -> tuple[dict, int]:
-    values = _load_values(args)
     rng_range = BoundedRange(*args.range) if args.range is not None else None
     cfg = SumConfig(
         eps=args.epsilon,
@@ -200,6 +204,7 @@ def cmd_sum(args) -> tuple[dict, int]:
         threshold_mode=args.threshold_mode,
     )
     rng = RandomSource(_resolve_seed(args))
+    values = _load_values(args)
     result = dp_mean(values, cfg, rng) if args.mean else dp_sum(values, cfg, rng)
     _check_finite([result.clip], cfg.beta)
     if not math.isfinite(result.estimate):
@@ -259,10 +264,11 @@ def cmd_bench(args) -> tuple[str, int]:
     if args.experiment == "sum" and (args.curves is not None or args.round):
         flag = "--curves" if args.curves is not None else "--round"
         raise ValueError(f"{flag} applies to the quantile experiment only")
-    data, name = _bench_data(args)
     qs = _float_list(args.qs) if args.qs is not None else tuple(
         round(0.05 + 0.05 * i, 2) for i in range(19)
     )
+    eps_grid = _float_list(args.eps)
+    data, name = _bench_data(args)
     spec = ExperimentSpec(
         data=data,
         name=name,
@@ -270,7 +276,7 @@ def cmd_bench(args) -> tuple[str, int]:
         sample_size=args.sample_size,
         outer_trials=args.outer,
         inner_trials=args.inner,
-        eps_grid=_float_list(args.eps),
+        eps_grid=eps_grid,
         quantile_grid=qs,
         methods=tuple(args.methods.split(",")),
         perturb_scale=args.perturb_scale,

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._checks import check_perturb_scale, check_q
+from ._checks import check_int, check_perturb_scale, check_q
 from .noise import RandomSource
 
 __all__ = [
@@ -23,6 +23,7 @@ SYNTHETIC_KINDS = ("uniform", "gaussian")
 
 def generate_synthetic(kind: str, n: int, rng: RandomSource) -> np.ndarray:
     """uniform[-5, 5] or gaussian(0, 5) draws, the two synthetic benchmarks."""
+    check_int(n, "n")
     if n < 1:
         raise ValueError("n must be at least 1")
     key = kind.strip().lower()

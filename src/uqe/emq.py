@@ -20,12 +20,7 @@ import numpy as np
 from ._checks import check_data, check_eps, check_q, check_source
 from .noise import RandomSource
 from .quantile import build_histogram, counting_query_stream
-from .sparse_vector import (
-    DEFAULT_MAX_QUERIES,
-    gumbel_halt_log_pmf,
-    gumbel_no_halt_prob,
-    stream_prefix,
-)
+from .sparse_vector import gumbel_halt_log_pmf, gumbel_no_halt_prob, stream_prefix
 
 __all__ = [
     "BoundedRange",
@@ -205,12 +200,13 @@ def uqe_pdf_curve(
     """
     check_eps(eps)
     check_q(q)
-    hist = build_histogram(data, beta, lower_bound, DEFAULT_MAX_QUERIES)
+    hist = build_histogram(data, beta, lower_bound)
+    stream = counting_query_stream(hist)
     grid = hist.grid
     n = hist.n
     k_full = int(hist.buckets[-1]) + 1  # first query index where the prefix hits n
-    k_max = min(k_full + _PDF_PAD_STEPS, DEFAULT_MAX_QUERIES)
-    values = stream_prefix(counting_query_stream(hist), k_max)
+    k_max = min(k_full + _PDF_PAD_STEPS, stream.max_queries)
+    values = stream_prefix(stream, k_max)
     t = q * n
     log_pmf = gumbel_halt_log_pmf(values, t, eps / 2.0)
     mass = np.exp(log_pmf)

@@ -40,6 +40,7 @@ from ._checks import (
     check_beta,
     check_data,
     check_finite,
+    check_levels,
     check_max_queries,
     check_multi_quantile_neighbor,
     check_open_q,
@@ -345,20 +346,18 @@ class LogBucketHistogram:
     memory in the number of non-empty buckets, at most min(n, cap + 1),
     never in the largest bucket index.
 
-    It holds the counting stream's runs that a build wrote (_key_counts), unchecked.
+    It holds the counting stream whose runs a build wrote (_key_counts).
     """
 
-    def __init__(self, grid: GeometricGrid, starts: np.ndarray, values: np.ndarray) -> None:
-        starts.flags.writeable = False
-        values.flags.writeable = False
-        self.grid, self._starts, self._values = grid, starts, values
-        self.n = int(values[-1])
+    def __init__(self, grid: GeometricGrid, stream: QueryStream) -> None:
+        self.grid, self._stream = grid, stream
+        self.n = int(stream.values[-1])
         # a first value of 0 is the zeros' run, ahead of bucket 1 or later
-        self.buckets = starts[int(values[0] == 0) :]
+        self.buckets = stream.starts[int(stream.values[0] == 0) :]
 
     @functools.cached_property
     def running(self) -> np.ndarray:
-        running = self._values[-self.buckets.size :].astype(np.int64)
+        running = self._stream.values[-self.buckets.size :].astype(np.int64)
         running.flags.writeable = False
         return running
 
@@ -523,14 +522,14 @@ def build_histogram(
 ) -> LogBucketHistogram:
     """Shift, bucket and count the data in blocks. O(n) arithmetic.
 
-    The counts are written once, as the counting stream's runs with its
-    zeros ahead of the first point in place, and the histogram keeps them
-    unchecked. A run capped at max_queries
-    reads no bucket past max_queries - 1, so every larger index goes to the
-    one bucket max_queries and the grid's powers stop at
-    beta^(max_queries+1): time and memory are bounded by the cap, not by
-    how many buckets the data span. The cap follows the runner's rule, an
-    integer >= 1, and defaults to the runner's.
+    The counts are written once, as the runs of the counting stream capped
+    at max_queries, with its zeros ahead of the first point in place, and
+    the histogram holds that stream. A run capped at max_queries reads no
+    bucket past max_queries - 1, so every larger index goes to the one
+    bucket max_queries and the grid's powers stop at beta^(max_queries+1):
+    time and memory are bounded by the cap, not by how many buckets the
+    data span. The cap follows the runner's rule, an integer >= 1, and
+    defaults to the runner's.
     """
     check_max_queries(max_queries)
     grid = GeometricGrid(beta, lower_bound)
@@ -539,20 +538,18 @@ def build_histogram(
     def keys(block, y, idx, work, mask):
         return grid._bucket_into(grid.shift(block, out=y), max_queries, idx, work, mask), 0
 
-    return LogBucketHistogram(grid, *_key_counts(x, keys)[:2])
+    return LogBucketHistogram(grid, QueryStream(*_key_counts(x, keys)[:2], max_queries))
 
 
-def counting_query_stream(
-    hist: LogBucketHistogram, max_queries: int = DEFAULT_MAX_QUERIES
-) -> QueryStream:
+def counting_query_stream(hist: LogBucketHistogram) -> QueryStream:
     """f_i = prefix count through bucket i-1: one run per non-empty bucket,
-    behind a run of zeros up to the first: the runs the build wrote, read
-    without a copy, capped at max_queries.
+    behind a run of zeros up to the first, capped at the build's
+    max_queries: the stream the histogram holds.
 
     Monotonic with sensitivity 1 under swap neighbors: swapping one point
     moves every prefix count by at most 1, in the same direction.
     """
-    return QueryStream._built(hist._starts, hist._values, max_queries)
+    return hist._stream
 
 
 @dataclass(frozen=True)
@@ -644,14 +641,15 @@ def _release(
 ) -> QuantileEstimate:
     """estimate_quantile on an already built histogram.
 
-    The histogram must come from build_histogram with the request's beta
-    and max_queries. It draws no randomness, so one build can serve every
-    (q, eps) release on the same data, each drawing only its own scan noise.
+    The histogram must come from build_histogram with the request's beta,
+    and its stream's cap is the run's. It draws no randomness, so one build
+    can serve every (q, eps) release on the same data, each drawing only
+    its own scan noise.
     threshold, if given, replaces q*n: the sum's threshold modes set it
     (uqe.aggregates). Either runner checks it.
     """
     t = req.q * hist.n if threshold is None else float(threshold)
-    stream = counting_query_stream(hist, max_queries=req.max_queries)
+    stream = counting_query_stream(hist)
     if noiseless:
         return _finish(hist.grid, run_above_threshold_noiseless(stream, t))
     return _finish(hist.grid, _scan(stream, t, req, rng))
@@ -739,13 +737,13 @@ def estimate_quantile_unbounded(
     grid = GeometricGrid(req.beta, 0.0)
     cap = req.max_queries
     nonneg, nonpos = _sign_split_totals(data.values, grid, cap)
-    first = _scan(QueryStream._built(*nonneg, cap), req.q * data.n, req, words)
+    first = _scan(QueryStream(*nonneg, cap), req.q * data.n, req, words)
     if first.exhausted:
         return UnboundedEstimate(grid.value(cap - 1), True, None, None, False)
     k1 = first.index - 1
     if k1 > 0:
         return UnboundedEstimate(grid.power(k1) - 1.0, False, k1, None, False)
-    out = _scan(QueryStream._built(*nonpos(), cap), second.q * data.n, req, words)
+    out = _scan(QueryStream(*nonpos(), cap), second.q * data.n, req, words)
     if out.exhausted:
         return UnboundedEstimate(-(grid.value(cap - 1)), True, 0, None, True)
     k2 = out.index - 1
@@ -796,7 +794,7 @@ class MultiQuantileResult:
 def _sorted_stream(
     grid: GeometricGrid, y: np.ndarray, cap: int, above: np.ndarray | None = None
 ) -> tuple[QueryStream, np.ndarray | None]:
-    """counting_query_stream(build_histogram(..., max_queries=cap), cap) for
+    """counting_query_stream(build_histogram(..., max_queries=cap)) for
     sorted shifted data y, and the counts below beta^1 .. beta^top when
     they are the stream's values.
 
@@ -821,8 +819,8 @@ def _sorted_stream(
         else:
             cumulative[:top] = above[:top]
         cumulative[top] = y.size
-        return QueryStream._built(np.arange(top + 1), cumulative, cap), cumulative[:top]
-    return QueryStream._built(*_sorted_runs(grid.bucket_indices(y, cap)), cap), None
+        return QueryStream(np.arange(top + 1), cumulative, cap), cumulative[:top]
+    return QueryStream(*_sorted_runs(grid.bucket_indices(y, cap)), cap), None
 
 
 def estimate_multiple_quantiles(
@@ -858,12 +856,7 @@ def estimate_multiple_quantiles(
     check_multi_quantile_neighbor(req.neighbor)
     if data.lower_bound is None:
         raise ValueError("multi-quantile estimation needs a declared lower bound")
-    q_arr = check_data(qs, "qs")
-    # NaN fails every comparison, so these reject it too
-    if not (np.diff(q_arr) > 0).all():
-        raise ValueError("qs must be sorted and distinct")
-    if not (q_arr[0] > 0.0 and q_arr[-1] < 1.0):
-        raise ValueError("quantiles must lie strictly inside (0, 1)")
+    q_arr = check_levels(qs)
 
     n_total = data.n
     m = q_arr.size

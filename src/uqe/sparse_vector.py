@@ -1,11 +1,12 @@
-"""AboveThreshold over adaptive query streams.
+"""AboveThreshold over counting query streams.
 
-The runner consumes a stream of query values f_1, f_2, ..., stored as
-constant runs (run starts and run values, the last run open up to the cap;
-a counting stream has one run per non-empty histogram bucket), and halts at
-the first index whose noisy value clears the noisy threshold. Halting early
-(or capping the stream) never hurts privacy, so running out of queries is
-reported as an outcome, not an error.
+The runner consumes counting queries f_1 <= f_2 <= ..., stored as constant
+runs (run starts and run values, one run per non-empty histogram bucket,
+the last run open up to the cap), and halts at the first index whose noisy
+value clears the noisy threshold. Such queries are monotonic, the class
+whose run costs eps1 + eps2 (uqe.accounting). Halting early (or capping
+the stream) never hurts privacy, so running out of queries is reported as
+an outcome, not an error.
 
 Every query noise value lies within NOISE_REACH * b of zero (b the query
 noise scale), so a query with f_i + NOISE_REACH * b < noisy threshold
@@ -16,7 +17,7 @@ rewinding on a hit to just past the halting query; each move is written
 from one state read, which an estimator's runs share (_Words). The
 first block ends at the first query whose value alone clears the noisy
 threshold, so a run nearly always decides in it. Each search is one
-binary search over the running maximum of the run values. Where the last
+binary search over the run values, which never fall. Where the last
 query of the first block is within reach of the lowest noisy threshold
 there is no such head, and the first block starts at query 1 with the
 threshold's word drawn with its queries'. Halt indices, and the
@@ -37,7 +38,7 @@ identical to the Gumbel run.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -48,9 +49,7 @@ from .noise import _int_state, _noise_of_words, _place
 
 __all__ = [
     "DEFAULT_MAX_QUERIES",
-    "QueryStream",
     "SvtConfig",
-    "SvtOutcome",
     "run_above_threshold",
     "run_above_threshold_noiseless",
     "gumbel_halt_log_pmf",
@@ -75,58 +74,33 @@ _MAX_QUERY_BLOCK = 1 << 14
 _noise_spec = functools.lru_cache(maxsize=64)(NoiseSpec)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class QueryStream:
-    """Query values in constant runs: f_i = values[j] for starts[j] < i <=
-    starts[j+1], capped at max_queries queries.
+    """Counting queries in constant runs: f_i = values[j] for starts[j] < i
+    <= starts[j+1], capped at max_queries queries.
 
-    starts begins at 0 and increases strictly, and no value is NaN. The
-    last run is open: it goes on at values[-1] up to the cap. peak is the
-    running maximum of values. Every stream has sensitivity 1:
-    the package builds only counting streams, and swapping one point moves
-    a count by at most 1. The first query is index 1; callers that think of
-    their candidate grid as starting elsewhere remap the halt index
+    starts holds int64 offsets that begin at 0 and increase strictly, and
+    values nondecreasing floats of the same length: the package builds its
+    streams so (a build, the sign split, a multi-quantile node, _past), and
+    the constructor checks only the cap. The last run is open: it goes on
+    at values[-1] up to the cap. Every stream has sensitivity 1: swapping
+    one point moves a count by at most 1. The arrays are kept without a
+    copy and made read-only. The first query is index 1; callers that think
+    of their candidate grid as starting elsewhere remap the halt index
     themselves.
-
-    Two constructors build a stream. QueryStream(starts, values,
-    max_queries), for streams from outside, checks every rule above.
-    QueryStream._built, for the package's streams, whose starts are an
-    np.arange or strictly increasing bucket indices from 0, checks only the
-    cap; their values, counts that never fall, are their peak. Both keep
-    int64 starts and float values without a copy, and make them read-only.
     """
 
     starts: np.ndarray
     values: np.ndarray
-    max_queries: int = DEFAULT_MAX_QUERIES
-    peak: np.ndarray = field(init=False, repr=False, compare=False)
+    max_queries: int
 
-    def __post_init__(self) -> None:
-        starts = np.asarray(self.starts, dtype=np.int64)
-        values = np.asarray(self.values, dtype=float)
-        if starts.ndim != 1 or values.shape != starts.shape or not starts.size:
-            raise ValueError("starts and values must be 1-d, of one length >= 1")
-        if starts[0] != 0 or np.count_nonzero(starts[1:] <= starts[:-1]):
-            raise ValueError("run starts must begin at 0 and increase strictly")
-        check_max_queries(self.max_queries)
-        peak = np.maximum.accumulate(values)
-        if peak[-1] != peak[-1]:  # the running maximum carries a NaN on to its end
-            raise ValueError("query values must be numbers, got nan")
-        for name, array in (("starts", starts), ("values", values), ("peak", peak)):
-            array.flags.writeable = False
-            object.__setattr__(self, name, array)
-
-    @classmethod
-    def _built(cls, starts: np.ndarray, values: np.ndarray, max_queries: int) -> "QueryStream":
-        """The stream of int64 starts that begin at 0 and increase strictly,
-        and nondecreasing float values of the same length: arrays the
-        package built so. Its peak is its values."""
+    def __init__(self, starts: np.ndarray, values: np.ndarray, max_queries: int) -> None:
         check_max_queries(max_queries)
         starts.flags.writeable = False
         values.flags.writeable = False
-        stream = object.__new__(cls)
-        stream.__dict__.update(starts=starts, values=values, max_queries=max_queries, peak=values)
-        return stream
+        # the fields go in __dict__: a frozen __init__'s object.__setattr__ costs more
+        d = self.__dict__
+        d["starts"], d["values"], d["max_queries"] = starts, values, max_queries
 
 
 @dataclass(frozen=True, init=False)
@@ -187,12 +161,10 @@ def _window(stream: QueryStream, start: int, stop: int) -> np.ndarray:
 
 def _first_within(stream: QueryStream, start: int, reach: float, level: float) -> int:
     """Offset of the first query at or after offset start with f + reach
-    >= level, or the cap if none: one binary search of peak + reach (which
-    rounded addition keeps nondecreasing) from the run holding start. Exact
-    from offset 0 or on a nondecreasing stream; else an earlier peak may
-    give an earlier offset, but none before start or past a query in reach."""
+    >= level, or the cap if none: one binary search of values + reach
+    (which rounded addition keeps nondecreasing) from the run holding start."""
     j = _run_at(stream.starts, start)
-    run = j + int((stream.peak[j:] + reach if reach else stream.peak[j:]).searchsorted(level))
+    run = j + int((stream.values[j:] + reach if reach else stream.values[j:]).searchsorted(level))
     if run == stream.starts.size:
         return stream.max_queries
     return min(max(start, int(stream.starts[run])), stream.max_queries)
@@ -322,10 +294,9 @@ def _first_window_halts(
     source: RandomSource,
     keys,
 ) -> np.ndarray:
-    """The runs of many thresholds on one counting stream, as one batch
-    (those that go on read _past, whose peak is its values): run i is
-    run_above_threshold(stream, SvtConfig(eps1, eps2, noise, thresholds[i]),
-    rng) with rng a fresh RandomSource(source.seed, keys[i]).
+    """The runs of many thresholds on one counting stream, as one batch:
+    run i is run_above_threshold(stream, SvtConfig(eps1, eps2, noise,
+    thresholds[i]), rng) with rng a fresh RandomSource(source.seed, keys[i]).
 
     Returns each run's halt index, or the cap where it exhausts. The
     threshold words are noised as one array, and so is each run's window
@@ -343,7 +314,7 @@ def _first_window_halts(
     reach = NOISE_REACH * query_spec.scale
     # the window starts, _first_within(stream, 0, reach, t) of every t at once
     cap, size = stream.max_queries, _FIRST_QUERY_BLOCK
-    run = np.searchsorted(stream.peak + reach, noisy_t)
+    run = np.searchsorted(stream.values + reach, noisy_t)
     at = np.minimum(np.append(stream.starts, cap)[run], cap)
     words = np.empty((len(keys), size), dtype=np.uint64)
     for row, key, start in zip(words, keys, at.tolist()):
@@ -368,7 +339,7 @@ def _past(stream: QueryStream, offset: int) -> QueryStream:
     """stream with its first offset >= 1 queries -inf, which no noise lifts."""
     j = _run_at(stream.starts, offset)
     starts = np.append((0, offset), stream.starts[j + 1 :])
-    return QueryStream._built(starts, np.append(-np.inf, stream.values[j:]), stream.max_queries)
+    return QueryStream(starts, np.append(-np.inf, stream.values[j:]), stream.max_queries)
 
 
 def run_above_threshold_noiseless(

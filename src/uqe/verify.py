@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ._checks import check_int
 from .accounting import empirical_dp_check
 from .noise import NoiseKind, RandomSource
 from .sparse_vector import (
@@ -122,6 +123,8 @@ def _suite_dp_ratio(seed: int, trials: int) -> list[dict]:
 
 def run_verification_suite(name: str, seed: int = 0, trials: int = 200_000) -> dict:
     """Run one named suite; returns {"suite", "passed", "checks": [...]}."""
+    check_int(seed, "seed")
+    check_int(trials, "trials")
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials!r}")
     if name == "gumbel-closed-form":

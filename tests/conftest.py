@@ -1,10 +1,11 @@
 """The deterministic release the oracle tests compare against, a stream
 builder for runner tests, the one-level EMQ draw the batched draw is
 checked against, and the EMQ interval choices the Monte Carlo tests count.
-Every test also runs the histograms and the streams the package builds
-through the checks of reference.histogram_runs and of the public
-QueryStream constructor (built_histograms_pass_the_reference_checks,
-built_streams_pass_the_public_checks).
+QueryStream checks only its cap: every test runs the streams the package
+builds, and the streams it builds itself, through the checks of
+reference.stream_rules (streams_pass_the_reference_checks), and the
+histograms the package builds through those of reference.histogram_runs
+(built_histograms_pass_the_reference_checks).
 A hypothesis profile, "derandomized", draws the same examples on every run
 and keeps no example database, so what a run catches rests on the
 committed examples and the fixed draws alone.
@@ -33,17 +34,16 @@ settings.register_profile("derandomized", derandomize=True, database=None)
 
 @pytest.fixture(autouse=True, scope="session")
 def built_histograms_pass_the_reference_checks():
-    """LogBucketHistogram keeps the runs a build wrote unchecked. In the
+    """LogBucketHistogram holds the stream a build wrote unchecked. In the
     tests each histogram's buckets and running counts pass the checks of
     reference.histogram_runs too, which writes the same runs from them."""
     init = LogBucketHistogram.__init__
 
-    def checked(hist, grid, starts, values):
-        init(hist, grid, starts, values)
+    def checked(hist, grid, stream):
+        init(hist, grid, stream)
         starts, values = reference.histogram_runs(hist.buckets, hist.running)
-        for got, want in ((hist._starts, starts), (hist._values, values)):
+        for got, want in ((stream.starts, starts), (stream.values, values)):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-            assert not got.flags.writeable
         assert hist.n == values[-1]
 
     with pytest.MonkeyPatch.context() as mp:
@@ -52,27 +52,23 @@ def built_histograms_pass_the_reference_checks():
 
 
 @pytest.fixture(autouse=True, scope="session")
-def built_streams_pass_the_public_checks():
-    """QueryStream._built skips the public constructor's checks for the
-    streams the package builds, valid by construction. In the tests each
-    such stream passes those checks too, and must come out of both
-    constructors the same, its running maximum included (the values it
-    takes for one), so every property that runs an estimator also checks
-    its streams."""
-    built = QueryStream._built
+def streams_pass_the_reference_checks():
+    """QueryStream checks only its cap, and leaves the rules of its runs to
+    the package's builders. In the tests every stream passes
+    reference.stream_rules as well, and holds read-only arrays, so every
+    property that runs an estimator also checks its streams."""
+    init = QueryStream.__init__
 
-    def checked(cls, starts, values, max_queries):
-        public = cls(starts, values, max_queries)
-        stream = built(starts, values, max_queries)
-        for name in ("starts", "values", "peak"):
-            want, got = getattr(public, name), getattr(stream, name)
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-            assert not got.flags.writeable
-        assert stream.max_queries == public.max_queries
-        return stream
+    def checked(stream, starts, values, max_queries):
+        init(stream, starts, values, max_queries)
+        try:
+            reference.stream_rules(starts, values)
+        except ValueError as e:
+            raise AssertionError(f"a stream breaks a rule of its runs: {e}") from None
+        assert not (starts.flags.writeable or values.flags.writeable)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(QueryStream, "_built", classmethod(checked))
+        mp.setattr(QueryStream, "__init__", checked)
         yield
 
 
@@ -96,12 +92,13 @@ def noiseless(monkeypatch):
 
 def head_stream(head, tail=None, max_queries=DEFAULT_MAX_QUERIES):
     """f_i = head[i-1] for i <= len(head), then tail up to the cap, as runs
-    of one query each. Without a tail the stream ends after its head: no
-    runner reads past the cap, so it is capped at len(head)."""
+    of one query each, built by reference.query_stream: the values must
+    never fall. Without a tail the stream ends after its head: no runner
+    reads past the cap, so it is capped at len(head)."""
     head = np.array(head, dtype=float)
     if tail is None:
-        return QueryStream(np.arange(head.size), head, min(max_queries, head.size))
-    return QueryStream(np.arange(head.size + 1), np.append(head, tail), max_queries)
+        return reference.query_stream(np.arange(head.size), head, min(max_queries, head.size))
+    return reference.query_stream(np.arange(head.size + 1), np.append(head, tail), max_queries)
 
 
 def emq_draw_oracle(edges, q, eps, rng):

@@ -15,9 +15,10 @@ Only the noise sampler and the request and result types come from uqe, so
 a model release equals the package's bit for bit, and the generator ends
 in the same state, exactly when the package implements the definitions.
 
-It also holds the checked constructor of a histogram from its non-empty
-buckets and running counts (histogram, histogram_runs), which the tests
-build histograms with and compare every built histogram against.
+It also holds the checked constructors of a counting stream from its runs
+(query_stream, stream_rules) and of a histogram from its non-empty buckets
+and running counts (histogram, histogram_runs), which the tests build
+streams and histograms with and check every built one against.
 """
 
 import bisect
@@ -34,7 +35,7 @@ from uqe.quantile import (
     QuantileEstimate,
     UnboundedEstimate,
 )
-from uqe.sparse_vector import SvtConfig, SvtOutcome
+from uqe.sparse_vector import DEFAULT_MAX_QUERIES, QueryStream, SvtConfig, SvtOutcome
 
 
 def powers(beta, k):
@@ -226,7 +227,32 @@ def histogram_runs(buckets, running):
     return starts, values
 
 
-def histogram(grid, buckets, running):
+def histogram(grid, buckets, running, max_queries=DEFAULT_MAX_QUERIES):
     """The histogram of the non-empty buckets and running counts given, on
-    grid, checked as histogram_runs checks them."""
-    return LogBucketHistogram(grid, *histogram_runs(buckets, running))
+    grid and capped at max_queries, checked as histogram_runs checks them."""
+    return LogBucketHistogram(grid, query_stream(*histogram_runs(buckets, running), max_queries))
+
+
+def stream_rules(starts, values):
+    """The rules of a counting stream's runs, which QueryStream leaves to
+    its builders (it checks only the cap): int64 starts that begin at 0 and
+    increase strictly, and float values of the same length that are numbers
+    and never fall. Runs that break one are a ValueError."""
+    if not (isinstance(starts, np.ndarray) and starts.dtype == np.int64):
+        raise ValueError("run starts must be an int64 array")
+    if not (isinstance(values, np.ndarray) and values.dtype == np.float64):
+        raise ValueError("run values must be a float array")
+    if starts.ndim != 1 or values.shape != starts.shape or not starts.size:
+        raise ValueError("starts and values must be 1-d, of one length >= 1")
+    if starts[0] != 0 or (starts[1:] <= starts[:-1]).any():
+        raise ValueError("run starts must begin at 0 and increase strictly")
+    if np.isnan(values).any() or (values[1:] < values[:-1]).any():
+        raise ValueError("query values must be numbers that never fall")
+
+
+def query_stream(starts, values, max_queries=DEFAULT_MAX_QUERIES):
+    """The counting stream of the runs given, as int64 starts and float
+    values copied from them, checked by stream_rules."""
+    starts, values = np.array(starts, dtype=np.int64), np.array(values, dtype=float)
+    stream_rules(starts, values)
+    return QueryStream(starts, values, max_queries)

@@ -15,7 +15,6 @@ import ast
 import math
 import re
 import warnings
-from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -25,10 +24,10 @@ from hypothesis import strategies as st
 
 import uqe
 from uqe import aggregates, bench, emq, quantile
-from uqe.accounting import NeighborModel
+from uqe.accounting import NeighborModel, multi_quantile_guarantee
 from uqe.aggregates import ClipMethod, SumConfig, dp_sum
 from uqe.bench import ExperimentSpec, run_quantile_experiment, run_sum_experiment
-from uqe.cli import main
+from uqe.datasets import generate_synthetic
 from uqe.emq import BoundedRange, emq_estimate
 from uqe.noise import NoiseKind, RandomSource
 from uqe.quantile import (
@@ -39,10 +38,12 @@ from uqe.quantile import (
     estimate_quantile_unbounded,
     estimate_small_quantile_inverted,
 )
-from uqe.sparse_vector import QueryStream, SvtConfig, run_above_threshold
+from uqe.sparse_vector import SvtConfig, run_above_threshold
+from uqe.verify import run_verification_suite
+
+import reference
 
 SRC = Path(uqe.__file__).parent
-SMOKE = str(resources.files("uqe") / "data" / "smoke.csv")
 
 SPECIAL = (math.nan, math.inf, -math.inf, 0.0, -1.0, 5e-324)
 
@@ -130,7 +131,7 @@ def other_cases():
 
             def make(v, field=field, noise=noise):
                 kwargs = {"eps1": 1.0, "eps2": 1.0, "threshold": 5.0, field: v}
-                stream = QueryStream(np.arange(10), DATA, 100)
+                stream = reference.query_stream(np.arange(10), DATA, 100)
                 return lambda: run_above_threshold(stream, SvtConfig(**kwargs, noise=noise), rng())
 
             yield f"SvtConfig.{field}-{noise.value}", make
@@ -152,6 +153,16 @@ def other_cases():
     yield "emq_estimate.q", lambda v: lambda: emq_estimate(DATA, emq_range, v, 1.0, rng())
     yield "estimate_multiple_quantiles.qs", lambda v: lambda: estimate_multiple_quantiles(
         BOUNDED, [v, 0.5], QuantileRequest.even_split(0.5, 1.0), rng()
+    )
+    # counts and seeds, which no float is
+    yield "multi_quantile_guarantee.m", lambda v: lambda: multi_quantile_guarantee(
+        v, 0.5, 0.5, NoiseKind.LAPLACE
+    )
+    yield "generate_synthetic.n", lambda v: lambda: generate_synthetic("uniform", v, rng())
+    suite = "gumbel-closed-form"
+    yield "run_verification_suite.trials", lambda v: lambda: run_verification_suite(suite, trials=v)
+    yield "run_verification_suite.seed", lambda v: lambda: run_verification_suite(
+        suite, seed=v, trials=10
     )
 
 
@@ -206,40 +217,29 @@ def test_the_fuzz_reaches_both_outcomes():
     assert seen == {True, False}
 
 
-ADD_SUBTRACT_REPROS = {
-    "lower, q = 0": (["--lower", "0", "--q", "0"], "quantile q in (0, 1)"),
-    "upper, q = 1": (["--upper", "100", "--q", "1"], "quantile q in (0, 1)"),
-    "unbounded, q = 1e-17": (["--q", "1e-17"], "the run at level 1 - q = 1.0: "),
-}
-
-
-@pytest.mark.parametrize("repro", list(ADD_SUBTRACT_REPROS))
-def test_add_subtract_repros_exit_1_before_any_pass(monkeypatch, capsys, repro):
-    # each used to run its O(n) pass, then fail in request_guarantee
-    def no_pass(*args, **kwargs):
-        raise AssertionError("the data were read")
-
-    for name in ("build_histogram", "_sign_split_totals"):
-        monkeypatch.setattr(quantile, name, no_pass)
-    flags, message = ADD_SUBTRACT_REPROS[repro]
-    argv = ["quantile", "--input", SMOKE, "--column", "value", "--neighbor", "add-subtract"]
-    assert main(argv + flags) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and message in err
+def test_counts_and_seeds_must_be_integers():
+    # m = 2.5 gave a budget for m = 2.5, a seed of 2.5 ran at seed 2, and
+    # n and trials of 2.5 were a TypeError in numpy
+    calls = {
+        "m": lambda: multi_quantile_guarantee(2.5, 0.5, 0.5, NoiseKind.LAPLACE),
+        "n": lambda: generate_synthetic("uniform", 2.5, rng()),
+        "trials": lambda: run_verification_suite("gumbel-closed-form", trials=2.5),
+        "seed": lambda: run_verification_suite("gumbel-closed-form", seed=2.5, trials=10),
+    }
+    for name, call in calls.items():
+        with pytest.raises(ValueError, match=f"^{name} must be an integer$"):
+            call()
 
 
 def test_parameter_rules_live_in_one_module():
-    rules, built, owners = [], 0, []
+    rules = []
     for path in sorted(SRC.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.FunctionDef):
-                if re.match(r"_?check_", node.name):
-                    rules.append((path.stem, node.name))
-                built += node.name == "_built"
-            if isinstance(node, ast.ClassDef):
-                methods = [f.name for f in node.body if isinstance(f, ast.FunctionDef)]
-                owners += [(path.stem, node.name)] * methods.count("_built")
+        text = path.read_text()
+        # each record has one constructor: no unchecked _built twin
+        assert "_built" not in text, path.name
+        for node in ast.walk(ast.parse(text, filename=str(path))):
+            if isinstance(node, ast.FunctionDef) and re.match(r"_?check_", node.name):
+                rules.append((path.stem, node.name))
     assert ("_checks", "check_eps") in rules
     # bench._check_finite checks released estimates, not parameters
     assert [rule for rule in rules if rule[0] != "_checks"] == [("bench", "_check_finite")]
-    assert built == 1 and owners == [("sparse_vector", "QueryStream")]

@@ -20,6 +20,7 @@ import pytest
 
 from uqe._checks import MIN_NOISE_EPS
 from uqe.accounting import NeighborModel, QueryClass, guarantee_for
+from uqe import cli
 from uqe.cli import main
 from uqe.noise import NoiseKind
 
@@ -386,6 +387,24 @@ class TestBench:
         # of two errors mae +- std, both >= 0
         assert all(1e299 < row["std"] <= row["mae"] < math.inf for row in rows)
 
+    def test_errors_whose_sum_overflows_have_a_finite_mae(self):
+        # the mean of 50 finite Laplace errors warned "overflow encountered
+        # in reduce", a traceback under -W error
+        args = [
+            "bench", "--input", SMOKE, "--column", "value", "--range", "0", "10",
+            "--sample-size", "100", "--outer", "2", "--experiment", "sum", "--eps", "3e-306",
+            "--methods", "emq",
+        ]  # fmt: skip
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "uqe.cli", *args],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        rows = json.loads(proc.stdout)
+        assert rows and all(math.isfinite(r["mae"]) and math.isfinite(r["std"]) for r in rows)
+
     @pytest.mark.parametrize(
         "flag, value",
         [
@@ -436,6 +455,68 @@ class TestBench:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err.startswith(f"error: {name} must be")
+
+
+# each rejected flag, with the message it exits 1 with; none reads the CSV
+REJECTED_FLAGS = {
+    "--lower with --upper": (["quantile", "--q", "0.5", "--lower", "0", "--upper", "10"],
+                             "give at most one of --lower / --upper"),
+    "--eps1 alone": (["quantile", "--q", "0.5", "--eps1", "0.5"], "give both --eps1 and --eps2"),
+    "quantile --q 2": (["quantile", "--q", "2"], "q must lie in [0, 1]"),
+    "quantile --beta 1": (["quantile", "--q", "0.5", "--beta", "1"], "beta must be finite and > 1"),
+    "--max-queries 0": (["quantile", "--q", "0.5", "--max-queries", "0"],
+                        "max_queries must be at least 1"),
+    # under add-subtract neighbors each of these used to run its O(n) pass,
+    # then fail in request_guarantee
+    "add-subtract, --lower, q = 0": (
+        ["quantile", "--neighbor", "add-subtract", "--lower", "0", "--q", "0"],
+        "quantile q in (0, 1)",
+    ),
+    "add-subtract, --upper, q = 1": (
+        ["quantile", "--neighbor", "add-subtract", "--upper", "100", "--q", "1"],
+        "quantile q in (0, 1)",
+    ),
+    "add-subtract, unbounded, q = 1e-17": (
+        ["quantile", "--neighbor", "add-subtract", "--q", "1e-17"],
+        "the run at level 1 - q = 1.0: ",
+    ),
+    "add-subtract, --upper, q = 1e-17": (
+        ["quantile", "--neighbor", "add-subtract", "--upper", "9", "--q", "1e-17"],
+        "the run at level 1 - q = 1.0: ",
+    ),
+    "--qs unparsed": (["quantiles", "--qs", "0.5,x", "--lower", "0"], "comma-separated numbers"),
+    "--qs unsorted": (["quantiles", "--qs", "0.5,0.2", "--lower", "0"], "sorted and distinct"),
+    "--qs at 1": (["quantiles", "--qs", "0.5,1", "--lower", "0"], "strictly inside (0, 1)"),
+    "quantiles --neighbor add-subtract": (
+        ["quantiles", "--qs", "0.5", "--lower", "0", "--neighbor", "add-subtract"],
+        "swap neighbors only",
+    ),
+    "sum --q 0": (["sum", "--q", "0"], "q must lie in (0, 1]"),
+    "sum --method emq": (["sum", "--method", "emq"], "the EMQ clip needs a declared range"),
+    "sum --epsilon 0": (["sum", "--epsilon", "0"], "eps must be finite and > 0"),
+    "bench --curves": (["bench", "--range", "0", "10", "--experiment", "sum", "--curves", "c.csv"],
+                       "--curves applies to the quantile experiment only"),
+    "bench --round": (["bench", "--range", "0", "10", "--experiment", "sum", "--round"],
+                      "--round applies to the quantile experiment only"),
+    "bench --synthetic": (["bench", "--range", "0", "10", "--synthetic", "uniform"],
+                          "give either --synthetic or --input, not both"),
+    "bench --qs": (["bench", "--range", "0", "10", "--qs", "0.5,x"], "comma-separated numbers"),
+    "bench --eps": (["bench", "--range", "0", "10", "--eps", "1,x"], "comma-separated numbers"),
+}  # fmt: skip
+
+
+@pytest.mark.parametrize("case", list(REJECTED_FLAGS))
+def test_rejected_flags_exit_1_before_the_csv_is_read(monkeypatch, capsys, case):
+    # a missing file used to be reported first, and a real one was parsed
+    # before any flag was checked
+    def no_read(*args):
+        raise AssertionError("the CSV was read")
+
+    monkeypatch.setattr(cli, "load_csv", no_read)
+    argv, message = REJECTED_FLAGS[case]
+    assert main([*argv, "--input", "/nonexistent.csv", "--column", "v"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err, err
 
 
 class TestBadInputExits1:

@@ -33,7 +33,15 @@ from uqe.bench import (
 from uqe.datasets import generate_synthetic, load_csv, perturb, true_quantile
 from uqe.emq import BoundedRange, _interval_edges
 from uqe.noise import NoiseKind, NoiseSpec, RandomSource, sample
-from uqe.quantile import Dataset, QuantileRequest, _release, build_histogram, estimate_quantile
+from uqe.quantile import (
+    Dataset,
+    QuantileRequest,
+    _release,
+    build_histogram,
+    counting_query_stream,
+    estimate_quantile,
+)
+from uqe.sparse_vector import DEFAULT_MAX_QUERIES
 
 
 def quantile_oracle(values, q):
@@ -632,7 +640,7 @@ def test_each_resample_is_bucketed_sorted_and_scored_once(monkeypatch):
 
 @st.composite
 def uqe_block_cases(draw):
-    """A histogram at lower bound 0 with a bench query cap, and the levels
+    """A histogram at lower bound 0 with a query cap, and the levels
     and budgets of its blocks. Data far above the lower bound leave a long
     run of zero counts ahead of them, in which a low level's first window
     lies and misses, so its run goes on past it; a cap below the data
@@ -643,19 +651,18 @@ def uqe_block_cases(draw):
     n = draw(st.integers(1, 300))
     spread = draw(st.sampled_from([0.01, 1.0, 3.0]))
     data = lead + RandomSource(draw(st.integers(0, 2**32 - 1))).gen.lognormal(0.0, spread, n)
-    cap = draw(st.sampled_from([None, 1, 255, 256, 700, 5000]))
+    cap = draw(st.sampled_from([DEFAULT_MAX_QUERIES, 1, 255, 256, 700, 5000]))
     levels = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=25))
     eps_grid = draw(st.lists(st.sampled_from([0.01, 0.3, 1.0, 8.0]), min_size=1, max_size=3))
     return data, beta, cap, tuple(levels), eps_grid
 
 
 def one_level_release(hist, q, eps, source, stream):
-    """The uqe release at level q on its own: the even split, the bench's
+    """The uqe release at level q on its own: the even split, the build's
     query cap and a source re-keyed to mechanism stream `stream`."""
     source._rekey(bench._MECH_BASE + stream)
-    req = QuantileRequest.even_split(
-        q, eps, beta=hist.grid.beta, max_queries=bench.DEFAULT_MAX_QUERIES
-    )
+    cap = counting_query_stream(hist).max_queries
+    req = QuantileRequest.even_split(q, eps, beta=hist.grid.beta, max_queries=cap)
     return _release(hist, req, source).value
 
 
@@ -663,22 +670,19 @@ def one_level_release(hist, q, eps, source, stream):
 @given(case=uqe_block_cases(), seed=st.integers(0, 2**32 - 1))
 def test_a_uqe_block_releases_what_the_per_level_loop_releases(case, seed):
     data, beta, cap, levels, eps_grid = case
-    with pytest.MonkeyPatch.context() as mp:
-        if cap is not None:
-            mp.setattr(bench, "DEFAULT_MAX_QUERIES", cap)
-        hist = build_histogram(data, beta, 0.0, bench.DEFAULT_MAX_QUERIES)
-        source = RandomSource(seed)
-        for b, eps in enumerate(eps_grid):
-            streams = [b * len(levels) + i for i in range(len(levels))]
-            loop = np.array(
-                [one_level_release(hist, q, eps, source, s) for q, s in zip(levels, streams)]
-            )
-            if np.isfinite(loop).all():
-                block = bench._uqe_block(hist, levels, eps, source, streams)
-                assert block.tobytes() == loop.tobytes()
-            else:
-                with pytest.raises(ValueError, match="not finite"):
-                    bench._uqe_block(hist, levels, eps, source, streams)
+    hist = build_histogram(data, beta, 0.0, cap)
+    source = RandomSource(seed)
+    for b, eps in enumerate(eps_grid):
+        streams = [b * len(levels) + i for i in range(len(levels))]
+        loop = np.array(
+            [one_level_release(hist, q, eps, source, s) for q, s in zip(levels, streams)]
+        )
+        if np.isfinite(loop).all():
+            block = bench._uqe_block(hist, levels, eps, source, streams)
+            assert block.tobytes() == loop.tobytes()
+        else:
+            with pytest.raises(ValueError, match="not finite"):
+                bench._uqe_block(hist, levels, eps, source, streams)
 
 
 def test_a_uqe_block_runs_alone_only_the_levels_past_their_first_window(monkeypatch):
@@ -687,7 +691,7 @@ def test_a_uqe_block_runs_alone_only_the_levels_past_their_first_window(monkeypa
     # the noise's reach of zero, so their first windows lie in that run and
     # miss; every other level halts in its first window.
     data = 51.0 + RandomSource(3).gen.normal(0.0, 5.0, 500)
-    hist = build_histogram(data, 1.01, 0.0, bench.DEFAULT_MAX_QUERIES)
+    hist = build_histogram(data, 1.01, 0.0)
     levels = tuple(round(0.05 * i, 2) for i in range(1, 20))
     keys = [bench._MECH_BASE + s for s in range(19)]
     threshold_words = [RandomSource(8, key).gen.bit_generator.random_raw() for key in keys]

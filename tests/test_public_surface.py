@@ -74,6 +74,16 @@ def test_demo_runs(demo, tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+@pytest.mark.parametrize("name", ["QueryStream", "SvtOutcome"])
+def test_internal_records_are_in_no_all(name):
+    # the runner's stream and outcome records are the package's own: their
+    # constructors check only what the package's builders leave unchecked
+    modules = [uqe] + [
+        importlib.import_module(f"uqe.{info.name}") for info in pkgutil.iter_modules(uqe.__path__)
+    ]
+    assert [m.__name__ for m in modules if name in getattr(m, "__all__", ())] == []
+
+
 def public_signatures():
     """(module.name, parameter names) of every callable a submodule's
     __all__ names."""

@@ -41,7 +41,6 @@ from uqe.bench import ExperimentSpec, run_quantile_experiment
 from uqe.emq import BoundedRange
 from uqe.sparse_vector import (
     DEFAULT_MAX_QUERIES,
-    QueryStream,
     SvtConfig,
     run_above_threshold,
     stream_prefix,
@@ -264,6 +263,17 @@ def test_histogram_holds_increasing_non_empty_buckets():
             reference.histogram(grid, buckets, running)
 
 
+def test_a_histogram_holds_the_stream_of_its_build_cap():
+    # read at cap 12, a cap-5 build gave f_6 .. f_9 = 4 where the data give
+    # 2, 3, 3, 3: it puts every point at or past beta^5 in bucket 5
+    hist = build_histogram([1.0, 10.0, 100.0, 1000.0], 2.0, 0.0, 5)
+    stream = counting_query_stream(hist)
+    assert stream.max_queries == 5
+    assert stream_prefix(stream, 5).tolist() == [0, 1, 1, 2, 2]
+    with pytest.raises(TypeError):
+        counting_query_stream(hist, 12)
+
+
 def test_histogram_prefix_counts_match_direct_scan():
     rng = np.random.default_rng(22)
     for _ in range(20):
@@ -414,7 +424,9 @@ BUDGET_ENTRIES = {
         Dataset(np.arange(1, 11.0), 0.0), QuantileRequest(0.5, eps, eps), RandomSource(1)
     ),
     "SvtConfig": lambda eps: run_above_threshold(
-        QueryStream([0], [0.0], 100), SvtConfig(eps, eps, NoiseKind.LAPLACE, 5.0), RandomSource(1)
+        reference.query_stream([0], [0.0], 100),
+        SvtConfig(eps, eps, NoiseKind.LAPLACE, 5.0),
+        RandomSource(1),
     ),
     "SumConfig": lambda eps: dp_sum(
         np.arange(1, 11.0) / 100, SumConfig(eps=2 * eps), RandomSource(1)

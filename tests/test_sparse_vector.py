@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from uqe.noise import NoiseKind, RandomSource
+from uqe.quantile import build_histogram, counting_query_stream
 from uqe.sparse_vector import (
     DEFAULT_MAX_QUERIES,
     QueryStream,
@@ -104,7 +105,7 @@ def test_simulated_halts_match_oracle_pmf():
 
 
 def test_scalar_runner_matches_simulator_distribution():
-    values = [0.5, 1.5, -0.2]
+    values = [-0.2, 0.5, 1.5]
     cfg = SvtConfig(1.0, 1.0, NoiseKind.GUMBEL, 1.0)
     trials = 20_000
     scal = np.array([
@@ -152,7 +153,8 @@ def test_cap_respected_on_endless_stream():
 
 
 def test_default_cap_value():
-    assert QueryStream([0], [0.0]).max_queries == DEFAULT_MAX_QUERIES == 200_000
+    stream = counting_query_stream(build_histogram([1.0], 2.0, 0.0))
+    assert stream.max_queries == DEFAULT_MAX_QUERIES == 200_000
 
 
 def test_gumbel_requires_equal_split():
@@ -225,18 +227,22 @@ def test_simulated_em_matches_gumbel_run():
 
 
 def test_stream_prefix_and_tailless_stream():
-    stream = head_stream([3.0, 1.0, 4.0])
-    assert np.array_equal(stream_prefix(stream, 2), [3.0, 1.0])
+    stream = head_stream([1.0, 3.0, 4.0])
+    assert np.array_equal(stream_prefix(stream, 2), [1.0, 3.0])
     # reading a prefix does not consume the stream
-    assert np.array_equal(stream_prefix(stream, 3), [3.0, 1.0, 4.0])
+    assert np.array_equal(stream_prefix(stream, 3), [1.0, 3.0, 4.0])
     # the open last run goes on past the cap
-    assert np.array_equal(stream_prefix(QueryStream([0, 1], [2.0, 5.0], 1), 3), [2.0, 5.0, 5.0])
+    stream = reference.query_stream([0, 1], [2.0, 5.0], 1)
+    assert np.array_equal(stream_prefix(stream, 3), [2.0, 5.0, 5.0])
 
 
 def test_stream_validation():
-    with pytest.raises(ValueError):
-        QueryStream([0], [0.0], max_queries=0)
-    # runs start at 0 and increase strictly, one value each
+    # the one rule QueryStream checks itself
+    with pytest.raises(ValueError, match="max_queries"):
+        QueryStream(np.zeros(1, dtype=np.int64), np.zeros(1), 0)
+    # the rules of the runs, which the tests hold every stream to: runs
+    # start at 0 and increase strictly, one value each, and the values are
+    # numbers that never fall
     for starts, values in (
         ([], []),
         ([1], [0.0]),
@@ -244,18 +250,11 @@ def test_stream_validation():
         ([0, 2, 1], [1.0, 2.0, 3.0]),
         ([0, 1], [1.0]),
         ([0, 1], [[1.0, 2.0]]),
+        ([0, 5, 10], [0.0, np.nan, 100.0]),
+        ([0], [np.nan]),
+        ([0, 5, 10], [0.0, 5.0, np.nan]),
+        ([0, 5, 10], [0.0, -np.inf, 100.0]),
+        ([0, 1], [3.0, 1.0]),
     ):
         with pytest.raises(ValueError):
-            QueryStream(starts, values)
-
-
-def test_a_nan_query_value_is_a_value_error():
-    # the running maximum the searches read would carry a NaN on to the
-    # stream's end, and the first stream would halt at 6 without noise, not
-    # at 11
-    for values in ([0.0, np.nan, 100.0], [np.nan], [0.0, 5.0, np.nan]):
-        with pytest.raises(ValueError, match="nan"):
-            QueryStream(np.arange(0, 5 * len(values), 5), values, 1000)
-    stream = QueryStream([0, 5, 10], [0.0, -np.inf, 100.0], 1000)
-    assert stream.peak.tolist() == [0.0, 0.0, 100.0] and not stream.peak.flags.writeable
-    assert run_above_threshold_noiseless(stream, 50.0) == SvtOutcome(11)
+            reference.query_stream(starts, values)
