@@ -47,12 +47,7 @@ from .quantile import (
     estimate_small_quantile_inverted,
     request_guarantee,
 )
-from .sparse_vector import (
-    DEFAULT_MAX_QUERIES,
-    SvtConfig,
-    gumbel_halt_log_pmf,
-    gumbel_no_halt_prob,
-)
+from .sparse_vector import DEFAULT_MAX_QUERIES, SvtConfig, gumbel_outcome_log_pmf
 from .verify import run_verification_suite
 
 __version__ = "0.1.0"
@@ -88,8 +83,7 @@ __all__ = [
     "estimate_small_quantile_inverted",
     "generate_synthetic",
     "guarantee_for",
-    "gumbel_halt_log_pmf",
-    "gumbel_no_halt_prob",
+    "gumbel_outcome_log_pmf",
     "load_csv",
     "multi_quantile_guarantee",
     "normalized_error_rows",

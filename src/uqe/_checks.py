@@ -143,3 +143,31 @@ def check_levels(qs) -> np.ndarray:
     if not (q_arr[0] > 0.0 and q_arr[-1] < 1.0):
         raise ValueError("quantiles must lie strictly inside (0, 1)")
     return q_arr
+
+
+def check_protocol(
+    sample_size, outer_trials, inner_trials, seed, eps_grid, quantile_grid, methods,
+    perturb_scale: float, beta: float, sum_beta: float
+) -> None:
+    """The rules of a benchmark protocol (bench.ExperimentSpec) that need no
+    data; the sample size's upper bound, the dataset size, is the spec's."""
+    check_int(sample_size, "sample_size")
+    check_int(outer_trials, "outer_trials")
+    check_int(inner_trials, "inner_trials")
+    check_int(seed, "seed")
+    if sample_size < 1:
+        raise ValueError("sample size must be between 1 and the dataset size")
+    if outer_trials < 1 or inner_trials < 1:
+        raise ValueError("trial counts must be at least 1")
+    for m in methods:
+        if m not in ("uqe", "emq"):
+            raise ValueError(f"unknown method: {m!r}")
+    levels = np.asarray(quantile_grid, dtype=float)
+    # NaN fails both comparisons, so it is rejected with the rest
+    if levels.ndim != 1 or levels.size == 0 or not ((levels >= 0) & (levels <= 1)).all():
+        raise ValueError("the quantile grid must be non-empty with levels in [0, 1]")
+    for eps in eps_grid:
+        check_even_split(eps, "uqe" in methods)
+    check_perturb_scale(perturb_scale)
+    check_beta(beta)
+    check_beta(sum_beta, "sum_beta")

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._checks import check_beta, check_data, check_even_split, check_int, check_perturb_scale
+from ._checks import check_data, check_protocol
 from .aggregates import _clip_floor, _laplace, clipped_sum
 from .datasets import perturb, true_quantile
 from .emq import (
@@ -84,24 +84,12 @@ class ExperimentSpec:
 
     def __post_init__(self) -> None:
         data = check_data(self.data)
-        for name in ("sample_size", "outer_trials", "inner_trials", "seed"):
-            check_int(getattr(self, name), name)
-        if not 1 <= self.sample_size <= data.size:
+        check_protocol(
+            self.sample_size, self.outer_trials, self.inner_trials, self.seed, self.eps_grid,
+            self.quantile_grid, self.methods, self.perturb_scale, self.beta, self.sum_beta
+        )
+        if self.sample_size > data.size:
             raise ValueError("sample size must be between 1 and the dataset size")
-        if self.outer_trials < 1 or self.inner_trials < 1:
-            raise ValueError("trial counts must be at least 1")
-        for m in self.methods:
-            if m not in ("uqe", "emq"):
-                raise ValueError(f"unknown method: {m!r}")
-        levels = np.asarray(self.quantile_grid, dtype=float)
-        # NaN fails both comparisons, so it is rejected with the rest
-        if levels.ndim != 1 or levels.size == 0 or not ((levels >= 0) & (levels <= 1)).all():
-            raise ValueError("the quantile grid must be non-empty with levels in [0, 1]")
-        for eps in self.eps_grid:
-            check_even_split(eps, "uqe" in self.methods)
-        check_perturb_scale(self.perturb_scale)
-        check_beta(self.beta)
-        check_beta(self.sum_beta, "sum_beta")
         object.__setattr__(self, "data", data)
 
 
@@ -368,10 +356,24 @@ def records_to_json(records: list[ResultRecord], include_runtime: bool = False) 
     return "[\n  {\n    " + text + "\n  }\n]\n"
 
 
-def _write_csv(path: Path, rows: list[tuple[float, float]]) -> None:
-    lines = ["value,density"]
-    lines += [f"{v!r},{d!r}" for v, d in rows]
-    path.write_text("\n".join(lines) + "\n")
+def _pdf_curves(data, rng_range: BoundedRange, q, eps, beta, lower) -> dict[str, list]:
+    """The (value, density) rows of the two curves emit_pdf_figures writes."""
+    grid_x, emq_density = emq_pdf_curve(data, rng_range, q, eps)
+    c = uqe_pdf_curve(data, lower, q, eps, beta=beta)
+    steps = zip(c.lefts.tolist(), c.rights.tolist(), c.density.tolist())
+    # each interval's density at its left edge, then at its right
+    uqe_rows = [(x, d) for lo, hi, d in steps for x in (lo, hi)]
+    return {"emq": list(zip(grid_x.tolist(), emq_density.tolist())), "uqe": uqe_rows}
+
+
+def _write_pdf_curves(curves: dict, out_dir, label: str) -> dict[str, Path]:
+    """Write _pdf_curves' rows under out_dir, one CSV per curve."""
+    Path(out_dir).mkdir(parents=True, exist_ok=True)
+    paths = {method: Path(out_dir) / f"{method}_pdf_{label}.csv" for method in curves}
+    for method, rows in curves.items():
+        lines = ["value,density", *(f"{v!r},{d!r}" for v, d in rows)]
+        paths[method].write_text("\n".join(lines) + "\n")
+    return paths
 
 
 def emit_pdf_figures(
@@ -390,21 +392,7 @@ def emit_pdf_figures(
     curve is computed without ever seeing it, so running this twice with
     different ranges writes identical grid-curve files. Uses Gumbel noise with
     eps1 = eps2 = eps/2, the configuration whose halt distribution has a
-    closed form.
+    closed form. Both curves are computed before either file is written, so
+    an error leaves no file.
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    grid_x, emq_density = emq_pdf_curve(data, rng_range, q, eps)
-    emq_path = out / f"emq_pdf_{label}.csv"
-    _write_csv(emq_path, list(zip(grid_x.tolist(), emq_density.tolist())))
-
-    curve = uqe_pdf_curve(data, lower, q, eps, beta=beta)
-    rows = []
-    for left, right, density in zip(
-        curve.lefts.tolist(), curve.rights.tolist(), curve.density.tolist()
-    ):
-        rows.append((left, density))
-        rows.append((right, density))
-    uqe_path = out / f"uqe_pdf_{label}.csv"
-    _write_csv(uqe_path, rows)
-    return {"emq": emq_path, "uqe": uqe_path}
+    return _write_pdf_curves(_pdf_curves(data, rng_range, q, eps, beta, lower), out_dir, label)

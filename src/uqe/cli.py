@@ -18,7 +18,8 @@ import sys
 from dataclasses import asdict, replace
 from pathlib import Path
 
-from ._checks import check_levels, check_multi_quantile_neighbor, check_q
+from ._checks import check_beta, check_eps, check_finite, check_levels, check_protocol, check_q
+from ._checks import check_multi_quantile_neighbor
 from .accounting import (
     NeighborModel,
     QueryClass,
@@ -30,7 +31,8 @@ from .aggregates import THRESHOLD_MODES, ClipMethod, SumConfig, dp_mean, dp_sum
 from .bench import (
     ExperimentSpec,
     _check_finite,
-    emit_pdf_figures,
+    _pdf_curves,
+    _write_pdf_curves,
     normalized_error_rows,
     records_to_json,
     run_quantile_experiment,
@@ -267,24 +269,22 @@ def cmd_bench(args) -> tuple[str, int]:
     qs = _float_list(args.qs) if args.qs is not None else tuple(
         round(0.05 + 0.05 * i, 2) for i in range(19)
     )
-    eps_grid = _float_list(args.eps)
+    protocol = {
+        "sample_size": args.sample_size,
+        "outer_trials": args.outer,
+        "inner_trials": args.inner,
+        "seed": _resolve_seed(args),
+        "eps_grid": _float_list(args.eps),
+        "quantile_grid": qs,
+        "methods": tuple(args.methods.split(",")),
+        "perturb_scale": args.perturb_scale,
+        "beta": args.beta,
+        "sum_beta": args.sum_beta,
+    }
+    check_protocol(**protocol)
+    declared_range = BoundedRange(*args.range)
     data, name = _bench_data(args)
-    spec = ExperimentSpec(
-        data=data,
-        name=name,
-        declared_range=BoundedRange(*args.range),
-        sample_size=args.sample_size,
-        outer_trials=args.outer,
-        inner_trials=args.inner,
-        eps_grid=eps_grid,
-        quantile_grid=qs,
-        methods=tuple(args.methods.split(",")),
-        perturb_scale=args.perturb_scale,
-        beta=args.beta,
-        sum_beta=args.sum_beta,
-        round_outputs=args.round,
-        seed=_resolve_seed(args),
-    )
+    spec = ExperimentSpec(data, name, declared_range, round_outputs=args.round, **protocol)
     if args.experiment == "quantile":
         records = run_quantile_experiment(spec)
         if args.curves is not None:
@@ -311,22 +311,18 @@ def cmd_verify(args) -> tuple[dict, int]:
 
 
 def cmd_pdf(args) -> tuple[dict, int]:
+    ranges = [BoundedRange(lo, hi) for lo, hi in args.ranges or [[0.0, 10.0], [0.0, 20.0]]]
+    check_q(args.q)
+    check_eps(args.epsilon)
+    check_beta(args.beta)
+    check_finite(args.lower, "the lower bound")
     values = _load_values(args)
-    ranges = args.ranges if args.ranges else [[0.0, 10.0], [0.0, 20.0]]
+    # every curve before any file, so an error leaves none
+    curves = [_pdf_curves(values, r, args.q, args.epsilon, args.beta, args.lower) for r in ranges]
     written = []
-    for lo, hi in ranges:
-        label = f"{lo:g}to{hi:g}".replace("-", "m").replace(".", "p")
-        paths = emit_pdf_figures(
-            values,
-            BoundedRange(lo, hi),
-            args.q,
-            args.epsilon,
-            args.beta,
-            args.out_dir,
-            label,
-            lower=args.lower,
-        )
-        written.extend(str(p) for p in paths.values())
+    for r, rows in zip(ranges, curves):
+        label = f"{r.a:g}to{r.b:g}".replace("-", "m").replace(".", "p")
+        written.extend(str(p) for p in _write_pdf_curves(rows, args.out_dir, label).values())
     return {"written": written}, 0
 
 

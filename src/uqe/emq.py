@@ -20,7 +20,7 @@ import numpy as np
 from ._checks import check_data, check_eps, check_q, check_source
 from .noise import RandomSource
 from .quantile import build_histogram, counting_query_stream
-from .sparse_vector import gumbel_halt_log_pmf, gumbel_no_halt_prob, stream_prefix
+from .sparse_vector import gumbel_outcome_log_pmf, stream_prefix
 
 __all__ = [
     "BoundedRange",
@@ -81,7 +81,9 @@ def _interval_logs(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _log_weights(edges: np.ndarray, q: float, eps: float) -> np.ndarray:
     n = edges.size - 2
     ranks, log_gaps = _interval_logs(edges)
-    return -eps * np.abs(ranks - q * n) / 2.0 + log_gaps
+    # a product past the float range is -inf, the weight's exact limit
+    with np.errstate(over="ignore"):
+        return -eps * np.abs(ranks - q * n) / 2.0 + log_gaps
 
 
 def emq_interval_pmf(data, rng_range: BoundedRange, q: float, eps: float) -> np.ndarray:
@@ -139,15 +141,17 @@ def _draw_from_edges(
     shifts = np.multiply(qs, edges.size - 2)[:, None]
     step = max(1, _WEIGHT_CHUNK // ranks.size)
     logw = np.empty((min(step, shifts.size), ranks.size))
-    for start in range(0, shifts.size, step):
-        rows = slice(start, start + step)
-        w = logw[: scores[rows].shape[0]]
-        np.subtract(ranks, shifts[rows], out=w)
-        np.abs(w, out=w)
-        w *= -eps
-        w /= 2.0
-        w += log_gaps
-        np.subtract(w, scores[rows], out=scores[rows])
+    # a weight whose product passes the float range is -inf, its exact limit
+    with np.errstate(over="ignore"):
+        for start in range(0, shifts.size, step):
+            rows = slice(start, start + step)
+            w = logw[: scores[rows].shape[0]]
+            np.subtract(ranks, shifts[rows], out=w)
+            np.abs(w, out=w)
+            w *= -eps
+            w /= 2.0
+            w += log_gaps
+            np.subtract(w, scores[rows], out=scores[rows])
     j = np.argmax(scores, axis=1)
     lo = edges[j]
     return lo + uniforms[:, -1] * (edges[j + 1] - lo)
@@ -176,8 +180,10 @@ class UqePdfCurve:
     """Step PDF of the grid estimator modified to draw uniformly in its cell.
 
     Interval k spans [beta^(k-1)+ell-1, beta^k+ell-1); its mass is the
-    closed-form Gumbel halt probability. residual is the no-halt mass beyond
-    the last emitted interval, so mass.sum() + residual = 1.
+    probability of a halt at query k, and residual that of no halt within
+    the emitted intervals, both read from one exact law
+    (sparse_vector.gumbel_outcome_log_pmf), so mass.sum() + residual = 1
+    within rounding at every budget.
     """
 
     lefts: np.ndarray
@@ -202,21 +208,9 @@ def uqe_pdf_curve(
     check_q(q)
     hist = build_histogram(data, beta, lower_bound)
     stream = counting_query_stream(hist)
-    grid = hist.grid
-    n = hist.n
     k_full = int(hist.buckets[-1]) + 1  # first query index where the prefix hits n
     k_max = min(k_full + _PDF_PAD_STEPS, stream.max_queries)
-    values = stream_prefix(stream, k_max)
-    t = q * n
-    log_pmf = gumbel_halt_log_pmf(values, t, eps / 2.0)
-    mass = np.exp(log_pmf)
-    edges = grid.powers(k_max + 1) + grid.lower_bound - 1.0
-    lefts, rights = edges[:-1], edges[1:]
-    widths = rights - lefts
-    return UqePdfCurve(
-        lefts=lefts,
-        rights=rights,
-        mass=mass,
-        density=mass / widths,
-        residual=float(gumbel_no_halt_prob(values, t, eps / 2.0)),
-    )
+    pmf = np.exp(gumbel_outcome_log_pmf(stream_prefix(stream, k_max), q * hist.n, eps / 2.0))
+    edges = hist.grid.powers(k_max + 1) + hist.grid.lower_bound - 1.0
+    mass = pmf[1:]
+    return UqePdfCurve(edges[:-1], edges[1:], mass, mass / np.diff(edges), float(pmf[0]))

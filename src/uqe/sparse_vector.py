@@ -29,10 +29,12 @@ Many runs on one counting stream, each on a generator of its own, run as
 one batch over their first blocks (_first_window_halts); a run that does
 not halt there goes on in the runner, past the queries it tested (_past).
 
-For Gumbel noise with eps1 == eps2 the halt index has a closed-form PMF,
-which the verification suites use as ground truth; the same module provides
-the step-wise exponential-mechanism formulation that is distributionally
-identical to the Gumbel run.
+For Gumbel noise with eps1 == eps2 the outcome of a run over a finite
+query list has a closed-form law (gumbel_outcome_log_pmf), exact at every
+budget, which the verification suites use as ground truth and uqe_pdf_curve
+as the grid estimator's density; the same module provides the step-wise
+exponential-mechanism formulation that is distributionally identical to the
+Gumbel run.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._checks import check_max_queries, check_source, check_split, check_threshold
+from ._checks import check_eps, check_max_queries, check_source, check_split, check_threshold
 from .noise import NOISE_REACH, NoiseKind, NoiseSpec, RandomSource, sample
 from .noise import _int_state, _noise_of_words, _place
 
@@ -52,14 +54,17 @@ __all__ = [
     "SvtConfig",
     "run_above_threshold",
     "run_above_threshold_noiseless",
-    "gumbel_halt_log_pmf",
-    "gumbel_no_halt_prob",
+    "gumbel_outcome_log_pmf",
     "simulate_halt_indices",
     "simulate_iterative_em",
     "stream_prefix",
 ]
 
 DEFAULT_MAX_QUERIES = 200_000
+
+# far past where exp under- or overflows, and small enough that no sum of
+# three scores overflows
+_SCORE_BOUND = np.finfo(float).max / 4
 
 # trials per block in the vectorized simulators; keeps peak memory bounded
 _BLOCK = 1 << 18
@@ -354,26 +359,24 @@ def run_above_threshold_noiseless(
     return SvtOutcome(None, stream.max_queries)
 
 
-def _scaled_prefix_lse(values, threshold: float, eps: float):
-    """L[k] = log(exp(eps*T) + sum_{i<=k} exp(eps*f_i)) for k = 0..K."""
-    scaled = np.concatenate(([eps * threshold], eps * np.asarray(values, dtype=float)))
-    return scaled, np.logaddexp.accumulate(scaled)
+def gumbel_outcome_log_pmf(values: Sequence[float], threshold: float, eps: float) -> np.ndarray:
+    """log P of each outcome of AboveThreshold on the query list values
+    under Gumbel noise with eps1 = eps2 = eps: entry 0 is no halt, entry k
+    a halt at query k, the labels of simulate_halt_indices.
 
-
-def gumbel_halt_log_pmf(values: Sequence[float], threshold: float, eps: float) -> np.ndarray:
-    """log P[halt at k] for k = 1..K under Gumbel noise with eps1 = eps2 = eps.
-
-    Everything stays in log space; query values that push exponents past the
-    float range are handled by logaddexp, not by exponentiating directly.
+    With scores s_0 = 0, s_k = eps * (f_k - threshold) clipped to
+    +-_SCORE_BOUND (which moves no entry's exp), and L_k = log sum_{i<=k}
+    exp(s_i), a halt at k has log-probability (s_k - L_k) + (s_0 - L_{k-1})
+    and no halt s_0 - L_K: sums of non-positive terms, which neither
+    overflow nor cancel, so the exps sum to 1 within rounding at any eps.
     """
-    scaled, lse = _scaled_prefix_lse(values, threshold, eps)
-    return scaled[1:] + scaled[0] - lse[1:] - lse[:-1]
-
-
-def gumbel_no_halt_prob(values: Sequence[float], threshold: float, eps: float) -> float:
-    """P[no halt within the K supplied queries]; 1.0 for an empty list."""
-    scaled, lse = _scaled_prefix_lse(values, threshold, eps)
-    return float(np.exp(scaled[0] - lse[-1]))
+    check_eps(eps)
+    check_threshold(threshold)
+    with np.errstate(over="ignore"):
+        scores = eps * (np.asarray(values, dtype=float) - threshold)
+    scores = np.concatenate(([0.0], np.clip(scores, -_SCORE_BOUND, _SCORE_BOUND)))
+    lse = np.logaddexp.accumulate(scores)
+    return np.concatenate(([-lse[-1]], (scores[1:] - lse[1:]) - lse[:-1]))
 
 
 def simulate_halt_indices(

@@ -16,13 +16,8 @@ import numpy as np
 from ._checks import check_int
 from .accounting import empirical_dp_check
 from .noise import NoiseKind, RandomSource
-from .sparse_vector import (
-    SvtConfig,
-    gumbel_halt_log_pmf,
-    gumbel_no_halt_prob,
-    simulate_halt_indices,
-    simulate_iterative_em,
-)
+from .sparse_vector import SvtConfig, gumbel_outcome_log_pmf, simulate_halt_indices
+from .sparse_vector import simulate_iterative_em
 
 __all__ = ["DP_RATIO_MIN_TRIALS", "SUITE_NAMES", "run_verification_suite"]
 
@@ -45,12 +40,6 @@ def _random_instance(gen, max_k: int = 6):
     return values, threshold, eps
 
 
-def _outcome_pmf(values, threshold, eps) -> np.ndarray:
-    """[P(no halt), P(halt at 1), ..., P(halt at K)] for eps1 = eps2 = eps."""
-    pmf = np.exp(gumbel_halt_log_pmf(values, threshold, eps))
-    return np.concatenate(([gumbel_no_halt_prob(values, threshold, eps)], pmf))
-
-
 def _mc_max_z(pmf: np.ndarray, outcomes: np.ndarray, trials: int) -> float:
     freq = np.bincount(outcomes, minlength=pmf.size) / trials
     se = np.sqrt(np.maximum(pmf * (1.0 - pmf), 1e-12) / trials)
@@ -62,7 +51,7 @@ def _suite_gumbel_closed_form(seed: int, trials: int) -> list[dict]:
     worst = 0.0
     for i in range(10):
         values, threshold, eps = _random_instance(base.spawn(2 * i).gen)
-        pmf = _outcome_pmf(values, threshold, eps)
+        pmf = np.exp(gumbel_outcome_log_pmf(values, threshold, eps))
         cfg = SvtConfig(eps, eps, NoiseKind.GUMBEL, threshold)
         sim = simulate_halt_indices(values, cfg, base.spawn(2 * i + 1), trials)
         # np.maximum keeps a NaN z-score, which then fails the check
@@ -81,7 +70,7 @@ def _suite_em_equivalence(seed: int, trials: int) -> list[dict]:
     worst_z = 0.0
     for i in range(3):
         values, threshold, eps = _random_instance(base.spawn(10 + 2 * i).gen)
-        pmf = _outcome_pmf(values, threshold, eps / 2.0)
+        pmf = np.exp(gumbel_outcome_log_pmf(values, threshold, eps / 2.0))
         sim = simulate_iterative_em(values, threshold, eps, base.spawn(11 + 2 * i), trials)
         worst_z = float(np.maximum(worst_z, _mc_max_z(pmf, sim, trials)))
     return [

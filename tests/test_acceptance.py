@@ -52,33 +52,17 @@ from uqe.quantile import (
 )
 from uqe.sparse_vector import (
     SvtConfig,
-    gumbel_halt_log_pmf,
-    gumbel_no_halt_prob,
+    gumbel_outcome_log_pmf,
     simulate_halt_indices,
     simulate_iterative_em,
     stream_prefix,
 )
+from uqe.verify import _mc_max_z
 
 from conftest import simulate_emq_choices
 
 SMOKE = str(resources.files("uqe") / "data" / "smoke.csv")
 CENSUS = Path(__file__).resolve().parent.parent / "data" / "census.csv"
-
-
-def outcome_pmf(values, threshold, eps):
-    """[P(no halt), P(halt at 1..K)] under Gumbel noise with eps1 = eps2 = eps."""
-    return np.concatenate(
-        (
-            [gumbel_no_halt_prob(values, threshold, eps)],
-            np.exp(gumbel_halt_log_pmf(values, threshold, eps)),
-        )
-    )
-
-
-def max_z(pmf, outcomes, trials):
-    freq = np.bincount(outcomes, minlength=pmf.size) / trials
-    se = np.sqrt(np.maximum(pmf * (1.0 - pmf), 1e-12) / trials)
-    return float(np.max(np.abs(freq - pmf) / se))
 
 
 def test_acceptance_1_gumbel_closed_form():
@@ -91,10 +75,10 @@ def test_acceptance_1_gumbel_closed_form():
         k = int(gen.integers(2, 7))
         values = gen.uniform(-3.0, 3.0, size=k)
         threshold = float(gen.uniform(-3.0, 3.0))
-        pmf = outcome_pmf(values, threshold, 1.0)
+        pmf = np.exp(gumbel_outcome_log_pmf(values, threshold, 1.0))
         cfg = SvtConfig(1.0, 1.0, NoiseKind.GUMBEL, threshold)
         sim = simulate_halt_indices(values, cfg, base.spawn(2 * i + 1), trials)
-        worst = max(worst, max_z(pmf, sim, trials))
+        worst = max(worst, _mc_max_z(pmf, sim, trials))
     elapsed = time.perf_counter() - start
     assert worst < 4.0
     assert elapsed < 120.0
@@ -120,7 +104,7 @@ def test_acceptance_2_iterative_em_equivalence():
         p_new = w / denom
         survive = np.concatenate(([1.0], np.cumprod(1.0 - p_new[:-1])))
         product_form = p_new * survive
-        closed = np.exp(gumbel_halt_log_pmf(values, threshold, eps / 2.0))
+        closed = np.exp(gumbel_outcome_log_pmf(values, threshold, eps / 2.0))[1:]
         worst_abs = max(worst_abs, float(np.max(np.abs(product_form - closed))))
     assert worst_abs < 1e-12
 
@@ -132,12 +116,12 @@ def test_acceptance_2_iterative_em_equivalence():
         values = inst.uniform(-3.0, 3.0, size=k)
         threshold = float(inst.uniform(-3.0, 3.0))
         eps = float(inst.uniform(0.4, 2.0))
-        pmf = outcome_pmf(values, threshold, eps / 2.0)
+        pmf = np.exp(gumbel_outcome_log_pmf(values, threshold, eps / 2.0))
         em = simulate_iterative_em(values, threshold, eps, base.spawn(101 + 3 * i), trials)
-        worst_z = max(worst_z, max_z(pmf, em, trials))
+        worst_z = max(worst_z, _mc_max_z(pmf, em, trials))
         cfg = SvtConfig(eps / 2.0, eps / 2.0, NoiseKind.GUMBEL, threshold)
         gumbel = simulate_halt_indices(values, cfg, base.spawn(102 + 3 * i), trials)
-        worst_z = max(worst_z, max_z(pmf, gumbel, trials))
+        worst_z = max(worst_z, _mc_max_z(pmf, gumbel, trials))
     elapsed = time.perf_counter() - start
     assert worst_z < 4.0
     assert elapsed < 180.0
@@ -504,7 +488,7 @@ def test_acceptance_8_emq_enumeration_oracle():
         sim = simulate_emq_choices(
             data, BoundedRange(0.0, 10.0), q, eps, base.spawn(51 + 2 * i), trials
         )
-        worst_z = max(worst_z, max_z(pmf, sim, trials))
+        worst_z = max(worst_z, _mc_max_z(pmf, sim, trials))
     elapsed = time.perf_counter() - start
     assert worst_z < 4.0
     assert elapsed < 120.0

@@ -1,19 +1,22 @@
 """The validation boundary: every parameter rule lives in uqe._checks, and
 every public entry point rejects a bad parameter before it reads the data.
 
-The fuzz gives each numeric parameter NaN, +-inf, 0, a negative value and
-the least subnormal, on data that lie within any bound the value declares.
+The fuzz gives each numeric parameter NaN, +-inf, 0, a negative value, the
+least subnormal and +-DBL_MAX, on data that lie within any bound the value
+declares.
 A call then returns a result or raises ValueError, with no warning. It runs
 once as it is, and once with the passes over the data patched to fail: a
 ValueError must come the same way from both, so before any pass, unless a
 rule that compares the data with a parameter raised it. With the data
-inside every bound, the one such rule left is a sum's Laplace scale, which
-its clip sets.
+inside every bound, two such rules are left: a sum's Laplace scale, which
+its clip sets, and a bench release past the float range, which at a beta
+near DBL_MAX the halt index sets.
 """
 
 import ast
 import math
 import re
+import sys
 import warnings
 from pathlib import Path
 
@@ -45,7 +48,8 @@ import reference
 
 SRC = Path(uqe.__file__).parent
 
-SPECIAL = (math.nan, math.inf, -math.inf, 0.0, -1.0, 5e-324)
+DBL_MAX = sys.float_info.max
+SPECIAL = (math.nan, math.inf, -math.inf, 0.0, -1.0, 5e-324, DBL_MAX, -DBL_MAX)
 
 # the passes over the data: the unbounded sign split, the histogram build,
 # the min and max pass of Dataset and dp_sum, and the sorts of emq and the
@@ -54,7 +58,7 @@ PASSES = ("_sign_split_totals", "build_histogram", "_finite_min")
 
 # the rules that compare the data with a parameter, which can fail only
 # after a pass
-DATA_RULES = re.compile(r"lets the sum's noise overflow a float")
+DATA_RULES = re.compile(r"lets the sum's noise overflow a float|a released estimate is not finite")
 
 DATA = np.arange(1.0, 11.0)
 BOUNDED, SIGNED = Dataset(DATA, lower_bound=0.0), Dataset(DATA - 5.5)
@@ -121,7 +125,8 @@ def spec_cases():
 
 def other_cases():
     def bounded_range(a, b):
-        data = np.linspace(a, b, 10) if -math.inf < a < b < math.inf else DATA
+        # the data clipped into a valid range: a linspace from -DBL_MAX overflows
+        data = np.clip(DATA, a, b) if -math.inf < a < b < math.inf else DATA
         return lambda: emq_estimate(data, BoundedRange(a, b), 0.5, 1.0, rng())
 
     yield "BoundedRange.a", lambda v: bounded_range(v, 20.0)

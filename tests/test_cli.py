@@ -16,12 +16,15 @@ from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from uqe._checks import MIN_NOISE_EPS
 from uqe.accounting import NeighborModel, QueryClass, guarantee_for
 from uqe import cli
+from uqe.bench import emit_pdf_figures
 from uqe.cli import main
+from uqe.emq import BoundedRange
 from uqe.noise import NoiseKind
 
 SMOKE = str(resources.files("uqe") / "data" / "smoke.csv")
@@ -502,6 +505,27 @@ REJECTED_FLAGS = {
                           "give either --synthetic or --input, not both"),
     "bench --qs": (["bench", "--range", "0", "10", "--qs", "0.5,x"], "comma-separated numbers"),
     "bench --eps": (["bench", "--range", "0", "10", "--eps", "1,x"], "comma-separated numbers"),
+    # each of these, and the pdf flags below, used to be checked after the
+    # CSV was read: a missing file was reported first
+    "bench --outer 0": (["bench", "--range", "0", "10", "--outer", "0"],
+                        "trial counts must be at least 1"),
+    "bench --sample-size 0": (["bench", "--range", "0", "10", "--sample-size", "0"],
+                              "sample size must be between 1 and the dataset size"),
+    "bench --methods": (["bench", "--range", "0", "10", "--methods", "uqe,x"],
+                        "unknown method: 'x'"),
+    "bench --qs 1.5": (["bench", "--range", "0", "10", "--qs", "1.5"], "levels in [0, 1]"),
+    "bench --eps 0": (["bench", "--range", "0", "10", "--eps", "0"], "eps must be finite and > 0"),
+    "bench --perturb-scale": (["bench", "--range", "0", "10", "--perturb-scale", "-1"],
+                              "perturb_scale must be finite and >= 0"),
+    "bench --sum-beta 1": (["bench", "--range", "0", "10", "--sum-beta", "1"],
+                           "sum_beta must be finite and > 1"),
+    "bench --range": (["bench", "--range", "5", "1"], "range must be finite with a < b"),
+    "pdf --q 1.5": (["pdf", "--q", "1.5"], "q must lie in [0, 1]"),
+    "pdf --epsilon 0": (["pdf", "--epsilon", "0"], "eps must be finite and > 0"),
+    "pdf --beta 1": (["pdf", "--beta", "1"], "beta must be finite and > 1"),
+    "pdf --lower inf": (["pdf", "--lower", "inf"], "the lower bound must be finite"),
+    "pdf --ranges": (["pdf", "--ranges", "0", "10", "--ranges", "5", "1"],
+                     "range must be finite with a < b"),
 }  # fmt: skip
 
 
@@ -700,6 +724,33 @@ class TestPdf:
         uqe_paths = [p for p in paths if "uqe_pdf" in p]
         a, b = (open(p, "rb").read() for p in uqe_paths)
         assert a == b
+
+    @pytest.mark.parametrize("eps", ["1e15", "1e308"])
+    def test_extreme_budgets_write_one_distribution(self, capsys, tmp_path, eps):
+        # the grid curve's masses used to sum to 3.0 at eps 1e15, and its
+        # densities were not finite at 1e308; a RuntimeWarning fails the test
+        argv = ["pdf", "--input", SMOKE, "--column", "value", "--epsilon", eps]
+        code, payload = run_cli(capsys, *argv, "--ranges", "0", "10", "--out-dir", str(tmp_path))
+        assert code == 0
+        for path in payload["written"]:
+            rows = np.loadtxt(path, delimiter=",", skiprows=1)
+            assert np.isfinite(rows).all() and (rows[:, 1] >= 0).all()
+        # the grid curve's rows are (left, density), (right, density) per interval
+        (uqe_path,) = [p for p in payload["written"] if "uqe_pdf" in p]
+        rows = np.loadtxt(uqe_path, delimiter=",", skiprows=1)
+        mass = rows[0::2, 1] * (rows[1::2, 0] - rows[0::2, 0])
+        assert mass.sum() <= 1.0 + 1e-12
+
+    def test_an_error_leaves_no_file(self, capsys, tmp_path):
+        # smoke.csv reaches 9.943, past the second range: its curves used to
+        # fail after the first range's two files were written
+        argv = ["pdf", "--input", SMOKE, "--column", "value", "--out-dir", str(tmp_path)]
+        assert main([*argv, "--ranges", "0", "10", "--ranges", "0", "5"]) == 1
+        assert "outside the declared range" in capsys.readouterr().err
+        # emit_pdf_figures used to write the interval curve, then reject beta
+        with pytest.raises(ValueError, match="beta"):
+            emit_pdf_figures([1.0, 2.0], BoundedRange(0.0, 10.0), 0.5, 1.0, 0.5, tmp_path, "x")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestExitCodes:

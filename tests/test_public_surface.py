@@ -61,10 +61,11 @@ def test_all_names_exist():
 @pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("*.py")))
 def test_demo_runs(demo, tmp_path):
     # parsing the imports misses a demo that reads a removed attribute;
-    # tmp_path takes the figures/ directory demo 05 writes
+    # tmp_path takes the figures/ directory demo 05 writes. A numpy
+    # overflow or NaN warning fails a demo, as it fails a test.
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "demos" / demo)],
+        [sys.executable, "-W", "error::RuntimeWarning", str(ROOT / "demos" / demo)],
         cwd=tmp_path,
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,

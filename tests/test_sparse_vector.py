@@ -1,4 +1,4 @@
-"""Tests for AboveThreshold, its closed-form Gumbel PMF and the EM twin.
+"""Tests for AboveThreshold, its closed-form Gumbel outcome law and the EM twin.
 
 Frozen oracle values were computed by numerically integrating over the noisy
 threshold (scipy.integrate.quad on the Gumbel density/CDF product), not by
@@ -15,8 +15,7 @@ from uqe.sparse_vector import (
     QueryStream,
     SvtConfig,
     SvtOutcome,
-    gumbel_halt_log_pmf,
-    gumbel_no_halt_prob,
+    gumbel_outcome_log_pmf,
     run_above_threshold,
     run_above_threshold_noiseless,
     simulate_halt_indices,
@@ -27,26 +26,29 @@ from uqe.sparse_vector import (
 import reference
 from conftest import head_stream
 
-# quad-based oracle values for values (1.0, 2.0, 0.5), T = 1.5, eps1 = eps2 = 1
+# quad-based oracle values for values (1.0, 2.0, 0.5), T = 1.5, eps1 = eps2 = 1:
+# no halt, then a halt at queries 1, 2 and 3
 ORACLE_VALUES = [1.0, 2.0, 0.5]
 ORACLE_T = 1.5
-ORACLE_PMF = [0.37754066879814546, 0.31526344548335616, 0.031191541011903266]
-ORACLE_NO_HALT = 0.2760043447065952
+ORACLE_PMF = [0.2760043447065952, 0.37754066879814546, 0.31526344548335616, 0.031191541011903266]
+
+DBL_MAX = np.finfo(float).max
+EXTREME_EPS = [1e-300, 1.0, 1e4, 1e9, 1e15, 1e300, DBL_MAX]
+
+
+def gumbel_pmf(values, threshold, eps):
+    return np.exp(gumbel_outcome_log_pmf(values, threshold, eps))
 
 
 def test_gumbel_pmf_trivial_instance():
-    # two zero queries at threshold zero: 1/2 then 1/6
-    pmf = np.exp(gumbel_halt_log_pmf([0.0, 0.0], 0.0, 1.0))
-    assert pmf == pytest.approx([0.5, 1 / 6])
-    assert gumbel_no_halt_prob([0.0, 0.0], 0.0, 1.0) == pytest.approx(1 / 3)
+    # two zero queries at threshold zero: no halt 1/3, then 1/2 and 1/6
+    assert gumbel_pmf([0.0, 0.0], 0.0, 1.0) == pytest.approx([1 / 3, 0.5, 1 / 6])
+    # no query, no halt
+    assert gumbel_pmf([], 0.0, 1.0).tolist() == [1.0]
 
 
 def test_gumbel_pmf_matches_integral_oracle():
-    got = np.exp(gumbel_halt_log_pmf(ORACLE_VALUES, ORACLE_T, 1.0))
-    assert got == pytest.approx(ORACLE_PMF, abs=1e-8)
-    assert gumbel_no_halt_prob(ORACLE_VALUES, ORACLE_T, 1.0) == pytest.approx(
-        ORACLE_NO_HALT, abs=1e-8
-    )
+    assert gumbel_pmf(ORACLE_VALUES, ORACLE_T, 1.0) == pytest.approx(ORACLE_PMF, abs=1e-8)
 
 
 def test_gumbel_pmf_normalizes():
@@ -56,24 +58,71 @@ def test_gumbel_pmf_normalizes():
         values = rng.uniform(-3, 3, k)
         t = float(rng.uniform(-3, 3))
         eps = float(rng.uniform(0.2, 3.0))
-        total = np.exp(gumbel_halt_log_pmf(values, t, eps)).sum()
-        total += gumbel_no_halt_prob(values, t, eps)
-        assert total == pytest.approx(1.0, abs=1e-12)
+        assert gumbel_pmf(values, t, eps).sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_gumbel_pmf_shift_invariance():
     values = np.array([0.3, -1.2, 2.0])
-    base = gumbel_halt_log_pmf(values, 0.5, 1.3)
-    shifted = gumbel_halt_log_pmf(values + 40.0, 40.5, 1.3)
+    base = gumbel_outcome_log_pmf(values, 0.5, 1.3)
+    shifted = gumbel_outcome_log_pmf(values + 40.0, 40.5, 1.3)
     assert np.allclose(base, shifted, atol=1e-12)
 
 
 def test_gumbel_pmf_survives_huge_exponents():
-    values = np.array([800.0, 900.0, 850.0])
-    logp = gumbel_halt_log_pmf(values, 850.0, 1.0)
+    logp = gumbel_outcome_log_pmf(np.array([800.0, 900.0, 850.0]), 850.0, 1.0)
     assert np.all(np.isfinite(logp))
-    total = np.exp(logp).sum() + gumbel_no_halt_prob(values, 850.0, 1.0)
-    assert total == pytest.approx(1.0, abs=1e-12)
+    assert np.exp(logp).sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def pdf_stream():
+    """The counting queries uqe_pdf_curve reads on 400 lognormal points at
+    beta 1.01: up to the first that reaches n, then 25 more."""
+    hist = build_histogram(RandomSource(37).gen.lognormal(3.0, 1.0, 400), 1.01, 0.0)
+    return stream_prefix(counting_query_stream(hist), int(hist.buckets[-1]) + 26)
+
+
+# a stream, and streams whose values or threshold are close to where a
+# float's spacing or range ends: 1e16 + 1 rounds to 1e16, and the scores of
+# values near +-DBL_MAX pass the float range at eps > 1
+EXTREME_INPUTS = {
+    "pdf stream": (pdf_stream(), 0.6 * 400),
+    "near 1e16": ([0.0, 1e16, 1e16 + 2, 2e16], 1e16 + 1),
+    "near +1e308": ([-DBL_MAX, 1e308, DBL_MAX, DBL_MAX], 1e308),
+    "near -1e308": ([-DBL_MAX, -1e308, 0.0, DBL_MAX], -1e308),
+    "threshold DBL_MAX": ([-DBL_MAX, 0.0, DBL_MAX], DBL_MAX),
+    "threshold -DBL_MAX": ([-DBL_MAX, -1e308, DBL_MAX], -DBL_MAX),
+}
+
+
+@pytest.mark.parametrize("eps", EXTREME_EPS)
+@pytest.mark.parametrize("case", list(EXTREME_INPUTS))
+def test_gumbel_law_is_a_distribution_at_every_budget(case, eps):
+    # the law as two closed forms summed to 1.27 near 1e16 at eps 1, and to
+    # 2 on the pdf stream from eps 5e14 on; a RuntimeWarning fails the test
+    values, threshold = EXTREME_INPUTS[case]
+    pmf = gumbel_pmf(values, threshold, eps)
+    assert pmf.shape == (len(values) + 1,)
+    assert np.isfinite(pmf).all() and (pmf >= 0).all()
+    assert pmf.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_gumbel_law_at_the_budget_extremes():
+    values, threshold = EXTREME_INPUTS["pdf stream"]
+    # at eps 1e-300 every score is 0 within 1e-297: a halt at query k has
+    # probability 1 / (k (k + 1)), no halt 1 / (K + 1)
+    ks = np.arange(1, values.size + 1)
+    want = np.concatenate(([1 / (values.size + 1)], 1 / (ks * (ks + 1))))
+    assert gumbel_pmf(values, threshold, 1e-300) == pytest.approx(want, rel=1e-12)
+    # from eps 1e4 on, a query that ties the threshold scores 0 and every
+    # other one is 1e4 or more from it: a halt at the tie or at the next
+    # query, 1/2 each. The threshold 1e16 + 1 rounds to 1e16.
+    for case in ("pdf stream", "near 1e16"):
+        values, threshold = EXTREME_INPUTS[case]
+        tie = int(np.flatnonzero(np.asarray(values) == threshold)[0]) + 1
+        want = np.zeros(len(values) + 1)
+        want[tie : tie + 2] = 0.5
+        for eps in EXTREME_EPS[2:]:
+            assert gumbel_pmf(values, threshold, eps) == pytest.approx(want, abs=1e-15)
 
 
 def test_em_product_identity_matches_closed_form():
@@ -89,7 +138,7 @@ def test_em_product_identity_matches_closed_form():
         denom = np.exp(s * t) + np.cumsum(exp_scores)
         p_sel = exp_scores / denom
         product = np.cumprod(np.concatenate(([1.0], 1.0 - p_sel[:-1]))) * p_sel
-        closed = np.exp(gumbel_halt_log_pmf(values, t, eps / 2.0))
+        closed = gumbel_pmf(values, t, eps / 2.0)[1:]
         assert np.allclose(product, closed, atol=1e-12)
 
 
@@ -98,8 +147,7 @@ def test_simulated_halts_match_oracle_pmf():
     cfg = SvtConfig(1.0, 1.0, NoiseKind.GUMBEL, ORACLE_T)
     idx = simulate_halt_indices(ORACLE_VALUES, cfg, RandomSource(51), trials)
     freq = np.bincount(idx, minlength=4) / trials
-    probs = [ORACLE_NO_HALT] + ORACLE_PMF
-    for outcome, p in enumerate(probs):
+    for outcome, p in enumerate(ORACLE_PMF):
         se = np.sqrt(p * (1 - p) / trials)
         assert abs(freq[outcome] - p) < 4 * se
 
@@ -115,8 +163,7 @@ def test_scalar_runner_matches_simulator_distribution():
         or 0
         for i in range(trials)
     ])
-    probs = np.exp(gumbel_halt_log_pmf(values, 1.0, 1.0))
-    probs = np.concatenate(([gumbel_no_halt_prob(values, 1.0, 1.0)], probs))
+    probs = gumbel_pmf(values, 1.0, 1.0)
     freq = np.bincount(scal, minlength=4) / trials
     for outcome, p in enumerate(probs):
         se = np.sqrt(p * (1 - p) / trials)
@@ -204,8 +251,7 @@ def test_iterative_em_scalar_runner_agrees():
         or 0
         for i in range(trials)
     ])
-    closed = np.exp(gumbel_halt_log_pmf(values, 0.5, 1.0))  # eps1=eps2=eps/2
-    probs = np.concatenate(([gumbel_no_halt_prob(values, 0.5, 1.0)], closed))
+    probs = gumbel_pmf(values, 0.5, 1.0)  # eps1=eps2=eps/2
     freq = np.bincount(scal, minlength=3) / trials
     for outcome, p in enumerate(probs):
         se = np.sqrt(p * (1 - p) / trials)
